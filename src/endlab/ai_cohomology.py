@@ -35,7 +35,8 @@ class AIWitness:
     cosets of pair.K.  certificates[i] is a finite list of coset labels
     containing where chi and its translate by pair.S[i] can disagree.
     difference_support(g), when available, lists candidate labels for the
-    support of g.chi - chi for arbitrary g.
+    support of g.chi - chi for arbitrary g.  truncation, when set, is the
+    coset-graph ball the witness was probed on, for callers to reuse.
     """
 
     def __init__(self, pair, chi, certificates, difference_support=None, kind="custom", details=None):
@@ -45,6 +46,7 @@ class AIWitness:
         self._diff_support = difference_support
         self.kind = kind
         self.details = dict(details or {})
+        self.truncation = None
         if len(self.certificates) != len(pair.S):
             raise ValueError("need one certificate set per generator")
 
@@ -73,7 +75,9 @@ def witness_from_splitting(pi, geom_edge, pair=None, probe_radius=8, cap=DEFAULT
     """Half-tree witness for a nontrivial splitting edge.
 
     B consists of the cosets gK whose inverse translates the lifted edge
-    into its own terminus half.  Raises ValueError on a trivial splitting.
+    into its own terminus half.  The probe-radius truncation the properness
+    check ran on is kept as w.truncation.  Raises ValueError on a trivial
+    splitting.
     """
     half = HalfTreeSplitting(pi, geom_edge)
     K = Subgroup(pi, pi.edge_subgroup_elements(half.e0), name=f"edge{half.e0}")
@@ -114,6 +118,7 @@ def witness_from_splitting(pi, geom_edge, pair=None, probe_radius=8, cap=DEFAULT
     occupancy = _side_occupancy(w, t)
     w.details["properness"] = occupancy
     w.details["proper"] = _is_proper(occupancy)
+    w.truncation = t
     return w
 
 

@@ -144,7 +144,14 @@ class RoughCayleyTruncation:
 
 
 def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
-    """BFS the coset graph out to the given radius.
+    """BFS the coset graph out to the given radius, as a one-pass coset table.
+
+    Each (coset, generator) slot is labelled exactly once: the label of
+    x.s.K is the sort-minimal x.(s.k) over the precomputed products s.k
+    for k in K, which equals coset_canonical(x.s) by associativity and
+    uniqueness of normal forms.  The BFS keeps each expanded coset's row of
+    targets as indices into the BFS order, the outer sphere's rows are
+    labelled after it, and the half-edge pass pairs edges from the rows.
 
     Raises BudgetExceeded past the element cap and GenerationError when
     expect_infinite is set but the graph is exhausted early (the symptom
@@ -153,27 +160,41 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
     if radius < 1:
         raise ValueError("radius must be at least 1")
     backend = pair.backend
+    multiply, sort_key = backend.multiply, backend.sort_key
+    sk = [[multiply(s, k) for k in pair.K.elements] for s in pair.S]
+    if len(pair.K) == 1:
+        def row_of(x):
+            return [multiply(x, s) for (s,) in sk]
+    else:
+        def row_of(x):
+            return [min([multiply(x, g) for g in gs], key=sort_key) for gs in sk]
     base = coset_canonical(backend, pair.K, backend.identity())
     reps = {base: base}
     sphere = {base: 0}
     order = [base]
+    index = {base: 0}
+    # rows[i][si]: index of order[i] . S[si] . K in order, -1 outside the ball
+    rows = []
     frontier = [base]
     exhausted = False
     for d in range(1, radius + 1):
         found = {}
+        labels = []
         for x in frontier:
-            for s in pair.S:
-                y = coset_canonical(backend, pair.K, backend.multiply(reps[x], s))
-                if y in sphere or y in found:
-                    continue
-                found[y] = y
-        layer = sorted(found, key=backend.sort_key)
+            row = row_of(x)
+            labels.append(row)
+            for y in row:
+                if y not in sphere:
+                    found[y] = y
+        layer = sorted(found, key=sort_key)
         for y in layer:
             sphere[y] = d
             reps[y] = y
+            index[y] = len(order)
             order.append(y)
             if len(order) > cap:
                 raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        rows.extend([index[y] for y in row] for row in labels)
         frontier = layer
         if not frontier:
             exhausted = True
@@ -182,31 +203,28 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
         raise GenerationError(
             f"{pair.name}: enumeration exhausted after {len(order)} cosets; S does not generate an infinite family"
         )
-    index = {v: i for i, v in enumerate(order)}
-    # one half-edge per (coset, s); targets outside the ball are dropped
-    half = {}
-    for x in order:
-        for si, s in enumerate(pair.S):
-            y = coset_canonical(backend, pair.K, backend.multiply(reps[x], s))
-            if y not in sphere:
-                continue
-            key = (min(index[x], index[y]), max(index[x], index[y]))
-            fwd, bwd = half.setdefault(key, ([], []))
-            (fwd if index[x] < index[y] else bwd).append((x, si, y))
+    # the outer sphere, which the BFS never expands
+    rows.extend([index.get(y, -1) for y in row_of(x)] for x in frontier)
+    # pair the half-edges i -> j (i < j) with the half-edges j -> i, each side in
+    # generator order; edges are numbered by (i, j)
     origin, inverse, edge_gen = {}, {}, {}
     count = 0
-    for key in sorted(half):
-        fwd, bwd = half[key]
-        if len(fwd) != len(bwd):
-            raise RuntimeError(
-                "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
-            )
-        for (x, si, y), (y2, sj, x2) in zip(fwd, bwd):
-            e, f = 2 * count, 2 * count + 1
-            count += 1
-            origin[e], origin[f] = x, y
-            inverse[e], inverse[f] = f, e
-            edge_gen[e], edge_gen[f] = si, sj
+    for i, row in enumerate(rows):
+        for j in sorted(set(row)):
+            if j <= i:
+                continue
+            fwd = [si for si, t in enumerate(row) if t == j]
+            bwd = [sj for sj, t in enumerate(rows[j]) if t == i]
+            for si, sj in zip(fwd, bwd):
+                e, f = 2 * count, 2 * count + 1
+                count += 1
+                origin[e], origin[f] = order[i], order[j]
+                inverse[e], inverse[f] = f, e
+                edge_gen[e], edge_gen[f] = si, sj
+    if 2 * count != sum(len(row) - row.count(-1) for row in rows):
+        raise RuntimeError(
+            "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
+        )
     graph = SerreGraph(order, origin, inverse, check=False)
     t = RoughCayleyTruncation(pair, graph, base, radius, sphere, reps, edge_gen, exhausted)
     for v in order:

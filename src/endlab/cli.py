@@ -30,7 +30,7 @@ def _spec_backend_pairs(path, pair_index):
     spec = _load(path)
     backend = theorem_lab.backend_from_spec(spec["backend"])
     pairs = [
-        theorem_lab.pair_from_spec(backend, p, name=f"pair{i}")
+        theorem_lab.pair_from_spec(backend, p, name=f"pair{i}", where=f"pairs[{i}]")
         for i, p in enumerate(spec["pairs"])
     ]
     if not 0 <= pair_index < len(pairs):
@@ -63,7 +63,7 @@ def cmd_witness(args):
     w = ai_cohomology.witness_from_splitting(
         backend, args.edge, probe_radius=args.probe, cap=args.cap
     )
-    t = cayley_abels.build(w.pair, args.probe, cap=args.cap)
+    t = w.truncation
     inv = ai_cohomology.check_almost_invariance(w, t)
     cut = ai_cohomology.cut_from_witness(w, t)
     out = {

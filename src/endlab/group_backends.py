@@ -8,12 +8,19 @@ Two kinds of backend live here:
   shortlex-reducing string rewriting system.  Words are plain strings of
   single-character letters; the normal form of a word is its unique
   irreducible descendant, so equality of elements is string equality.
+  The rules are indexed once, at construction, as one regular-expression
+  alternation of the left-hand sides in rule order: a search finds the
+  leftmost occurrence of any left-hand side, and at a tie the first rule,
+  so each rewrite is the one a rule-by-rule scan would pick.  Shortlex
+  keys compare words translated to letter-index characters.
 
 Both expose the small backend protocol the coset machinery needs:
 identity(), multiply(a, b), inverse(a) and sort_key(a).
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BudgetExceeded
 
@@ -99,10 +106,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {len(self)})"
 
 
-def shortlex_key(word, order):
-    return (len(word), tuple(order[c] for c in word))
-
-
 class RewritingGroup:
     """Group given by a shortlex-reducing string rewriting system.
 
@@ -132,6 +135,8 @@ class RewritingGroup:
                 raise ValueError(f"letters must be single characters, got {c!r}")
         self.alphabet = alphabet
         self.letter_order = {c: i for i, c in enumerate(alphabet)}
+        self._letters = frozenset(alphabet)
+        self._order_table = str.maketrans({c: chr(i) for i, c in enumerate(alphabet)})
         # the inverse map on the full alphabet
         inv = dict(self.inverses)
         for g, gi in self.inverses.items():
@@ -150,13 +155,17 @@ class RewritingGroup:
         for lhs, rhs in rules:
             self._check_letters(lhs)
             self._check_letters(rhs)
-            if self._key(rhs) >= self._key(lhs):
+            if self.sort_key(rhs) >= self.sort_key(lhs):
                 raise ValueError(f"rule {lhs!r} -> {rhs!r} does not reduce shortlex order")
             if (lhs, rhs) not in seen:
                 seen.add((lhs, rhs))
                 self.rules.append((lhs, rhs))
-        self.rules.sort(key=lambda r: (self._key(r[0]), self._key(r[1])))
+        self.rules.sort(key=lambda r: (self.sort_key(r[0]), self.sort_key(r[1])))
         self._max_lhs = max(len(l) for l, _ in self.rules)
+        self._lhs_search = re.compile("|".join(re.escape(l) for l, _ in self.rules)).search
+        self._rhs = {}
+        for lhs, rhs in self.rules:
+            self._rhs.setdefault(lhs, rhs)
         self.confluence_checked = False
         if check:
             ok, pair = self.verify_confluence()
@@ -168,32 +177,28 @@ class RewritingGroup:
             if c not in self.letter_order:
                 raise ValueError(f"unknown letter {c!r}")
 
-    def _key(self, word):
-        return shortlex_key(word, self.letter_order)
-
     def sort_key(self, word):
-        return self._key(word)
+        return (len(word), word.translate(self._order_table))
 
     def identity(self):
         return ""
 
     def normal_form(self, word):
-        """The unique irreducible descendant of word."""
-        self._check_letters(word)
+        """The unique irreducible descendant of word.
+
+        Rewrites the leftmost left-hand side occurrence, first rule first,
+        and resumes the search as far back as a rewrite can create a new
+        occurrence.
+        """
+        if not self._letters.issuperset(word):
+            self._check_letters(word)
         w = word
-        pos = 0
-        while pos < len(w):
-            hit = None
-            for lhs, rhs in self.rules:
-                if w.startswith(lhs, pos):
-                    hit = (lhs, rhs)
-                    break
-            if hit is None:
-                pos += 1
-                continue
-            lhs, rhs = hit
-            w = w[:pos] + rhs + w[pos + len(lhs):]
-            pos = max(0, pos - self._max_lhs + 1)
+        search, rhs, back = self._lhs_search, self._rhs, self._max_lhs - 1
+        m = search(w)
+        while m is not None:
+            pos = m.start()
+            w = w[:pos] + rhs[m.group()] + w[m.end():]
+            m = search(w, pos - back if pos > back else 0)
         return w
 
     def multiply(self, a, b):

@@ -63,7 +63,7 @@ class CatalogEntry:
     def pairs(self):
         backend = self.backend()
         return [
-            pair_from_spec(backend, p, name=f"{self.name}/pair{i}")
+            pair_from_spec(backend, p, name=f"{self.name}/pair{i}", where=f"{self.name}.pairs[{i}]")
             for i, p in enumerate(self.spec["pairs"])
         ]
 
@@ -114,20 +114,27 @@ def backend_from_spec(data):
     raise ValueError(f"unknown backend type {data.get('type')!r}")
 
 
-def element_from_spec(backend, spec):
-    """Parse a group element: a word string (rewriting) or an atom list."""
-    if isinstance(spec, str):
+def element_from_spec(backend, spec, where="element"):
+    """Parse a group element: a word string (rewriting) or an atom list.
+
+    A spec of the wrong shape raises ValueError naming the field `where`.
+    """
+    if isinstance(backend, RewritingGroup):
+        if not isinstance(spec, str):
+            raise ValueError(f"{where} must be a word string, got {type(spec).__name__}")
         return backend.normal_form(spec)
+    if not isinstance(spec, list):
+        raise ValueError(f"{where} must be a list of atoms, got {type(spec).__name__}")
     el = backend.identity()
     for atom in spec:
-        if "v" in atom:
+        if isinstance(atom, dict) and "v" in atom:
             nxt = backend.vertex_inclusion(atom["v"], atom["g"])
-        elif "e" in atom:
+        elif isinstance(atom, dict) and "e" in atom:
             nxt = backend.edge_letter(atom["e"])
             if atom.get("inv"):
                 nxt = backend.inverse(nxt)
         else:
-            raise ValueError(f"bad element atom {atom!r}")
+            raise ValueError(f"bad element atom {atom!r} in {where}")
         el = backend.multiply(el, nxt)
     return el
 
@@ -146,9 +153,11 @@ def subgroup_from_spec(backend, spec):
     raise ValueError(f"bad subgroup spec {spec!r}")
 
 
-def pair_from_spec(backend, data, name=None):
+def pair_from_spec(backend, data, name=None, where="pair"):
     K = subgroup_from_spec(backend, data["K"])
-    S = [element_from_spec(backend, s) for s in data["S"]]
+    if not isinstance(data["S"], list):
+        raise ValueError(f"{where}.S must be a list, got {type(data['S']).__name__}")
+    S = [element_from_spec(backend, s, f"{where}.S[{i}]") for i, s in enumerate(data["S"])]
     return cayley_abels.GeneratingPair(backend, K, S, name=name)
 
 
@@ -558,7 +567,7 @@ def run_witness_chain(backend, marked_edge, scales):
     w = ai_cohomology.witness_from_splitting(
         backend, marked_edge, probe_radius=scales.probe_radius, cap=scales.cap
     )
-    t = cayley_abels.build(w.pair, scales.probe_radius, cap=scales.cap)
+    t = w.truncation
     inv_cert = ai_cohomology.check_almost_invariance(w, t)
     dh1 = ai_cohomology.dh1_nonvanishing_certificate(w, t)
     cut = ai_cohomology.cut_from_witness(w, t)

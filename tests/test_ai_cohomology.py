@@ -72,6 +72,13 @@ def test_witnesses_are_proper(witnesses):
         assert w.details["proper"], name
 
 
+def test_witness_keeps_its_probe_truncation(witnesses):
+    # the CLI and the catalog chain reuse it instead of building it again
+    for name, (_, w, t) in witnesses.items():
+        assert w.truncation.pair is w.pair, name
+        assert w.truncation.to_json() == t.to_json(), name
+
+
 def test_trivial_splitting_has_no_witness():
     pi = PiOne(segment_gog(2, 4, 2, [0, 1], [0, 2]))
     with pytest.raises(ValueError, match="trivial"):

@@ -219,3 +219,107 @@ def test_infinite_entries_keep_growing(catalog):
         pair = catalog[name].pairs()[0]
         sizes = [len(cayley_build(pair, r).graph.vertices) for r in (2, 4, 6)]
         assert sizes[0] < sizes[1] < sizes[2], name
+
+
+# -- one-pass coset table against the two-pass reference --------------------------
+
+def reference_build(pair, radius, cap=200_000):
+    """The original two-pass build, kept as the reference.
+
+    The BFS and the half-edge pass each label every (coset, generator)
+    slot with coset_canonical.
+    """
+    from endlab.cayley_abels import RoughCayleyTruncation
+    from endlab.serre_graphs import SerreGraph
+
+    backend = pair.backend
+    base = coset_canonical(backend, pair.K, backend.identity())
+    reps = {base: base}
+    sphere = {base: 0}
+    order = [base]
+    frontier = [base]
+    exhausted = False
+    for d in range(1, radius + 1):
+        found = {}
+        for x in frontier:
+            for s in pair.S:
+                y = coset_canonical(backend, pair.K, backend.multiply(reps[x], s))
+                if y in sphere or y in found:
+                    continue
+                found[y] = y
+        layer = sorted(found, key=backend.sort_key)
+        for y in layer:
+            sphere[y] = d
+            reps[y] = y
+            order.append(y)
+            if len(order) > cap:
+                raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        frontier = layer
+        if not frontier:
+            exhausted = True
+            break
+    index = {v: i for i, v in enumerate(order)}
+    half = {}
+    for x in order:
+        for si, s in enumerate(pair.S):
+            y = coset_canonical(backend, pair.K, backend.multiply(reps[x], s))
+            if y not in sphere:
+                continue
+            key = (min(index[x], index[y]), max(index[x], index[y]))
+            fwd, bwd = half.setdefault(key, ([], []))
+            (fwd if index[x] < index[y] else bwd).append((x, si, y))
+    origin, inverse, edge_gen = {}, {}, {}
+    count = 0
+    for key in sorted(half):
+        fwd, bwd = half[key]
+        assert len(fwd) == len(bwd)
+        for (x, si, y), (y2, sj, x2) in zip(fwd, bwd):
+            e, f = 2 * count, 2 * count + 1
+            count += 1
+            origin[e], origin[f] = x, y
+            inverse[e], inverse[f] = f, e
+            edge_gen[e], edge_gen[f] = si, sj
+    graph = SerreGraph(order, origin, inverse, check=False)
+    return RoughCayleyTruncation(pair, graph, base, radius, sphere, reps, edge_gen, exhausted)
+
+
+def catalog_pairs(catalog):
+    return [pair for entry in catalog.values() for pair in entry.pairs()]
+
+
+@pytest.mark.parametrize("radius", [3, 5])
+def test_build_matches_two_pass_reference(catalog, radius):
+    for pair in catalog_pairs(catalog):
+        t = build(pair, radius)
+        ref = reference_build(pair, radius)
+        assert t.to_json() == ref.to_json(), pair.name
+        assert t.edge_gen == ref.edge_gen, pair.name
+        assert t.reps == ref.reps and t.exhausted == ref.exhausted, pair.name
+
+
+def test_build_labels_each_slot_once(catalog, monkeypatch):
+    for pair in catalog_pairs(catalog):
+        backend = pair.backend
+        calls = []
+        multiply = backend.multiply
+
+        def counting(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(backend, "multiply", counting)
+        t = build(pair, 4)
+        monkeypatch.undo()
+        n_s, n_k = len(pair.S), len(pair.K)
+        bound = len(t.graph.vertices) * n_s * n_k + n_s * n_k + n_k
+        assert len(calls) <= bound, (pair.name, len(calls), bound)
+
+
+def test_unsaturated_generators_give_unbalanced_edges():
+    # GeneratingPair saturates S under K-conjugation; undo that by hand
+    pi = c2c3()
+    K = Subgroup(pi, pi.vertex_subgroup_elements("w"), name="C3w")
+    pair = GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
+    pair.S = pair.S[1:2]
+    with pytest.raises(RuntimeError, match="unbalanced edge multiplicities"):
+        build(pair, 3)

@@ -293,3 +293,73 @@ def test_ball_accepts_unnormalized_generators():
     z = make_z()
     ball = z.ball_enumerate(["aAa", "A"], 2)
     assert len(ball) == 5
+
+
+# -- indexed reducer against the rule-scanning reference ------------------------------
+
+def reference_normal_form(group, word):
+    """The original reducer, kept as the reference.
+
+    At each position it tries every rule in order with startswith; after a
+    rewrite it backs up by the longest left-hand side.
+    """
+    max_lhs = max(len(lhs) for lhs, _ in group.rules)
+    w = word
+    pos = 0
+    while pos < len(w):
+        for lhs, rhs in group.rules:
+            if w.startswith(lhs, pos):
+                break
+        else:
+            pos += 1
+            continue
+        w = w[:pos] + rhs + w[pos + len(lhs):]
+        pos = max(0, pos - max_lhs + 1)
+    return w
+
+
+def reference_sort_key(group, word):
+    """The original tuple-per-call shortlex key."""
+    return (len(word), tuple(group.letter_order[c] for c in word))
+
+
+README_Z2_SPEC = {
+    "type": "rewriting_group",
+    "name": "Z2",
+    "generators": ["a", "b"],
+    "inverses": {"a": "A", "b": "B"},
+    "rules": [["ba", "ab"], ["bA", "Ab"], ["Ba", "aB"], ["BA", "AB"]],
+}
+
+
+def rewriting_systems():
+    from endlab.theorem_lab import default_catalog
+
+    groups = [
+        RewritingGroup.from_json(e.spec["backend"])
+        for e in default_catalog()
+        if e.spec["backend"]["type"] == "rewriting_group"
+    ]
+    groups.append(RewritingGroup.from_json(README_Z2_SPEC))
+    # not confluent, so the result depends on which rewrite fires first
+    groups.append(RewritingGroup(
+        ["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")], check=False
+    ))
+    return groups
+
+
+REWRITING_SYSTEMS = rewriting_systems()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_indexed_reducer_matches_reference(data):
+    group = data.draw(st.sampled_from(REWRITING_SYSTEMS))
+    letters = st.sampled_from(group.alphabet)
+    word = "".join(data.draw(st.lists(letters, max_size=40)))
+    assert group.normal_form(word) == reference_normal_form(group, word)
+    u = "".join(data.draw(st.lists(letters, max_size=8)))
+    v = "".join(data.draw(st.lists(letters, max_size=8)))
+    new = group.sort_key(u), group.sort_key(v)
+    old = reference_sort_key(group, u), reference_sort_key(group, v)
+    assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1])

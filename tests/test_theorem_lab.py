@@ -222,3 +222,29 @@ def test_cli_witness_on_trivial_splitting_reports_cleanly(tmp_path, capsys):
 def test_cli_missing_file_reports_cleanly(capsys):
     assert cli.main(["ends", "no_such_file.json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("pairs, field", [
+    ([{"K": "trivial", "S": 5}], "pairs[0].S must be a list"),
+    ([{"K": "trivial", "S": ["a"]}, {"K": "trivial", "S": ["a", 7]}],
+     "pairs[1].S[1] must be a word string"),
+    ([{"K": "trivial", "S": [["a"]]}], "pairs[0].S[0] must be a word string"),
+])
+def test_cli_malformed_word_spec_reports_cleanly(tmp_path, capsys, catalog, pairs, field):
+    spec = {"backend": catalog["z_rw"].spec["backend"], "pairs": pairs}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["ends", str(path), "--R", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "invalid_input"
+    assert out["message"].startswith(field)
+
+
+def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
+    # a graph-of-groups element is a list of atoms, not a word
+    spec = {"backend": catalog["c2_c3_gog"].spec["backend"], "pairs": [{"K": "trivial", "S": ["ab"]}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["cut", str(path), "--R", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "invalid_input", "message": "pairs[0].S[0] must be a list of atoms, got str"}
