@@ -1,8 +1,7 @@
 """Desk-scale laboratory for ends of groups and degree-one cohomology."""
 
-from .serre_graphs import GeometricEdge, Path, SerreGraph, random_graph
+from .serre_graphs import GeometricEdge, SerreGraph, random_graph
 from .qlinalg import (
-    FreeModuleBasis,
     SparseMatrixQ,
     augmentation_matrix,
     delta_matrix,
@@ -30,7 +29,6 @@ from .ai_cohomology import (
     check_almost_invariance,
     compose_level_maps,
     cut_from_witness,
-    derivation_from_witness,
     dh1_nonvanishing_certificate,
     eta_map,
     right_saturate,

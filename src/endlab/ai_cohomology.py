@@ -50,13 +50,6 @@ class AIWitness:
         if len(self.certificates) != len(pair.S):
             raise ValueError("need one certificate set per generator")
 
-    def base_label(self):
-        backend = self.pair.backend
-        return coset_canonical(backend, self.pair.K, backend.identity())
-
-    def chi_of_label(self, label):
-        return self.chi(label)
-
     def translate_chi(self, g, label):
         """chi(g^{-1} . label), i.e. the indicator of g.B at the label."""
         backend = self.pair.backend
@@ -126,7 +119,7 @@ def _side_occupancy(w, t):
     rows = []
     for r in range(1, t.radius + 1):
         labels = t.sphere_labels(r)
-        inside = sum(w.chi(t.reps[v]) for v in labels)
+        inside = sum(w.chi(v) for v in labels)
         rows.append({"r": r, "in_B": inside, "out_B": len(labels) - inside})
     return rows
 
@@ -150,7 +143,7 @@ def check_almost_invariance(w, t):
                 moved.append(str(v))
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
-        k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.reps}
+        k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.sphere}
     for si, s in enumerate(w.pair.S):
         cert = set(w.certificates[si])
         outside = []
@@ -233,7 +226,7 @@ def cut_from_witness(w, t):
     backend = w.pair.backend
     inside = []
     for v in t.graph.vertices:
-        rep = coset_canonical(backend, w.pair.K, backend.inverse(t.reps[v]))
+        rep = coset_canonical(backend, w.pair.K, backend.inverse(v))
         if w.chi(rep):
             inside.append(v)
     cb = coboundary(t.graph, inside)
@@ -306,11 +299,6 @@ class DerivationValues:
         for k, v in rhs.items():
             out[k] = out.get(k, Fraction(0)) - v
         return {k: v for k, v in out.items() if v}
-
-
-def derivation_from_witness(w):
-    """The derivation attached to a witness, with per-generator values."""
-    return DerivationValues(w)
 
 
 def principal_derivation(backend, K, m_vec):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, expect
 from .group_backends import DEFAULT_CAP, FiniteGroup
 from .qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from .serre_graphs import SerreGraph
@@ -121,16 +121,21 @@ class GraphOfFiniteGroups:
     def from_json(cls, data):
         if data.get("type") != "graph_of_finite_groups":
             raise ValueError("not a graph_of_finite_groups spec")
-        origin = {ed["id"]: ed["o"] for ed in data["edges"]}
-        inverse = {ed["id"]: ed["inv"] for ed in data["edges"]}
-        graph = SerreGraph([v["id"] for v in data["vertices"]], origin, inverse)
-        vgroups = {v["id"]: _group_from_json(v["group"]) for v in data["vertices"]}
+        vertices = expect(data["vertices"], list, "vertices")
+        edges = expect(data["edges"], list, "edges")
+        origin = {ed["id"]: ed["o"] for ed in edges}
+        inverse = {ed["id"]: ed["inv"] for ed in edges}
+        graph = SerreGraph([v["id"] for v in vertices], origin, inverse)
+        vgroups = {
+            v["id"]: _group_from_json(v["group"], f"vertices[{i}].group")
+            for i, v in enumerate(vertices)
+        }
         egroups, embeddings = {}, {}
-        for ed in data["edges"]:
+        for i, ed in enumerate(edges):
             rep = min(ed["id"], ed["inv"])
             if rep not in egroups:
-                egroups[rep] = _group_from_json(ed["edge_group"])
-            embeddings[ed["id"]] = tuple(ed["embedding"])
+                egroups[rep] = _group_from_json(ed["edge_group"], f"edges[{i}].edge_group")
+            embeddings[ed["id"]] = tuple(expect(ed["embedding"], list, f"edges[{i}].embedding"))
         return cls(graph, vgroups, egroups, embeddings, name=data.get("name", "gog"))
 
     def __repr__(self):
@@ -145,9 +150,12 @@ def _group_to_json(G):
     return {"kind": "table", "elements": list(G.elements), "table": G.table}
 
 
-def _group_from_json(data):
-    if data["kind"] == "cyclic":
-        return FiniteGroup.cyclic(data["n"])
+def _group_from_json(data, where):
+    if expect(data, dict, where)["kind"] == "cyclic":
+        n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"{where}.n must be a positive integer, got {n!r}")
+        return FiniteGroup.cyclic(n)
     if data["kind"] == "table":
         return FiniteGroup(data["elements"], data["table"])
     raise ValueError(f"unknown group kind {data['kind']!r}")
@@ -508,7 +516,7 @@ def splitting_classify(gog):
 class TreeTruncation:
     """Radius-R piece of the universal covering tree."""
 
-    def __init__(self, pi, graph, base, radius, depth, reps, orbit, edge_orbit):
+    def __init__(self, pi, graph, base, radius, depth, reps, orbit):
         self.pi = pi
         self.graph = graph
         self.base = base
@@ -516,7 +524,6 @@ class TreeTruncation:
         self.depth = depth
         self.reps = reps
         self.orbit = orbit
-        self.edge_orbit = edge_orbit
 
     def stabilizer_order(self, label):
         return len(self.pi.vgroup(self.orbit[label]))
@@ -566,19 +573,17 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
                         nxt.append((tlabel, trep))
                         if len(reps) > cap:
                             raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
-                    records.append((plabel, tlabel, e))
+                    records.append((plabel, tlabel))
         frontier = nxt
         if not frontier:
             break
-    origin, inverse, edge_orbit = {}, {}, {}
-    for i, (a, b, e) in enumerate(records):
+    origin, inverse = {}, {}
+    for i, (a, b) in enumerate(records):
         f, g = 2 * i, 2 * i + 1
         origin[f], origin[g] = a, b
         inverse[f], inverse[g] = g, f
-        edge_orbit[f] = e
-        edge_orbit[g] = pi.graph.inverse(e)
     graph = SerreGraph(list(reps), origin, inverse, check=False)
-    return TreeTruncation(pi, graph, blabel, radius, depth, reps, orbit, edge_orbit)
+    return TreeTruncation(pi, graph, blabel, radius, depth, reps, orbit)
 
 
 def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):

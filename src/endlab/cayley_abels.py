@@ -41,14 +41,8 @@ class Subgroup:
                 if self.backend.multiply(a, b) not in elems:
                     raise ValueError("subgroup not closed under multiplication")
 
-    def is_trivial(self):
-        return len(self.elements) == 1
-
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, g):
-        return g in set(self.elements)
 
     def __repr__(self):
         return f"Subgroup({self.name}, order {len(self.elements)})"
@@ -94,7 +88,6 @@ class GeneratingPair:
         if not closed:
             raise ValueError("empty generating set")
         self.S = tuple(sorted(closed, key=backend.sort_key))
-        self.s_inverse_index = tuple(self.S.index(backend.inverse(s)) for s in self.S)
         self.name = name or f"({K.name}; {len(self.S)} gens)"
 
     def __repr__(self):
@@ -102,15 +95,18 @@ class GeneratingPair:
 
 
 class RoughCayleyTruncation:
-    """Radius-R ball of the coset graph of a generating pair."""
+    """Radius-R ball of the coset graph of a generating pair.
 
-    def __init__(self, pair, graph, base, radius, sphere, reps, edge_gen, exhausted):
+    A coset's label is its sort-minimal representative, so a label is
+    itself a group element and serves as the coset's representative.
+    """
+
+    def __init__(self, pair, graph, base, radius, sphere, edge_gen, exhausted):
         self.pair = pair
         self.graph = graph
         self.base = base
         self.radius = radius
         self.sphere = sphere
-        self.reps = reps
         self.edge_gen = edge_gen
         self.exhausted = exhausted
 
@@ -124,7 +120,7 @@ class RoughCayleyTruncation:
     def act(self, k, label):
         """Left action on coset labels; defined for any group element."""
         backend = self.pair.backend
-        return coset_canonical(backend, self.pair.K, backend.multiply(k, self.reps[label]))
+        return coset_canonical(backend, self.pair.K, backend.multiply(k, label))
 
     def to_dot(self):
         palette = ["white", "lightblue", "lightyellow", "lightpink", "lightgreen", "lavender"]
@@ -169,7 +165,6 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
         def row_of(x):
             return [min([multiply(x, g) for g in gs], key=sort_key) for gs in sk]
     base = coset_canonical(backend, pair.K, backend.identity())
-    reps = {base: base}
     sphere = {base: 0}
     order = [base]
     index = {base: 0}
@@ -189,7 +184,6 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
         layer = sorted(found, key=sort_key)
         for y in layer:
             sphere[y] = d
-            reps[y] = y
             index[y] = len(order)
             order.append(y)
             if len(order) > cap:
@@ -226,7 +220,7 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
             "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
         )
     graph = SerreGraph(order, origin, inverse, check=False)
-    t = RoughCayleyTruncation(pair, graph, base, radius, sphere, reps, edge_gen, exhausted)
+    t = RoughCayleyTruncation(pair, graph, base, radius, sphere, edge_gen, exhausted)
     for v in order:
         if sphere[v] < radius and len(graph.star(v)) != len(pair.S):
             raise RuntimeError(f"interior vertex {v!r} has a partial star")

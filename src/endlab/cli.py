@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts, qlinalg, theorem_lab
+from . import bass_serre, cayley_abels, ends_cuts, qlinalg, theorem_lab
 from .bass_serre import PiOne
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, expect
 from .serre_graphs import SerreGraph
 
 
@@ -26,12 +26,16 @@ def _emit(data):
     sys.stdout.write("\n")
 
 
+def _spec_backend(path):
+    spec = expect(_load(path), dict, "spec")
+    return spec, theorem_lab.backend_from_spec(spec["backend"])
+
+
 def _spec_backend_pairs(path, pair_index):
-    spec = _load(path)
-    backend = theorem_lab.backend_from_spec(spec["backend"])
+    spec, backend = _spec_backend(path)
     pairs = [
         theorem_lab.pair_from_spec(backend, p, name=f"pair{i}", where=f"pairs[{i}]")
-        for i, p in enumerate(spec["pairs"])
+        for i, p in enumerate(expect(spec["pairs"], list, "pairs"))
     ]
     if not 0 <= pair_index < len(pairs):
         raise ValueError(f"no pair {pair_index} in spec (found {len(pairs)})")
@@ -56,33 +60,16 @@ def cmd_cut(args):
 
 
 def cmd_witness(args):
-    spec = _load(args.spec)
-    backend = theorem_lab.backend_from_spec(spec["backend"])
+    _, backend = _spec_backend(args.spec)
     if not isinstance(backend, PiOne):
         raise ValueError("witness extraction needs a graph-of-groups backend")
-    w = ai_cohomology.witness_from_splitting(
-        backend, args.edge, probe_radius=args.probe, cap=args.cap
-    )
-    t = w.truncation
-    inv = ai_cohomology.check_almost_invariance(w, t)
-    cut = ai_cohomology.cut_from_witness(w, t)
-    out = {
-        "witness": {"kind": w.kind, "pair": w.pair.name, "details": {
-            k: v for k, v in w.details.items() if k != "properness"}},
-        "almost_invariance": inv.to_json(),
-        "cut": cut.to_json(),
-    }
-    try:
-        out["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w, t).to_json()
-    except ValueError as exc:
-        out["dh1"] = {"passed": False, "error": str(exc)}
-    _emit(out)
-    return 0 if inv.passed and out["dh1"].get("passed") else 1
+    report, passed = theorem_lab.run_witness_chain(backend, args.edge, args.probe, args.cap)
+    _emit(report)
+    return 0 if passed else 1
 
 
 def cmd_tree(args):
-    spec = _load(args.spec)
-    backend = theorem_lab.backend_from_spec(spec["backend"])
+    _, backend = _spec_backend(args.spec)
     if not isinstance(backend, PiOne):
         raise ValueError("tree truncation needs a graph-of-groups backend")
     tt = bass_serre.tree_truncation(backend, args.radius, cap=args.cap)

@@ -74,7 +74,13 @@ def escaping_components(t, probe):
     return out
 
 
-def classify_ends(pair, r_max=3, radius=12, margin=4, cap=DEFAULT_CAP, truncation=None):
+def _escaping_blocks(t, radii):
+    """(r, escaping components of t minus the ball of radius r) per radius."""
+    for r in radii:
+        yield r, [block for block, esc in escaping_components(t, t.ball(r)) if esc]
+
+
+def classify_ends(pair, r_max=3, radius=12, margin=4, cap=DEFAULT_CAP):
     """Probe the coset graph with balls of radius 0..r_max.
 
     The verdict is ZeroEnds when the whole graph was exhausted below the
@@ -83,16 +89,9 @@ def classify_ends(pair, r_max=3, radius=12, margin=4, cap=DEFAULT_CAP, truncatio
     """
     if radius <= r_max + margin:
         raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {margin}")
-    t = truncation if truncation is not None else cayley_abels.build(pair, radius, cap=cap)
-    probes = []
-    best = 0
-    for r in range(r_max + 1):
-        ball = t.ball(r)
-        if any(t.sphere[v] >= t.radius for v in ball):
-            break
-        c = sum(1 for _, esc in escaping_components(t, ball) if esc)
-        probes.append((r, c))
-        best = max(best, c)
+    t = cayley_abels.build(pair, radius, cap=cap)
+    probes = tuple((r, len(blocks)) for r, blocks in _escaping_blocks(t, range(r_max + 1)))
+    best = max((c for _, c in probes), default=0)
     if t.exhausted:
         verdict, count = ZERO_ENDS, 0
     elif best >= 3:
@@ -101,7 +100,7 @@ def classify_ends(pair, r_max=3, radius=12, margin=4, cap=DEFAULT_CAP, truncatio
         verdict, count = EXACTLY_TWO, 2
     else:
         verdict, count = AT_MOST_ONE, best
-    return EndsEstimate(tuple(probes), verdict, count, r_max, t.radius, t.exhausted)
+    return EndsEstimate(probes, verdict, count, r_max, t.radius, t.exhausted)
 
 
 @dataclass
@@ -146,16 +145,11 @@ def find_cut(t, margin=4):
     Probes grow from radius 0 and stay margin steps away from the
     truncation boundary, where leftover shell fragments would fake
     escaping components.  The returned component is the one whose
-    earliest vertex comes first in the truncation's canonical order.
+    earliest vertex comes first in the truncation's canonical order,
+    which is the order SerreGraph.components lists blocks in.
     """
-    index = {v: i for i, v in enumerate(t.graph.vertices)}
-    for r in range(max(0, t.radius - margin)):
-        ball = t.ball(r)
-        if any(t.sphere[v] >= t.radius for v in ball):
-            break
-        escaping = [block for block, esc in escaping_components(t, ball) if esc]
+    for r, escaping in _escaping_blocks(t, range(max(0, t.radius - margin))):
         if len(escaping) >= 2:
-            escaping.sort(key=lambda block: min(index[v] for v in block))
             chosen = escaping[0]
             return Cut(
                 vertices=chosen,

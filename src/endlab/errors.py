@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and spec-shape checks."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -7,3 +7,14 @@ class BudgetExceeded(RuntimeError):
 
 class GenerationError(ValueError):
     """A generating set failed to reach the cosets it was promised to reach."""
+
+
+def expect(value, kind, where):
+    """value, if it is a JSON object (kind dict) or array (kind list).
+
+    Anything else raises ValueError naming the spec field `where`.
+    """
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValueError(f"{where} must be {what}, got {type(value).__name__}")
+    return value

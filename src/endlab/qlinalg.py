@@ -10,26 +10,8 @@ never grows coefficients there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-
-@dataclass(frozen=True)
-class FreeModuleBasis:
-    """Ordered labels for the coordinates of a free module."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be unique")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def index(self, label):
-        return self.labels.index(label)
 
 
 class SparseMatrixQ:
@@ -188,14 +170,6 @@ def delta_matrix(graph):
     return SparseMatrixQ(len(graph.vertices), len(reps), entries)
 
 
-def vertex_basis(graph):
-    return FreeModuleBasis(tuple(graph.vertices))
-
-
-def geometric_edge_basis(graph):
-    return FreeModuleBasis(tuple(ge.rep for ge in graph.geometric_edges()))
-
-
 def augmentation_matrix(n):
     """The 1 x n all-ones map onto the scalars."""
     return SparseMatrixQ(1, n, {(0, j): Fraction(1) for j in range(n)})
@@ -213,47 +187,3 @@ def verify_short_exact(a, b):
         return False
     ra, rb = a.rank(), b.rank()
     return ra == a.cols and rb == b.rows and ra + rb == b.cols
-
-
-def solve(m, rhs):
-    """One exact solution of m x = rhs, or None if inconsistent.
-
-    Plain Fraction elimination; used to cross-check that elimination and
-    back-substitution reproduce the matrix action exactly.
-    """
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
-    dense = [[m[(i, j)] for j in range(m.cols)] for i in range(m.rows)]
-    t = [Fraction(x) for x in rhs]
-    piv_cols = []
-    piv_r = 0
-    for col in range(m.cols):
-        found = None
-        for i in range(piv_r, m.rows):
-            if dense[i][col]:
-                found = i
-                break
-        if found is None:
-            continue
-        dense[piv_r], dense[found] = dense[found], dense[piv_r]
-        t[piv_r], t[found] = t[found], t[piv_r]
-        p = dense[piv_r][col]
-        for i in range(m.rows):
-            if i == piv_r or not dense[i][col]:
-                continue
-            f = dense[i][col] / p
-            for j in range(col, m.cols):
-                dense[i][j] -= f * dense[piv_r][j]
-            t[i] -= f * t[piv_r]
-        piv_cols.append(col)
-        piv_r += 1
-    for i in range(piv_r, m.rows):
-        if t[i]:
-            return None
-    sol = [Fraction(0)] * m.cols
-    for r, col in enumerate(piv_cols):
-        s = t[r]
-        for j in range(col + 1, m.cols):
-            s -= dense[r][j] * sol[j]
-        sol[col] = s / dense[r][col]
-    return sol

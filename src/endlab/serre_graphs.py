@@ -12,7 +12,6 @@ data and never mutates the graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -192,39 +191,9 @@ class GeometricEdge:
     inv: int
 
 
-@dataclass(frozen=True)
-class Path:
-    """Edge sequence with matching endpoints."""
-
-    graph: SerreGraph
-    edges: tuple
-
-    def __post_init__(self):
-        for e, f in zip(self.edges, self.edges[1:]):
-            if self.graph.terminus(e) != self.graph.origin(f):
-                raise ValueError(f"edges {e} and {f} do not compose")
-
-    def is_reduced(self):
-        return all(
-            f != self.graph.inverse(e) for e, f in zip(self.edges, self.edges[1:])
-        )
-
-    def is_circuit(self):
-        if not self.edges or not self.is_reduced():
-            return False
-        return self.graph.terminus(self.edges[-1]) == self.graph.origin(self.edges[0])
-
-
 def random_graph(rng, max_vertices=40, edge_factor=1.2):
     """Random finite graph with loops and parallel edges allowed."""
     n = rng.randint(1, max_vertices)
     m = rng.randint(0, int(edge_factor * n))
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
     return SerreGraph.from_geometric(range(n), pairs)
-
-
-def dump_json(graph, fp=None):
-    text = json.dumps(graph.to_json(), indent=2)
-    if fp is not None:
-        fp.write(text)
-    return text

@@ -184,3 +184,60 @@ def test_probe_counts_nondecreasing_in_probe_radius(catalog):
         est = classify_ends(entry.pairs()[0], r_max=3, radius=radius)
         counts = [c for _, c in est.probes]
         assert counts == sorted(counts), (name, est.probes)
+
+
+# -- the shared probe loop against the two loops it replaced --------------------------
+
+def reference_classify_ends(pair, r_max, radius, margin=4):
+    """The original classify_ends, kept as the reference."""
+    from endlab.ends_cuts import EndsEstimate
+
+    t = build(pair, radius)
+    probes = []
+    best = 0
+    for r in range(r_max + 1):
+        ball = t.ball(r)
+        if any(t.sphere[v] >= t.radius for v in ball):
+            break
+        c = sum(1 for _, esc in escaping_components(t, ball) if esc)
+        probes.append((r, c))
+        best = max(best, c)
+    if t.exhausted:
+        verdict, count = ZERO_ENDS, 0
+    elif best >= 3:
+        verdict, count = AT_LEAST, best
+    elif best == 2:
+        verdict, count = EXACTLY_TWO, 2
+    else:
+        verdict, count = AT_MOST_ONE, best
+    return EndsEstimate(tuple(probes), verdict, count, r_max, t.radius, t.exhausted)
+
+
+def reference_find_cut(t, margin=4):
+    """The original find_cut, kept as the reference: escaping blocks sorted by
+    their earliest vertex in the truncation's order."""
+    from endlab.ends_cuts import Cut, coboundary
+
+    index = {v: i for i, v in enumerate(t.graph.vertices)}
+    for r in range(max(0, t.radius - margin)):
+        ball = t.ball(r)
+        if any(t.sphere[v] >= t.radius for v in ball):
+            break
+        escaping = [block for block, esc in escaping_components(t, ball) if esc]
+        if len(escaping) >= 2:
+            escaping.sort(key=lambda block: min(index[v] for v in block))
+            chosen = escaping[0]
+            return Cut(chosen, coboundary(t.graph, chosen), True, True, r)
+    return None
+
+
+@pytest.mark.parametrize("r_max, radius", [(0, 6), (3, 8)])
+def test_probe_loop_matches_reference(catalog, r_max, radius):
+    for entry in catalog.values():
+        for pair in entry.pairs():
+            est = classify_ends(pair, r_max=r_max, radius=radius)
+            ref = reference_classify_ends(pair, r_max, radius)
+            assert est.to_json() == ref.to_json(), pair.name
+            t = build(pair, radius)
+            cut, ref_cut = find_cut(t), reference_find_cut(t)
+            assert (cut and cut.to_json()) == (ref_cut and ref_cut.to_json()), pair.name

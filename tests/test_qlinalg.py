@@ -7,11 +7,8 @@ from endlab.qlinalg import (
     SparseMatrixQ,
     augmentation_matrix,
     delta_matrix,
-    geometric_edge_basis,
     rank_kernel_cokernel,
-    solve,
     verify_short_exact,
-    vertex_basis,
 )
 from endlab.serre_graphs import SerreGraph, random_graph
 
@@ -62,12 +59,6 @@ def test_delta_of_triangle_has_rank_two():
     assert (d.rows, d.cols) == (3, 3)
     assert dense_rank_oracle(d) == 2
     assert d.rank() == 2
-
-
-def test_delta_bases_are_deterministic():
-    g = triangle()
-    assert vertex_basis(g).labels == g.vertices
-    assert geometric_edge_basis(g).labels == tuple(ge.rep for ge in g.geometric_edges())
 
 
 # -- rank / kernel / cokernel ---------------------------------------------------
@@ -135,31 +126,6 @@ def test_kernel_and_cokernel_count_cycles_and_components():
         assert ker == n_geo - len(g.vertices) + c
         assert coker == c
         assert g.is_tree() == (ker == 0 and coker == 1)
-
-
-# -- exact arithmetic round trip -------------------------------------------------
-
-def test_solve_reproduces_matrix_action():
-    rng = random.Random(99)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        entries = {
-            (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            for i in range(rows)
-            for j in range(cols)
-            if rng.random() < 0.7
-        }
-        m = SparseMatrixQ(rows, cols, entries)
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
-        y = m.mul_vec(x)
-        z = solve(m, y)
-        assert z is not None
-        assert m.mul_vec(z) == y
-
-
-def test_solve_reports_inconsistency():
-    m = SparseMatrixQ(2, 1, {(0, 0): Fraction(1)})
-    assert solve(m, [Fraction(0), Fraction(1)]) is None
 
 
 def test_no_stored_zeros():

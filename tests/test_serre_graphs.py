@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab.serre_graphs import Path, SerreGraph, random_graph
+from endlab.serre_graphs import SerreGraph, random_graph
 
 
 # -- independent oracles ----------------------------------------------------
@@ -204,25 +204,6 @@ def test_self_inverse_edge_rejected():
 def test_broken_involution_rejected():
     with pytest.raises(ValueError):
         SerreGraph([0, 1], {0: 0, 1: 1, 2: 0}, {0: 1, 1: 2, 2: 0})
-
-
-# -- paths ---------------------------------------------------------------------
-
-def test_path_reduced_and_circuit_flags():
-    g = triangle()
-    # walk the triangle: edges 0 (0->1), 2 (1->2), 4 (2->0)
-    p = Path(g, (0, 2, 4))
-    assert p.is_reduced() and p.is_circuit()
-    back = Path(g, (0, g.inverse(0)))
-    assert not back.is_reduced() and not back.is_circuit()
-    open_path = Path(g, (0, 2))
-    assert open_path.is_reduced() and not open_path.is_circuit()
-
-
-def test_path_composability_checked():
-    g = triangle()
-    with pytest.raises(ValueError):
-        Path(g, (0, 0))
 
 
 # -- export -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from endlab import cli
+from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
 from endlab.group_backends import ball_enumerate
 from endlab.theorem_lab import (
@@ -13,6 +13,7 @@ from endlab.theorem_lab import (
     catalog_to_json,
     make_oracle,
     run_catalog,
+    run_witness_chain,
     verify_equivalence,
     verify_resolution_evidence,
 )
@@ -229,6 +230,8 @@ def test_cli_missing_file_reports_cleanly(capsys):
     ([{"K": "trivial", "S": ["a"]}, {"K": "trivial", "S": ["a", 7]}],
      "pairs[1].S[1] must be a word string"),
     ([{"K": "trivial", "S": [["a"]]}], "pairs[0].S[0] must be a word string"),
+    (5, "pairs must be a list, got int"),
+    ([5], "pairs[0] must be an object, got int"),
 ])
 def test_cli_malformed_word_spec_reports_cleanly(tmp_path, capsys, catalog, pairs, field):
     spec = {"backend": catalog["z_rw"].spec["backend"], "pairs": pairs}
@@ -248,3 +251,107 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     assert cli.main(["cut", str(path), "--R", "4"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"error": "invalid_input", "message": "pairs[0].S[0] must be a list of atoms, got str"}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("backend", "vertices", 0, "group", "n"), "3", "vertices[0].group.n must be a positive integer, got '3'"),
+    (("backend", "vertices", 1, "group", "n"), 2.5, "vertices[1].group.n must be a positive integer, got 2.5"),
+    (("pairs", 0, "S", 0, 0, "g"), 7, "pairs[0].S[0][0].g must index an element of the group at 'u', got 7"),
+    (("pairs", 0, "S", 0, 0, "v"), "x", "pairs[0].S[0][0].v names no vertex, got 'x'"),
+    (("backend", "edges"), 5, "edges must be a list, got int"),
+    (("backend", "edges", 0, "embedding"), 5, "edges[0].embedding must be a list, got int"),
+    (("backend",), [], "backend must be an object, got list"),
+])
+def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
+    spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
+    node = spec
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["cut", str(path), "--R", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+# -- the one witness chain against the two copies it replaced ----------------------
+
+def reference_cmd_witness(backend, edge, probe, cap=200_000):
+    """The original `endlab witness` body after loading the spec: (stdout, exit code)."""
+    w = ai_cohomology.witness_from_splitting(backend, edge, probe_radius=probe, cap=cap)
+    t = w.truncation
+    inv = ai_cohomology.check_almost_invariance(w, t)
+    cut = ai_cohomology.cut_from_witness(w, t)
+    out = {
+        "witness": {"kind": w.kind, "pair": w.pair.name, "details": {
+            k: v for k, v in w.details.items() if k != "properness"}},
+        "almost_invariance": inv.to_json(),
+        "cut": cut.to_json(),
+    }
+    try:
+        out["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w, t).to_json()
+    except ValueError as exc:
+        out["dh1"] = {"passed": False, "error": str(exc)}
+    text = json.dumps(out, indent=2, default=str) + "\n"
+    return text, 0 if inv.passed and out["dh1"].get("passed") else 1
+
+
+def reference_run_witness_chain(backend, marked_edge, scales):
+    """The original harness copy of the chain: the catalog summary row."""
+    w = ai_cohomology.witness_from_splitting(
+        backend, marked_edge, probe_radius=scales.probe_radius, cap=scales.cap
+    )
+    t = w.truncation
+    inv_cert = ai_cohomology.check_almost_invariance(w, t)
+    dh1 = ai_cohomology.dh1_nonvanishing_certificate(w, t)
+    cut = ai_cohomology.cut_from_witness(w, t)
+    ok = inv_cert.passed and dh1.passed and cut.bound_ok and cut.escaping_components >= 2
+    return {
+        "passed": ok,
+        "almost_invariance": inv_cert.passed,
+        "dh1_nonvanishing": dh1.passed,
+        "cut_escaping_components": cut.escaping_components,
+        "coboundary_bound_ok": cut.bound_ok,
+        "pair": w.pair.name,
+    }
+
+
+@pytest.mark.parametrize("probe", [3, 8])
+def test_witness_chain_matches_reference(tmp_path, capsys, catalog, probe):
+    marked = [e for e in catalog.values() if e.marked_edge is not None]
+    assert len(marked) == 4
+    for entry in marked:
+        backend, edge = entry.backend(), entry.marked_edge
+        path = write_spec(tmp_path, entry)
+        code = cli.main(["witness", path, "--edge", str(edge), "--probe", str(probe)])
+        assert (capsys.readouterr().out, code) == reference_cmd_witness(backend, edge, probe), entry.name
+        scales = Scales(radius=8, probe_radius=probe)
+        row = verify_equivalence(entry, scales).witness
+        assert json.dumps(row) == json.dumps(reference_run_witness_chain(backend, edge, scales)), entry.name
+
+
+def test_improper_witness_is_a_failed_verdict_not_an_error(catalog, monkeypatch):
+    def improper(w, t):
+        raise ValueError("improper witness: one side dies at probe scale")
+
+    monkeypatch.setattr(ai_cohomology, "dh1_nonvanishing_certificate", improper)
+    entry = catalog["z_hnn"]
+    report, passed = run_witness_chain(entry.backend(), 0, 3, 200_000)
+    assert not passed
+    assert report["dh1"] == {"passed": False, "error": "improper witness: one side dies at probe scale"}
+    verdict = verify_equivalence(entry, Scales(radius=8, probe_radius=3))
+    assert verdict.witness["dh1_nonvanishing"] is False and not verdict.consistent
+
+
+def test_cli_witness_fails_when_fewer_than_two_components_escape(tmp_path, capsys, catalog, monkeypatch):
+    cut_from_witness = ai_cohomology.cut_from_witness
+
+    def one_escaping(w, t):
+        cut = cut_from_witness(w, t)
+        cut.escaping_components = 1
+        return cut
+
+    monkeypatch.setattr(ai_cohomology, "cut_from_witness", one_escaping)
+    path = write_spec(tmp_path, catalog["z_hnn"])
+    assert cli.main(["witness", path, "--edge", "0", "--probe", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["cut"]["escaping_components"] == 1
