@@ -8,7 +8,7 @@ from .qlinalg import (
     rank_kernel_cokernel,
     verify_short_exact,
 )
-from .group_backends import BallEnumeration, FiniteGroup, RewritingGroup, ball_enumerate
+from .group_backends import FiniteGroup, RewritingGroup
 from .bass_serre import (
     Certificate,
     GraphOfFiniteGroups,
@@ -20,7 +20,7 @@ from .bass_serre import (
     tree_truncation,
     validate,
 )
-from .cayley_abels import GeneratingPair, RoughCayleyTruncation, Subgroup, build, coset_canonical, trivial_subgroup
+from .cayley_abels import GeneratingPair, RoughCayleyTruncation, Subgroup, ball_enumerate, build, coset_canonical, trivial_subgroup
 from .ends_cuts import Cut, EndsEstimate, classify_ends, escaping_components, find_cut
 from .ai_cohomology import (
     AIWitness,
@@ -42,6 +42,6 @@ from .theorem_lab import (
     verify_equivalence,
     verify_resolution_evidence,
 )
-from .errors import BudgetExceeded, GenerationError
+from .errors import BudgetExceeded
 
 __all__ = [name for name in dir() if not name.startswith("_")]

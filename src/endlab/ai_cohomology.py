@@ -64,7 +64,7 @@ class AIWitness:
         return self._diff_support(g)
 
 
-def witness_from_splitting(pi, geom_edge, pair=None, probe_radius=8, cap=DEFAULT_CAP):
+def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
     """Half-tree witness for a nontrivial splitting edge.
 
     B consists of the cosets gK whose inverse translates the lifted edge
@@ -74,16 +74,12 @@ def witness_from_splitting(pi, geom_edge, pair=None, probe_radius=8, cap=DEFAULT
     """
     half = HalfTreeSplitting(pi, geom_edge)
     K = Subgroup(pi, pi.edge_subgroup_elements(half.e0), name=f"edge{half.e0}")
-    if pair is None:
-        base = coset_canonical(pi, K, pi.identity())
-        gens = [
-            g for g in pi.default_generators()
-            if coset_canonical(pi, K, g) != base
-        ]
-        pair = GeneratingPair(pi, K, gens, name=f"{pi.name}/edge{half.e0}")
-    else:
-        if set(pair.K.elements) != set(K.elements):
-            raise ValueError("pair subgroup is not the edge group of the marked edge")
+    base = coset_canonical(pi, K, pi.identity())
+    gens = [
+        g for g in pi.default_generators()
+        if coset_canonical(pi, K, g) != base
+    ]
+    pair = GeneratingPair(pi, K, gens, name=f"{pi.name}/edge{half.e0}")
 
     cache = {}
 

@@ -121,8 +121,14 @@ class GraphOfFiniteGroups:
     def from_json(cls, data):
         if data.get("type") != "graph_of_finite_groups":
             raise ValueError("not a graph_of_finite_groups spec")
-        vertices = expect(data["vertices"], list, "vertices")
-        edges = expect(data["edges"], list, "edges")
+        vertices = [
+            expect(v, dict, f"vertices[{i}]")
+            for i, v in enumerate(expect(data["vertices"], list, "vertices"))
+        ]
+        edges = [
+            expect(ed, dict, f"edges[{i}]")
+            for i, ed in enumerate(expect(data["edges"], list, "edges"))
+        ]
         origin = {ed["id"]: ed["o"] for ed in edges}
         inverse = {ed["id"]: ed["inv"] for ed in edges}
         graph = SerreGraph([v["id"] for v in vertices], origin, inverse)
@@ -157,7 +163,12 @@ def _group_from_json(data, where):
             raise ValueError(f"{where}.n must be a positive integer, got {n!r}")
         return FiniteGroup.cyclic(n)
     if data["kind"] == "table":
-        return FiniteGroup(data["elements"], data["table"])
+        elements = expect(data["elements"], list, f"{where}.elements")
+        table = expect(data["table"], list, f"{where}.table")
+        for i, row in enumerate(table):
+            if not isinstance(row, list) or any(type(x) is not int for x in row):
+                raise ValueError(f"{where}.table[{i}] must be a list of integers, got {row!r}")
+        return FiniteGroup(elements, table)
     raise ValueError(f"unknown group kind {data['kind']!r}")
 
 
@@ -516,17 +527,13 @@ def splitting_classify(gog):
 class TreeTruncation:
     """Radius-R piece of the universal covering tree."""
 
-    def __init__(self, pi, graph, base, radius, depth, reps, orbit):
+    def __init__(self, pi, graph, base, radius, depth, reps):
         self.pi = pi
         self.graph = graph
         self.base = base
         self.radius = radius
         self.depth = depth
         self.reps = reps
-        self.orbit = orbit
-
-    def stabilizer_order(self, label):
-        return len(self.pi.vgroup(self.orbit[label]))
 
     def act_vertex(self, g, label):
         """Translate a truncation vertex by a group element; may leave the ball."""
@@ -543,12 +550,18 @@ class TreeTruncation:
 
 
 def tree_truncation(pi, radius, cap=DEFAULT_CAP):
-    """BFS the universal tree out to the given radius."""
+    """BFS the universal tree out to the given radius.
+
+    A vertex label ("v", v, key) names the base-graph vertex v it lies
+    over.  Tree edges are deduplicated by edge-group coset, which is why
+    this BFS is not cayley_abels.build.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     base_m = pi.morph_identity(pi.base_vertex)
     blabel, brep = pi.vertex_label(base_m)
     reps = {blabel: brep}
     depth = {blabel: 0}
-    orbit = {blabel: pi.base_vertex}
     records = []
     seen_edges = set()
     frontier = [(blabel, brep)]
@@ -569,7 +582,6 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
                     if tlabel not in reps:
                         reps[tlabel] = trep
                         depth[tlabel] = d + 1
-                        orbit[tlabel] = pi.morph_end(trep)
                         nxt.append((tlabel, trep))
                         if len(reps) > cap:
                             raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
@@ -583,7 +595,7 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
         origin[f], origin[g] = a, b
         inverse[f], inverse[g] = g, f
     graph = SerreGraph(list(reps), origin, inverse, check=False)
-    return TreeTruncation(pi, graph, blabel, radius, depth, reps, orbit)
+    return TreeTruncation(pi, graph, blabel, radius, depth, reps)
 
 
 def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):

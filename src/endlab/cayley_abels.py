@@ -15,7 +15,7 @@ interior vertex has exactly |S| outgoing edges.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, GenerationError
+from .errors import BudgetExceeded
 from .group_backends import DEFAULT_CAP
 from .serre_graphs import SerreGraph
 
@@ -64,16 +64,17 @@ def coset_canonical(backend, K, g):
 class GeneratingPair:
     """A pair (K, S): finite subgroup plus finite symmetric generator list.
 
-    S is deduplicated, closed under inverses and under conjugation by K,
-    and sorted canonically.  Elements of K (in particular the identity)
-    are rejected.
+    S is normalized, deduplicated, closed under inverses and under
+    conjugation by K, and sorted canonically.  Elements of K (in particular
+    the identity) are rejected.
     """
 
     def __init__(self, backend, K, S, name=None):
         self.backend = backend
         self.K = K
-        base = coset_canonical(backend, K, backend.identity())
-        work = list(S)
+        e = backend.identity()
+        base = coset_canonical(backend, K, e)
+        work = [backend.multiply(e, s) for s in S]
         closed = set()
         while work:
             s = work.pop()
@@ -101,13 +102,12 @@ class RoughCayleyTruncation:
     itself a group element and serves as the coset's representative.
     """
 
-    def __init__(self, pair, graph, base, radius, sphere, edge_gen, exhausted):
+    def __init__(self, pair, graph, base, radius, sphere, exhausted):
         self.pair = pair
         self.graph = graph
         self.base = base
         self.radius = radius
         self.sphere = sphere
-        self.edge_gen = edge_gen
         self.exhausted = exhausted
 
     def ball(self, r):
@@ -122,11 +122,6 @@ class RoughCayleyTruncation:
         backend = self.pair.backend
         return coset_canonical(backend, self.pair.K, backend.multiply(k, label))
 
-    def to_dot(self):
-        palette = ["white", "lightblue", "lightyellow", "lightpink", "lightgreen", "lavender"]
-        colors = {v: palette[self.sphere[v] % len(palette)] for v in self.graph.vertices}
-        return self.graph.to_dot(name="cosets", vertex_color=colors)
-
     def to_json(self):
         return {
             "pair": self.pair.name,
@@ -139,7 +134,7 @@ class RoughCayleyTruncation:
         }
 
 
-def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
+def build(pair, radius, cap=DEFAULT_CAP):
     """BFS the coset graph out to the given radius, as a one-pass coset table.
 
     Each (coset, generator) slot is labelled exactly once: the label of
@@ -149,9 +144,7 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
     targets as indices into the BFS order, the outer sphere's rows are
     labelled after it, and the half-edge pass pairs edges from the rows.
 
-    Raises BudgetExceeded past the element cap and GenerationError when
-    expect_infinite is set but the graph is exhausted early (the symptom
-    of S failing to generate enough of the group).
+    Raises BudgetExceeded past the element cap.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -193,35 +186,38 @@ def build(pair, radius, cap=DEFAULT_CAP, expect_infinite=False):
         if not frontier:
             exhausted = True
             break
-    if exhausted and expect_infinite:
-        raise GenerationError(
-            f"{pair.name}: enumeration exhausted after {len(order)} cosets; S does not generate an infinite family"
-        )
     # the outer sphere, which the BFS never expands
     rows.extend([index.get(y, -1) for y in row_of(x)] for x in frontier)
-    # pair the half-edges i -> j (i < j) with the half-edges j -> i, each side in
-    # generator order; edges are numbered by (i, j)
-    origin, inverse, edge_gen = {}, {}, {}
+    # pair the half-edges i -> j (i < j) with the half-edges j -> i; edges are
+    # numbered by (i, j)
+    origin, inverse = {}, {}
     count = 0
     for i, row in enumerate(rows):
         for j in sorted(set(row)):
             if j <= i:
                 continue
-            fwd = [si for si, t in enumerate(row) if t == j]
-            bwd = [sj for sj, t in enumerate(rows[j]) if t == i]
-            for si, sj in zip(fwd, bwd):
+            for _ in range(min(row.count(j), rows[j].count(i))):
                 e, f = 2 * count, 2 * count + 1
                 count += 1
                 origin[e], origin[f] = order[i], order[j]
                 inverse[e], inverse[f] = f, e
-                edge_gen[e], edge_gen[f] = si, sj
     if 2 * count != sum(len(row) - row.count(-1) for row in rows):
         raise RuntimeError(
             "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
         )
     graph = SerreGraph(order, origin, inverse, check=False)
-    t = RoughCayleyTruncation(pair, graph, base, radius, sphere, edge_gen, exhausted)
+    t = RoughCayleyTruncation(pair, graph, base, radius, sphere, exhausted)
     for v in order:
         if sphere[v] < radius and len(graph.star(v)) != len(pair.S):
             raise RuntimeError(f"interior vertex {v!r} has a partial star")
     return t
+
+
+def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
+    """Elements of word length <= radius over gens, in BFS order.
+
+    This is the coset graph of (1, gens): gens is closed under inverses,
+    and each BFS layer comes in sort_key order.
+    """
+    pair = GeneratingPair(backend, trivial_subgroup(backend), gens)
+    return build(pair, radius, cap=cap).graph.vertices

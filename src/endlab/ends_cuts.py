@@ -21,6 +21,10 @@ AT_MOST_ONE = "AtMostOneAtScale"
 EXACTLY_TWO = "ExactlyTwoAtScale"
 AT_LEAST = "AtLeast"
 
+# probes stay this many steps inside the truncation boundary, where leftover
+# shell fragments would fake escaping components
+MARGIN = 4
+
 
 @dataclass
 class EndsEstimate:
@@ -80,15 +84,17 @@ def _escaping_blocks(t, radii):
         yield r, [block for block, esc in escaping_components(t, t.ball(r)) if esc]
 
 
-def classify_ends(pair, r_max=3, radius=12, margin=4, cap=DEFAULT_CAP):
+def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
     """Probe the coset graph with balls of radius 0..r_max.
 
     The verdict is ZeroEnds when the whole graph was exhausted below the
     cap, AtLeast(k) for a maximal escaping count k >= 3, ExactlyTwoAtScale
     for k = 2 and AtMostOneAtScale otherwise.
     """
-    if radius <= r_max + margin:
-        raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {margin}")
+    if r_max < 0:
+        raise ValueError(f"r_max must be non-negative, got {r_max}")
+    if radius <= r_max + MARGIN:
+        raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
     t = cayley_abels.build(pair, radius, cap=cap)
     probes = tuple((r, len(blocks)) for r, blocks in _escaping_blocks(t, range(r_max + 1)))
     best = max((c for _, c in probes), default=0)
@@ -139,16 +145,15 @@ def coboundary(graph, vertex_set):
     return tuple(out)
 
 
-def find_cut(t, margin=4):
+def find_cut(t):
     """First ball removal separating two escaping components, or None.
 
-    Probes grow from radius 0 and stay margin steps away from the
-    truncation boundary, where leftover shell fragments would fake
-    escaping components.  The returned component is the one whose
+    Probes grow from radius 0 and stay MARGIN steps away from the
+    truncation boundary.  The returned component is the one whose
     earliest vertex comes first in the truncation's canonical order,
     which is the order SerreGraph.components lists blocks in.
     """
-    for r, escaping in _escaping_blocks(t, range(max(0, t.radius - margin))):
+    for r, escaping in _escaping_blocks(t, range(max(0, t.radius - MARGIN))):
         if len(escaping) >= 2:
             chosen = escaping[0]
             return Cut(

@@ -5,10 +5,6 @@ class BudgetExceeded(RuntimeError):
     """An enumeration hit its element cap before finishing."""
 
 
-class GenerationError(ValueError):
-    """A generating set failed to reach the cosets it was promised to reach."""
-
-
 def expect(value, kind, where):
     """value, if it is a JSON object (kind dict) or array (kind list).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import BudgetExceeded
+from .errors import expect
 
 DEFAULT_CAP = 200_000
 
@@ -71,10 +71,6 @@ class FiniteGroup:
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(list(range(n)), table, name or f"C{n}")
 
-    @classmethod
-    def trivial(cls):
-        return cls.cyclic(1, name="1")
-
     def __len__(self):
         return len(self.elements)
 
@@ -83,24 +79,6 @@ class FiniteGroup:
 
     def inv(self, a):
         return self.inverse_table[a]
-
-    def is_subgroup(self, indices):
-        s = set(indices)
-        if self.identity not in s:
-            return False
-        return all(self.mul(a, b) in s and self.inv(a) in s for a in s for b in s)
-
-    def subgroup_closure(self, indices):
-        s = {self.identity, *indices}
-        frontier = list(s)
-        while frontier:
-            a = frontier.pop()
-            for b in list(s):
-                for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                    if c not in s:
-                        s.add(c)
-                        frontier.append(c)
-        return tuple(sorted(s))
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {len(self)})"
@@ -113,7 +91,7 @@ class RewritingGroup:
     letter may be declared its own inverse (an involution), in which case
     the free-reduction rule for it is xx -> empty.  Free-reduction rules
     are added automatically.  Confluence is checked at construction unless
-    check=False; ball enumeration refuses to run on an unverified system.
+    check=False.
     """
 
     def __init__(self, generators, inverses, rules=(), name="G", check=True):
@@ -166,7 +144,6 @@ class RewritingGroup:
         self._rhs = {}
         for lhs, rhs in self.rules:
             self._rhs.setdefault(lhs, rhs)
-        self.confluence_checked = False
         if check:
             ok, pair = self.verify_confluence()
             if not ok:
@@ -223,7 +200,6 @@ class RewritingGroup:
                         one = self.normal_form(r1 + l2[k:])
                         two = self.normal_form(l1[:-k] + r2)
                         if one != two:
-                            self.confluence_checked = False
                             return False, (word, one, two)
                 # containment: l2 occurs strictly inside l1
                 if l1 != l2:
@@ -232,17 +208,9 @@ class RewritingGroup:
                         one = self.normal_form(r1)
                         two = self.normal_form(l1[:start] + r2 + l1[start + len(l2):])
                         if one != two:
-                            self.confluence_checked = False
                             return False, (l1, one, two)
                         start = l1.find(l2, start + 1)
-        self.confluence_checked = True
         return True, None
-
-    def ball_enumerate(self, gens, radius, cap=DEFAULT_CAP):
-        """All normal forms of gens-length <= radius, BFS order."""
-        if not self.confluence_checked:
-            raise ValueError("confluence not verified; refuse to enumerate")
-        return ball_enumerate(self, gens, radius, cap)
 
     def to_json(self):
         free = {(c + self.letter_inverse[c], "") for c in self.alphabet}
@@ -258,65 +226,17 @@ class RewritingGroup:
     def from_json(cls, data):
         if data.get("type") != "rewriting_group":
             raise ValueError("not a rewriting_group spec")
+        rules = []
+        for i, r in enumerate(expect(data.get("rules", []), list, "rules")):
+            if not (isinstance(r, list) and len(r) == 2 and all(isinstance(w, str) for w in r)):
+                raise ValueError(f"rules[{i}] must be a pair of word strings, got {r!r}")
+            rules.append(tuple(r))
         return cls(
             data["generators"],
             data["inverses"],
-            [tuple(r) for r in data.get("rules", [])],
+            rules,
             name=data.get("name", "G"),
         )
 
     def __repr__(self):
         return f"RewritingGroup({self.name})"
-
-
-class BallEnumeration:
-    """Deduplicated ball with BFS parent edges and depths."""
-
-    def __init__(self, elements, depth, parent):
-        self.elements = elements
-        self.depth = depth
-        self.parent = parent
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
-    """BFS ball over any backend: elements of gens-length <= radius.
-
-    gens must be symmetric (closed under backend.inverse).  Elements within
-    one BFS layer are emitted in sort_key order; parent edges record the
-    first (parent, generator index) that discovered each element.
-    """
-    e = backend.identity()
-    gens = [backend.multiply(e, g) for g in gens]  # normalize user input
-    have = set(gens)
-    for g in gens:
-        if backend.inverse(g) not in have:
-            raise ValueError("generator list is not symmetric")
-    elements = [e]
-    depth = {e: 0}
-    parent = {}
-    frontier = [e]
-    for d in range(1, radius + 1):
-        found = {}
-        for x in frontier:
-            for i, s in enumerate(gens):
-                y = backend.multiply(x, s)
-                if y in depth or y in found:
-                    continue
-                found[y] = (x, i)
-        layer = sorted(found, key=backend.sort_key)
-        for y in layer:
-            depth[y] = d
-            parent[y] = found[y]
-            elements.append(y)
-            if len(elements) > cap:
-                raise BudgetExceeded(f"ball exceeded cap {cap} at radius {d}")
-        frontier = layer
-        if not frontier:
-            break
-    return BallEnumeration(elements, depth, parent)

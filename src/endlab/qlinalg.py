@@ -59,14 +59,6 @@ class SparseMatrixQ:
     def is_zero(self):
         return not self.entries
 
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (i, j), x in self.entries.items():
-            out[i] += x * vec[j]
-        return out
-
     def matmul(self, other):
         """self @ other."""
         if self.cols != other.rows:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import expect
+
 
 class SerreGraph:
     def __init__(self, vertices, origin, inverse, check=True):
@@ -153,10 +155,15 @@ class SerreGraph:
 
     @classmethod
     def from_json(cls, data):
-        origin = {ed["id"]: ed["o"] for ed in data["edges"]}
-        inverse = {ed["id"]: ed["inv"] for ed in data["edges"]}
-        g = cls(data["vertices"], origin, inverse)
-        for ed in data["edges"]:
+        expect(data, dict, "graph")
+        edges = [
+            expect(ed, dict, f"edges[{i}]")
+            for i, ed in enumerate(expect(data["edges"], list, "edges"))
+        ]
+        origin = {ed["id"]: ed["o"] for ed in edges}
+        inverse = {ed["id"]: ed["inv"] for ed in edges}
+        g = cls(expect(data["vertices"], list, "vertices"), origin, inverse)
+        for ed in edges:
             if g.terminus(ed["id"]) != ed["t"]:
                 raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")
         return g

@@ -27,14 +27,16 @@ from .errors import BudgetExceeded, expect
 from .group_backends import RewritingGroup
 
 
+# the truncated tree resolution is checked exact at radii 1..RESOLUTION_RADIUS
+RESOLUTION_RADIUS = 4
+
+
 @dataclass
 class Scales:
     r_max: int = 3
     radius: int = 12
-    margin: int = 4
     cap: int = 200_000
     probe_radius: int = 8
-    resolution_radius: int = 4
 
 
 @dataclass
@@ -91,17 +93,23 @@ class CatalogEntry:
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, where="entry"):
+        spec = expect(expect(data, dict, where)["spec"], dict, f"{where}.spec")
+        expect(spec["pairs"], list, f"{where}.spec.pairs")
+        scales = expect(data.get("scales", {}), dict, f"{where}.scales")
+        for key in ("r_max", "radius"):
+            if key in scales and type(scales[key]) is not int:
+                raise ValueError(f"{where}.scales.{key} must be an integer, got {scales[key]!r}")
         return cls(
             name=data["name"],
-            spec=data["spec"],
+            spec=spec,
             expected_ends=data["expected_ends"],
             expected_splitting=data.get("expected_splitting"),
             witness_expected=data.get("witness_expected", False),
             marked_edge=data.get("marked_edge"),
             oracle=data.get("oracle"),
             provenance=data.get("provenance", {}),
-            scales=data.get("scales", {}),
+            scales=scales,
         )
 
 
@@ -175,11 +183,11 @@ def pair_from_spec(backend, data, name=None, where="pair"):
 class WordCountOracle:
     """Letter-count homomorphism onto the integers."""
 
-    def __init__(self, backend, plus="a", minus="A"):
-        self.plus, self.minus = plus, minus
+    def __init__(self, backend):
+        pass
 
     def value(self, w):
-        return sum(1 if c == self.plus else -1 for c in w)
+        return sum(1 if c == "a" else -1 for c in w)
 
 
 class PairCountOracle:
@@ -218,8 +226,8 @@ class AffineWordOracle:
     affine map (sign, shift).
     """
 
-    def __init__(self, backend, letters=("x", "y")):
-        self.maps = {letters[0]: (-1, 0), letters[1]: (-1, 1)}
+    def __init__(self, backend):
+        self.maps = {"x": (-1, 0), "y": (-1, 1)}
 
     def value(self, w):
         p, q = 1, 0
@@ -263,15 +271,15 @@ class AffinePiOracle:
 
 
 class TreeActionOracle:
-    """Faithful-at-scale action on the labels of a tree truncation.
+    """Faithful-at-scale action on the labels of the radius-6 tree truncation.
 
     Only usable when the covering-tree action has trivial kernel, e.g. free
     products, where no nontrivial element lies in every vertex stabilizer.
     """
 
-    def __init__(self, backend, radius=6):
+    def __init__(self, backend):
         self.backend = backend
-        self.tt = bass_serre.tree_truncation(backend, radius)
+        self.tt = bass_serre.tree_truncation(backend, 6)
         self.labels = list(self.tt.graph.vertices)
 
     def value(self, el):
@@ -544,7 +552,8 @@ def catalog_to_json(entries):
 
 
 def catalog_from_json(data):
-    return [CatalogEntry.from_json(e) for e in data["entries"]]
+    entries = expect(expect(data, dict, "catalog")["entries"], list, "entries")
+    return [CatalogEntry.from_json(e, where=f"entries[{i}]") for i, e in enumerate(entries)]
 
 
 # -- the equivalence harness ----------------------------------------------
@@ -604,8 +613,7 @@ def verify_equivalence(entry, scales=None):
     coarse = set()
     for pair in entry.pairs():
         est = ends_cuts.classify_ends(
-            pair, r_max=scales.r_max, radius=scales.radius,
-            margin=scales.margin, cap=scales.cap,
+            pair, r_max=scales.r_max, radius=scales.radius, cap=scales.cap,
         )
         coarse.add(est.coarse_class())
         ends.append({"pair": pair.name, **est.to_json(), "coarse": est.coarse_class()})
@@ -655,7 +663,7 @@ def verify_resolution_evidence(entry, scales=None):
         raise ValueError("resolution evidence needs a graph-of-groups backend")
     certs = [
         bass_serre.exactness_on_truncation(backend, r, cap=scales.cap)
-        for r in range(1, scales.resolution_radius + 1)
+        for r in range(1, RESOLUTION_RADIUS + 1)
     ]
     stab_orders = sorted({len(backend.vgroup(v)) for v in backend.graph.vertices})
     return Certificate(

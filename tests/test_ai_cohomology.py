@@ -18,8 +18,7 @@ from endlab.ai_cohomology import (
     witness_from_splitting,
 )
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import GeneratingPair, Subgroup, build, coset_canonical, trivial_subgroup
-from endlab.group_backends import ball_enumerate
+from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, build, coset_canonical, trivial_subgroup
 
 from test_bass_serre import c2c3, c4c2c4, dinf, segment_gog, z_hnn
 
@@ -229,9 +228,8 @@ def test_cocycle_identity_on_random_pairs(witnesses):
     rng = random.Random(17)
     for name in witnesses:
         pi, w, _ = witnesses[name]
-        ball = ball_enumerate(pi, list(w.pair.S), 3)
+        elements = ball_enumerate(pi, list(w.pair.S), 3)
         dv = DerivationValues(w)
-        elements = ball.elements
         for _ in range(200):
             g = elements[rng.randrange(len(elements))]
             h = elements[rng.randrange(len(elements))]
@@ -253,7 +251,7 @@ def test_improper_witness_derivation_is_principal():
     dv = DerivationValues(w)
     principal = principal_derivation(pi, K, {base: Fraction(1)})
     ball = ball_enumerate(pi, list(pair.S), 4)
-    for g in ball.elements:
+    for g in ball:
         assert dv.value(g) == principal(g)
 
 
@@ -268,7 +266,7 @@ def eta_setup():
     gens = [pi.vertex_inclusion("u", 1), pi.vertex_inclusion("w", 1)]
     pair = GeneratingPair(pi, V, gens)
     ball = ball_enumerate(pi, list(pair.S), 4)
-    window = right_saturate(pi, ball.elements, U)
+    window = right_saturate(pi, ball, U)
     return pi, U, V, W, window
 
 
@@ -314,7 +312,7 @@ def test_eta_half_coefficients_from_order_two_to_trivial():
     U = Subgroup(pi, pi.vertex_subgroup_elements("u"), name="C2u")
     W = trivial_subgroup(pi)
     gens = [pi.vertex_inclusion("u", 1), pi.vertex_inclusion("w", 1)]
-    window = right_saturate(pi, ball_enumerate(pi, gens, 3).elements, U)
+    window = right_saturate(pi, ball_enumerate(pi, gens, 3), U)
     m = eta_map(pi, U, W, window)
     assert m.index == 2
     assert all(x == Fraction(1, 2) for x in m.matrix.entries.values())

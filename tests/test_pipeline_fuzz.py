@@ -22,8 +22,8 @@ from endlab.bass_serre import (
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import build
-from endlab.group_backends import FiniteGroup, ball_enumerate
+from endlab.cayley_abels import ball_enumerate, build
+from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
 
 
@@ -76,7 +76,7 @@ def test_random_graphs_of_groups_survive_the_pipeline():
         gens = pi.default_generators()
         if gens:
             ball = ball_enumerate(pi, gens, 2)
-            sample = ball.elements[:6]
+            sample = ball[:6]
             for a, b, c in itertools.product(sample, repeat=3):
                 assert (a * b) * c == a * (b * c), gog.name
             for a in sample:

@@ -5,7 +5,7 @@ import pytest
 
 from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
-from endlab.group_backends import ball_enumerate
+from endlab.cayley_abels import ball_enumerate
 from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
@@ -109,8 +109,7 @@ def test_oracle_separates_exactly_like_normal_forms(catalog, name):
     assert oracle is not None
     backend = entry.backend()
     pair = entry.pairs()[0]
-    ball = ball_enumerate(backend, list(pair.S), 3 if name == "f2_rw" else 4)
-    elements = ball.elements
+    elements = ball_enumerate(backend, list(pair.S), 3 if name == "f2_rw" else 4)
     for g, h in itertools.product(elements, repeat=2):
         assert (g == h) == (oracle.value(g) == oracle.value(h)), (name, g, h)
 
@@ -261,6 +260,19 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     (("backend", "edges"), 5, "edges must be a list, got int"),
     (("backend", "edges", 0, "embedding"), 5, "edges[0].embedding must be a list, got int"),
     (("backend",), [], "backend must be an object, got list"),
+    (("backend", "vertices", 0), 5, "vertices[0] must be an object, got int"),
+    (("backend", "edges", 0), 5, "edges[0] must be an object, got int"),
+    (("backend", "vertices", 0, "group"), {"kind": "table", "elements": 5, "table": [[0]]},
+     "vertices[0].group.elements must be a list, got int"),
+    (("backend", "vertices", 0, "group"), {"kind": "table", "elements": [0], "table": 3},
+     "vertices[0].group.table must be a list, got int"),
+    (("backend", "vertices", 0, "group"), {"kind": "table", "elements": [0], "table": [0]},
+     "vertices[0].group.table[0] must be a list of integers, got 0"),
+    # a rewriting backend in place of the graph of groups
+    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": 5},
+     "rules must be a list, got int"),
+    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": [[1, 2]]},
+     "rules[0] must be a pair of word strings, got [1, 2]"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -271,6 +283,53 @@ def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["cut", str(path), "--R", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("graph, message", [
+    ([5], "graph must be an object, got list"),
+    ({"vertices": [0], "edges": [5]}, "edges[0] must be an object, got int"),
+])
+def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert cli.main(["homology", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ((), [], "catalog must be an object, got list"),
+    (("entries",), 5, "entries must be a list, got int"),
+    (("entries", 0), [], "entries[0] must be an object, got list"),
+    (("entries", 0, "spec"), 5, "entries[0].spec must be an object, got int"),
+    (("entries", 0, "spec", "pairs"), 5, "entries[0].spec.pairs must be a list, got int"),
+    (("entries", 0, "scales"), 5, "entries[0].scales must be an object, got int"),
+    (("entries", 0, "scales", "r_max"), "x", "entries[0].scales.r_max must be an integer, got 'x'"),
+    (("entries", 0, "scales", "r_max"), -1, "r_max must be non-negative, got -1"),
+])
+def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
+    doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
+    if field:
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+    else:
+        doc = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("entry, args, message", [
+    ("f2_rw", ["ends", "--rmax", "-1", "--R", "6"], "r_max must be non-negative, got -1"),
+    ("f2_rw", ["ends", "--rmax", "-3", "--R", "2"], "r_max must be non-negative, got -3"),
+    ("c2_c3_gog", ["tree", "--radius", "-2"], "radius must be non-negative, got -2"),
+])
+def test_cli_negative_radii_report_cleanly(tmp_path, capsys, catalog, entry, args, message):
+    path = write_spec(tmp_path, catalog[entry])
+    assert cli.main([args[0], path, *args[1:]]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
 
 
