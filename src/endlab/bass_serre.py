@@ -11,9 +11,14 @@ words in the path groupoid of the base graph:
 where the e_i trace a closed path at the base vertex, g0 lives in the base
 vertex group and each s_i is a representative from a fixed identity-first
 right transversal of the embedded edge group.  A word is reduced when it
-contains no subword (e, image element, inverse of e); reduction is applied
-left-greedily and transversal normalization right to left, which makes the
-normal form unique and multiplication deterministic.
+contains no pinch: a subword e h inv(e) with h in the image of the edge
+group of e.  PiOne.normalize reduces with a stack, so each pinch is removed
+where the incoming letter meets the top of the stack, and then pushes the
+group elements to transversals from right to left.  Serre's normal form
+theorem (Trees, 1980, I.5) makes the reduced, transversal-pushed word
+unique, so it does not depend on the order in which pinches are removed.
+A caller that knows a prefix of the word is already normal says so, and
+only the junction after that prefix is worked on.
 
 The universal covering tree is materialized only as finite truncations:
 vertices are canonically labelled cosets of vertex groups, edges cosets of
@@ -28,7 +33,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, expect
 from .group_backends import DEFAULT_CAP, FiniteGroup
 from .qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
-from .serre_graphs import SerreGraph
+from .serre_graphs import VERTEX_ID, SerreGraph
 
 
 class Morphism(NamedTuple):
@@ -86,6 +91,11 @@ class GraphOfFiniteGroups:
             img = self.embeddings.get(e)
             if img is None or len(img) != len(eg):
                 raise ValueError(f"edge {e}: embedding must list an image per edge-group element")
+            for x in img:
+                if not 0 <= x < len(H):
+                    raise ValueError(
+                        f"edge {e}: embedding entry {x!r} is not an element of the group at {g.terminus(e)!r}"
+                    )
             if len(set(img)) != len(img):
                 raise ValueError(f"edge {e}: embedding is not injective")
             for a in range(len(eg)):
@@ -129,9 +139,9 @@ class GraphOfFiniteGroups:
             expect(ed, dict, f"edges[{i}]")
             for i, ed in enumerate(expect(data["edges"], list, "edges"))
         ]
-        origin = {ed["id"]: ed["o"] for ed in edges}
-        inverse = {ed["id"]: ed["inv"] for ed in edges}
-        graph = SerreGraph([v["id"] for v in vertices], origin, inverse)
+        graph = SerreGraph.from_records(
+            [expect(v["id"], VERTEX_ID, f"vertices[{i}].id") for i, v in enumerate(vertices)], edges
+        )
         vgroups = {
             v["id"]: _group_from_json(v["group"], f"vertices[{i}].group")
             for i, v in enumerate(vertices)
@@ -141,7 +151,10 @@ class GraphOfFiniteGroups:
             rep = min(ed["id"], ed["inv"])
             if rep not in egroups:
                 egroups[rep] = _group_from_json(ed["edge_group"], f"edges[{i}].edge_group")
-            embeddings[ed["id"]] = tuple(expect(ed["embedding"], list, f"edges[{i}].embedding"))
+            embeddings[ed["id"]] = tuple(
+                expect(x, int, f"edges[{i}].embedding[{j}]")
+                for j, x in enumerate(expect(ed["embedding"], list, f"edges[{i}].embedding"))
+            )
         return cls(graph, vgroups, egroups, embeddings, name=data.get("name", "gog"))
 
     def __repr__(self):
@@ -190,21 +203,22 @@ class PiOneElement:
 
     gs holds vertex-group element indices, es oriented base-graph edges;
     the word alternates g0 e1 s1 ... en sn and starts and ends at the base
-    vertex.  Equality and hashing are structural.
+    vertex.  Equality and hashing are structural; the hash is computed once.
     """
 
-    __slots__ = ("pi", "gs", "es")
+    __slots__ = ("pi", "gs", "es", "_hash")
 
     def __init__(self, pi, gs, es):
         self.pi = pi
         self.gs = gs
         self.es = es
+        self._hash = hash((gs, es))
 
     def __eq__(self, other):
         return isinstance(other, PiOneElement) and self.gs == other.gs and self.es == other.es
 
     def __hash__(self):
-        return hash((self.gs, self.es))
+        return self._hash
 
     def __mul__(self, other):
         return self.pi.multiply(self, other)
@@ -241,6 +255,25 @@ class PiOne:
         self.base_vertex = gog.graph.vertices[0]
         self.data = validate(gog)
         self.name = f"pi1({gog.name})"
+        # per-edge tables for normalize: pinch[e] maps an image element h at
+        # terminus(e) to the element b at origin(e) with e h = b e; push[e]
+        # maps x to (s, b) with x = h s for the transversal rep s, b as for
+        # pinch, and b None when h is the identity
+        g, emb = gog.graph, gog.embeddings
+        self._inverse = {e: g.inverse(e) for e in g.edges}
+        self._origin = {e: g.origin(e) for e in g.edges}
+        self._terminus = {e: g.terminus(e) for e in g.edges}
+        self._origin_table = {e: gog.vgroups[g.origin(e)].table for e in g.edges}
+        self._base_table = gog.vgroups[self.base_vertex].table
+        self._pinch, self._push = {}, {}
+        for e in g.edges:
+            back = emb[g.inverse(e)]
+            one = gog.vgroups[g.origin(e)].identity
+            self._pinch[e] = {h: back[a] for h, a in self.data.image_inverse[e].items()}
+            self._push[e] = {
+                x: (s, None if back[a] == one else back[a])
+                for x, (a, s) in self.data.decompositions[e].items()
+            }
 
     # -- small accessors ---------------------------------------------------
     def vgroup(self, v):
@@ -250,48 +283,71 @@ class PiOne:
         """Vertices visited by a groupoid word with the given edge letters."""
         chain = [start]
         for e in es:
-            if self.graph.origin(e) != chain[-1]:
+            if self._origin[e] != chain[-1]:
                 raise ValueError(f"edge {e} does not start at {chain[-1]!r}")
-            chain.append(self.graph.terminus(e))
+            chain.append(self._terminus[e])
         return chain
 
     # -- groupoid word machinery -------------------------------------------
-    def normalize(self, start, gs, es):
-        """Normal form of a raw groupoid word: reduce, then push to transversals."""
-        gs, es = list(gs), list(es)
-        chain = self.vertex_chain(start, es)
-        if len(gs) != len(es) + 1:
+    def normalize(self, start, gs, es, prefix=0):
+        """Normal form of a groupoid word g0 e1 g1 ... en gn starting at start.
+
+        The first `prefix` edge letters must already form a normal form:
+        es[:prefix] is reduced and gs[1:prefix] are transversal
+        representatives, while gs[prefix] and everything after it are free.
+        That prefix is trusted as it is; with the default 0 the whole word
+        is raw and validated.  The remaining letters are reduced with a
+        stack: an incoming letter that pinches against the top of the stack
+        pops it, merging the group elements on either side.  Then the
+        elements are pushed to transversals from right to left, stopping at
+        the first trivial carry inside the untouched normal prefix.  Normal
+        forms are unique (Serre, Trees, I.5), so the result equals the one
+        any other order of pinch removal gives.
+        """
+        n = len(es)
+        if len(gs) != n + 1:
+            self.vertex_chain(start, es)
             raise ValueError("word must alternate group elements and edges")
-        inv = self.graph.inverse
-        im_inv = self.data.image_inverse
-        emb = self.gog.embeddings
-        while True:
-            hit = -1
-            for j in range(len(es) - 1):
-                if es[j + 1] == inv(es[j]) and gs[j + 1] in im_inv[es[j]]:
-                    hit = j
-                    break
-            if hit < 0:
+        inverse, origin, terminus = self._inverse, self._origin, self._terminus
+        pinch, table = self._pinch, self._origin_table
+        E = list(es[:prefix])
+        G = list(gs[:prefix + 1])
+        # G[1:low] are transversal representatives no pinch has touched
+        low = prefix
+        end = terminus[E[-1]] if E else start
+        for i in range(prefix, n):
+            e = es[i]
+            if origin[e] != end:
+                raise ValueError(f"edge {e} does not start at {end!r}")
+            end = terminus[e]
+            if E and inverse[e] == E[-1]:
+                f = E[-1]
+                b = pinch[f].get(G[-1])
+                if b is not None:
+                    E.pop()
+                    G.pop()
+                    t = table[f]
+                    G[-1] = t[t[G[-1]][b]][gs[i + 1]]
+                    if len(E) < low:
+                        low = len(E)
+                    continue
+            E.append(e)
+            G.append(gs[i + 1])
+        push = self._push
+        j = len(E)
+        while j:
+            f = E[j - 1]
+            s, b = push[f][G[j]]
+            G[j] = s
+            if b is not None:
+                G[j - 1] = table[f][G[j - 1]][b]
+            elif j <= low:
                 break
-            j = hit
-            a = im_inv[es[j]][gs[j + 1]]
-            b = emb[inv(es[j])][a]
-            G = self.vgroup(chain[j])
-            merged = G.mul(G.mul(gs[j], b), gs[j + 2])
-            gs[j:j + 3] = [merged]
-            es[j:j + 2] = []
-            chain[j + 1:j + 3] = []
-        for j in range(len(es), 0, -1):
-            e = es[j - 1]
-            a, s = self.data.decompositions[e][gs[j]]
-            gs[j] = s
-            b = emb[inv(e)][a]
-            G = self.vgroup(chain[j - 1])
-            gs[j - 1] = G.mul(gs[j - 1], b)
-        return Morphism(start, tuple(gs), tuple(es))
+            j -= 1
+        return Morphism(start, tuple(G), tuple(E))
 
     def morph_end(self, m):
-        return self.graph.terminus(m.es[-1]) if m.es else m.start
+        return self._terminus[m.es[-1]] if m.es else m.start
 
     def morph_identity(self, v):
         return Morphism(v, (self.vgroup(v).identity,), ())
@@ -305,8 +361,9 @@ class PiOne:
 
     def invert_morph(self, m):
         chain = self.vertex_chain(m.start, m.es)
-        gs = tuple(self.vgroup(chain[len(m.gs) - 1 - i]).inv(m.gs[len(m.gs) - 1 - i]) for i in range(len(m.gs)))
-        es = tuple(self.graph.inverse(e) for e in reversed(m.es))
+        vgroups = self.gog.vgroups
+        gs = tuple(vgroups[chain[i]].inv(m.gs[i]) for i in range(len(m.gs) - 1, -1, -1))
+        es = tuple(self._inverse[e] for e in reversed(m.es))
         return self.normalize(self.morph_end(m), gs, es)
 
     def append_mul(self, m, u):
@@ -328,28 +385,31 @@ class PiOne:
         return len(self.compose(self.invert_morph(m1), m2).es)
 
     # -- canonical labels in the universal tree -----------------------------
+    def _coset_forms(self, m, us):
+        """Normal forms of m.u for the elements u of us at the endpoint of m.
+
+        m may be any word.  The first product is normalized in full, and the
+        others from that normal form, whose letters form a normal prefix.
+        """
+        G = self.vgroup(self.morph_end(m))
+        first = self.normalize(m.start, m.gs[:-1] + (G.mul(m.gs[-1], us[0]),), m.es)
+        head, x, k = first.gs[:-1], G.mul(first.gs[-1], G.inv(us[0])), len(first.es)
+        return [first] + [
+            self.normalize(m.start, head + (G.mul(x, u),), first.es, k) for u in us[1:]
+        ]
+
     def vertex_label(self, m):
         """(canonical label, canonical representative) of the coset vertex of m."""
         v = self.morph_end(m)
-        best = None
-        bestm = None
-        for u in range(len(self.vgroup(v))):
-            cand = self.normalize(m.start, m.gs[:-1] + (self.vgroup(v).mul(m.gs[-1], u),), m.es)
-            k = self.morph_key(cand)
-            if best is None or k < best:
-                best, bestm = k, cand
-        return ("v", v, best), bestm
+        best = min(self._coset_forms(m, range(len(self.vgroup(v)))), key=self.morph_key)
+        return ("v", v, self.morph_key(best)), best
 
     def edge_label(self, m, e):
         """Canonical label of the tree edge (m, e); m must end at origin(e)."""
         if self.morph_end(m) != self.graph.origin(e):
             raise ValueError(f"edge {e} does not start at the endpoint of the word")
         ims = self.gog.embeddings[self.graph.inverse(e)]
-        best = min(
-            self.morph_key(self.normalize(nu.start, nu.gs, nu.es))
-            for nu in (self.append_mul(m, u) for u in ims)
-        )
-        return ("e", e, best)
+        return ("e", e, min(map(self.morph_key, self._coset_forms(m, ims))))
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
@@ -362,7 +422,8 @@ class PiOne:
         return PiOneElement(self, m.gs, m.es)
 
     def multiply(self, a, b):
-        m = self.compose(Morphism(self.base_vertex, a.gs, a.es), Morphism(self.base_vertex, b.gs, b.es))
+        mid = self._base_table[a.gs[-1]][b.gs[0]]
+        m = self.normalize(self.base_vertex, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es, len(a.es))
         return PiOneElement(self, m.gs, m.es)
 
     def inverse(self, a):

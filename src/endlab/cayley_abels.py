@@ -15,7 +15,7 @@ interior vertex has exactly |S| outgoing edges.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InternalInconsistency
 from .group_backends import DEFAULT_CAP
 from .serre_graphs import SerreGraph
 
@@ -144,7 +144,8 @@ def build(pair, radius, cap=DEFAULT_CAP):
     targets as indices into the BFS order, the outer sphere's rows are
     labelled after it, and the half-edge pass pairs edges from the rows.
 
-    Raises BudgetExceeded past the element cap.
+    Raises BudgetExceeded past the element cap, and InternalInconsistency
+    when the rows do not pair up or an interior coset lacks an edge.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -202,14 +203,14 @@ def build(pair, radius, cap=DEFAULT_CAP):
                 origin[e], origin[f] = order[i], order[j]
                 inverse[e], inverse[f] = f, e
     if 2 * count != sum(len(row) - row.count(-1) for row in rows):
-        raise RuntimeError(
+        raise InternalInconsistency(
             "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
         )
     graph = SerreGraph(order, origin, inverse, check=False)
     t = RoughCayleyTruncation(pair, graph, base, radius, sphere, exhausted)
     for v in order:
         if sphere[v] < radius and len(graph.star(v)) != len(pair.S):
-            raise RuntimeError(f"interior vertex {v!r} has a partial star")
+            raise InternalInconsistency(f"interior vertex {v!r} has a partial star")
     return t
 
 

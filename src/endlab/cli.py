@@ -1,7 +1,10 @@
 """Command line front end.
 
 All structured output is JSON on stdout; DOT goes to files.  Exit codes:
-0 success, 1 inconsistency or failed check, 2 budget exceeded.
+0 success, 1 inconsistency or failed check, 2 budget exceeded.  Errors are
+printed as {"error": kind, "message": ...} with kind invalid_input (exit 1),
+internal_inconsistency (exit 1, a defect in endlab) or budget_exceeded
+(exit 2).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import sys
 
 from . import bass_serre, cayley_abels, ends_cuts, qlinalg, theorem_lab
 from .bass_serre import PiOne
-from .errors import BudgetExceeded, expect
+from .errors import BudgetExceeded, InternalInconsistency, expect
 from .serre_graphs import SerreGraph
 
 
@@ -172,6 +175,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)})
         return 2
+    except InternalInconsistency as exc:
+        _emit({"error": "internal_inconsistency", "message": str(exc)})
+        return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         _emit({"error": "invalid_input", "message": str(exc)})
         return 1

@@ -5,12 +5,26 @@ class BudgetExceeded(RuntimeError):
     """An enumeration hit its element cap before finishing."""
 
 
-def expect(value, kind, where):
-    """value, if it is a JSON object (kind dict) or array (kind list).
+class InternalInconsistency(RuntimeError):
+    """An internal invariant failed: a defect in endlab, not in the input."""
 
-    Anything else raises ValueError naming the spec field `where`.
+
+# JSON kinds a spec field may be required to have; ids are strings or integers
+KIND_NAMES = {
+    dict: "an object",
+    list: "a list",
+    int: "an integer",
+    str: "a string",
+    (str, int): "a string or an integer",
+}
+
+
+def expect(value, kind, where):
+    """value, if it has the JSON kind named by a key of KIND_NAMES.
+
+    Booleans never count as integers.  Anything else raises ValueError
+    naming the spec field `where`.
     """
-    if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
-        raise ValueError(f"{where} must be {what}, got {type(value).__name__}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where} must be {KIND_NAMES[kind]}, got {type(value).__name__}")
     return value

@@ -231,9 +231,15 @@ class RewritingGroup:
             if not (isinstance(r, list) and len(r) == 2 and all(isinstance(w, str) for w in r)):
                 raise ValueError(f"rules[{i}] must be a pair of word strings, got {r!r}")
             rules.append(tuple(r))
+        generators = expect(data["generators"], list, "generators")
+        for i, g in enumerate(generators):
+            expect(g, str, f"generators[{i}]")
+        inverses = expect(data["inverses"], dict, "inverses")
+        for g, gi in inverses.items():
+            expect(gi, str, f"inverses[{g!r}]")
         return cls(
-            data["generators"],
-            data["inverses"],
+            generators,
+            inverses,
             rules,
             name=data.get("name", "G"),
         )

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from .errors import expect
 
+# the JSON kinds of a vertex id
+VERTEX_ID = (str, int)
+
 
 class SerreGraph:
     def __init__(self, vertices, origin, inverse, check=True):
@@ -154,15 +157,31 @@ class SerreGraph:
         return {"vertices": list(self._vertices), "edges": edges}
 
     @classmethod
+    def from_records(cls, vertices, edges):
+        """Graph from vertex ids and JSON edge records {"id", "inv", "o", ...}.
+
+        Vertex ids are strings or integers, edge ids integers; a record of
+        another shape raises ValueError naming its field.
+        """
+        origin, inverse = {}, {}
+        for i, ed in enumerate(edges):
+            e = expect(ed["id"], int, f"edges[{i}].id")
+            inverse[e] = expect(ed["inv"], int, f"edges[{i}].inv")
+            origin[e] = expect(ed["o"], VERTEX_ID, f"edges[{i}].o")
+        return cls(vertices, origin, inverse)
+
+    @classmethod
     def from_json(cls, data):
         expect(data, dict, "graph")
         edges = [
             expect(ed, dict, f"edges[{i}]")
             for i, ed in enumerate(expect(data["edges"], list, "edges"))
         ]
-        origin = {ed["id"]: ed["o"] for ed in edges}
-        inverse = {ed["id"]: ed["inv"] for ed in edges}
-        g = cls(expect(data["vertices"], list, "vertices"), origin, inverse)
+        vertices = [
+            expect(v, VERTEX_ID, f"vertices[{i}]")
+            for i, v in enumerate(expect(data["vertices"], list, "vertices"))
+        ]
+        g = cls.from_records(vertices, edges)
         for ed in edges:
             if g.terminus(ed["id"]) != ed["t"]:
                 raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")

@@ -101,7 +101,7 @@ class CatalogEntry:
             if key in scales and type(scales[key]) is not int:
                 raise ValueError(f"{where}.scales.{key} must be an integer, got {scales[key]!r}")
         return cls(
-            name=data["name"],
+            name=expect(data["name"], str, f"{where}.name"),
             spec=spec,
             expected_ends=data["expected_ends"],
             expected_splitting=data.get("expected_splitting"),

@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endlab.bass_serre import (
     GraphOfFiniteGroups,
+    Morphism,
     PiOne,
+    PiOneElement,
     exactness_on_truncation,
     splitting_classify,
     tree_truncation,
@@ -416,3 +420,202 @@ def test_tree_truncation_respects_cap():
 
     with _pytest.raises(BudgetExceeded):
         tree_truncation(c2c3(), 6, cap=5)
+
+
+# -- the linear normalizer against the left-greedy one it replaced -------------------
+
+def reference_normalize(pi, start, gs, es):
+    """The original normalizer, kept as the reference.
+
+    It removes the leftmost pinch, rescanning from position 0 after each
+    one, then pushes to transversals right to left.
+    """
+    gs, es = list(gs), list(es)
+    chain = pi.vertex_chain(start, es)
+    if len(gs) != len(es) + 1:
+        raise ValueError("word must alternate group elements and edges")
+    inv = pi.graph.inverse
+    im_inv = pi.data.image_inverse
+    emb = pi.gog.embeddings
+    while True:
+        hit = -1
+        for j in range(len(es) - 1):
+            if es[j + 1] == inv(es[j]) and gs[j + 1] in im_inv[es[j]]:
+                hit = j
+                break
+        if hit < 0:
+            break
+        j = hit
+        a = im_inv[es[j]][gs[j + 1]]
+        b = emb[inv(es[j])][a]
+        G = pi.vgroup(chain[j])
+        merged = G.mul(G.mul(gs[j], b), gs[j + 2])
+        gs[j:j + 3] = [merged]
+        es[j:j + 2] = []
+        chain[j + 1:j + 3] = []
+    for j in range(len(es), 0, -1):
+        e = es[j - 1]
+        a, s = pi.data.decompositions[e][gs[j]]
+        gs[j] = s
+        b = emb[inv(e)][a]
+        G = pi.vgroup(chain[j - 1])
+        gs[j - 1] = G.mul(gs[j - 1], b)
+    return Morphism(start, tuple(gs), tuple(es))
+
+
+def reference_vertex_label(pi, m):
+    v = pi.morph_end(m)
+    G = pi.vgroup(v)
+    cands = [
+        reference_normalize(pi, m.start, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es)
+        for u in range(len(G))
+    ]
+    best = min(cands, key=pi.morph_key)
+    return ("v", v, pi.morph_key(best)), best
+
+
+def reference_edge_label(pi, m, e):
+    ims = pi.gog.embeddings[pi.graph.inverse(e)]
+    best = min(
+        pi.morph_key(reference_normalize(pi, nu.start, nu.gs, nu.es))
+        for nu in (pi.append_mul(m, u) for u in ims)
+    )
+    return ("e", e, best)
+
+
+def mixed_gog():
+    graph = SerreGraph.from_geometric(["u", "w"], [("u", "w"), ("u", "u")])
+    return GraphOfFiniteGroups(
+        graph,
+        {"u": FiniteGroup.cyclic(4), "w": FiniteGroup.cyclic(6)},
+        {0: FiniteGroup.cyclic(2), 2: FiniteGroup.cyclic(2)},
+        {0: [0, 3], 1: [0, 2], 2: [0, 2], 3: [0, 2]},
+        name="mixed",
+    )
+
+
+def normalizer_cases():
+    from endlab.theorem_lab import default_catalog
+
+    pis = [e.backend() for e in default_catalog() if isinstance(e.backend(), PiOne)]
+    pis.append(PiOne(mixed_gog()))
+    return pis
+
+
+NORMALIZER_CASES = normalizer_cases()
+
+
+def draw_walk(data, pi, start, max_len, backtrack):
+    """A raw groupoid word from start: random letters and group elements,
+    stepping back along the previous edge with probability backtrack."""
+    gs = [data.draw(st.integers(0, len(pi.vgroup(start)) - 1))]
+    es = []
+    v = start
+    for _ in range(data.draw(st.integers(0, max_len))):
+        star = pi.graph.star(v)
+        if not star:
+            break
+        if es and data.draw(st.floats(0, 1)) < backtrack:
+            e = pi.graph.inverse(es[-1])
+        else:
+            e = data.draw(st.sampled_from(star))
+        v = pi.graph.terminus(e)
+        es.append(e)
+        gs.append(data.draw(st.integers(0, len(pi.vgroup(v)) - 1)))
+    return tuple(gs), tuple(es)
+
+
+def draw_loop(data, pi, max_len, backtrack):
+    """A raw loop at the base vertex: a walk, then back along the tree path."""
+    gs, es = draw_walk(data, pi, pi.base_vertex, max_len, backtrack)
+    end = pi.morph_end(Morphism(pi.base_vertex, gs, es))
+    back = tuple(pi.graph.inverse(e) for e in reversed(pi.data.tree_paths[end]))
+    for e in back:
+        gs += (data.draw(st.integers(0, len(pi.vgroup(pi.graph.terminus(e))) - 1)),)
+    return gs, es + back
+
+
+def raw_inverse(pi, start, gs, es):
+    chain = pi.vertex_chain(start, es)
+    inv_gs = tuple(pi.vgroup(v).inv(g) for v, g in zip(reversed(chain), reversed(gs)))
+    return inv_gs, tuple(pi.graph.inverse(e) for e in reversed(es))
+
+
+def concat(pi, end, w1, w2):
+    G = pi.vgroup(end)
+    return w1[0][:-1] + (G.mul(w1[0][-1], w2[0][0]),) + w2[0][1:], w1[1] + w2[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_matches_reference_on_raw_words(data):
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
+    start = data.draw(st.sampled_from(pi.graph.vertices))
+    backtrack = data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+    gs, es = draw_walk(data, pi, start, 14, backtrack)
+    got = pi.normalize(start, gs, es)
+    assert got == reference_normalize(pi, start, gs, es)
+    # a normal form is its own normal form
+    assert pi.normalize(start, got.gs, got.es) == got
+    inv_gs, inv_es = raw_inverse(pi, start, gs, es)
+    m_inv = pi.invert_morph(got)
+    assert m_inv == reference_normalize(pi, pi.morph_end(got), inv_gs, inv_es)
+    assert pi.compose(got, m_inv) == pi.morph_identity(start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_with_heavy_cancellation_match_reference(data):
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
+    base = pi.base_vertex
+    u = draw_loop(data, pi, 8, 0.3)
+    v = draw_loop(data, pi, 8, 0.3)
+    w = draw_loop(data, pi, 4, 0.3)
+    uv = concat(pi, base, u, v)
+    a = PiOneElement(pi, *reference_normalize(pi, base, *uv)[1:])
+    # b starts with the inverse of v, or of all of uv, so a * b cancels deep into a
+    tail = data.draw(st.sampled_from([v, uv]))
+    b_word = concat(pi, base, raw_inverse(pi, base, *tail), w)
+    b = PiOneElement(pi, *reference_normalize(pi, base, *b_word)[1:])
+    expected = reference_normalize(pi, base, *concat(pi, base, uv, b_word))
+    got = pi.multiply(a, b)
+    assert (got.gs, got.es) == (expected.gs, expected.es)
+    a_inv = pi.inverse(a)
+    assert pi.multiply(a, a_inv).is_identity() and pi.multiply(a_inv, a).is_identity()
+    assert pi.multiply(a, pi.identity()) == a == pi.multiply(pi.identity(), a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coset_labels_match_reference(data):
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
+    base = pi.base_vertex
+    gs, es = draw_walk(data, pi, base, 10, 0.5)
+    raw = Morphism(base, gs, es)
+    normal = reference_normalize(pi, base, gs, es)
+    for m in (normal, raw):
+        assert pi.vertex_label(m) == reference_vertex_label(pi, m)
+        for e in pi.graph.star(pi.morph_end(m)):
+            assert pi.edge_label(m, e) == reference_edge_label(pi, m, e)
+            # crossing back along the last letter pinches at the junction
+            crossed = pi.cross(m, e)
+            assert pi.vertex_label(crossed) == reference_vertex_label(pi, crossed)
+            f = pi.graph.inverse(e)
+            assert pi.edge_label(crossed, f) == reference_edge_label(pi, crossed, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_trusts_a_normal_prefix(data):
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
+    start = data.draw(st.sampled_from(pi.graph.vertices))
+    m = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
+    end = pi.morph_end(m)
+    if data.draw(st.booleans()):
+        tail = draw_walk(data, pi, end, 10, 0.5)
+    else:
+        # undo m, so the junction cancels into the prefix
+        tail = concat(pi, start, raw_inverse(pi, start, m.gs, m.es), draw_walk(data, pi, start, 4, 0.5))
+    gs, es = concat(pi, end, (m.gs, m.es), tail)
+    k = data.draw(st.integers(0, len(m.es)))
+    assert pi.normalize(start, gs, es, k) == reference_normalize(pi, start, gs, es)

@@ -253,6 +253,21 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
 
 
 @pytest.mark.parametrize("field, value, message", [
+    ("generators", 5, "generators must be a list, got int"),
+    ("inverses", 5, "inverses must be an object, got int"),
+    ("generators", ["a", 5], "generators[1] must be a string, got int"),
+    ("inverses", {"a": ["A"]}, "inverses['a'] must be a string, got list"),
+])
+def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
+    spec = json.loads(json.dumps(catalog["z_rw"].spec))
+    spec["backend"][field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["ends", str(path), "--R", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("field, value, message", [
     (("backend", "vertices", 0, "group", "n"), "3", "vertices[0].group.n must be a positive integer, got '3'"),
     (("backend", "vertices", 1, "group", "n"), 2.5, "vertices[1].group.n must be a positive integer, got 2.5"),
     (("pairs", 0, "S", 0, 0, "g"), 7, "pairs[0].S[0][0].g must index an element of the group at 'u', got 7"),
@@ -268,6 +283,12 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
      "vertices[0].group.table must be a list, got int"),
     (("backend", "vertices", 0, "group"), {"kind": "table", "elements": [0], "table": [0]},
      "vertices[0].group.table[0] must be a list of integers, got 0"),
+    (("backend", "vertices", 0, "id"), ["u"], "vertices[0].id must be a string or an integer, got list"),
+    (("backend", "edges", 1, "id"), "a", "edges[1].id must be an integer, got str"),
+    (("backend", "edges", 0, "o"), ["u"], "edges[0].o must be a string or an integer, got list"),
+    (("backend", "edges", 0, "embedding"), ["x"], "edges[0].embedding[0] must be an integer, got str"),
+    (("backend", "edges", 0, "embedding"), [7],
+     "edge 0: embedding entry 7 is not an element of the group at 'w'"),
     # a rewriting backend in place of the graph of groups
     (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": 5},
      "rules must be a list, got int"),
@@ -289,6 +310,13 @@ def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field
 @pytest.mark.parametrize("graph, message", [
     ([5], "graph must be an object, got list"),
     ({"vertices": [0], "edges": [5]}, "edges[0] must be an object, got int"),
+    ({"vertices": [0, 1], "edges": [{"id": 0, "inv": "a", "o": 0, "t": 1},
+                                    {"id": "a", "inv": 0, "o": 1, "t": 0}]},
+     "edges[0].inv must be an integer, got str"),
+    ({"vertices": [0, [1]], "edges": []}, "vertices[1] must be a string or an integer, got list"),
+    ({"vertices": [0], "edges": [{"id": 0, "inv": 1, "o": [0], "t": 0},
+                                 {"id": 1, "inv": 0, "o": 0, "t": 0}]},
+     "edges[0].o must be a string or an integer, got list"),
 ])
 def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
@@ -306,6 +334,7 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "scales"), 5, "entries[0].scales must be an object, got int"),
     (("entries", 0, "scales", "r_max"), "x", "entries[0].scales.r_max must be an integer, got 'x'"),
     (("entries", 0, "scales", "r_max"), -1, "r_max must be non-negative, got -1"),
+    (("entries", 0, "name"), 5, "entries[0].name must be a string, got int"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
@@ -320,6 +349,54 @@ def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field,
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+Z_SPEC = {"backend": {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}},
+          "pairs": [{"K": "trivial", "S": ["a"]}]}
+
+
+def cli_cut_on_z(tmp_path, capsys, radius):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(Z_SPEC))
+    assert cli.main(["cut", str(path), "--R", str(radius)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "internal_inconsistency"
+    return out["message"]
+
+
+@pytest.mark.parametrize("radius, x, wrong", [
+    # the row of the interior coset a: its half-edge a -> AA has no partner
+    (3, "aa", "AA"),
+    # the row of the outer coset aa: its half-edge aa -> AA has no partner
+    (2, "aaa", "AA"),
+])
+def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, x, wrong):
+    from endlab.group_backends import RewritingGroup
+
+    multiply = RewritingGroup.multiply
+
+    def corrupted(self, a, b):
+        # the one product whose word a + b is x comes out wrong
+        return wrong if a + b == x else multiply(self, a, b)
+
+    monkeypatch.setattr(RewritingGroup, "multiply", corrupted)
+    message = cli_cut_on_z(tmp_path, capsys, radius)
+    assert message.startswith("unbalanced edge multiplicities")
+
+
+def test_cli_partial_star_reports_internal_inconsistency(tmp_path, capsys, monkeypatch):
+    # balanced rows always give full interior stars, so drop an edge while
+    # the graph is assembled: the base coset loses its edge to a
+    from endlab import cayley_abels
+    from endlab.serre_graphs import SerreGraph
+
+    def lossy(vertices, origin, inverse, check=True):
+        origin = {e: v for e, v in origin.items() if e > 1}
+        inverse = {e: f for e, f in inverse.items() if e > 1}
+        return SerreGraph(vertices, origin, inverse, check=check)
+
+    monkeypatch.setattr(cayley_abels, "SerreGraph", lossy)
+    assert cli_cut_on_z(tmp_path, capsys, 3) == "interior vertex '' has a partial star"
 
 
 @pytest.mark.parametrize("entry, args, message", [
