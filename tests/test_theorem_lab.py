@@ -283,17 +283,17 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
      "vertices[0].group.table must be a list, got int"),
     (("backend", "vertices", 0, "group"), {"kind": "table", "elements": [0], "table": [0]},
      "vertices[0].group.table[0] must be a list of integers, got 0"),
+    # a rewriting backend in place of the graph of groups
+    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": 5},
+     "rules must be a list, got int"),
+    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": [[1, 2]]},
+     "rules[0] must be a pair of word strings, got [1, 2]"),
     (("backend", "vertices", 0, "id"), ["u"], "vertices[0].id must be a string or an integer, got list"),
     (("backend", "edges", 1, "id"), "a", "edges[1].id must be an integer, got str"),
     (("backend", "edges", 0, "o"), ["u"], "edges[0].o must be a string or an integer, got list"),
     (("backend", "edges", 0, "embedding"), ["x"], "edges[0].embedding[0] must be an integer, got str"),
     (("backend", "edges", 0, "embedding"), [7],
      "edge 0: embedding entry 7 is not an element of the group at 'w'"),
-    # a rewriting backend in place of the graph of groups
-    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": 5},
-     "rules must be a list, got int"),
-    (("backend",), {"type": "rewriting_group", "generators": ["a"], "inverses": {"a": "A"}, "rules": [[1, 2]]},
-     "rules[0] must be a pair of word strings, got [1, 2]"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
