@@ -61,27 +61,15 @@ def escaping_components(t, probe):
     """Components of the truncation minus probe, with escape flags.
 
     A component escapes when it contains a vertex on the outer sphere.
-    The probe must stay strictly inside the truncation.
+    The probe must stay strictly inside the truncation.  The components
+    are walked in place around the probe; the truncation is never copied.
     """
-    probe = set(probe)
-    unknown = probe - set(t.graph.vertices)
-    if unknown:
+    if not all(v in t.sphere for v in probe):
         raise ValueError("probe contains vertices outside the truncation")
-    boundary = {v for v in probe if t.sphere[v] >= t.radius}
-    if boundary:
+    if any(t.sphere[v] >= t.radius for v in probe):
         raise ValueError("probe touches the truncation boundary; enlarge the radius")
-    rest = t.graph.remove_vertex_set(probe)
-    out = []
-    for block in rest.components():
-        escaping = any(t.sphere[v] == t.radius for v in block)
-        out.append((block, escaping))
-    return out
-
-
-def _escaping_blocks(t, radii):
-    """(r, escaping components of t minus the ball of radius r) per radius."""
-    for r in radii:
-        yield r, [block for block, esc in escaping_components(t, t.ball(r)) if esc]
+    blocks = t.graph.components(probe)
+    return [(block, any(t.sphere[v] == t.radius for v in block)) for block in blocks]
 
 
 def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
@@ -96,7 +84,9 @@ def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
     if radius <= r_max + MARGIN:
         raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
     t = cayley_abels.build(pair, radius, cap=cap)
-    probes = tuple((r, len(blocks)) for r, blocks in _escaping_blocks(t, range(r_max + 1)))
+    probes = tuple(
+        (r, sum(esc for _, esc in escaping_components(t, t.ball(r)))) for r in range(r_max + 1)
+    )
     best = max((c for _, c in probes), default=0)
     if t.exhausted:
         verdict, count = ZERO_ENDS, 0
@@ -153,7 +143,8 @@ def find_cut(t):
     earliest vertex comes first in the truncation's canonical order,
     which is the order SerreGraph.components lists blocks in.
     """
-    for r, escaping in _escaping_blocks(t, range(max(0, t.radius - MARGIN))):
+    for r in range(max(0, t.radius - MARGIN)):
+        escaping = [block for block, esc in escaping_components(t, t.ball(r)) if esc]
         if len(escaping) >= 2:
             chosen = escaping[0]
             return Cut(

@@ -95,7 +95,8 @@ class CatalogEntry:
     @classmethod
     def from_json(cls, data, where="entry"):
         spec = expect(expect(data, dict, where)["spec"], dict, f"{where}.spec")
-        expect(spec["pairs"], list, f"{where}.spec.pairs")
+        if not expect(spec["pairs"], list, f"{where}.spec.pairs"):
+            raise ValueError(f"{where}.spec.pairs must not be empty")
         scales = expect(data.get("scales", {}), dict, f"{where}.scales")
         for key in ("r_max", "radius"):
             if key in scales and type(scales[key]) is not int:
@@ -156,22 +157,30 @@ def element_from_spec(backend, spec, where="element"):
     return el
 
 
-def subgroup_from_spec(backend, spec):
+def subgroup_from_spec(backend, spec, where="K"):
+    """K from "trivial", or from {"vertex": v} or {"edge": e} naming a base
+    vertex or edge of a graph-of-groups backend.
+
+    Any other spec raises ValueError naming the field `where`.
+    """
     if spec == "trivial":
         return cayley_abels.trivial_subgroup(backend)
-    if isinstance(spec, dict) and "vertex" in spec:
-        return cayley_abels.Subgroup(
-            backend, backend.vertex_subgroup_elements(spec["vertex"]), name=f"G_{spec['vertex']}"
-        )
-    if isinstance(spec, dict) and "edge" in spec:
-        return cayley_abels.Subgroup(
-            backend, backend.edge_subgroup_elements(spec["edge"]), name=f"G_e{spec['edge']}"
-        )
-    raise ValueError(f"bad subgroup spec {spec!r}")
+    if not (isinstance(spec, dict) and spec.keys() & {"vertex", "edge"}):
+        raise ValueError(f'{where} must be "trivial", {{"vertex": id}} or {{"edge": id}}, got {spec!r}')
+    kind = "vertex" if "vertex" in spec else "edge"
+    if not isinstance(backend, PiOne):
+        raise ValueError(f"{where}.{kind} needs a graph-of-groups backend")
+    x = spec[kind]
+    ids = backend.graph.vertices if kind == "vertex" else backend.graph.edges
+    if type(x) not in (str, int) or x not in ids:
+        raise ValueError(f"{where}.{kind} names no base {kind}, got {x!r}")
+    if kind == "vertex":
+        return cayley_abels.Subgroup(backend, backend.vertex_subgroup_elements(x), name=f"G_{x}")
+    return cayley_abels.Subgroup(backend, backend.edge_subgroup_elements(x), name=f"G_e{x}")
 
 
 def pair_from_spec(backend, data, name=None, where="pair"):
-    K = subgroup_from_spec(backend, expect(data, dict, where)["K"])
+    K = subgroup_from_spec(backend, expect(data, dict, where)["K"], f"{where}.K")
     words = expect(data["S"], list, f"{where}.S")
     S = [element_from_spec(backend, s, f"{where}.S[{i}]") for i, s in enumerate(words)]
     return cayley_abels.GeneratingPair(backend, K, S, name=name)

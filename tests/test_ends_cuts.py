@@ -12,6 +12,7 @@ from endlab.ends_cuts import (
 )
 
 from test_cayley_abels import make_c6, make_z
+from test_serre_graphs import assert_components_agree
 
 
 def z_truncation(radius):
@@ -241,3 +242,36 @@ def test_probe_loop_matches_reference(catalog, r_max, radius):
             t = build(pair, radius)
             cut, ref_cut = find_cut(t), reference_find_cut(t)
             assert (cut and cut.to_json()) == (ref_cut and ref_cut.to_json()), pair.name
+
+
+# -- in-place probes against the graph copy and the old union-find ---------------------
+
+@pytest.mark.parametrize("r_max, radius", [(1, 6), (3, 8)])
+def test_ball_probes_walk_the_truncation_like_the_copy(catalog, r_max, radius):
+    for entry in catalog.values():
+        for pair in entry.pairs():
+            t = build(pair, radius)
+            for r in range(r_max + 1):
+                assert_components_agree(t.graph, t.ball(r))
+
+
+@pytest.mark.parametrize("probe_radius", [5, 8])
+def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, probe_radius):
+    from endlab.ai_cohomology import witness_from_splitting
+    from endlab.cayley_abels import coset_canonical
+    from endlab.ends_cuts import coboundary
+
+    for entry in catalog.values():
+        if entry.marked_edge is None:
+            continue
+        backend = entry.backend()
+        w = witness_from_splitting(backend, entry.marked_edge, probe_radius=probe_radius)
+        t = w.truncation
+        # the probe cut_from_witness takes: the interior ends of the coboundary
+        inside = [v for v in t.graph.vertices
+                  if w.chi(coset_canonical(backend, w.pair.K, backend.inverse(v)))]
+        cb = coboundary(t.graph, inside)
+        ends = {t.graph.origin(e) for e in cb} | {t.graph.terminus(e) for e in cb}
+        probe = {v for v in ends if t.sphere[v] < t.radius}
+        assert probe, entry.name
+        assert_components_agree(t.graph, probe)

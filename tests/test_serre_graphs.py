@@ -31,6 +31,37 @@ def bfs_blocks(graph):
     return blocks
 
 
+def reference_components(graph):
+    """The union-find SerreGraph.components replaced, kept as the reference:
+    blocks keyed by their least vertex index, in vertex order."""
+    vertices = graph.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e in graph.edges:
+        a = find(index[graph.origin(e)])
+        b = find(index[graph.terminus(e)])
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for i, v in enumerate(vertices):
+        blocks.setdefault(find(i), []).append(v)
+    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
+def assert_components_agree(graph, without):
+    """components(without=S) == remove_vertex_set(S).components() == the reference."""
+    got = graph.components(without)
+    rest = graph.remove_vertex_set(set(without))
+    assert got == rest.components() == reference_components(rest)
+
+
 def has_circuit_oracle(graph):
     """Circuit detection by DFS spanning forest: any non-forest geometric
     edge (loops included) closes a circuit."""
@@ -93,6 +124,23 @@ def test_components_do_not_depend_on_edge_order():
         shuffled = pairs[:]
         random.Random(seed).shuffle(shuffled)
         assert SerreGraph.from_geometric(range(6), shuffled).components() == base
+
+
+def test_components_leave_out_the_given_vertices_and_their_edges():
+    g = line(6)
+    assert g.components([3]) == ((0, 1, 2), (4, 5, 6))
+    assert g.components(g.vertices) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_components_without_match_copy_and_union_find(seed):
+    # random_graph draws loops and parallel edges
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=30)
+    assert_components_agree(g, ())
+    for _ in range(4):
+        assert_components_agree(g, rng.sample(g.vertices, rng.randint(0, len(g.vertices))))
 
 
 # -- star ---------------------------------------------------------------------

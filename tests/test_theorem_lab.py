@@ -294,6 +294,7 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
     (("backend", "edges", 0, "embedding"), ["x"], "edges[0].embedding[0] must be an integer, got str"),
     (("backend", "edges", 0, "embedding"), [7],
      "edge 0: embedding entry 7 is not an element of the group at 'w'"),
+    (("backend", "edges", 1, "id"), 0, "edges[1].id repeats edge id 0"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -317,6 +318,10 @@ def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field
     ({"vertices": [0], "edges": [{"id": 0, "inv": 1, "o": [0], "t": 0},
                                  {"id": 1, "inv": 0, "o": 0, "t": 0}]},
      "edges[0].o must be a string or an integer, got list"),
+    ({"vertices": [0, 1], "edges": [{"id": 0, "inv": 1, "o": 0, "t": 1},
+                                    {"id": 1, "inv": 0, "o": 1, "t": 0},
+                                    {"id": 0, "inv": 1, "o": 0, "t": 1}]},
+     "edges[2].id repeats edge id 0"),
 ])
 def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
@@ -335,6 +340,7 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "scales", "r_max"), "x", "entries[0].scales.r_max must be an integer, got 'x'"),
     (("entries", 0, "scales", "r_max"), -1, "r_max must be non-negative, got -1"),
     (("entries", 0, "name"), 5, "entries[0].name must be a string, got int"),
+    (("entries", 0, "spec", "pairs"), [], "entries[0].spec.pairs must not be empty"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
@@ -348,6 +354,24 @@ def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field,
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("entry, K, message", [
+    ("z_rw", {"vertex": "u"}, "pairs[1].K.vertex needs a graph-of-groups backend"),
+    ("z_rw", {"edge": 0}, "pairs[1].K.edge needs a graph-of-groups backend"),
+    ("c2_c3_gog", {"vertex": []}, "pairs[1].K.vertex names no base vertex, got []"),
+    ("c2_c3_gog", {"edge": [0]}, "pairs[1].K.edge names no base edge, got [0]"),
+    ("c2_c3_gog", {"vertex": "zz"}, "pairs[1].K.vertex names no base vertex, got 'zz'"),
+    ("c2_c3_gog", {"edge": 7}, "pairs[1].K.edge names no base edge, got 7"),
+    ("c2_c3_gog", 5, 'pairs[1].K must be "trivial", {"vertex": id} or {"edge": id}, got 5'),
+])
+def test_cli_malformed_subgroup_spec_reports_cleanly(tmp_path, capsys, catalog, entry, K, message):
+    spec = json.loads(json.dumps(catalog[entry].spec))
+    spec["pairs"][1]["K"] = K
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["ends", str(path), "--rmax", "0", "--R", "5"]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
 
 
