@@ -101,13 +101,16 @@ class CatalogEntry:
         for key in ("r_max", "radius"):
             if key in scales and type(scales[key]) is not int:
                 raise ValueError(f"{where}.scales.{key} must be an integer, got {scales[key]!r}")
+        marked_edge = data.get("marked_edge")
+        if marked_edge is not None:
+            expect(marked_edge, int, f"{where}.marked_edge")
         return cls(
             name=expect(data["name"], str, f"{where}.name"),
             spec=spec,
             expected_ends=data["expected_ends"],
             expected_splitting=data.get("expected_splitting"),
             witness_expected=data.get("witness_expected", False),
-            marked_edge=data.get("marked_edge"),
+            marked_edge=marked_edge,
             oracle=data.get("oracle"),
             provenance=data.get("provenance", {}),
             scales=scales,
@@ -140,13 +143,13 @@ def element_from_spec(backend, spec, where="element"):
     for j, atom in enumerate(spec):
         if isinstance(atom, dict) and "v" in atom:
             v, g = atom["v"], atom.get("g")
-            if v not in backend.graph.vertices:
+            if type(v) not in (str, int) or v not in backend.graph.vertices:
                 raise ValueError(f"{where}[{j}].v names no vertex, got {v!r}")
             if type(g) is not int or not 0 <= g < len(backend.vgroup(v)):
                 raise ValueError(f"{where}[{j}].g must index an element of the group at {v!r}, got {g!r}")
             nxt = backend.vertex_inclusion(v, g)
         elif isinstance(atom, dict) and "e" in atom:
-            if atom["e"] not in backend.graph.edges:
+            if type(atom["e"]) is not int or atom["e"] not in backend.graph.edges:
                 raise ValueError(f"{where}[{j}].e names no edge, got {atom['e']!r}")
             nxt = backend.edge_letter(atom["e"])
             if atom.get("inv"):

@@ -1,11 +1,15 @@
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endlab import bass_serre
 from endlab.bass_serre import (
     GraphOfFiniteGroups,
+    HalfTreeSplitting,
     Morphism,
     PiOne,
     PiOneElement,
@@ -15,8 +19,12 @@ from endlab.bass_serre import (
 )
 from endlab.cayley_abels import ball_enumerate
 from endlab.group_backends import FiniteGroup
-from endlab.qlinalg import delta_matrix, rank_kernel_cokernel
+from endlab.qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from endlab.serre_graphs import SerreGraph
+from endlab.theorem_lab import RESOLUTION_RADIUS
+
+from test_pipeline_fuzz import random_loop, random_segment
+from test_serre_graphs import triangle
 
 
 def segment_gog(left_n, right_n, edge_n, emb_left, emb_right, name="seg"):
@@ -619,3 +627,100 @@ def test_normalize_trusts_a_normal_prefix(data):
     gs, es = concat(pi, end, (m.gs, m.es), tail)
     k = data.draw(st.integers(0, len(m.es)))
     assert pi.normalize(start, gs, es, k) == reference_normalize(pi, start, gs, es)
+
+
+# -- the half-tree side rule against the label-and-distance rule it replaced ----------
+
+def reference_side_of_translate(half, g):
+    """The original side rule, kept as the reference.
+
+    The translate (m, e0), m = g.gamma, is in the terminus half when it is
+    the lifted edge itself, or touches its terminus vertex Y but not its
+    origin vertex X, or else lies nearer Y than X in the tree.
+    """
+    pi, e0, gamma = half.pi, half.e0, half.gamma
+    m = pi.compose(pi.as_morphism(g), gamma)
+    if pi.edge_label(m, e0) == pi.edge_label(gamma, e0):
+        return 1
+    m_y = pi.cross(gamma, e0)
+    X, _ = pi.vertex_label(gamma)
+    Y, _ = pi.vertex_label(m_y)
+    p, _ = pi.vertex_label(m)
+    q, _ = pi.vertex_label(pi.cross(m, e0))
+    if p == X or q == X:
+        return -1
+    if p == Y or q == Y:
+        return 1
+
+    def distance(a, b):
+        return len(pi.compose(pi.invert_morph(a), b).es)
+
+    return 1 if distance(m, m_y) < distance(m, gamma) else -1
+
+
+def path_gog():
+    """u - w - x with asymmetric embeddings on w - x: marked at w -> x, the
+    lifted edge sits one tree step away from the base vertex."""
+    graph = SerreGraph.from_geometric(["u", "w", "x"], [("u", "w"), ("w", "x")])
+    return GraphOfFiniteGroups(
+        graph,
+        {"u": FiniteGroup.cyclic(2), "w": FiniteGroup.cyclic(4), "x": FiniteGroup.cyclic(6)},
+        {0: FiniteGroup.cyclic(1), 2: FiniteGroup.cyclic(2)},
+        {0: [0], 1: [0], 2: [0, 3], 3: [0, 2]},
+        name="path",
+    )
+
+
+def fuzz_cases():
+    rng = random.Random(20261018)
+    return [PiOne(random_segment(rng) if i % 2 else random_loop(rng)) for i in range(24)]
+
+
+FUZZ_CASES = fuzz_cases()
+
+
+def side_cases():
+    """(half-tree splitting, generators) at every nontrivial edge of the
+    catalog graphs of groups, mixed_gog, path_gog and seeded fuzz draws."""
+    cases = []
+    for pi in NORMALIZER_CASES + [PiOne(path_gog())] + FUZZ_CASES:
+        for e, kind in splitting_classify(pi.gog).per_edge:
+            if kind != "trivial":
+                cases.append((HalfTreeSplitting(pi, e), pi.default_generators()))
+    return cases
+
+
+SIDE_CASES = side_cases()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_side_of_translate_matches_reference(data):
+    half, gens = data.draw(st.sampled_from(SIDE_CASES))
+    g = half.pi.identity()
+    for s in data.draw(st.lists(st.sampled_from(gens), max_size=12)):
+        g = g * s
+    assert half.side_of_translate(g) == reference_side_of_translate(half, g)
+
+
+# -- the one-rank exactness verdict against verify_short_exact -------------------------
+
+def test_exactness_verdict_matches_verify_short_exact():
+    # the fuzz draws stop at radius 3, where their trees are still small
+    cases = [(pi, RESOLUTION_RADIUS) for pi in NORMALIZER_CASES] + [(pi, 3) for pi in FUZZ_CASES]
+    for pi, top in cases:
+        for r in range(1, top + 1):
+            graph = tree_truncation(pi, r).graph
+            d = delta_matrix(graph)
+            cert = exactness_on_truncation(pi, r)
+            assert cert.passed == verify_short_exact(d, augmentation_matrix(len(graph.vertices)))
+            ranks = cert.details["delta_rank"], cert.details["delta_kernel"], cert.details["delta_cokernel"]
+            assert ranks == rank_kernel_cokernel(d)
+
+
+@pytest.mark.parametrize("graph", [triangle(), SerreGraph.from_geometric([0, 1], [])], ids=["cycle", "two_points"])
+def test_exactness_verdict_rejects_what_verify_short_exact_rejects(monkeypatch, graph):
+    # a truncation that is not a tree: a cycle, or two components
+    monkeypatch.setattr(bass_serre, "tree_truncation", lambda pi, radius, cap: SimpleNamespace(graph=graph))
+    assert not verify_short_exact(delta_matrix(graph), augmentation_matrix(len(graph.vertices)))
+    assert not exactness_on_truncation(dinf(), 1).passed

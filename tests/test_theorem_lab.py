@@ -11,6 +11,7 @@ from endlab.theorem_lab import (
     Scales,
     catalog_from_json,
     catalog_to_json,
+    default_catalog,
     make_oracle,
     run_catalog,
     run_witness_chain,
@@ -19,6 +20,7 @@ from endlab.theorem_lab import (
 )
 
 FAST = Scales(radius=8)
+Z_HNN_ENTRY = next(e for e in default_catalog() if e.name == "z_hnn").to_json()
 
 
 def test_default_catalog_is_consistent(catalog):
@@ -219,6 +221,13 @@ def test_cli_witness_on_trivial_splitting_reports_cleanly(tmp_path, capsys):
     assert out["error"] == "invalid_input"
 
 
+def test_cli_witness_on_missing_edge_reports_cleanly(tmp_path, capsys, catalog):
+    path = write_spec(tmp_path, catalog["c2_c3_gog"])
+    assert cli.main(["witness", path, "--edge", "7"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "invalid_input", "message": "edge 7 is not an edge of the base graph"}
+
+
 def test_cli_missing_file_reports_cleanly(capsys):
     assert cli.main(["ends", "no_such_file.json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
@@ -295,6 +304,9 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
     (("backend", "edges", 0, "embedding"), [7],
      "edge 0: embedding entry 7 is not an element of the group at 'w'"),
     (("backend", "edges", 1, "id"), 0, "edges[1].id repeats edge id 0"),
+    # a boolean or a float equal to an edge id names no edge
+    (("pairs", 0, "S", 0, 0), {"e": True}, "pairs[0].S[0][0].e names no edge, got True"),
+    (("pairs", 0, "S", 0, 0), {"e": 1.0}, "pairs[0].S[0][0].e names no edge, got 1.0"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -306,6 +318,18 @@ def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field
     path.write_text(json.dumps(spec))
     assert cli.main(["cut", str(path), "--R", "4"]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+def test_cli_boolean_vertex_id_names_no_vertex(tmp_path, capsys, catalog):
+    # with integer vertex ids 0 and 1, true would otherwise read as vertex 1
+    text = json.dumps(catalog["c2_c3_gog"].spec).replace('"u"', "0").replace('"w"', "1")
+    spec = json.loads(text)
+    spec["pairs"][0]["S"][0][0] = {"v": True, "g": 1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["cut", str(path), "--R", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "invalid_input", "message": "pairs[0].S[0][0].v names no vertex, got True"}
 
 
 @pytest.mark.parametrize("graph, message", [
@@ -341,6 +365,10 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "scales", "r_max"), -1, "r_max must be non-negative, got -1"),
     (("entries", 0, "name"), 5, "entries[0].name must be a string, got int"),
     (("entries", 0, "spec", "pairs"), [], "entries[0].spec.pairs must not be empty"),
+    (("entries", 0, "marked_edge"), [0], "entries[0].marked_edge must be an integer, got list"),
+    (("entries", 0, "marked_edge"), True, "entries[0].marked_edge must be an integer, got bool"),
+    (("entries", 0, "marked_edge"), 1.0, "entries[0].marked_edge must be an integer, got float"),
+    (("entries", 0), {**Z_HNN_ENTRY, "marked_edge": 7}, "edge 7 is not an edge of the base graph"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
