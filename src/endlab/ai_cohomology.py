@@ -90,9 +90,10 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
         return cache[rep]
 
     def diff_support(g):
-        return tuple(
+        # translating_cosets may name a coset twice; keep its first place
+        return tuple(dict.fromkeys(
             coset_canonical(pi, pair.K, h) for h in half.translating_cosets(g)
-        )
+        ))
 
     certificates = [diff_support(s) for s in pair.S]
     w = AIWitness(

@@ -20,9 +20,9 @@ unique, so it does not depend on the order in which pinches are removed.
 A caller that knows a prefix of the word is already normal says so, and
 only the junction after that prefix is worked on.
 
-The universal covering tree is materialized only as finite truncations:
-vertices are canonically labelled cosets of vertex groups, edges cosets of
-embedded edge groups.
+The universal covering tree is materialized only as finite truncations,
+read through reduced words alone: vertices are canonically labelled cosets
+of vertex groups, and tree edges carry no labels.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, expect
 from .group_backends import DEFAULT_CAP, FiniteGroup
 from .qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel
-from .serre_graphs import VERTEX_ID, SerreGraph
+from .serre_graphs import SerreGraph, vertex_ids
 
 
 class Morphism(NamedTuple):
@@ -139,9 +139,7 @@ class GraphOfFiniteGroups:
             expect(ed, dict, f"edges[{i}]")
             for i, ed in enumerate(expect(data["edges"], list, "edges"))
         ]
-        graph = SerreGraph.from_records(
-            [expect(v["id"], VERTEX_ID, f"vertices[{i}].id") for i, v in enumerate(vertices)], edges
-        )
+        graph = SerreGraph.from_records(vertex_ids([v["id"] for v in vertices], "vertices[{}].id"), edges)
         vgroups = {
             v["id"]: _group_from_json(v["group"], f"vertices[{i}].group")
             for i, v in enumerate(vertices)
@@ -381,41 +379,26 @@ class PiOne:
         return (len(m.es), m.es, m.gs)
 
     # -- canonical labels in the universal tree -----------------------------
-    def _coset_forms(self, m, us):
-        """Normal forms of m.u for the elements u of us at the endpoint of m.
+    def vertex_label(self, m):
+        """(canonical label, canonical representative) of the coset vertex of m.
 
-        m may be any word.  The first product is normalized in full, and the
-        others from that normal form, whose letters form a normal prefix.
+        m may be any word.  The least normal form of m.u, u in the group at
+        its end, keys the label; the first product is normalized in full, the
+        others from its letters, which form a normal prefix.
         """
-        G = self.vgroup(self.morph_end(m))
+        v = self.morph_end(m)
+        G, us = self.vgroup(v), range(len(self.vgroup(v)))
         first = self.normalize(m.start, m.gs[:-1] + (G.mul(m.gs[-1], us[0]),), m.es)
         head, x, k = first.gs[:-1], G.mul(first.gs[-1], G.inv(us[0])), len(first.es)
-        return [first] + [
+        forms = [first] + [
             self.normalize(m.start, head + (G.mul(x, u),), first.es, k) for u in us[1:]
         ]
-
-    def vertex_label(self, m):
-        """(canonical label, canonical representative) of the coset vertex of m."""
-        v = self.morph_end(m)
-        best = min(self._coset_forms(m, range(len(self.vgroup(v)))), key=self.morph_key)
+        best = min(forms, key=self.morph_key)
         return ("v", v, self.morph_key(best)), best
-
-    def edge_label(self, m, e):
-        """Canonical label of the tree edge (m, e); m must end at origin(e)."""
-        if self.morph_end(m) != self.graph.origin(e):
-            raise ValueError(f"edge {e} does not start at the endpoint of the word")
-        ims = self.gog.embeddings[self.graph.inverse(e)]
-        return ("e", e, min(map(self.morph_key, self._coset_forms(m, ims))))
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
         return PiOneElement(self, (self.vgroup(self.base_vertex).identity,), ())
-
-    def element(self, gs, es):
-        m = self.normalize(self.base_vertex, gs, es)
-        if self.morph_end(m) != self.base_vertex:
-            raise ValueError("word is not a loop at the base vertex")
-        return PiOneElement(self, m.gs, m.es)
 
     def multiply(self, a, b):
         mid = self._base_table[a.gs[-1]][b.gs[0]]
@@ -607,52 +590,47 @@ class TreeTruncation:
 
 
 def tree_truncation(pi, radius, cap=DEFAULT_CAP):
-    """BFS the universal tree out to the given radius.
+    """BFS the universal tree out to the given radius, over edge-group cosets.
 
     A vertex label ("v", v, key) names the base-graph vertex v it lies
-    over.  Tree edges are deduplicated by edge-group coset, which is why
-    this BFS is not cayley_abels.build.
+    over.  Two facts from Serre, Trees, I.5, let the walk meet each tree
+    edge once with no edge labels.  The tree edges over e at the vertex of
+    a word m correspond to the left cosets h.A_e, A_e the image of the edge
+    group at origin(e), so m h e meets each once as h runs over the least
+    elements of the cosets.  And the length of a reduced word is its tree
+    distance from the base vertex, so the edge back to the parent is the
+    one whose target's word is a letter shorter.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    base_m = pi.morph_identity(pi.base_vertex)
-    blabel, brep = pi.vertex_label(base_m)
+    graph, emb = pi.graph, pi.gog.embeddings
+    coset_mins = {}
+    for e in graph.edges:
+        G = pi.vgroup(graph.origin(e))
+        coset_mins[e] = sorted({min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))})
+    blabel, brep = pi.vertex_label(pi.morph_identity(pi.base_vertex))
     reps = {blabel: brep}
     depth = {blabel: 0}
-    records = []
-    seen_edges = set()
+    pairs = []
     frontier = [(blabel, brep)]
     for d in range(radius):
         nxt = []
         for plabel, pm in frontier:
-            v = pi.morph_end(pm)
-            for e in pi.graph.star(v):
-                for h in range(len(pi.vgroup(v))):
-                    nu = pi.append_mul(pm, h)
-                    elF = pi.edge_label(nu, e)
-                    if elF in seen_edges:
+            for e in graph.star(pi.morph_end(pm)):
+                for h in coset_mins[e]:
+                    tlabel, trep = pi.vertex_label(pi.cross(pi.append_mul(pm, h), e))
+                    if len(trep.es) < d:
                         continue
-                    mu2 = pi.cross(nu, e)
-                    seen_edges.add(elF)
-                    seen_edges.add(pi.edge_label(mu2, pi.graph.inverse(e)))
-                    tlabel, trep = pi.vertex_label(mu2)
-                    if tlabel not in reps:
-                        reps[tlabel] = trep
-                        depth[tlabel] = d + 1
-                        nxt.append((tlabel, trep))
-                        if len(reps) > cap:
-                            raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
-                    records.append((plabel, tlabel))
+                    reps[tlabel] = trep
+                    depth[tlabel] = d + 1
+                    nxt.append((tlabel, trep))
+                    if len(reps) > cap:
+                        raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
+                    pairs.append((plabel, tlabel))
         frontier = nxt
         if not frontier:
             break
-    origin, inverse = {}, {}
-    for i, (a, b) in enumerate(records):
-        f, g = 2 * i, 2 * i + 1
-        origin[f], origin[g] = a, b
-        inverse[f], inverse[g] = g, f
-    graph = SerreGraph(list(reps), origin, inverse, check=False)
-    return TreeTruncation(pi, graph, blabel, radius, depth, reps)
+    return TreeTruncation(pi, SerreGraph.from_geometric(list(reps), pairs), blabel, radius, depth, reps)
 
 
 def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
@@ -707,49 +685,36 @@ class HalfTreeSplitting:
         self.e0 = e0
         self.gamma = pi.tree_path_morphism(graph.origin(e0))
         self.gamma_inv = pi.invert_morph(self.gamma)
-        self.mY = pi.cross(self.gamma, e0)
         self.stabilizer = pi.gog.embeddings[graph.inverse(e0)]
+
+    def _geodesic(self, g):
+        """The reduced word of gamma^-1 g gamma: the tree geodesic from X to g.X."""
+        pi = self.pi
+        return pi.compose(self.gamma_inv, pi.compose(pi.as_morphism(g), self.gamma))
 
     def side_of_translate(self, g):
         """Side of g . (lifted base edge): +1 for the terminus half, -1 otherwise."""
-        pi = self.pi
-        d = pi.compose(self.gamma_inv, pi.compose(pi.as_morphism(g), self.gamma))
+        d = self._geodesic(g)
         return 1 if d.gs[0] in self.stabilizer and (not d.es or d.es[0] == self.e0) else -1
 
-    def geodesic_edges(self, m_from, m_to):
-        """Oriented tree edges crossed from vertex(m_from) to vertex(m_to)."""
-        pi = self.pi
-        delta = pi.compose(pi.invert_morph(m_from), m_to)
-        out = []
-        cur = m_from
-        for i, e in enumerate(delta.es):
-            cur = pi.append_mul(cur, delta.gs[i])
-            out.append((e, cur))
-            cur = pi.cross(cur, e)
-        return out
-
     def translating_cosets(self, g):
-        """Group elements h (up to the edge stabilizer) with h . (base edge)
-        on the tree path between the base edge and g . (base edge).
+        """Elements h with h.E on the tree path between E and g.E, a superset
+        of where the side predicates of E and g.E can disagree.  A
+        stabilizer coset may recur.
 
-        Returns one representative per coset; the set of translated-edge
-        positions is a finite superset of where the side predicate of the
-        base edge and of its g-translate can disagree.
+        Serre, Trees, I.5: the length of a reduced word is its tree distance
+        from the base vertex, so d = gamma^-1 g gamma crosses the geodesic
+        from X to g.X one letter per edge; and the tree edges over e0 at a
+        vertex are the left cosets of its stabilizer, so the e0 letter after
+        a prefix p of d crosses gamma p gamma^-1 . E.  An inv(e0) letter is
+        read from its far end.  The path then adds at most g.E and E.
         """
-        pi = self.pi
-        gm = pi.as_morphism(g)
-        sX = pi.compose(gm, self.gamma)
-        sY = pi.compose(gm, self.mY)
-        found = {}
-        for a in (self.gamma, self.mY):
-            for b in (sX, sY):
-                for e, nu in self.geodesic_edges(a, b):
-                    if min(e, pi.graph.inverse(e)) != self.e0:
-                        continue
-                    if e != self.e0:
-                        nu = pi.cross(nu, e)
-                        e = pi.graph.inverse(e)
-                    label = pi.edge_label(nu, e)
-                    if label not in found:
-                        found[label] = pi.from_morphism(pi.compose(nu, self.gamma_inv))
-        return tuple(found.values())
+        pi, e0, e0_inv = self.pi, self.e0, self.pi.graph.inverse(self.e0)
+        d = self._geodesic(g)
+        out, cur = [], self.gamma
+        for i, e in enumerate(d.es):
+            nu = pi.append_mul(cur, d.gs[i])
+            cur = pi.cross(nu, e)
+            if e in (e0, e0_inv):
+                out.append(pi.from_morphism(pi.compose(nu if e == e0 else cur, self.gamma_inv)))
+        return tuple(out) + (g, pi.identity())

@@ -176,10 +176,7 @@ class SerreGraph:
             expect(ed, dict, f"edges[{i}]")
             for i, ed in enumerate(expect(data["edges"], list, "edges"))
         ]
-        vertices = [
-            expect(v, VERTEX_ID, f"vertices[{i}]")
-            for i, v in enumerate(expect(data["vertices"], list, "vertices"))
-        ]
+        vertices = vertex_ids(expect(data["vertices"], list, "vertices"), "vertices[{}]")
         g = cls.from_records(vertices, edges)
         for ed in edges:
             if g.terminus(ed["id"]) != ed["t"]:
@@ -206,6 +203,17 @@ class SerreGraph:
 
 def _dot_id(v):
     return str(v).replace('"', "'")
+
+
+def vertex_ids(values, where):
+    """values, if distinct vertex ids; else ValueError naming where.format(i)."""
+    seen = set()
+    for i, v in enumerate(values):
+        expect(v, VERTEX_ID, where.format(i))
+        if v in seen:
+            raise ValueError(f"{where.format(i)} repeats vertex id {v!r}")
+        seen.add(v)
+    return values
 
 
 @dataclass(frozen=True)

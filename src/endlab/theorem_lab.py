@@ -104,7 +104,7 @@ class CatalogEntry:
         marked_edge = data.get("marked_edge")
         if marked_edge is not None:
             expect(marked_edge, int, f"{where}.marked_edge")
-        return cls(
+        entry = cls(
             name=expect(data["name"], str, f"{where}.name"),
             spec=spec,
             expected_ends=data["expected_ends"],
@@ -115,6 +115,12 @@ class CatalogEntry:
             provenance=data.get("provenance", {}),
             scales=scales,
         )
+        # the backend is built here, not after the entry's probes, to check the edge
+        if marked_edge is not None:
+            backend = entry.backend()
+            if not isinstance(backend, PiOne) or marked_edge not in backend.graph.edges:
+                raise ValueError(f"{where}.marked_edge names no base edge, got {marked_edge}")
+        return entry
 
 
 # -- backend and pair specs ----------------------------------------------

@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab import bass_serre
+from endlab.ai_cohomology import witness_from_splitting
 from endlab.bass_serre import (
     GraphOfFiniteGroups,
     HalfTreeSplitting,
     Morphism,
     PiOne,
     PiOneElement,
+    TreeTruncation,
     exactness_on_truncation,
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import ball_enumerate
+from endlab.cayley_abels import ball_enumerate, coset_canonical
+from endlab.errors import BudgetExceeded
 from endlab.group_backends import FiniteGroup
 from endlab.qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from endlab.serre_graphs import SerreGraph
@@ -604,12 +607,9 @@ def test_coset_labels_match_reference(data):
     for m in (normal, raw):
         assert pi.vertex_label(m) == reference_vertex_label(pi, m)
         for e in pi.graph.star(pi.morph_end(m)):
-            assert pi.edge_label(m, e) == reference_edge_label(pi, m, e)
             # crossing back along the last letter pinches at the junction
             crossed = pi.cross(m, e)
             assert pi.vertex_label(crossed) == reference_vertex_label(pi, crossed)
-            f = pi.graph.inverse(e)
-            assert pi.edge_label(crossed, f) == reference_edge_label(pi, crossed, f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -640,7 +640,7 @@ def reference_side_of_translate(half, g):
     """
     pi, e0, gamma = half.pi, half.e0, half.gamma
     m = pi.compose(pi.as_morphism(g), gamma)
-    if pi.edge_label(m, e0) == pi.edge_label(gamma, e0):
+    if reference_edge_label(pi, m, e0) == reference_edge_label(pi, gamma, e0):
         return 1
     m_y = pi.cross(gamma, e0)
     X, _ = pi.vertex_label(gamma)
@@ -671,6 +671,19 @@ def path_gog():
     )
 
 
+def parallel_gog():
+    """Two parallel u - w edges with edge groups C2 and 1, plus a loop at w
+    whose two embeddings of C3 differ by an automorphism."""
+    graph = SerreGraph.from_geometric(["u", "w"], [("u", "w"), ("u", "w"), ("w", "w")])
+    return GraphOfFiniteGroups(
+        graph,
+        {"u": FiniteGroup.cyclic(4), "w": FiniteGroup.cyclic(6)},
+        {0: FiniteGroup.cyclic(2), 2: FiniteGroup.cyclic(1), 4: FiniteGroup.cyclic(3)},
+        {0: [0, 3], 1: [0, 2], 2: [0], 3: [0], 4: [0, 2, 4], 5: [0, 4, 2]},
+        name="parallel",
+    )
+
+
 def fuzz_cases():
     rng = random.Random(20261018)
     return [PiOne(random_segment(rng) if i % 2 else random_loop(rng)) for i in range(24)]
@@ -679,11 +692,14 @@ def fuzz_cases():
 FUZZ_CASES = fuzz_cases()
 
 
+# the catalog graphs of groups, mixed_gog, path_gog, parallel_gog and seeded fuzz draws
+TREE_CASES = NORMALIZER_CASES + [PiOne(path_gog()), PiOne(parallel_gog())] + FUZZ_CASES
+
+
 def side_cases():
-    """(half-tree splitting, generators) at every nontrivial edge of the
-    catalog graphs of groups, mixed_gog, path_gog and seeded fuzz draws."""
+    """(half-tree splitting, generators) at every nontrivial edge of TREE_CASES."""
     cases = []
-    for pi in NORMALIZER_CASES + [PiOne(path_gog())] + FUZZ_CASES:
+    for pi in TREE_CASES:
         for e, kind in splitting_classify(pi.gog).per_edge:
             if kind != "trivial":
                 cases.append((HalfTreeSplitting(pi, e), pi.default_generators()))
@@ -693,14 +709,134 @@ def side_cases():
 SIDE_CASES = side_cases()
 
 
+def draw_product(data, pi, gens):
+    """A product of up to 12 generators."""
+    g = pi.identity()
+    for s in data.draw(st.lists(st.sampled_from(gens), max_size=12)):
+        g = g * s
+    return g
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_side_of_translate_matches_reference(data):
     half, gens = data.draw(st.sampled_from(SIDE_CASES))
-    g = half.pi.identity()
-    for s in data.draw(st.lists(st.sampled_from(gens), max_size=12)):
-        g = g * s
+    g = draw_product(data, half.pi, gens)
     assert half.side_of_translate(g) == reference_side_of_translate(half, g)
+
+
+# -- the coset walk and the reduced-word supports against the labelled walks they replaced --
+
+def reference_tree_truncation(pi, radius, cap):
+    """The original BFS, kept as the reference.
+
+    It tries every element h of the vertex group for every edge e at a
+    frontier vertex and deduplicates the tree edges (m.h, e) by canonical
+    edge-group coset labels, marking both orientations as it crosses.
+    """
+    blabel, brep = pi.vertex_label(pi.morph_identity(pi.base_vertex))
+    reps = {blabel: brep}
+    depth = {blabel: 0}
+    records = []
+    seen_edges = set()
+    frontier = [(blabel, brep)]
+    for d in range(radius):
+        nxt = []
+        for plabel, pm in frontier:
+            v = pi.morph_end(pm)
+            for e in pi.graph.star(v):
+                for h in range(len(pi.vgroup(v))):
+                    nu = pi.append_mul(pm, h)
+                    label = reference_edge_label(pi, nu, e)
+                    if label in seen_edges:
+                        continue
+                    mu2 = pi.cross(nu, e)
+                    seen_edges.add(label)
+                    seen_edges.add(reference_edge_label(pi, mu2, pi.graph.inverse(e)))
+                    tlabel, trep = pi.vertex_label(mu2)
+                    if tlabel not in reps:
+                        reps[tlabel] = trep
+                        depth[tlabel] = d + 1
+                        nxt.append((tlabel, trep))
+                        if len(reps) > cap:
+                            raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
+                    records.append((plabel, tlabel))
+        frontier = nxt
+        if not frontier:
+            break
+    origin, inverse = {}, {}
+    for i, (a, b) in enumerate(records):
+        f, g = 2 * i, 2 * i + 1
+        origin[f], origin[g] = a, b
+        inverse[f], inverse[g] = g, f
+    graph = SerreGraph(list(reps), origin, inverse, check=False)
+    return TreeTruncation(pi, graph, blabel, radius, depth, reps)
+
+
+# the reference relabels every edge, so the widest trees stop at this many vertices
+TREE_CAP = 1500
+
+
+def test_tree_truncation_matches_reference():
+    for pi in TREE_CASES:
+        for r in range(6):
+            try:
+                want = reference_tree_truncation(pi, r, TREE_CAP)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    tree_truncation(pi, r, cap=TREE_CAP)
+                break
+            got = tree_truncation(pi, r, cap=TREE_CAP)
+            assert got.graph.to_json() == want.graph.to_json()
+            assert list(got.depth.items()) == list(want.depth.items())
+            assert list(got.reps.items()) == list(want.reps.items())
+            assert got.to_dot() == want.to_dot()
+
+
+def reference_translating_cosets(half, g):
+    """The original supports, kept as the reference.
+
+    It walks the four geodesics between the endpoints X, Y of the lifted
+    edge E and those of g.E, and keeps one element per canonical label of
+    an edge over e0 that they cross, in the order first crossed.
+    """
+    pi, e0, gamma = half.pi, half.e0, half.gamma
+    inverse = pi.graph.inverse
+    m_y = pi.cross(gamma, e0)
+    gm = pi.as_morphism(g)
+    found = {}
+    for a in (gamma, m_y):
+        for b in (pi.compose(gm, gamma), pi.compose(gm, m_y)):
+            delta = pi.compose(pi.invert_morph(a), b)
+            cur = a
+            for i, e in enumerate(delta.es):
+                nu = pi.append_mul(cur, delta.gs[i])
+                cur = pi.cross(nu, e)
+                if min(e, inverse(e)) != e0:
+                    continue
+                if e != e0:
+                    nu = cur
+                label = reference_edge_label(pi, nu, e0)
+                if label not in found:
+                    found[label] = pi.from_morphism(pi.compose(nu, half.gamma_inv))
+    return tuple(found.values())
+
+
+SIDE_WITNESSES = {}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_difference_supports_match_reference(data):
+    i = data.draw(st.integers(0, len(SIDE_CASES) - 1))
+    half, gens = SIDE_CASES[i]
+    pi = half.pi
+    if i not in SIDE_WITNESSES:
+        SIDE_WITNESSES[i] = witness_from_splitting(pi, half.e0, probe_radius=1)
+    w = SIDE_WITNESSES[i]
+    g = draw_product(data, pi, gens)
+    want = tuple(coset_canonical(pi, w.pair.K, h) for h in reference_translating_cosets(half, g))
+    assert w.difference_support(g) == want
 
 
 # -- the one-rank exactness verdict against verify_short_exact -------------------------

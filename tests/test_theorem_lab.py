@@ -307,6 +307,11 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
     # a boolean or a float equal to an edge id names no edge
     (("pairs", 0, "S", 0, 0), {"e": True}, "pairs[0].S[0][0].e names no edge, got True"),
     (("pairs", 0, "S", 0, 0), {"e": 1.0}, "pairs[0].S[0][0].e names no edge, got 1.0"),
+    # a repeated vertex id would otherwise keep the last group listed for it
+    (("backend", "vertices"), [{"id": "u", "group": {"kind": "cyclic", "n": 2}},
+                               {"id": "u", "group": {"kind": "cyclic", "n": 3}},
+                               {"id": "w", "group": {"kind": "cyclic", "n": 3}}],
+     "vertices[1].id repeats vertex id 'u'"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -346,6 +351,7 @@ def test_cli_boolean_vertex_id_names_no_vertex(tmp_path, capsys, catalog):
                                     {"id": 1, "inv": 0, "o": 1, "t": 0},
                                     {"id": 0, "inv": 1, "o": 0, "t": 1}]},
      "edges[2].id repeats edge id 0"),
+    ({"vertices": ["a", "a", "b"], "edges": []}, "vertices[1] repeats vertex id 'a'"),
 ])
 def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
@@ -368,7 +374,7 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "marked_edge"), [0], "entries[0].marked_edge must be an integer, got list"),
     (("entries", 0, "marked_edge"), True, "entries[0].marked_edge must be an integer, got bool"),
     (("entries", 0, "marked_edge"), 1.0, "entries[0].marked_edge must be an integer, got float"),
-    (("entries", 0), {**Z_HNN_ENTRY, "marked_edge": 7}, "edge 7 is not an edge of the base graph"),
+    (("entries", 0), {**Z_HNN_ENTRY, "marked_edge": 7}, "entries[0].marked_edge names no base edge, got 7"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
