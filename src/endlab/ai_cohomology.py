@@ -134,19 +134,13 @@ def check_almost_invariance(w, t):
     k_orbits = {}
     cert_union = sorted({c for cert in w.certificates for c in cert}, key=backend.sort_key)
     for k in w.pair.K.elements:
-        moved = []
-        for v in t.graph.vertices:
-            if w.translate_chi(k, v) != w.chi(v):
-                moved.append(str(v))
+        moved = [str(v) for v in t.vertices if w.translate_chi(k, v) != w.chi(v)]
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
         k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.sphere}
     for si, s in enumerate(w.pair.S):
         cert = set(w.certificates[si])
-        outside = []
-        for v in t.graph.vertices:
-            if w.translate_chi(s, v) != w.chi(v) and v not in cert:
-                outside.append(str(v))
+        outside = [str(v) for v in t.vertices if w.translate_chi(s, v) != w.chi(v) and v not in cert]
         if outside:
             failures.append({"kind": "difference_escapes_certificate", "s": str(s), "cosets": outside[:10]})
     return Certificate(
@@ -154,7 +148,7 @@ def check_almost_invariance(w, t):
         passed=not failures,
         details={
             "pair": w.pair.name,
-            "ball_size": len(t.graph.vertices),
+            "ball_size": len(t.vertices),
             "difference_sets": [[str(c) for c in cert] for cert in w.certificates],
             "k_orbit_tables": k_orbits,
             "failures": failures,
@@ -221,14 +215,11 @@ def cut_from_witness(w, t):
     """
     _require_same_pair(w, t)
     backend = w.pair.backend
-    inside = []
-    for v in t.graph.vertices:
-        rep = coset_canonical(backend, w.pair.K, backend.inverse(v))
-        if w.chi(rep):
-            inside.append(v)
-    cb = coboundary(t.graph, inside)
+    inside = [v for v in t.vertices if w.chi(coset_canonical(backend, w.pair.K, backend.inverse(v)))]
+    cb = coboundary(t, inside)
     bound = sum(len(c) for c in w.certificates)
-    probe = {t.graph.origin(e) for e in cb} | {t.graph.terminus(e) for e in cb}
+    # the interior endpoints of the coboundary; edges 2c and 2c + 1 share pair c
+    probe = {t.vertices[i] for e in cb[::2] for i in t.pairs[e // 2]}
     probe = {v for v in probe if t.sphere[v] < t.radius}
     esc = 0
     if probe:

@@ -171,6 +171,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         return args.func(args)
     except BudgetExceeded as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)})

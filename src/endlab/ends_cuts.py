@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import cayley_abels
 from .group_backends import DEFAULT_CAP
+from .serre_graphs import blocks
 
 ZERO_ENDS = "ZeroEnds"
 AT_MOST_ONE = "AtMostOneAtScale"
@@ -61,15 +62,18 @@ def escaping_components(t, probe):
     """Components of the truncation minus probe, with escape flags.
 
     A component escapes when it contains a vertex on the outer sphere.
-    The probe must stay strictly inside the truncation.  The components
-    are walked in place around the probe; the truncation is never copied.
+    The probe must stay strictly inside the truncation.  The blocks are
+    walked on the rows around the probe, so nothing is copied.
     """
     if not all(v in t.sphere for v in probe):
         raise ValueError("probe contains vertices outside the truncation")
     if any(t.sphere[v] >= t.radius for v in probe):
         raise ValueError("probe touches the truncation boundary; enlarge the radius")
-    blocks = t.graph.components(probe)
-    return [(block, any(t.sphere[v] == t.radius for v in block)) for block in blocks]
+    # BFS order is sorted by sphere, so a block reaches the outer sphere
+    # exactly when its last index lies on it
+    vs = t.vertices
+    return [(tuple(map(vs.__getitem__, b)), t.sphere[vs[b[-1]]] == t.radius)
+            for b in blocks(t.rows, map(t.index.__getitem__, probe))]
 
 
 def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
@@ -125,13 +129,14 @@ class Cut:
         }
 
 
-def coboundary(graph, vertex_set):
-    """Oriented edges with exactly one endpoint in vertex_set."""
-    inside = set(vertex_set)
+def coboundary(t, vertex_set):
+    """Oriented edges with exactly one endpoint in vertex_set, in id order;
+    pair c of t.pairs is the edges 2c and 2c + 1."""
+    inside = {t.index[v] for v in vertex_set}
     out = []
-    for e in graph.edges:
-        if (graph.origin(e) in inside) != (graph.terminus(e) in inside):
-            out.append(e)
+    for c, (i, j) in enumerate(t.pairs):
+        if (i in inside) != (j in inside):
+            out += (2 * c, 2 * c + 1)
     return tuple(out)
 
 
@@ -141,7 +146,7 @@ def find_cut(t):
     Probes grow from radius 0 and stay MARGIN steps away from the
     truncation boundary.  The returned component is the one whose
     earliest vertex comes first in the truncation's canonical order,
-    which is the order SerreGraph.components lists blocks in.
+    which is the order escaping_components lists blocks in.
     """
     for r in range(max(0, t.radius - MARGIN)):
         escaping = [block for block, esc in escaping_components(t, t.ball(r)) if esc]
@@ -149,7 +154,7 @@ def find_cut(t):
             chosen = escaping[0]
             return Cut(
                 vertices=chosen,
-                coboundary=coboundary(t.graph, chosen),
+                coboundary=coboundary(t, chosen),
                 escaping=True,
                 complement_escaping=True,
                 probe_radius=r,

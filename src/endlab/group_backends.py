@@ -232,6 +232,8 @@ class RewritingGroup:
                 raise ValueError(f"rules[{i}] must be a pair of word strings, got {r!r}")
             rules.append(tuple(r))
         generators = expect(data["generators"], list, "generators")
+        if not generators:
+            raise ValueError("generators must not be empty")
         for i, g in enumerate(generators):
             expect(g, str, f"generators[{i}]")
         inverses = expect(data["inverses"], dict, "inverses")

@@ -56,7 +56,7 @@ def test_pair_normalizes_generators():
     raw = GeneratingPair(z, trivial_subgroup(z), ["aAa", "A"])
     assert raw.S == ("a", "A")
     pair = GeneratingPair(z, trivial_subgroup(z), ["a"])
-    assert build(raw, 3).to_json()["edges"] == build(pair, 3).to_json()["edges"]
+    assert coset_table(build(raw, 3)) == coset_table(build(pair, 3))
 
 
 def test_pair_saturates_k_conjugation():
@@ -182,9 +182,10 @@ def test_budget_cap_enforced(catalog):
 def test_dot_and_json_exports(catalog):
     pair = catalog["dinfty_gog"].pairs()[0]
     t = build(pair, 2)
-    data = t.to_json()
-    assert data["radius"] == 2
-    assert len(data["cosets"]) == len(t.graph.vertices)
+    data = t.graph.to_json()
+    assert data["vertices"] == list(t.vertices)
+    assert len(data["edges"]) == 2 * len(t.pairs)
+    assert t.graph.to_dot().count("->") == len(t.pairs)
 
 
 def test_labels_agree_with_membership_criterion(catalog):
@@ -219,15 +220,24 @@ def test_infinite_entries_keep_growing(catalog):
 
 # -- one-pass coset table against the two-pass reference --------------------------
 
+def coset_table(t):
+    """The fields of a truncation that reference_build computes."""
+    return {
+        "vertices": t.vertices,
+        "sphere": t.sphere,
+        "rows": t.rows,
+        "edges": [(t.vertices[i], t.vertices[j]) for i, j in t.pairs],
+        "exhausted": t.exhausted,
+    }
+
+
 def reference_build(pair, radius, cap=200_000):
-    """The original two-pass build, kept as the reference.
+    """The original two-pass build, kept as the reference; returns the
+    fields coset_table reads.
 
     The BFS and the half-edge pass each label every (coset, generator)
     slot with coset_canonical.
     """
-    from endlab.cayley_abels import RoughCayleyTruncation
-    from endlab.serre_graphs import SerreGraph
-
     backend = pair.backend
     base = coset_canonical(backend, pair.K, backend.identity())
     reps = {base: base}
@@ -255,27 +265,23 @@ def reference_build(pair, radius, cap=200_000):
             exhausted = True
             break
     index = {v: i for i, v in enumerate(order)}
+    rows = [[] for _ in order]
     half = {}
     for x in order:
         for si, s in enumerate(pair.S):
             y = coset_canonical(backend, pair.K, backend.multiply(reps[x], s))
             if y not in sphere:
                 continue
+            rows[index[x]].append(index[y])
             key = (min(index[x], index[y]), max(index[x], index[y]))
             fwd, bwd = half.setdefault(key, ([], []))
             (fwd if index[x] < index[y] else bwd).append((x, si, y))
-    origin, inverse = {}, {}
-    count = 0
+    edges = []
     for key in sorted(half):
         fwd, bwd = half[key]
         assert len(fwd) == len(bwd)
-        for (x, si, y), (y2, sj, x2) in zip(fwd, bwd):
-            e, f = 2 * count, 2 * count + 1
-            count += 1
-            origin[e], origin[f] = x, y
-            inverse[e], inverse[f] = f, e
-    graph = SerreGraph(order, origin, inverse, check=False)
-    return RoughCayleyTruncation(pair, graph, base, radius, sphere, exhausted)
+        edges.extend((x, y) for (x, si, y), _ in zip(fwd, bwd))
+    return {"vertices": tuple(order), "sphere": sphere, "rows": rows, "edges": edges, "exhausted": exhausted}
 
 
 def catalog_pairs(catalog):
@@ -285,10 +291,7 @@ def catalog_pairs(catalog):
 @pytest.mark.parametrize("radius", [3, 5])
 def test_build_matches_two_pass_reference(catalog, radius):
     for pair in catalog_pairs(catalog):
-        t = build(pair, radius)
-        ref = reference_build(pair, radius)
-        assert t.to_json() == ref.to_json(), pair.name
-        assert t.exhausted == ref.exhausted, pair.name
+        assert coset_table(build(pair, radius)) == reference_build(pair, radius), pair.name
 
 
 def test_build_labels_each_slot_once(catalog, monkeypatch):
@@ -305,7 +308,7 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
         t = build(pair, 4)
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
-        bound = len(t.graph.vertices) * n_s * n_k + n_s * n_k + n_k
+        bound = len(t.vertices) * n_s * n_k + n_s * n_k + n_k
         assert len(calls) <= bound, (pair.name, len(calls), bound)
 
 

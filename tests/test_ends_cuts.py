@@ -12,7 +12,7 @@ from endlab.ends_cuts import (
 )
 
 from test_cayley_abels import make_c6, make_z
-from test_serre_graphs import assert_components_agree
+from test_serre_graphs import reference_components
 
 
 def z_truncation(radius):
@@ -217,7 +217,7 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
 def reference_find_cut(t, margin=4):
     """The original find_cut, kept as the reference: escaping blocks sorted by
     their earliest vertex in the truncation's order."""
-    from endlab.ends_cuts import Cut, coboundary
+    from endlab.ends_cuts import Cut
 
     index = {v: i for i, v in enumerate(t.graph.vertices)}
     for r in range(max(0, t.radius - margin)):
@@ -228,7 +228,7 @@ def reference_find_cut(t, margin=4):
         if len(escaping) >= 2:
             escaping.sort(key=lambda block: min(index[v] for v in block))
             chosen = escaping[0]
-            return Cut(chosen, coboundary(t.graph, chosen), True, True, r)
+            return Cut(chosen, reference_coboundary(t.graph, chosen), True, True, r)
     return None
 
 
@@ -244,7 +244,22 @@ def test_probe_loop_matches_reference(catalog, r_max, radius):
             assert (cut and cut.to_json()) == (ref_cut and ref_cut.to_json()), pair.name
 
 
-# -- in-place probes against the graph copy and the old union-find ---------------------
+# -- probes on the coset table against the graph copy and the old scans ----------------
+
+def reference_coboundary(graph, vertex_set):
+    """The scan of the label-keyed graph that coboundary replaced, kept as the
+    reference: oriented edges with exactly one endpoint in vertex_set."""
+    inside = set(vertex_set)
+    return tuple(e for e in graph.edges if (graph.origin(e) in inside) != (graph.terminus(e) in inside))
+
+
+def assert_components_agree(t, probe):
+    """escaping_components(t, probe) == the union-find components of the graph
+    copy without probe, with the escape flags read off the outer sphere."""
+    rest = t.graph.remove_vertex_set(set(probe))
+    want = [(block, any(t.sphere[v] == t.radius for v in block)) for block in reference_components(rest)]
+    assert escaping_components(t, probe) == want
+
 
 @pytest.mark.parametrize("r_max, radius", [(1, 6), (3, 8)])
 def test_ball_probes_walk_the_truncation_like_the_copy(catalog, r_max, radius):
@@ -252,7 +267,19 @@ def test_ball_probes_walk_the_truncation_like_the_copy(catalog, r_max, radius):
         for pair in entry.pairs():
             t = build(pair, radius)
             for r in range(r_max + 1):
-                assert_components_agree(t.graph, t.ball(r))
+                assert_components_agree(t, t.ball(r))
+
+
+@pytest.mark.parametrize("radius", [6, 8])
+def test_coboundary_of_every_probe_block_matches_the_graph_scan(catalog, radius):
+    from endlab.ends_cuts import MARGIN, coboundary
+
+    for entry in catalog.values():
+        for pair in entry.pairs():
+            t = build(pair, radius)
+            for r in range(radius - MARGIN):
+                for block, _ in escaping_components(t, t.ball(r)):
+                    assert coboundary(t, block) == reference_coboundary(t.graph, block), pair.name
 
 
 @pytest.mark.parametrize("probe_radius", [5, 8])
@@ -270,8 +297,9 @@ def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, pr
         # the probe cut_from_witness takes: the interior ends of the coboundary
         inside = [v for v in t.graph.vertices
                   if w.chi(coset_canonical(backend, w.pair.K, backend.inverse(v)))]
-        cb = coboundary(t.graph, inside)
+        cb = reference_coboundary(t.graph, inside)
+        assert coboundary(t, inside) == cb, entry.name
         ends = {t.graph.origin(e) for e in cb} | {t.graph.terminus(e) for e in cb}
         probe = {v for v in ends if t.sphere[v] < t.radius}
         assert probe, entry.name
-        assert_components_agree(t.graph, probe)
+        assert_components_agree(t, probe)

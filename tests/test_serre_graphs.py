@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab.serre_graphs import SerreGraph, random_graph
+from endlab.serre_graphs import SerreGraph, blocks, random_graph
 
 
 # -- independent oracles ----------------------------------------------------
@@ -55,10 +55,15 @@ def reference_components(graph):
     return tuple(tuple(blocks[r]) for r in sorted(blocks))
 
 
-def assert_components_agree(graph, without):
-    """components(without=S) == remove_vertex_set(S).components() == the reference."""
-    got = graph.components(without)
-    rest = graph.remove_vertex_set(set(without))
+def neighbours(graph):
+    """The adjacency lists blocks walks, for a graph on the vertices 0..n-1."""
+    return [[graph.terminus(e) for e in graph.star(v)] for v in graph.vertices]
+
+
+def assert_blocks_agree(graph, removed):
+    """blocks(adjacency, S) == remove_vertex_set(S).components() == the reference."""
+    got = tuple(map(tuple, blocks(neighbours(graph), removed)))
+    rest = graph.remove_vertex_set(set(removed))
     assert got == rest.components() == reference_components(rest)
 
 
@@ -128,8 +133,8 @@ def test_components_do_not_depend_on_edge_order():
 
 def test_components_leave_out_the_given_vertices_and_their_edges():
     g = line(6)
-    assert g.components([3]) == ((0, 1, 2), (4, 5, 6))
-    assert g.components(g.vertices) == ()
+    assert blocks(neighbours(g), [3]) == [[0, 1, 2], [4, 5, 6]]
+    assert blocks(neighbours(g), g.vertices) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,9 +143,9 @@ def test_components_without_match_copy_and_union_find(seed):
     # random_graph draws loops and parallel edges
     rng = random.Random(seed)
     g = random_graph(rng, max_vertices=30)
-    assert_components_agree(g, ())
+    assert_blocks_agree(g, ())
     for _ in range(4):
-        assert_components_agree(g, rng.sample(g.vertices, rng.randint(0, len(g.vertices))))
+        assert_blocks_agree(g, rng.sample(g.vertices, rng.randint(0, len(g.vertices))))
 
 
 # -- star ---------------------------------------------------------------------

@@ -266,6 +266,7 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     ("inverses", 5, "inverses must be an object, got int"),
     ("generators", ["a", 5], "generators[1] must be a string, got int"),
     ("inverses", {"a": ["A"]}, "inverses['a'] must be a string, got list"),
+    ("generators", [], "generators must not be empty"),
 ])
 def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["z_rw"].spec))
@@ -442,19 +443,43 @@ def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monk
     assert message.startswith("unbalanced edge multiplicities")
 
 
-def test_cli_partial_star_reports_internal_inconsistency(tmp_path, capsys, monkeypatch):
-    # balanced rows always give full interior stars, so drop an edge while
-    # the graph is assembled: the base coset loses its edge to a
+@pytest.mark.parametrize("entry, args", [
+    ("z_rw", ["ends", "--R", "8"]),
+    ("c2_c3_gog", ["ends", "--pair", "1", "--rmax", "1", "--R", "6"]),
+    ("f2_rw", ["cut", "--R", "6"]),
+    ("c4_c2_c4_gog", ["cut", "--R", "6"]),
+    ("c2_c3_gog", ["witness", "--edge", "0", "--probe", "6"]),
+    ("z_hnn", ["witness", "--edge", "0", "--probe", "6"]),
+])
+def test_cli_probes_read_the_coset_table_only(tmp_path, capsys, catalog, monkeypatch, entry, args):
+    # neither build nor a probe may assemble the label-keyed graph
     from endlab import cayley_abels
-    from endlab.serre_graphs import SerreGraph
 
-    def lossy(vertices, origin, inverse, check=True):
-        origin = {e: v for e, v in origin.items() if e > 1}
-        inverse = {e: f for e, f in inverse.items() if e > 1}
-        return SerreGraph(vertices, origin, inverse, check=check)
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a coset truncation built a SerreGraph")
 
-    monkeypatch.setattr(cayley_abels, "SerreGraph", lossy)
-    assert cli_cut_on_z(tmp_path, capsys, 3) == "interior vertex '' has a partial star"
+        from_geometric = classmethod(__init__)
+
+    monkeypatch.setattr(cayley_abels, "SerreGraph", Refused)
+    path = write_spec(tmp_path, catalog[entry])
+    assert cli.main([args[0], path, *args[1:]]) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["ends", "{spec}", "--cap", "-1"], -1),
+    (["ends", "{spec}", "--cap", "0"], 0),
+    (["cut", "{spec}", "--cap", "0"], 0),
+    (["witness", "{spec}", "--edge", "0", "--cap", "-3"], -3),
+    (["tree", "{spec}", "--radius", "2", "--cap", "0"], 0),
+    (["verify", "--default", "--cap", "-1"], -1),
+])
+def test_cli_cap_below_one_reports_cleanly(tmp_path, capsys, catalog, argv, cap):
+    path = write_spec(tmp_path, catalog["c2_c3_gog"])
+    assert cli.main([a.format(spec=path) for a in argv]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "invalid_input", "message": f"--cap must be at least 1, got {cap}"}
 
 
 @pytest.mark.parametrize("entry, args, message", [
