@@ -137,7 +137,7 @@ def check_almost_invariance(w, t):
         moved = [str(v) for v in t.vertices if w.translate_chi(k, v) != w.chi(v)]
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
-        k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.sphere}
+        k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.index}
     for si, s in enumerate(w.pair.S):
         cert = set(w.certificates[si])
         outside = [str(v) for v in t.vertices if w.translate_chi(s, v) != w.chi(v) and v not in cert]
@@ -218,9 +218,9 @@ def cut_from_witness(w, t):
     inside = [v for v in t.vertices if w.chi(coset_canonical(backend, w.pair.K, backend.inverse(v)))]
     cb = coboundary(t, inside)
     bound = sum(len(c) for c in w.certificates)
-    # the interior endpoints of the coboundary; edges 2c and 2c + 1 share pair c
-    probe = {t.vertices[i] for e in cb[::2] for i in t.pairs[e // 2]}
-    probe = {v for v in probe if t.sphere[v] < t.radius}
+    # the interior endpoints: cb holds both orientations, so the origins suffice
+    outer = t.starts[t.radius]
+    probe = {t.vertices[i] for i in map(t.origin.__getitem__, cb) if i < outer}
     esc = 0
     if probe:
         esc = sum(1 for _, escaping in escaping_components(t, probe) if escaping)

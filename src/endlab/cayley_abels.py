@@ -12,9 +12,9 @@ saturated pair are quasi-isometric, so everything the lab measures agrees.
 Parallel edges (distinct s with the same target coset) are kept, so every
 interior vertex has exactly |S| outgoing edges.
 
-A truncation is its coset table: the cosets in BFS order, each one's row of
-target indices inside the ball, and one index pair per geometric edge, pair
-c being the oriented edges 2c and 2c + 1.  The probes walk the integer rows.
+A truncation is its coset table, each fact stored once: the cosets in BFS
+order, where each sphere starts in it, each coset's row of targets inside
+the ball, and an origin per oriented edge, edge e having inverse e ^ 1.
 """
 
 from __future__ import annotations
@@ -107,36 +107,35 @@ class RoughCayleyTruncation:
     A coset's label is its sort-minimal representative, so a label is
     itself a group element and serves as the coset's representative.
 
-    vertices are the labels in BFS order (sorted by sphere), index their
-    positions; rows[i] lists the positions of vertices[i].s.K inside the
-    ball for s in S, and pairs holds one (i, j), i < j, per geometric edge:
-    pair c is the oriented edges 2c (i -> j) and 2c + 1 (j -> i).
+    vertices are the labels in BFS order and index, the only label-keyed
+    structure, their positions; sphere r is vertices[starts[r]:starts[r + 1]].
+    rows[i] lists the positions of vertices[i].s.K inside the ball for s in
+    S, and oriented edge e runs from origin[e] to origin[e ^ 1].
     """
 
-    def __init__(self, pair, index, rows, pairs, base, radius, sphere, exhausted):
+    def __init__(self, pair, index, starts, rows, origin, radius, exhausted):
         self.pair = pair
         self.index = index
         self.vertices = tuple(index)
+        self.starts = starts
         self.rows = rows
-        self.pairs = pairs
-        self.base = base
+        self.origin = origin
         self.radius = radius
-        self.sphere = sphere
         self.exhausted = exhausted
 
     # the probes read the rows; only the tests and the benchmark trace, whose
     # build hook counts graph.vertices, read this label-keyed copy
     @functools.cached_property
     def graph(self):
-        v = self.vertices
-        return SerreGraph.from_geometric(v, [(v[i], v[j]) for i, j in self.pairs])
+        v, o = self.vertices, self.origin
+        return SerreGraph.from_geometric(v, [(v[i], v[j]) for i, j in zip(o[::2], o[1::2])])
 
     def ball(self, r):
-        """Labels at distance <= r from the base coset."""
-        return [v for v in self.vertices if self.sphere[v] <= r]
+        """Labels at distance <= r from the base coset, 0 <= r <= radius."""
+        return self.vertices[:self.starts[r + 1]]
 
     def sphere_labels(self, r):
-        return [v for v in self.vertices if self.sphere[v] == r]
+        return self.vertices[self.starts[r]:self.starts[r + 1]]
 
     def act(self, k, label):
         """Left action on coset labels; defined for any group element."""
@@ -150,8 +149,8 @@ def build(pair, radius, cap=DEFAULT_CAP):
     Each (coset, generator) slot is labelled exactly once: the label of
     x.s.K is the sort-minimal x.(s.k) over the precomputed products s.k
     for k in K, which equals coset_canonical(x.s) by associativity and
-    uniqueness of normal forms.  The BFS keeps each expanded coset's row of
-    targets as indices into the BFS order, the outer sphere's rows are
+    uniqueness of normal forms.  The BFS keeps each sphere's start and each
+    expanded coset's row of target positions, the outer sphere's rows are
     labelled after it, and the half-edge pass pairs edges from the rows.
 
     Raises BudgetExceeded past the element cap, and InternalInconsistency
@@ -169,9 +168,9 @@ def build(pair, radius, cap=DEFAULT_CAP):
         def row_of(x):
             return [min([multiply(x, g) for g in gs], key=sort_key) for gs in sk]
     base = coset_canonical(backend, pair.K, backend.identity())
-    sphere = {base: 0}
-    # label -> BFS position; its insertion order is the BFS order
+    # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
     index = {base: 0}
+    starts = [0, 1]
     rows = []
     frontier = [base]
     exhausted = False
@@ -182,33 +181,34 @@ def build(pair, radius, cap=DEFAULT_CAP):
             row = row_of(x)
             labels.append(row)
             for y in row:
-                if y not in sphere:
+                if y not in index:
                     found[y] = y
         layer = sorted(found, key=sort_key)
         for y in layer:
-            sphere[y] = d
             index[y] = len(index)
             if len(index) > cap:
                 raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        starts.append(len(index))
         rows.extend([index[y] for y in row] for row in labels)
         frontier = layer
         if not frontier:
             exhausted = True
             break
+    starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
     # the outer sphere, never expanded; its targets beyond the ball are left out
     rows.extend([index[y] for y in row_of(x) if y in index] for x in frontier)
-    # pair the half-edges i -> j (i < j) with the half-edges j -> i; edges are
-    # numbered by (i, j)
-    pairs = []
+    # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
+    # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back
+    origin = []
     for i, row in enumerate(rows):
         for j in sorted(set(row)):
             if j > i:
-                pairs.extend([(i, j)] * min(row.count(j), rows[j].count(i)))
-    if 2 * len(pairs) != sum(map(len, rows)):
+                origin += [i, j] * min(row.count(j), rows[j].count(i))
+    if len(origin) != sum(map(len, rows)):
         raise InternalInconsistency(
             "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
         )
-    return RoughCayleyTruncation(pair, index, rows, pairs, base, radius, sphere, exhausted)
+    return RoughCayleyTruncation(pair, index, starts, rows, origin, radius, exhausted)
 
 
 def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):

@@ -16,6 +16,7 @@ import sys
 from . import bass_serre, cayley_abels, ends_cuts, qlinalg, theorem_lab
 from .bass_serre import PiOne
 from .errors import BudgetExceeded, InternalInconsistency, expect
+from .group_backends import DEFAULT_CAP
 from .serre_graphs import SerreGraph
 
 
@@ -107,7 +108,11 @@ def cmd_homology(args):
 
 
 def cmd_verify(args):
-    if args.default or args.catalog is None:
+    if args.default and args.catalog is not None:
+        raise ValueError(
+            f"verify takes a catalog file or --default, not both: got {args.catalog} and --default"
+        )
+    if args.catalog is None:
         entries = theorem_lab.default_catalog()
     else:
         entries = theorem_lab.catalog_from_json(_load(args.catalog))
@@ -130,28 +135,28 @@ def build_parser():
     sp.add_argument("--pair", type=int, default=0)
     sp.add_argument("--rmax", type=int, default=3)
     sp.add_argument("--R", type=int, default=12)
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_ends)
 
     sp = sub.add_parser("cut", help="extract a cut from the coset graph")
     sp.add_argument("spec")
     sp.add_argument("--pair", type=int, default=0)
     sp.add_argument("--R", type=int, default=12)
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_cut)
 
     sp = sub.add_parser("witness", help="build and check a splitting witness")
     sp.add_argument("spec")
     sp.add_argument("--edge", type=int, required=True)
     sp.add_argument("--probe", type=int, default=8)
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("tree", help="truncate the universal covering tree")
     sp.add_argument("spec")
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--dot")
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_tree)
 
     sp = sub.add_parser("homology", help="kernel/cokernel of the boundary map of a graph")
@@ -163,7 +168,7 @@ def build_parser():
     sp.add_argument("--default", action="store_true")
     sp.add_argument("--rmax", type=int)
     sp.add_argument("--R", type=int)
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -65,15 +65,16 @@ def escaping_components(t, probe):
     The probe must stay strictly inside the truncation.  The blocks are
     walked on the rows around the probe, so nothing is copied.
     """
-    if not all(v in t.sphere for v in probe):
-        raise ValueError("probe contains vertices outside the truncation")
-    if any(t.sphere[v] >= t.radius for v in probe):
+    try:
+        probe = [t.index[v] for v in probe]
+    except KeyError:
+        raise ValueError("probe contains vertices outside the truncation") from None
+    # BFS order is sorted by sphere: the outer sphere is the positions from outer on
+    outer = t.starts[t.radius]
+    if any(i >= outer for i in probe):
         raise ValueError("probe touches the truncation boundary; enlarge the radius")
-    # BFS order is sorted by sphere, so a block reaches the outer sphere
-    # exactly when its last index lies on it
     vs = t.vertices
-    return [(tuple(map(vs.__getitem__, b)), t.sphere[vs[b[-1]]] == t.radius)
-            for b in blocks(t.rows, map(t.index.__getitem__, probe))]
+    return [(tuple(map(vs.__getitem__, b)), b[-1] >= outer) for b in blocks(t.rows, probe)]
 
 
 def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
@@ -131,13 +132,10 @@ class Cut:
 
 def coboundary(t, vertex_set):
     """Oriented edges with exactly one endpoint in vertex_set, in id order;
-    pair c of t.pairs is the edges 2c and 2c + 1."""
+    edge e runs from t.origin[e] to t.origin[e ^ 1]."""
     inside = {t.index[v] for v in vertex_set}
-    out = []
-    for c, (i, j) in enumerate(t.pairs):
-        if (i in inside) != (j in inside):
-            out += (2 * c, 2 * c + 1)
-    return tuple(out)
+    o = t.origin
+    return tuple(e for e, i in enumerate(o) if (i in inside) != (o[e ^ 1] in inside))
 
 
 def find_cut(t):

@@ -28,3 +28,11 @@ def expect(value, kind, where):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{where} must be {KIND_NAMES[kind]}, got {type(value).__name__}")
     return value
+
+
+def one_of(value, allowed, where):
+    """value, if it is one of the strings in allowed; else ValueError naming
+    the spec field `where` and the allowed values."""
+    if not (isinstance(value, str) and value in allowed):
+        raise ValueError(f"{where} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
+    return value

@@ -3,7 +3,8 @@
 Two kinds of backend live here:
 
 * FiniteGroup -- element list plus a multiplication table, fully verified
-  at construction (Latin square, identity, inverses, associativity).
+  at construction (Latin square, identity, inverses, and associativity by
+  Light's test on a generating set).
 * RewritingGroup -- a finitely generated group presented by a confluent
   shortlex-reducing string rewriting system.  Words are plain strings of
   single-character letters; the normal form of a word is its unique
@@ -40,8 +41,8 @@ class FiniteGroup:
         for row in self.table:
             if sorted(row) != list(range(n)):
                 raise ValueError("table rows must permute 0..n-1")
-        for j in range(n):
-            if sorted(self.table[i][j] for i in range(n)) != list(range(n)):
+        for column in zip(*self.table):
+            if sorted(column) != list(range(n)):
                 raise ValueError("table columns must permute 0..n-1")
         self.identity = None
         for e in range(n):
@@ -50,21 +51,33 @@ class FiniteGroup:
                 break
         if self.identity is None:
             raise ValueError("no identity element")
-        self.inverse_table = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == self.identity == self.table[b][a]:
-                    self.inverse_table[a] = b
-                    break
-            if self.inverse_table[a] is None:
+        # rows permute 0..n-1, so a.b = 1 has exactly one solution b
+        self.inverse_table = [row.index(self.identity) for row in self.table]
+        for a, b in enumerate(self.inverse_table):
+            if self.table[b][a] != self.identity:
                 raise ValueError(f"element {a} has no inverse")
-        # desk scale: cubic associativity check is fine
+        # Light's test: the elements a with (x.a).y = x.(a.y) for all x, y are
+        # closed under the product, so it suffices to check generators of the
+        # table; the identity passes trivially.  Each generator is the least
+        # element outside the left-normed products of the generators so far.
+        t = self.table
+        gens, closure = [], {self.identity}
         for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError(f"not associative at ({a},{b},{c})")
+            if a not in closure:
+                gens.append(a)
+                members, closure = [self.identity], {self.identity}
+                for u in members:
+                    for g in gens:
+                        if t[u][g] not in closure:
+                            closure.add(t[u][g])
+                            members.append(t[u][g])
+        for a in gens:
+            ay = t[a]
+            for x, row in enumerate(t):
+                xa = t[row[a]]
+                if xa != [row[c] for c in ay]:
+                    y = next(y for y in range(n) if xa[y] != row[ay[y]])
+                    raise ValueError(f"not associative at ({x},{a},{y})")
 
     @classmethod
     def cyclic(cls, n, name=None):

@@ -23,19 +23,24 @@ from dataclasses import dataclass, field
 
 from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts
 from .bass_serre import Certificate, GraphOfFiniteGroups, PiOne
-from .errors import BudgetExceeded, expect
-from .group_backends import RewritingGroup
+from .errors import BudgetExceeded, expect, one_of
+from .group_backends import DEFAULT_CAP, RewritingGroup
 
 
 # the truncated tree resolution is checked exact at radii 1..RESOLUTION_RADIUS
 RESOLUTION_RADIUS = 4
+
+# the values a catalog entry may expect: EndsEstimate.coarse_class() and
+# SplittingReport.overall for a one-edge base graph or none
+ENDS_CLASSES = ("0", "1?", "2", ">=3")
+SPLITTING_CLASSES = ("no_edge", "trivial", "nontrivial_s1", "nontrivial_s2")
 
 
 @dataclass
 class Scales:
     r_max: int = 3
     radius: int = 12
-    cap: int = 200_000
+    cap: int = DEFAULT_CAP
     probe_radius: int = 8
 
 
@@ -104,14 +109,24 @@ class CatalogEntry:
         marked_edge = data.get("marked_edge")
         if marked_edge is not None:
             expect(marked_edge, int, f"{where}.marked_edge")
+        splitting, oracle = data.get("expected_splitting"), data.get("oracle")
+        if splitting is not None:
+            one_of(splitting, SPLITTING_CLASSES, f"{where}.expected_splitting")
+        if oracle is not None:
+            one_of(oracle, tuple(ORACLES), f"{where}.oracle")
+        witness_expected = data.get("witness_expected", False)
+        if type(witness_expected) is not bool:
+            raise ValueError(
+                f"{where}.witness_expected must be a boolean, got {type(witness_expected).__name__}"
+            )
         entry = cls(
             name=expect(data["name"], str, f"{where}.name"),
             spec=spec,
-            expected_ends=data["expected_ends"],
-            expected_splitting=data.get("expected_splitting"),
-            witness_expected=data.get("witness_expected", False),
+            expected_ends=one_of(data["expected_ends"], ENDS_CLASSES, f"{where}.expected_ends"),
+            expected_splitting=splitting,
+            witness_expected=witness_expected,
             marked_edge=marked_edge,
-            oracle=data.get("oracle"),
+            oracle=oracle,
             provenance=data.get("provenance", {}),
             scales=scales,
         )

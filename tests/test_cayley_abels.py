@@ -4,7 +4,7 @@ from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, build,
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded
 
-from endlab.group_backends import RewritingGroup
+from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 
 from test_bass_serre import affine_value, c2c3, dinf
 
@@ -111,8 +111,9 @@ def test_c2c3_vertex_pair_truncation_interior_degree():
     assert len(pair.S) == 3
     t = build(pair, 2)
     assert t.graph.is_tree()
+    sphere = distances(t)
     for v in t.graph.vertices:
-        if t.sphere[v] < 2:
+        if sphere[v] < 2:
             assert len(t.graph.star(v)) == len(pair.S)
 
 
@@ -120,8 +121,9 @@ def test_interior_star_sizes_equal_s_with_multiplicity(catalog):
     for name in ("z_rw", "dinfty_gog", "c2_c3_gog", "c4_c2_c4_gog"):
         for pair in catalog[name].pairs():
             t = build(pair, 4)
+            sphere = distances(t)
             for v in t.graph.vertices:
-                if t.sphere[v] < t.radius:
+                if sphere[v] < t.radius:
                     assert len(t.graph.star(v)) == len(pair.S)
 
 
@@ -149,8 +151,9 @@ def test_truncation_graph_is_a_valid_serre_graph(catalog):
 def test_k_action_fixes_base_and_permutes_spheres(catalog):
     pair = catalog["c2_c3_gog"].pairs()[1]
     t = build(pair, 3)
+    base = t.vertices[0]
     for k in pair.K.elements:
-        assert t.act(k, t.base) == t.base
+        assert t.act(k, base) == base
         for r in range(1, t.radius + 1):
             sphere = t.sphere_labels(r)
             image = {t.act(k, v) for v in sphere}
@@ -161,8 +164,10 @@ def test_sphere_annotations_match_bfs():
     z = make_z()
     pair = GeneratingPair(z, trivial_subgroup(z), ["a"])
     t = build(pair, 5)
+    sphere = distances(t)
+    assert set(sphere) == set(t.graph.vertices)
     for v in t.graph.vertices:
-        assert t.sphere[v] == (len(v))  # distance of a^n from the identity is n
+        assert sphere[v] == (len(v))  # distance of a^n from the identity is n
 
 
 def test_exhaustion_flag_on_finite_group():
@@ -171,6 +176,19 @@ def test_exhaustion_flag_on_finite_group():
     t = build(pair, 10)
     assert t.exhausted
     assert len(t.graph.vertices) == 6
+
+
+def test_sphere_offsets_at_and_past_the_diameter():
+    # C6 has diameter 3: at R = 3 every coset is found but the outer sphere is
+    # not empty, so the BFS is not exhausted; at R = 4 sphere 4 is empty
+    c6 = make_c6()
+    pair = GeneratingPair(c6, trivial_subgroup(c6), ["a"])
+    t = build(pair, 3)
+    assert len(t.vertices) == 6 and not t.exhausted
+    assert [list(t.sphere_labels(r)) for r in range(4)] == [[""], ["a", "A"], ["aa", "AA"], ["aaa"]]
+    t = build(pair, 4)
+    assert t.exhausted
+    assert t.ball(4) == t.ball(3) == t.vertices and not t.sphere_labels(4)
 
 
 def test_budget_cap_enforced(catalog):
@@ -184,8 +202,10 @@ def test_dot_and_json_exports(catalog):
     t = build(pair, 2)
     data = t.graph.to_json()
     assert data["vertices"] == list(t.vertices)
-    assert len(data["edges"]) == 2 * len(t.pairs)
-    assert t.graph.to_dot().count("->") == len(t.pairs)
+    # every half-edge of a row is one oriented edge
+    oriented = sum(map(len, t.rows))
+    assert len(data["edges"]) == oriented
+    assert t.graph.to_dot().count("->") == oriented // 2
 
 
 def test_labels_agree_with_membership_criterion(catalog):
@@ -207,7 +227,7 @@ def test_builds_are_deterministic(catalog):
     b = cayley_build(pair, 3)
     assert a.graph.vertices == b.graph.vertices
     assert a.graph.to_json() == b.graph.to_json()
-    assert a.sphere == b.sphere
+    assert distances(a) == distances(b)
 
 
 def test_infinite_entries_keep_growing(catalog):
@@ -220,18 +240,30 @@ def test_infinite_entries_keep_growing(catalog):
 
 # -- one-pass coset table against the two-pass reference --------------------------
 
+def distances(t):
+    """Each label's distance from the base coset, read off sphere_labels."""
+    return {v: r for r in range(t.radius + 1) for v in t.sphere_labels(r)}
+
+
+def geometric_edges(t):
+    """The (origin, terminus) of each geometric edge of the graph view, in id order."""
+    g = t.graph
+    return [(g.origin(ge.rep), g.terminus(ge.rep)) for ge in g.geometric_edges()]
+
+
 def coset_table(t):
-    """The fields of a truncation that reference_build computes."""
+    """The fields of a truncation that reference_build computes, read through
+    vertices, sphere_labels, rows and the graph view only."""
     return {
         "vertices": t.vertices,
-        "sphere": t.sphere,
+        "sphere": distances(t),
         "rows": t.rows,
-        "edges": [(t.vertices[i], t.vertices[j]) for i, j in t.pairs],
+        "edges": geometric_edges(t),
         "exhausted": t.exhausted,
     }
 
 
-def reference_build(pair, radius, cap=200_000):
+def reference_build(pair, radius, cap=DEFAULT_CAP):
     """The original two-pass build, kept as the reference; returns the
     fields coset_table reads.
 

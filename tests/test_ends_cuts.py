@@ -11,7 +11,7 @@ from endlab.ends_cuts import (
     find_cut,
 )
 
-from test_cayley_abels import make_c6, make_z
+from test_cayley_abels import distances, make_c6, make_z
 from test_serre_graphs import reference_components
 
 
@@ -27,13 +27,13 @@ def test_finite_group_has_no_escaping_components():
     c6 = make_c6()
     pair = GeneratingPair(c6, trivial_subgroup(c6), ["a"])
     t = build(pair, 10)
-    comps = escaping_components(t, {t.base})
+    comps = escaping_components(t, {t.vertices[0]})
     assert comps and all(not esc for _, esc in comps)
 
 
 def test_z_minus_base_has_two_escaping_components():
     t = z_truncation(8)
-    comps = escaping_components(t, {t.base})
+    comps = escaping_components(t, {t.vertices[0]})
     assert sum(1 for _, esc in comps if esc) == 2
 
 
@@ -47,7 +47,7 @@ def test_f2_minus_ball_one_has_at_least_three_escaping(catalog):
 
 def test_probe_touching_boundary_rejected():
     t = z_truncation(4)
-    boundary = [v for v in t.graph.vertices if t.sphere[v] == 4]
+    boundary = t.sphere_labels(4)
     with pytest.raises(ValueError, match="boundary"):
         escaping_components(t, {boundary[0]})
 
@@ -194,11 +194,12 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
     from endlab.ends_cuts import EndsEstimate
 
     t = build(pair, radius)
+    sphere = distances(t)
     probes = []
     best = 0
     for r in range(r_max + 1):
         ball = t.ball(r)
-        if any(t.sphere[v] >= t.radius for v in ball):
+        if any(sphere[v] >= t.radius for v in ball):
             break
         c = sum(1 for _, esc in escaping_components(t, ball) if esc)
         probes.append((r, c))
@@ -220,9 +221,10 @@ def reference_find_cut(t, margin=4):
     from endlab.ends_cuts import Cut
 
     index = {v: i for i, v in enumerate(t.graph.vertices)}
+    sphere = distances(t)
     for r in range(max(0, t.radius - margin)):
         ball = t.ball(r)
-        if any(t.sphere[v] >= t.radius for v in ball):
+        if any(sphere[v] >= t.radius for v in ball):
             break
         escaping = [block for block, esc in escaping_components(t, ball) if esc]
         if len(escaping) >= 2:
@@ -257,7 +259,8 @@ def assert_components_agree(t, probe):
     """escaping_components(t, probe) == the union-find components of the graph
     copy without probe, with the escape flags read off the outer sphere."""
     rest = t.graph.remove_vertex_set(set(probe))
-    want = [(block, any(t.sphere[v] == t.radius for v in block)) for block in reference_components(rest)]
+    outer = set(t.sphere_labels(t.radius))
+    want = [(block, any(v in outer for v in block)) for block in reference_components(rest)]
     assert escaping_components(t, probe) == want
 
 
@@ -282,9 +285,10 @@ def test_coboundary_of_every_probe_block_matches_the_graph_scan(catalog, radius)
                     assert coboundary(t, block) == reference_coboundary(t.graph, block), pair.name
 
 
-@pytest.mark.parametrize("probe_radius", [5, 8])
+# at probe radius 1 the coboundary reaches the outer sphere, which the probe leaves out
+@pytest.mark.parametrize("probe_radius", [5, 8, 1])
 def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, probe_radius):
-    from endlab.ai_cohomology import witness_from_splitting
+    from endlab.ai_cohomology import cut_from_witness, witness_from_splitting
     from endlab.cayley_abels import coset_canonical
     from endlab.ends_cuts import coboundary
 
@@ -300,6 +304,8 @@ def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, pr
         cb = reference_coboundary(t.graph, inside)
         assert coboundary(t, inside) == cb, entry.name
         ends = {t.graph.origin(e) for e in cb} | {t.graph.terminus(e) for e in cb}
-        probe = {v for v in ends if t.sphere[v] < t.radius}
+        probe = ends.difference(t.sphere_labels(t.radius))
         assert probe, entry.name
         assert_components_agree(t, probe)
+        escaping = sum(esc for _, esc in escaping_components(t, probe))
+        assert cut_from_witness(w, t).escaping_components == escaping, entry.name

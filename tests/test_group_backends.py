@@ -77,17 +77,119 @@ def test_non_latin_table_rejected():
         FiniteGroup([0, 1], [[0, 1], [1, 1]])
 
 
+# order-5 Latin square with identity and inverses, but (1.1).2 != 1.(1.2)
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_nonassociative_loop_rejected():
-    # order-5 Latin square with identity and inverses, but (1.1).2 != 1.(1.2)
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValueError, match="associative"):
-        FiniteGroup(list(range(5)), table)
+        FiniteGroup(list(range(5)), LOOP5)
+
+
+# -- Light's associativity test against the cubic check it replaced ---------------
+
+def cubic_associative(table):
+    """The cubic check of every triple, kept as the reference."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a, b, c in itertools.product(range(n), repeat=3))
+
+
+def permutation_table(gens):
+    """Cayley table of the permutation group generated by gens, p.q = p o q."""
+    elements = [tuple(range(len(gens[0])))]
+    for p in elements:
+        for g in gens:
+            q = tuple(p[i] for i in g)
+            if q not in elements:
+                elements.append(q)
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+
+
+def fill_latin(table, cells, k, rng):
+    """Fill cells[k:] of a partial Latin square in row-major order, trying
+    values in random order and backtracking; False when no completion exists."""
+    if k == len(cells):
+        return True
+    i, j = cells[k]
+    n = len(table)
+    used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+    for v in rng.sample(range(n), n):
+        if v not in used:
+            table[i][j] = v
+            if fill_latin(table, cells, k + 1, rng):
+                return True
+    table[i][j] = None
+    return False
+
+
+def random_inverse_loop(rng, n):
+    """A random Latin square on 0..n-1 with identity 0 and two-sided inverses."""
+    while True:
+        table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+        fill_latin(table, [(i, j) for i in range(1, n) for j in range(1, n)], 0, rng)
+        if all(table[table[a].index(0)][a] == 0 for a in range(n)):
+            return table
+
+
+def relabelled(table, rng):
+    """The same table under a random renaming of its elements."""
+    n = len(table)
+    p = rng.sample(range(n), n)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[p[a]][p[b]] = p[table[a][b]]
+    return out
+
+
+def direct_product(a, b):
+    """The product table of a x b, with (x, y) numbered y * len(a) + x, so the
+    elements of a x 1 come first."""
+    m = len(a)
+    return [[b[y][v] * m + a[x][u] for v in range(len(b)) for u in range(m)]
+            for y in range(len(b)) for x in range(m)]
+
+
+def light_verdict(table):
+    """FiniteGroup's associativity verdict; a rejection must name a failing triple."""
+    try:
+        FiniteGroup(list(range(len(table))), table)
+    except ValueError as exc:
+        x, a, y = map(int, str(exc).removeprefix("not associative at (").rstrip(")").split(","))
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+        return False
+    return True
+
+
+PERMUTATION_GROUPS = [
+    [(1, 0, 2), (1, 2, 0)],  # S3
+    [(1, 2, 3, 0), (0, 3, 2, 1)],  # D4
+    [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)],  # C2 x C4
+    [(1, 2, 0, 3), (0, 2, 3, 1)],  # A4
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_light_associativity_matches_the_cubic_check(seed):
+    rng = random.Random(seed)
+    tables = [relabelled(permutation_table(gens), rng) for gens in PERMUTATION_GROUPS]
+    tables += [relabelled(random_inverse_loop(rng, n), rng) for n in (4, 5, 6, 7, 8)]
+    tables += [relabelled(LOOP5, rng), relabelled(FiniteGroup.cyclic(9).table, rng)]
+    # the least generators lie in the associative factor, so a non-associative
+    # loop factor shows only at a later generator
+    cyclic = FiniteGroup.cyclic(rng.choice((2, 3))).table
+    tables += [direct_product(cyclic, LOOP5), direct_product(cyclic, random_inverse_loop(rng, 5))]
+    tables.append(relabelled(direct_product(cyclic, random_inverse_loop(rng, 4)), rng))
+    for table in tables:
+        assert light_verdict(table) == cubic_associative(table), table
 
 
 # -- normal forms -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
 from endlab.cayley_abels import ball_enumerate
+from endlab.group_backends import DEFAULT_CAP
 from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
@@ -179,6 +180,17 @@ def test_cli_verify_default(capsys):
     assert cli.main(["verify", "--default", "--R", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_consistent"]
+
+
+def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog_to_json([catalog["c5_gog"]])))
+    assert cli.main(["verify", str(path), "--default"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "invalid_input",
+        "message": f"verify takes a catalog file or --default, not both: got {path} and --default",
+    }
 
 
 def test_cli_verify_negative_control(tmp_path, capsys, catalog):
@@ -376,6 +388,19 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "marked_edge"), True, "entries[0].marked_edge must be an integer, got bool"),
     (("entries", 0, "marked_edge"), 1.0, "entries[0].marked_edge must be an integer, got float"),
     (("entries", 0), {**Z_HNN_ENTRY, "marked_edge": 7}, "entries[0].marked_edge names no base edge, got 7"),
+    (("entries", 0, "expected_ends"), "3", "entries[0].expected_ends must be one of '0', '1?', '2', '>=3', got '3'"),
+    (("entries", 0, "expected_ends"), 0, "entries[0].expected_ends must be one of '0', '1?', '2', '>=3', got 0"),
+    (("entries", 0, "expected_splitting"), "nontrivial",
+     "entries[0].expected_splitting must be one of 'no_edge', 'trivial', 'nontrivial_s1', 'nontrivial_s2', "
+     "got 'nontrivial'"),
+    (("entries", 0, "witness_expected"), "yes", "entries[0].witness_expected must be a boolean, got str"),
+    (("entries", 0, "witness_expected"), 0, "entries[0].witness_expected must be a boolean, got int"),
+    (("entries", 0, "oracle"), "nope",
+     "entries[0].oracle must be one of 'integer_word', 'pair_count', 'free_reduction', 'affine_word', "
+     "'hnn_integer', 'affine_pi', 'tree_action', 'matrix_amalgam', got 'nope'"),
+    (("entries", 0, "oracle"), ["tree_action"],
+     "entries[0].oracle must be one of 'integer_word', 'pair_count', 'free_reduction', 'affine_word', "
+     "'hnn_integer', 'affine_pi', 'tree_action', 'matrix_amalgam', got ['tree_action']"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
@@ -495,7 +520,7 @@ def test_cli_negative_radii_report_cleanly(tmp_path, capsys, catalog, entry, arg
 
 # -- the one witness chain against the two copies it replaced ----------------------
 
-def reference_cmd_witness(backend, edge, probe, cap=200_000):
+def reference_cmd_witness(backend, edge, probe, cap=DEFAULT_CAP):
     """The original `endlab witness` body after loading the spec: (stdout, exit code)."""
     w = ai_cohomology.witness_from_splitting(backend, edge, probe_radius=probe, cap=cap)
     t = w.truncation
@@ -555,7 +580,7 @@ def test_improper_witness_is_a_failed_verdict_not_an_error(catalog, monkeypatch)
 
     monkeypatch.setattr(ai_cohomology, "dh1_nonvanishing_certificate", improper)
     entry = catalog["z_hnn"]
-    report, passed = run_witness_chain(entry.backend(), 0, 3, 200_000)
+    report, passed = run_witness_chain(entry.backend(), 0, 3, DEFAULT_CAP)
     assert not passed
     assert report["dh1"] == {"passed": False, "error": "improper witness: one side dies at probe scale"}
     verdict = verify_equivalence(entry, Scales(radius=8, probe_radius=3))
