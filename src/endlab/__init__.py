@@ -1,13 +1,7 @@
 """Desk-scale laboratory for ends of groups and degree-one cohomology."""
 
 from .serre_graphs import GeometricEdge, SerreGraph, random_graph
-from .qlinalg import (
-    SparseMatrixQ,
-    augmentation_matrix,
-    delta_matrix,
-    rank_kernel_cokernel,
-    verify_short_exact,
-)
+from .qlinalg import SparseMatrixQ
 from .group_backends import FiniteGroup, RewritingGroup
 from .bass_serre import (
     Certificate,

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import bass_serre, cayley_abels, ends_cuts, qlinalg, theorem_lab
+from . import bass_serre, cayley_abels, ends_cuts, theorem_lab
 from .bass_serre import PiOne
 from .errors import BudgetExceeded, InternalInconsistency, expect
 from .group_backends import DEFAULT_CAP
@@ -93,16 +93,15 @@ def cmd_tree(args):
 
 def cmd_homology(args):
     graph = SerreGraph.from_json(_load(args.graph))
-    d = qlinalg.delta_matrix(graph)
-    rank, ker, coker = qlinalg.rank_kernel_cokernel(d)
+    rank, ker, coker = graph.boundary_dims()
     _emit({
         "vertices": len(graph.vertices),
         "geometric_edges": len(graph.geometric_edges()),
-        "components": len(graph.components()),
+        "components": coker,
         "delta_rank": rank,
         "cycle_space_dim": ker,
         "component_space_dim": coker,
-        "is_tree": graph.is_tree(),
+        "is_tree": ker == 0 and coker == 1,
     })
     return 0
 

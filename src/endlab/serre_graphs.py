@@ -4,7 +4,8 @@ A graph here consists of opaque hashable vertex ids, integer edge ids, an
 origin map and an inversion map.  The terminus of an edge is the origin of
 its inverse, so only origin and inversion are stored.  A geometric edge is
 the pair {e, inv(e)}; its canonical representative is the numerically
-smaller id, which downstream code relies on for deterministic matrix bases.
+smaller id; the DOT export, and the boundary matrix the tests keep as an
+elimination reference, order geometric edges by it.
 
 Instances are immutable after construction: every operation returns fresh
 data and never mutates the graph.
@@ -116,14 +117,23 @@ class SerreGraph:
                 inverse[e] = self._inverse[e]
         return SerreGraph(keep_v, origin, inverse, check=False)
 
-    def is_tree(self):
-        """Connected, nonempty and circuit-free.
+    def boundary_dims(self):
+        """(rank, kernel, cokernel) dimensions of the boundary map
+        Q[geometric edges] -> Q[vertices], from one component count c.
 
-        Uses the count criterion: connected with exactly |V| - 1 geometric
-        edges.  Loops and parallel edges push the count past |V| - 1, so
-        they are rejected as they should be.
+        Each component's edge columns span the sum-zero vectors on its
+        vertices, so the rank is |V| - c, the kernel (cycle space) is
+        |E| - |V| + c, loops and parallel edges included, and the cokernel
+        is c (Serre, Trees, I.2).  No elimination is needed.
         """
-        return len(self.components()) == 1 and len(self._vertices) - len(self.geometric_edges()) == 1
+        c = len(self.components())
+        rank = len(self._vertices) - c
+        return rank, len(self._edges) // 2 - rank, c
+
+    def is_tree(self):
+        """Connected, nonempty and circuit-free: no cycles and one component."""
+        _, ker, coker = self.boundary_dims()
+        return ker == 0 and coker == 1
 
     def to_json(self):
         edges = [

@@ -25,7 +25,6 @@ from endlab.ai_cohomology import (
 from endlab.bass_serre import PiOne
 from endlab.cayley_abels import Subgroup, ball_enumerate, build, trivial_subgroup
 from endlab.ends_cuts import classify_ends
-from endlab.qlinalg import delta_matrix, rank_kernel_cokernel
 from endlab.serre_graphs import random_graph
 from endlab.theorem_lab import (
     CatalogEntry,
@@ -35,6 +34,7 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
+from test_qlinalg import delta_matrix, rank_kernel_cokernel
 from test_serre_graphs import bfs_blocks
 
 

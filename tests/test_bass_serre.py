@@ -22,11 +22,11 @@ from endlab.bass_serre import (
 from endlab.cayley_abels import ball_enumerate, coset_canonical
 from endlab.errors import BudgetExceeded
 from endlab.group_backends import FiniteGroup
-from endlab.qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from endlab.serre_graphs import SerreGraph
 from endlab.theorem_lab import RESOLUTION_RADIUS
 
 from test_pipeline_fuzz import random_loop, random_segment
+from test_qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from test_serre_graphs import triangle
 
 
@@ -839,19 +839,20 @@ def test_difference_supports_match_reference(data):
     assert w.difference_support(g) == want
 
 
-# -- the one-rank exactness verdict against verify_short_exact -------------------------
+# -- the component-count exactness verdict against elimination -------------------------
 
 def test_exactness_verdict_matches_verify_short_exact():
-    # the fuzz draws stop at radius 3, where their trees are still small
-    cases = [(pi, RESOLUTION_RADIUS) for pi in NORMALIZER_CASES] + [(pi, 3) for pi in FUZZ_CASES]
-    for pi, top in cases:
-        for r in range(1, top + 1):
+    # the catalog graphs of groups, mixed_gog and the seeded fuzz draws, against
+    # the elimination reference kept in test_qlinalg
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        for r in range(1, RESOLUTION_RADIUS + 1):
             graph = tree_truncation(pi, r).graph
             d = delta_matrix(graph)
             cert = exactness_on_truncation(pi, r)
-            assert cert.passed == verify_short_exact(d, augmentation_matrix(len(graph.vertices)))
+            assert cert.passed == verify_short_exact(d, augmentation_matrix(len(graph.vertices))), (pi.name, r)
             ranks = cert.details["delta_rank"], cert.details["delta_kernel"], cert.details["delta_cokernel"]
-            assert ranks == rank_kernel_cokernel(d)
+            assert ranks == rank_kernel_cokernel(d), (pi.name, r)
+            assert (cert.details["vertices"], cert.details["geometric_edges"]) == (d.rows, d.cols)
 
 
 @pytest.mark.parametrize("graph", [triangle(), SerreGraph.from_geometric([0, 1], [])], ids=["cycle", "two_points"])

@@ -18,7 +18,7 @@ from endlab.theorem_lab import catalog_to_json
 
 # JSON scalars plus the small shapes that specs are made of
 VALUES = (
-    None, True, False, -1, 0, 1, 2, 7, 2.5, "", "a", "u", "zz", "trivial",
+    None, True, False, -1, 0, 1, 2, 7, 10**6, 2.5, "", "a", "u", "zz", "trivial",
     [], [0], ["a"], {}, {"vertex": "u"}, {"edge": 0}, {"v": "u", "g": 1}, {"e": 0},
 )
 

@@ -1,25 +1,103 @@
+"""SparseMatrixQ.rank, and the elimination reference for graph ranks.
+
+The pipeline reads the ranks of a graph's boundary map off a component
+count (SerreGraph.boundary_dims).  The fraction-free elimination it used
+before is kept here as the reference: the boundary and augmentation
+matrices, the product, and the short-exactness check, all on SparseMatrixQ.
+test_bass_serre and test_acceptance import them from this module.
+"""
+
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from endlab.qlinalg import (
-    SparseMatrixQ,
-    augmentation_matrix,
-    delta_matrix,
-    rank_kernel_cokernel,
-    verify_short_exact,
-)
+from endlab import cli
+from endlab.qlinalg import SparseMatrixQ
 from endlab.serre_graphs import SerreGraph, random_graph
 
 from test_serre_graphs import bfs_blocks, segment, triangle
+
+
+# -- the elimination reference --------------------------------------------------
+
+def from_rows(dense):
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    return SparseMatrixQ(rows, cols, {(i, j): x for i, row in enumerate(dense) for j, x in enumerate(row)})
+
+
+def identity(n):
+    return SparseMatrixQ(n, n, {(i, i): 1 for i in range(n)})
+
+
+def is_zero(m):
+    return not m.entries
+
+
+def matmul(a, b):
+    """a @ b."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    by_row = {}
+    for (i, j), x in b.entries.items():
+        by_row.setdefault(i, []).append((j, x))
+    entries = {}
+    for (i, k), x in a.entries.items():
+        for j, y in by_row.get(k, ()):
+            entries[(i, j)] = entries.get((i, j), Fraction(0)) + x * y
+    return SparseMatrixQ(a.rows, b.cols, entries)
+
+
+def rank_kernel_cokernel(m):
+    """(rank, dim ker, dim coker) of a finite matrix, exactly."""
+    r = m.rank()
+    return r, m.cols - r, m.rows - r
+
+
+def delta_matrix(graph):
+    """Boundary map from geometric edges to vertices.
+
+    Columns follow the sorted canonical representatives, rows the graph's
+    vertex order.  The column of edge e carries +1 at its terminus and -1
+    at its origin; a loop contributes a zero column.
+    """
+    reps = [ge.rep for ge in graph.geometric_edges()]
+    entries = {}
+    for j, e in enumerate(reps):
+        o = graph.vertex_index(graph.origin(e))
+        t = graph.vertex_index(graph.terminus(e))
+        if o != t:
+            entries[(t, j)] = 1
+            entries[(o, j)] = -1
+    return SparseMatrixQ(len(graph.vertices), len(reps), entries)
+
+
+def augmentation_matrix(n):
+    """The 1 x n all-ones map onto the scalars."""
+    return SparseMatrixQ(1, n, {(0, j): 1 for j in range(n)})
+
+
+def verify_short_exact(a, b):
+    """True iff 0 -> . -a-> . -b-> . -> 0 is exact.
+
+    Checks b @ a = 0, a injective, b surjective and rank a + rank b equal
+    to the middle dimension; together these force image(a) = kernel(b).
+    """
+    if b.cols != a.rows:
+        raise ValueError(f"maps do not compose: a is {a.rows}x{a.cols}, b is {b.rows}x{b.cols}")
+    if not is_zero(matmul(b, a)):
+        return False
+    ra, rb = a.rank(), b.rank()
+    return ra == a.cols and rb == b.rows and ra + rb == b.cols
 
 
 # -- independent rank oracle --------------------------------------------------
 
 def dense_rank_oracle(m):
     """Plain Fraction Gaussian elimination on a dense copy."""
-    a = [[m[(i, j)] for j in range(m.cols)] for i in range(m.rows)]
+    a = [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
     rank = 0
     for col in range(m.cols):
         piv = None
@@ -44,14 +122,14 @@ def dense_rank_oracle(m):
 def test_delta_of_segment():
     d = delta_matrix(segment())
     assert (d.rows, d.cols) == (2, 1)
-    assert d[(1, 0)] == 1 and d[(0, 0)] == -1
+    assert d.entries == {(1, 0): 1, (0, 0): -1}
 
 
 def test_delta_of_loop_is_zero_column():
     g = SerreGraph.from_geometric([0], [(0, 0)])
     d = delta_matrix(g)
     assert (d.rows, d.cols) == (1, 1)
-    assert d.is_zero()
+    assert is_zero(d)
 
 
 def test_delta_of_triangle_has_rank_two():
@@ -99,13 +177,13 @@ def test_segment_resolution_is_exact():
 
 def test_zero_map_is_not_injective_hence_not_exact():
     a = SparseMatrixQ(2, 1)
-    b = SparseMatrixQ.identity(2)
+    b = identity(2)
     assert not verify_short_exact(a, b)
 
 
 def test_exactness_requires_composability():
     with pytest.raises(ValueError):
-        verify_short_exact(SparseMatrixQ(3, 1), SparseMatrixQ.identity(2))
+        verify_short_exact(SparseMatrixQ(3, 1), identity(2))
 
 
 def test_line_tree_resolution_is_exact_and_circuit_is_not():
@@ -131,12 +209,52 @@ def test_kernel_and_cokernel_count_cycles_and_components():
 def test_no_stored_zeros():
     m = SparseMatrixQ(2, 2, {(0, 0): Fraction(0), (1, 1): Fraction(2, 4)})
     assert (0, 0) not in m.entries
-    assert m[(1, 1)] == Fraction(1, 2)
+    assert m.entries[(1, 1)] == Fraction(1, 2)
 
 
 def test_matmul_exact():
-    a = SparseMatrixQ.from_rows([[Fraction(1, 3), 1], [0, Fraction(2)]])
-    b = SparseMatrixQ.from_rows([[3, 0], [Fraction(1, 2), 1]])
-    p = a.matmul(b)
-    assert p[(0, 0)] == Fraction(3, 2) and p[(0, 1)] == 1
-    assert p[(1, 0)] == 1 and p[(1, 1)] == 2
+    a = from_rows([[Fraction(1, 3), 1], [0, Fraction(2)]])
+    b = from_rows([[3, 0], [Fraction(1, 2), 1]])
+    assert matmul(a, b).entries == {(0, 0): Fraction(3, 2), (0, 1): 1, (1, 0): 1, (1, 1): 2}
+
+
+# -- the command line against the reference ---------------------------------------
+
+def reference_homology(g):
+    """`endlab homology`'s report, with the ranks from elimination."""
+    rank, ker, coker = rank_kernel_cokernel(delta_matrix(g))
+    c = len(bfs_blocks(g))
+    return {
+        "vertices": len(g.vertices),
+        "geometric_edges": len(g.geometric_edges()),
+        "components": c,
+        "delta_rank": rank,
+        "cycle_space_dim": ker,
+        "component_space_dim": coker,
+        "is_tree": c == 1 and len(g.vertices) - len(g.geometric_edges()) == 1,
+    }
+
+
+def test_homology_command_matches_elimination(tmp_path, capsys):
+    # random graphs carry loops, parallel edges and isolated vertices
+    rng = random.Random(20261018)
+    graphs = [SerreGraph([], {}, {}), SerreGraph.from_geometric([0, 1], [])]
+    graphs += [random_graph(rng, max_vertices=25) for _ in range(150)]
+    path = tmp_path / "graph.json"
+    for g in graphs:
+        path.write_text(json.dumps(g.to_json()))
+        assert cli.main(["homology", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == reference_homology(g), g.to_json()
+
+
+def test_verify_and_homology_rank_no_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a graph's ranks come from its components, not from elimination")
+
+    monkeypatch.setattr(SparseMatrixQ, "rank", refuse)
+    assert cli.main(["verify", "--default"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_consistent"]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(triangle().to_json()))
+    assert cli.main(["homology", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["cycle_space_dim"] == 1

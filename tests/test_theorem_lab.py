@@ -1,12 +1,14 @@
 import itertools
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
 from endlab.cayley_abels import ball_enumerate
-from endlab.group_backends import DEFAULT_CAP
+from endlab.group_backends import DEFAULT_CAP, FiniteGroup
 from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
@@ -348,6 +350,50 @@ def test_cli_boolean_vertex_id_names_no_vertex(tmp_path, capsys, catalog):
     assert cli.main(["cut", str(path), "--R", "4"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"error": "invalid_input", "message": "pairs[0].S[0][0].v names no vertex, got True"}
+
+
+def test_cli_refuses_a_cyclic_group_too_large_to_tabulate(tmp_path, capsys, catalog, monkeypatch):
+    # C_n is built as an n x n table: 10**12 entries here, refused before any is made
+    cyclic = FiniteGroup.cyclic.__func__
+
+    def small_cyclic(cls, n, name=None):
+        # a regression fails here at once instead of filling the memory
+        assert n * n <= DEFAULT_CAP, f"a {n}x{n} table was built"
+        return cyclic(cls, n, name)
+
+    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(small_cyclic))
+    spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
+    spec["backend"]["vertices"][1]["group"]["n"] = 10**6
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main(["ends", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "budget_exceeded",
+        "message": "vertices[1].group.n = 1000000 is past 447: its 1000000x1000000 table"
+                   f" would exceed the cap of {DEFAULT_CAP} entries",
+    }
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, code", [(447, 0), (448, 2)])
+def test_cli_cyclic_bound_is_the_table_size(tmp_path, capsys, catalog, n, code):
+    # 447**2 <= DEFAULT_CAP < 448**2
+    spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
+    spec["backend"]["vertices"][1]["group"]["n"] = n
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["tree", str(path), "--radius", "1"]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out.get("error") == (None if code == 0 else "budget_exceeded")
 
 
 @pytest.mark.parametrize("graph, message", [
