@@ -161,8 +161,8 @@ class GraphOfFiniteGroups:
 
 def _group_to_json(G):
     n = len(G)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    if G.table == table:
+    # row i of the cyclic table is i, i + 1, ..., n - 1, 0, ..., i - 1
+    if all(row == [*range(i, n), *range(i)] for i, row in enumerate(G.table)):
         return {"kind": "cyclic", "n": n}
     return {"kind": "table", "elements": list(G.elements), "table": G.table}
 
@@ -268,6 +268,7 @@ class PiOne:
         self._terminus = {e: g.terminus(e) for e in g.edges}
         self._origin_table = {e: gog.vgroups[g.origin(e)].table for e in g.edges}
         self._base_table = gog.vgroups[self.base_vertex].table
+        self._inverse_table = {v: G.inverse_table for v, G in gog.vgroups.items()}
         self._pinch, self._push = {}, {}
         for e in g.edges:
             back = emb[g.inverse(e)]
@@ -336,7 +337,15 @@ class PiOne:
                     continue
             E.append(e)
             G.append(gs[i + 1])
-        push = self._push
+        self._push_to_transversals(G, E, low)
+        return Morphism(start, tuple(G), tuple(E))
+
+    def _push_to_transversals(self, G, E, low):
+        """Push the elements of a reduced word G, E to transversal
+        representatives in place, from right to left, stopping at the first
+        trivial carry at or below position low (G[1:low] are already
+        representatives)."""
+        push, table = self._push, self._origin_table
         j = len(E)
         while j:
             f = E[j - 1]
@@ -347,7 +356,6 @@ class PiOne:
             elif j <= low:
                 break
             j -= 1
-        return Morphism(start, tuple(G), tuple(E))
 
     def morph_end(self, m):
         return self._terminus[m.es[-1]] if m.es else m.start
@@ -411,8 +419,19 @@ class PiOne:
         return PiOneElement(self, m.gs, m.es)
 
     def inverse(self, a):
-        m = self.invert_morph(Morphism(self.base_vertex, a.gs, a.es))
-        return PiOneElement(self, m.gs, m.es)
+        # a pinch e h inv(e) in the reversed inverse of a reduced word is one
+        # in the word itself, read backwards, so only the push is needed
+        terminus, inv_at = self._terminus, self._inverse_table
+        G = [inv_at[terminus[e]][g] for e, g in zip(reversed(a.es), reversed(a.gs))]
+        G.append(inv_at[self.base_vertex][a.gs[0]])
+        E = [self._inverse[e] for e in reversed(a.es)]
+        self._push_to_transversals(G, E, 0)
+        return PiOneElement(self, tuple(G), tuple(E))
+
+    def right_products(self, gens):
+        """The map x -> [x.g for g in gens]."""
+        gens, multiply = tuple(gens), self.multiply
+        return lambda x: [multiply(x, g) for g in gens]
 
     def sort_key(self, a):
         return (len(a.es), a.es, a.gs)

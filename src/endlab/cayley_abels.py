@@ -149,7 +149,9 @@ def build(pair, radius, cap=DEFAULT_CAP):
     Each (coset, generator) slot is labelled exactly once: the label of
     x.s.K is the sort-minimal x.(s.k) over the precomputed products s.k
     for k in K, which equals coset_canonical(x.s) by associativity and
-    uniqueness of normal forms.  The BFS keeps each sphere's start and each
+    uniqueness of normal forms.  The products x.(s.k) come from the
+    backend's right_products, each slot on its own, so a wrong product
+    leaves its edge unpaired.  The BFS keeps each sphere's start and each
     expanded coset's row of target positions, the outer sphere's rows are
     labelled after it, and the half-edge pass pairs edges from the rows.
 
@@ -159,15 +161,16 @@ def build(pair, radius, cap=DEFAULT_CAP):
     if radius < 1:
         raise ValueError("radius must be at least 1")
     backend = pair.backend
-    multiply, sort_key = backend.multiply, backend.sort_key
-    sk = [[multiply(s, k) for k in pair.K.elements] for s in pair.S]
-    if len(pair.K) == 1:
-        def row_of(x):
-            return [multiply(x, s) for (s,) in sk]
+    sort_key, n_k = backend.sort_key, len(pair.K)
+    times_k = backend.right_products(pair.K.elements)
+    base = min(times_k(backend.identity()), key=sort_key)
+    products = backend.right_products([g for s in pair.S for g in times_k(s)])
+    if n_k == 1:
+        row_of = products
     else:
         def row_of(x):
-            return [min([multiply(x, g) for g in gs], key=sort_key) for gs in sk]
-    base = coset_canonical(backend, pair.K, backend.identity())
+            xg = products(x)
+            return [min(xg[i:i + n_k], key=sort_key) for i in range(0, len(xg), n_k)]
     # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
     index = {base: 0}
     starts = [0, 1]

@@ -13,10 +13,17 @@ Two kinds of backend live here:
   alternation of the left-hand sides in rule order: a search finds the
   leftmost occurrence of any left-hand side, and at a tie the first rule,
   so each rewrite is the one a rule-by-rule scan would pick.  Shortlex
-  keys compare words translated to letter-index characters.
+  keys compare words translated to letter-index characters.  The
+  left-hand sides are also compiled once into a word acceptor, the
+  Aho-Corasick automaton of Epstein et al., Word Processing in Groups
+  (1992), ch. 2.  right_products uses it to form the products x.g of a
+  normal form x: x + g is already irreducible unless a left-hand side
+  crosses the join, a free cancellation by a one-letter g leaves a prefix
+  of x, and only the other crossings are reduced by normal_form.
 
-Both expose the small backend protocol the coset machinery needs:
-identity(), multiply(a, b), inverse(a) and sort_key(a).
+RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
+the coset machinery needs: identity(), multiply(a, b), inverse(a),
+sort_key(a) and right_products(gens).
 """
 
 from __future__ import annotations
@@ -157,10 +164,44 @@ class RewritingGroup:
         self._rhs = {}
         for lhs, rhs in self.rules:
             self._rhs.setdefault(lhs, rhs)
+        self._build_acceptor()
         if check:
             ok, pair = self.verify_confluence()
             if not ok:
                 raise ValueError(f"rewriting system is not confluent: {pair}")
+
+    def _build_acceptor(self):
+        """The Aho-Corasick automaton over the left-hand sides.
+
+        A state is a trie node: the longest suffix of the text read that is
+        a prefix of some left-hand side.  _delta[q][c] is the state after
+        reading c in state q, and _hit[q] the longest left-hand side that
+        is a suffix of q's word ("" for none), inherited through the fail
+        links.  A word is irreducible exactly when no state its letters
+        pass through has a hit (Epstein et al., Word Processing in Groups,
+        1992, ch. 2; Aho and Corasick, CACM 18, 1975).
+        """
+        goto, hit = [{}], [""]
+        for lhs, _ in self.rules:
+            q = 0
+            for c in lhs:
+                if c not in goto[q]:
+                    goto[q][c] = len(goto)
+                    goto.append({})
+                    hit.append("")
+                q = goto[q][c]
+            hit[q] = lhs
+        delta = [{**dict.fromkeys(self.alphabet, 0), **goto[0]}] + [None] * (len(goto) - 1)
+        fail = [0] * len(goto)
+        # breadth first: a fail state is shallower than its state, so complete before it
+        queue = [0]
+        for q in queue:
+            for c, r in goto[q].items():
+                f = fail[r] = delta[fail[q]][c] if q else 0
+                delta[r] = {**delta[f], **goto[r]}
+                hit[r] = hit[r] or hit[f]
+                queue.append(r)
+        self._delta, self._hit = delta, hit
 
     def _check_letters(self, word):
         for c in word:
@@ -193,6 +234,47 @@ class RewritingGroup:
 
     def multiply(self, a, b):
         return self.normal_form(a + b)
+
+    def right_products(self, gens):
+        """The map x -> [normal_form(x + g) for g in gens], for a normal form x.
+
+        The gens may be any words.  Since x is irreducible, a left-hand side
+        occurs in x + g only if it ends inside g, and the automaton finds
+        each such occurrence starting from the state of x's last
+        _max_lhs - 1 letters, so no state is kept per x.  With no hit the
+        product is x + g.  When g is one letter, the leftmost occurrence is
+        the longest left-hand side ending at the join, and if its right-hand
+        side is empty (a free cancellation, say) the product is the prefix of
+        x before it, which is irreducible.  Every other hit falls back to
+        normal_form(x + g).  No step chooses between rewrites, so the
+        products are normal_form's also for a system that is not confluent.
+        """
+        gens = list(gens)
+        for g in gens:
+            self._check_letters(g)
+        delta, hit, rhs = self._delta, self._hit, self._rhs
+
+        # -1: x + g; k >= 0: x less its last k letters; None: normal_form(x + g)
+        def outcome(q, g):
+            for c in g:
+                q = delta[q][c]
+                if hit[q]:
+                    return len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None
+            return -1
+
+        outcomes = [[outcome(q, g) for g in gens] for q in range(len(delta))]
+        back, normal_form = self._max_lhs - 1, self.normal_form
+
+        def products(x):
+            q = 0
+            for c in x[-back:]:
+                q = delta[q][c]
+            return [
+                x + g if k == -1 else normal_form(x + g) if k is None else x[:len(x) - k]
+                for g, k in zip(gens, outcomes[q])
+            ]
+
+        return products
 
     def inverse(self, word):
         self._check_letters(word)

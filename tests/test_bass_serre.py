@@ -374,6 +374,14 @@ def test_gog_json_round_trip():
     assert h * h == j * j
 
 
+def test_group_json_compares_every_row_with_the_cyclic_table():
+    assert bass_serre._group_to_json(FiniteGroup.cyclic(5)) == {"kind": "cyclic", "n": 5}
+    # a table that leaves the cyclic one only in its last row is written out
+    G = FiniteGroup.cyclic(5)
+    G.table[-1] = G.table[-1][::-1]
+    assert bass_serre._group_to_json(G) == {"kind": "table", "elements": [0, 1, 2, 3, 4], "table": G.table}
+
+
 def test_multi_edge_graph_of_groups_arithmetic():
     # segment u--w plus a loop at u, all groups small: one stable letter
     graph = SerreGraph.from_geometric(["u", "w"], [("u", "w"), ("u", "u")])
@@ -594,6 +602,16 @@ def test_products_with_heavy_cancellation_match_reference(data):
     a_inv = pi.inverse(a)
     assert pi.multiply(a, a_inv).is_identity() and pi.multiply(a_inv, a).is_identity()
     assert pi.multiply(a, pi.identity()) == a == pi.multiply(pi.identity(), a)
+
+
+def test_inverse_matches_invert_morph(catalog):
+    # the push-only inverse of a normal form against the full raw-word path
+    cases = [(e.backend(), 10) for e in catalog.values() if e.spec["backend"]["type"] == "graph_of_finite_groups"]
+    cases += [(pi, 4) for pi in NORMALIZER_CASES + FUZZ_CASES if pi.default_generators()]
+    for pi, radius in cases:
+        for a in ball_enumerate(pi, pi.default_generators(), radius):
+            m = pi.invert_morph(pi.as_morphism(a))
+            assert pi.inverse(a) == PiOneElement(pi, m.gs, m.es), (pi, a)
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,6 +31,12 @@ def make_dinf():
     return RewritingGroup(["x", "y"], {"x": "x", "y": "y"}, name="Dinf")
 
 
+def make_f2_redundant():
+    # baAb -> bb follows from aA -> empty; its trie path b, ba, baA has no
+    # rule of its own at baA, where aA is only reached through a fail link
+    return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("baAb", "bb")], name="F2+baAb")
+
+
 # -- independent oracles ------------------------------------------------------
 
 def z_count(word):
@@ -489,3 +495,27 @@ def test_indexed_reducer_matches_reference(data):
     new = group.sort_key(u), group.sort_key(v)
     old = reference_sort_key(group, u), reference_sort_key(group, v)
     assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1])
+
+
+# -- the word acceptor against the reducer it stands in for -------------------------
+
+ACCEPTOR_SYSTEMS = REWRITING_SYSTEMS + [make_f2_redundant()]
+
+
+@pytest.mark.parametrize("group", ACCEPTOR_SYSTEMS, ids=[f"{i}-{g.name}" for i, g in enumerate(ACCEPTOR_SYSTEMS)])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_right_products_match_normal_form(group, data):
+    letters = st.sampled_from(group.alphabet)
+    words = st.lists(letters, max_size=16).map("".join)
+    x = group.normal_form(data.draw(words))
+    raw = data.draw(st.lists(st.lists(letters, min_size=1, max_size=5).map("".join), min_size=1, max_size=4))
+    # raw multi-letter words, their normal forms, and every one-letter word
+    gens = raw + [group.normal_form(g) for g in raw] + group.alphabet
+    got = group.right_products(gens)(x)
+    assert got == [group.normal_form(x + g) for g in gens], (x, gens)
+
+
+def test_right_products_reject_unknown_letters():
+    with pytest.raises(ValueError, match="unknown letter"):
+        make_f2().right_products(["a", "ac"])

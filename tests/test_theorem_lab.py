@@ -503,13 +503,14 @@ def cli_cut_on_z(tmp_path, capsys, radius):
 def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, x, wrong):
     from endlab.group_backends import RewritingGroup
 
-    multiply = RewritingGroup.multiply
+    right_products = RewritingGroup.right_products
 
-    def corrupted(self, a, b):
-        # the one product whose word a + b is x comes out wrong
-        return wrong if a + b == x else multiply(self, a, b)
+    def corrupted(self, gens):
+        products = right_products(self, gens)
+        # the one product whose word a + g is x comes out wrong
+        return lambda a: [wrong if a + g == x else y for g, y in zip(gens, products(a))]
 
-    monkeypatch.setattr(RewritingGroup, "multiply", corrupted)
+    monkeypatch.setattr(RewritingGroup, "right_products", corrupted)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
