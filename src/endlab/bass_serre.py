@@ -3,22 +3,29 @@
 A graph of finite groups assigns a finite group to every vertex and every
 geometric edge of a finite connected base graph, with an injective
 homomorphism from each edge group into the group at the terminus of each
-orientation.  Elements of the fundamental group are stored as normalized
-words in the path groupoid of the base graph:
+orientation.  One word type, PiOneElement, holds a word in the path
+groupoid of the base graph from a vertex start:
 
     g0 e1 s1 e2 s2 ... en sn
 
-where the e_i trace a closed path at the base vertex, g0 lives in the base
-vertex group and each s_i is a representative from a fixed identity-first
-right transversal of the embedded edge group.  A word is reduced when it
-contains no pinch: a subword e h inv(e) with h in the image of the edge
-group of e.  PiOne.normalize reduces with a stack, so each pinch is removed
-where the incoming letter meets the top of the stack, and then pushes the
-group elements to transversals from right to left.  Serre's normal form
-theorem (Trees, 1980, I.5) makes the reduced, transversal-pushed word
-unique, so it does not depend on the order in which pinches are removed.
-A caller that knows a prefix of the word is already normal says so, and
-only the junction after that prefix is worked on.
+where the e_i trace a path from start, g0 lives in the group at start and
+each s_i lies in the group at the terminus of e_i.  A word is reduced when
+it contains no pinch: a subword e h inv(e) with h in the image of the edge
+group of e; it is normal when it is reduced and each s_i is a
+representative from a fixed identity-first right transversal of the
+embedded edge group.  Elements of the fundamental group are the normal
+words that start and end at the base vertex.
+
+PiOne.normalize reduces with a stack, so each pinch is removed where the
+incoming letter meets the top of the stack, and then pushes the group
+elements to transversals from right to left.  Serre's normal form theorem
+(Trees, 1980, I.5) makes the reduced, transversal-pushed word unique, so it
+does not depend on the order in which pinches are removed.  A caller that
+knows a prefix of the word is already normal says so, and only the
+junction after that prefix is worked on.  So PiOne.multiply(a, b), a normal
+word a followed by any word b from where a ends, works only past a, while
+PiOne.compose(a, b) is the product for an a that may not be reduced.  Both
+raise ValueError when b does not start where a ends.
 
 The universal covering tree is materialized only as finite truncations,
 read through reduced words alone: vertices are canonically labelled cosets
@@ -29,19 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import NamedTuple
 
 from .errors import BudgetExceeded, expect
 from .group_backends import DEFAULT_CAP, FiniteGroup
 from .serre_graphs import SerreGraph, vertex_ids
-
-
-class Morphism(NamedTuple):
-    """A normalized path-groupoid word; start is a base-graph vertex."""
-
-    start: object
-    gs: tuple
-    es: tuple
 
 
 @dataclass
@@ -202,23 +200,29 @@ class BassSerreData:
 
 
 class PiOneElement:
-    """Fundamental group element in normal form.
+    """A path-groupoid word from the base-graph vertex start.
 
     gs holds vertex-group element indices, es oriented base-graph edges;
-    the word alternates g0 e1 s1 ... en sn and starts and ends at the base
-    vertex.  Equality and hashing are structural; the hash is computed once.
+    the word alternates g0 e1 s1 ... en sn.  The fundamental group's
+    elements are the normal words that start and end at the base vertex.
+    Equality is structural, start included; the hash is computed once, over
+    gs and es only, since vertex ids may be strings, whose hashes vary from
+    one process to the next.
     """
 
-    __slots__ = ("pi", "gs", "es", "_hash")
+    __slots__ = ("pi", "gs", "es", "start", "_hash")
 
-    def __init__(self, pi, gs, es):
+    def __init__(self, pi, gs, es, start):
         self.pi = pi
         self.gs = gs
         self.es = es
+        self.start = start
         self._hash = hash((gs, es))
 
     def __eq__(self, other):
-        return isinstance(other, PiOneElement) and self.gs == other.gs and self.es == other.es
+        if not isinstance(other, PiOneElement):
+            return NotImplemented
+        return self.gs == other.gs and self.es == other.es and self.start == other.start
 
     def __hash__(self):
         return self._hash
@@ -233,13 +237,13 @@ class PiOneElement:
         return self.pi.inverse(self)
 
     def is_identity(self):
-        return not self.es and self.gs[0] == self.pi.vgroup(self.pi.base_vertex).identity
+        return not self.es and self.gs[0] == self.pi.vgroup(self.start).identity
 
     def __repr__(self):
         if self.is_identity():
             return "1"
         bits = []
-        chain = self.pi.vertex_chain(self.pi.base_vertex, self.es)
+        chain = self.pi.vertex_chain(self.start, self.es)
         for i, g in enumerate(self.gs):
             G = self.pi.vgroup(chain[i])
             if g != G.identity:
@@ -267,7 +271,7 @@ class PiOne:
         self._origin = {e: g.origin(e) for e in g.edges}
         self._terminus = {e: g.terminus(e) for e in g.edges}
         self._origin_table = {e: gog.vgroups[g.origin(e)].table for e in g.edges}
-        self._base_table = gog.vgroups[self.base_vertex].table
+        self._table = {v: G.table for v, G in gog.vgroups.items()}
         self._inverse_table = {v: G.inverse_table for v, G in gog.vgroups.items()}
         self._pinch, self._push = {}, {}
         for e in g.edges:
@@ -338,7 +342,7 @@ class PiOne:
             E.append(e)
             G.append(gs[i + 1])
         self._push_to_transversals(G, E, low)
-        return Morphism(start, tuple(G), tuple(E))
+        return PiOneElement(self, tuple(G), tuple(E), start)
 
     def _push_to_transversals(self, G, E, low):
         """Push the elements of a reduced word G, E to transversal
@@ -360,36 +364,28 @@ class PiOne:
     def morph_end(self, m):
         return self._terminus[m.es[-1]] if m.es else m.start
 
-    def morph_identity(self, v):
-        return Morphism(v, (self.vgroup(v).identity,), ())
+    def _join(self, a, b, prefix):
+        """a followed by b, normalized past the first prefix letters of a."""
+        end = self.morph_end(a)
+        if end != b.start:
+            raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
+        mid = self._table[end][a.gs[-1]][b.gs[0]]
+        return self.normalize(a.start, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es, prefix)
 
-    def compose(self, m1, m2):
-        if self.morph_end(m1) != m2.start:
-            raise ValueError("morphisms do not compose")
-        G = self.vgroup(m2.start)
-        mid = G.mul(m1.gs[-1], m2.gs[0])
-        return self.normalize(m1.start, m1.gs[:-1] + (mid,) + m2.gs[1:], m1.es + m2.es)
-
-    def invert_morph(self, m):
-        chain = self.vertex_chain(m.start, m.es)
-        vgroups = self.gog.vgroups
-        gs = tuple(vgroups[chain[i]].inv(m.gs[i]) for i in range(len(m.gs) - 1, -1, -1))
-        es = tuple(self._inverse[e] for e in reversed(m.es))
-        return self.normalize(self.morph_end(m), gs, es)
+    def compose(self, a, b):
+        """a followed by b, for any words a and b with b starting where a ends."""
+        return self._join(a, b, 0)
 
     def append_mul(self, m, u):
         """m followed by the vertex-group element u at its endpoint."""
         G = self.vgroup(self.morph_end(m))
-        return Morphism(m.start, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es)
+        return PiOneElement(self, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, m.start)
 
     def cross(self, m, e):
         """m followed by the edge letter e."""
         if self.morph_end(m) != self.graph.origin(e):
             raise ValueError(f"edge {e} does not start at the endpoint of the word")
-        return Morphism(m.start, m.gs + (self.vgroup(self.graph.terminus(e)).identity,), m.es + (e,))
-
-    def morph_key(self, m):
-        return (len(m.es), m.es, m.gs)
+        return PiOneElement(self, m.gs + (self.vgroup(self.graph.terminus(e)).identity,), m.es + (e,), m.start)
 
     # -- canonical labels in the universal tree -----------------------------
     def vertex_label(self, m):
@@ -406,27 +402,30 @@ class PiOne:
         forms = [first] + [
             self.normalize(m.start, head + (G.mul(x, u),), first.es, k) for u in us[1:]
         ]
-        best = min(forms, key=self.morph_key)
-        return ("v", v, self.morph_key(best)), best
+        best = min(forms, key=self.sort_key)
+        return ("v", v, self.sort_key(best)), best
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
-        return PiOneElement(self, (self.vgroup(self.base_vertex).identity,), ())
+        return PiOneElement(self, (self.vgroup(self.base_vertex).identity,), (), self.base_vertex)
 
     def multiply(self, a, b):
-        mid = self._base_table[a.gs[-1]][b.gs[0]]
-        m = self.normalize(self.base_vertex, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es, len(a.es))
-        return PiOneElement(self, m.gs, m.es)
+        """A normal word a followed by any word b from where a ends.
+
+        a is trusted as a normal prefix, apart from its last group element.
+        """
+        return self._join(a, b, len(a.es))
 
     def inverse(self, a):
+        """The inverse of a normal word a, from where a ends."""
         # a pinch e h inv(e) in the reversed inverse of a reduced word is one
         # in the word itself, read backwards, so only the push is needed
         terminus, inv_at = self._terminus, self._inverse_table
         G = [inv_at[terminus[e]][g] for e, g in zip(reversed(a.es), reversed(a.gs))]
-        G.append(inv_at[self.base_vertex][a.gs[0]])
+        G.append(inv_at[a.start][a.gs[0]])
         E = [self._inverse[e] for e in reversed(a.es)]
         self._push_to_transversals(G, E, 0)
-        return PiOneElement(self, tuple(G), tuple(E))
+        return PiOneElement(self, tuple(G), tuple(E), self.morph_end(a))
 
     def right_products(self, gens):
         """The map x -> [x.g for g in gens]."""
@@ -436,47 +435,35 @@ class PiOne:
     def sort_key(self, a):
         return (len(a.es), a.es, a.gs)
 
-    def as_morphism(self, a):
-        return Morphism(self.base_vertex, a.gs, a.es)
-
-    def from_morphism(self, m):
-        if m.start != self.base_vertex or self.morph_end(m) != self.base_vertex:
-            raise ValueError("morphism is not a loop at the base vertex")
-        return PiOneElement(self, m.gs, m.es)
-
     # -- distinguished elements and subgroups --------------------------------
-    def tree_path_morphism(self, v):
-        m = self.morph_identity(self.base_vertex)
+    def tree_path(self, v):
+        """The spanning-tree path from the base vertex to v, a normal word."""
+        m = self.identity()
         for e in self.data.tree_paths[v]:
             m = self.cross(m, e)
         return m
 
     def vertex_inclusion(self, v, u):
         """The vertex-group element u of vgroup(v) as a fundamental group element."""
-        p = self.tree_path_morphism(v)
-        m = self.compose(self.append_mul(p, u), self.invert_morph(p))
-        return self.from_morphism(m)
+        p = self.tree_path(v)
+        return self.multiply(self.append_mul(p, u), self.inverse(p))
 
     def edge_letter(self, e):
         """The loop through edge e against the spanning tree."""
-        p = self.tree_path_morphism(self.graph.origin(e))
-        q = self.tree_path_morphism(self.graph.terminus(e))
-        m = self.compose(self.cross(p, e), self.invert_morph(q))
-        return self.from_morphism(m)
+        # p e may step back along the last edge of p, so it is not normal
+        p = self.tree_path(self.graph.origin(e))
+        q = self.tree_path(self.graph.terminus(e))
+        return self.compose(self.cross(p, e), self.inverse(q))
 
     def vertex_subgroup_elements(self, v):
         return tuple(self.vertex_inclusion(v, u) for u in range(len(self.vgroup(v))))
 
     def edge_subgroup_elements(self, e):
         """The edge group of e embedded as the stabilizer of the lifted edge."""
-        gamma = self.tree_path_morphism(self.graph.origin(e))
-        gamma_inv = self.invert_morph(gamma)
+        gamma = self.tree_path(self.graph.origin(e))
+        gamma_inv = self.inverse(gamma)
         ims = self.gog.embeddings[self.graph.inverse(e)]
-        out = []
-        for u in ims:
-            m = self.compose(self.append_mul(gamma, u), gamma_inv)
-            out.append(self.from_morphism(m))
-        return tuple(out)
+        return tuple(self.multiply(self.append_mul(gamma, u), gamma_inv) for u in ims)
 
     def default_generators(self):
         """Symmetric generating list: vertex-group elements and stable letters."""
@@ -601,7 +588,7 @@ class TreeTruncation:
 
     def act_vertex(self, g, label):
         """Translate a truncation vertex by a group element; may leave the ball."""
-        m = self.pi.compose(self.pi.as_morphism(g), self.reps[label])
+        m = self.pi.multiply(g, self.reps[label])
         new_label, _ = self.pi.vertex_label(m)
         return new_label
 
@@ -632,7 +619,7 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
     for e in graph.edges:
         G = pi.vgroup(graph.origin(e))
         coset_mins[e] = sorted({min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))})
-    blabel, brep = pi.vertex_label(pi.morph_identity(pi.base_vertex))
+    blabel, brep = pi.vertex_label(pi.identity())
     reps = {blabel: brep}
     depth = {blabel: 0}
     pairs = []
@@ -709,14 +696,14 @@ class HalfTreeSplitting:
             raise ValueError(f"splitting is trivial at edge {e0}")
         self.pi = pi
         self.e0 = e0
-        self.gamma = pi.tree_path_morphism(graph.origin(e0))
-        self.gamma_inv = pi.invert_morph(self.gamma)
+        self.gamma = pi.tree_path(graph.origin(e0))
+        self.gamma_inv = pi.inverse(self.gamma)
         self.stabilizer = pi.gog.embeddings[graph.inverse(e0)]
 
     def _geodesic(self, g):
         """The reduced word of gamma^-1 g gamma: the tree geodesic from X to g.X."""
         pi = self.pi
-        return pi.compose(self.gamma_inv, pi.compose(pi.as_morphism(g), self.gamma))
+        return pi.multiply(self.gamma_inv, pi.multiply(g, self.gamma))
 
     def side_of_translate(self, g):
         """Side of g . (lifted base edge): +1 for the terminus half, -1 otherwise."""
@@ -742,5 +729,6 @@ class HalfTreeSplitting:
             nu = pi.append_mul(cur, d.gs[i])
             cur = pi.cross(nu, e)
             if e in (e0, e0_inv):
-                out.append(pi.from_morphism(pi.compose(nu if e == e0 else cur, self.gamma_inv)))
+                # gamma times a prefix of d may pinch at the junction
+                out.append(pi.compose(nu if e == e0 else cur, self.gamma_inv))
         return tuple(out) + (g, pi.identity())

@@ -144,11 +144,12 @@ class SerreGraph:
 
     @classmethod
     def from_records(cls, vertices, edges):
-        """Graph from vertex ids and JSON edge records {"id", "inv", "o", ...}.
+        """Graph from vertex ids and JSON edge records {"id", "inv", "o", "t", ...}.
 
         Vertex ids are strings or integers, edge ids distinct integers; a
-        record of another shape or a repeated id raises ValueError naming
-        its field.
+        record of another shape, a repeated id or a stated terminus other
+        than the origin of the inverse edge raises ValueError naming its
+        field.
         """
         origin, inverse = {}, {}
         for i, ed in enumerate(edges):
@@ -157,7 +158,11 @@ class SerreGraph:
                 raise ValueError(f"edges[{i}].id repeats edge id {e}")
             inverse[e] = expect(ed["inv"], int, f"edges[{i}].inv")
             origin[e] = expect(ed["o"], VERTEX_ID, f"edges[{i}].o")
-        return cls(vertices, origin, inverse)
+        g = cls(vertices, origin, inverse)
+        for ed in edges:
+            if g.terminus(ed["id"]) != ed["t"]:
+                raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")
+        return g
 
     @classmethod
     def from_json(cls, data):
@@ -167,11 +172,7 @@ class SerreGraph:
             for i, ed in enumerate(expect(data["edges"], list, "edges"))
         ]
         vertices = vertex_ids(expect(data["vertices"], list, "vertices"), "vertices[{}]")
-        g = cls.from_records(vertices, edges)
-        for ed in edges:
-            if g.terminus(ed["id"]) != ed["t"]:
-                raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")
-        return g
+        return cls.from_records(vertices, edges)
 
     def to_dot(self, name="g", vertex_color=None):
         """DOT text with one arrow per geometric edge, canonical orientation."""

@@ -11,7 +11,6 @@ from endlab.ai_cohomology import witness_from_splitting
 from endlab.bass_serre import (
     GraphOfFiniteGroups,
     HalfTreeSplitting,
-    Morphism,
     PiOne,
     PiOneElement,
     TreeTruncation,
@@ -479,7 +478,13 @@ def reference_normalize(pi, start, gs, es):
         b = emb[inv(e)][a]
         G = pi.vgroup(chain[j - 1])
         gs[j - 1] = G.mul(gs[j - 1], b)
-    return Morphism(start, tuple(gs), tuple(es))
+    return PiOneElement(pi, tuple(gs), tuple(es), start)
+
+
+def reference_inverse(pi, m):
+    """The inverse of any word by the full raw-word path: reverse it, invert
+    each letter and normalize from scratch."""
+    return reference_normalize(pi, pi.morph_end(m), *raw_inverse(pi, m.start, m.gs, m.es))
 
 
 def reference_vertex_label(pi, m):
@@ -489,14 +494,14 @@ def reference_vertex_label(pi, m):
         reference_normalize(pi, m.start, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es)
         for u in range(len(G))
     ]
-    best = min(cands, key=pi.morph_key)
-    return ("v", v, pi.morph_key(best)), best
+    best = min(cands, key=pi.sort_key)
+    return ("v", v, pi.sort_key(best)), best
 
 
 def reference_edge_label(pi, m, e):
     ims = pi.gog.embeddings[pi.graph.inverse(e)]
     best = min(
-        pi.morph_key(reference_normalize(pi, nu.start, nu.gs, nu.es))
+        pi.sort_key(reference_normalize(pi, nu.start, nu.gs, nu.es))
         for nu in (pi.append_mul(m, u) for u in ims)
     )
     return ("e", e, best)
@@ -547,7 +552,7 @@ def draw_walk(data, pi, start, max_len, backtrack):
 def draw_loop(data, pi, max_len, backtrack):
     """A raw loop at the base vertex: a walk, then back along the tree path."""
     gs, es = draw_walk(data, pi, pi.base_vertex, max_len, backtrack)
-    end = pi.morph_end(Morphism(pi.base_vertex, gs, es))
+    end = pi.vertex_chain(pi.base_vertex, es)[-1]
     back = tuple(pi.graph.inverse(e) for e in reversed(pi.data.tree_paths[end]))
     for e in back:
         gs += (data.draw(st.integers(0, len(pi.vgroup(pi.graph.terminus(e))) - 1)),)
@@ -576,10 +581,12 @@ def test_normalize_matches_reference_on_raw_words(data):
     assert got == reference_normalize(pi, start, gs, es)
     # a normal form is its own normal form
     assert pi.normalize(start, got.gs, got.es) == got
+    # the push-only inverse of a normal word from any start vertex
     inv_gs, inv_es = raw_inverse(pi, start, gs, es)
-    m_inv = pi.invert_morph(got)
-    assert m_inv == reference_normalize(pi, pi.morph_end(got), inv_gs, inv_es)
-    assert pi.compose(got, m_inv) == pi.morph_identity(start)
+    got_inv = pi.inverse(got)
+    assert got_inv == reference_normalize(pi, pi.morph_end(got), inv_gs, inv_es)
+    empty = PiOneElement(pi, (pi.vgroup(start).identity,), (), start)
+    assert pi.multiply(got, got_inv) == empty == pi.compose(got, got_inv)
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,14 +598,13 @@ def test_products_with_heavy_cancellation_match_reference(data):
     v = draw_loop(data, pi, 8, 0.3)
     w = draw_loop(data, pi, 4, 0.3)
     uv = concat(pi, base, u, v)
-    a = PiOneElement(pi, *reference_normalize(pi, base, *uv)[1:])
+    a = reference_normalize(pi, base, *uv)
     # b starts with the inverse of v, or of all of uv, so a * b cancels deep into a
     tail = data.draw(st.sampled_from([v, uv]))
     b_word = concat(pi, base, raw_inverse(pi, base, *tail), w)
-    b = PiOneElement(pi, *reference_normalize(pi, base, *b_word)[1:])
+    b = reference_normalize(pi, base, *b_word)
     expected = reference_normalize(pi, base, *concat(pi, base, uv, b_word))
-    got = pi.multiply(a, b)
-    assert (got.gs, got.es) == (expected.gs, expected.es)
+    assert pi.multiply(a, b) == expected
     a_inv = pi.inverse(a)
     assert pi.multiply(a, a_inv).is_identity() and pi.multiply(a_inv, a).is_identity()
     assert pi.multiply(a, pi.identity()) == a == pi.multiply(pi.identity(), a)
@@ -610,8 +616,31 @@ def test_inverse_matches_invert_morph(catalog):
     cases += [(pi, 4) for pi in NORMALIZER_CASES + FUZZ_CASES if pi.default_generators()]
     for pi, radius in cases:
         for a in ball_enumerate(pi, pi.default_generators(), radius):
-            m = pi.invert_morph(pi.as_morphism(a))
-            assert pi.inverse(a) == PiOneElement(pi, m.gs, m.es), (pi, a)
+            assert pi.inverse(a) == reference_inverse(pi, a), (pi, a)
+
+
+def empty_words(pi):
+    """The empty words at u and w of a u - w segment: both are gs == (0,)."""
+    p = pi.tree_path("w")
+    return pi.identity(), pi.multiply(pi.inverse(p), p)
+
+
+def test_words_at_different_vertices_differ(catalog):
+    at_u, at_w = empty_words(catalog["dinfty_gog"].backend())
+    assert (at_u.start, at_w.start) == ("u", "w")
+    assert (at_u.gs, at_u.es) == (at_w.gs, at_w.es) == ((0,), ())
+    assert at_u != at_w and hash(at_u) == hash(at_w)
+    assert len({at_u: 0, at_w: 1}) == 2
+
+
+@pytest.mark.parametrize("product", ["multiply", "compose"])
+def test_products_refuse_words_that_do_not_meet(catalog, product):
+    pi = catalog["dinfty_gog"].backend()
+    at_u, at_w = empty_words(pi)
+    with pytest.raises(ValueError, match="words do not meet"):
+        getattr(pi, product)(at_u, at_w)
+    with pytest.raises(ValueError, match="words do not meet"):
+        getattr(pi, product)(pi.tree_path("w"), at_u)
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,7 +649,7 @@ def test_coset_labels_match_reference(data):
     pi = data.draw(st.sampled_from(NORMALIZER_CASES))
     base = pi.base_vertex
     gs, es = draw_walk(data, pi, base, 10, 0.5)
-    raw = Morphism(base, gs, es)
+    raw = PiOneElement(pi, gs, es, base)
     normal = reference_normalize(pi, base, gs, es)
     for m in (normal, raw):
         assert pi.vertex_label(m) == reference_vertex_label(pi, m)
@@ -657,7 +686,7 @@ def reference_side_of_translate(half, g):
     origin vertex X, or else lies nearer Y than X in the tree.
     """
     pi, e0, gamma = half.pi, half.e0, half.gamma
-    m = pi.compose(pi.as_morphism(g), gamma)
+    m = pi.compose(g, gamma)
     if reference_edge_label(pi, m, e0) == reference_edge_label(pi, gamma, e0):
         return 1
     m_y = pi.cross(gamma, e0)
@@ -671,7 +700,7 @@ def reference_side_of_translate(half, g):
         return 1
 
     def distance(a, b):
-        return len(pi.compose(pi.invert_morph(a), b).es)
+        return len(pi.compose(reference_inverse(pi, a), b).es)
 
     return 1 if distance(m, m_y) < distance(m, gamma) else -1
 
@@ -752,7 +781,7 @@ def reference_tree_truncation(pi, radius, cap):
     frontier vertex and deduplicates the tree edges (m.h, e) by canonical
     edge-group coset labels, marking both orientations as it crosses.
     """
-    blabel, brep = pi.vertex_label(pi.morph_identity(pi.base_vertex))
+    blabel, brep = pi.vertex_label(pi.identity())
     reps = {blabel: brep}
     depth = {blabel: 0}
     records = []
@@ -821,11 +850,10 @@ def reference_translating_cosets(half, g):
     pi, e0, gamma = half.pi, half.e0, half.gamma
     inverse = pi.graph.inverse
     m_y = pi.cross(gamma, e0)
-    gm = pi.as_morphism(g)
     found = {}
     for a in (gamma, m_y):
-        for b in (pi.compose(gm, gamma), pi.compose(gm, m_y)):
-            delta = pi.compose(pi.invert_morph(a), b)
+        for b in (pi.compose(g, gamma), pi.compose(g, m_y)):
+            delta = pi.compose(reference_inverse(pi, a), b)
             cur = a
             for i, e in enumerate(delta.es):
                 nu = pi.append_mul(cur, delta.gs[i])
@@ -836,7 +864,7 @@ def reference_translating_cosets(half, g):
                     nu = cur
                 label = reference_edge_label(pi, nu, e0)
                 if label not in found:
-                    found[label] = pi.from_morphism(pi.compose(nu, half.gamma_inv))
+                    found[label] = pi.compose(nu, half.gamma_inv)
     return tuple(found.values())
 
 

@@ -327,6 +327,8 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
                                {"id": "u", "group": {"kind": "cyclic", "n": 3}},
                                {"id": "w", "group": {"kind": "cyclic", "n": 3}}],
      "vertices[1].id repeats vertex id 'u'"),
+    # edge 0 runs u -> w, as the origin of its inverse says
+    (("backend", "edges", 0, "t"), "u", "edge 0: stated terminus disagrees with inverse edge"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -411,6 +413,9 @@ def test_cli_cyclic_bound_is_the_table_size(tmp_path, capsys, catalog, n, code):
                                     {"id": 0, "inv": 1, "o": 0, "t": 1}]},
      "edges[2].id repeats edge id 0"),
     ({"vertices": ["a", "a", "b"], "edges": []}, "vertices[1] repeats vertex id 'a'"),
+    ({"vertices": [0, 1], "edges": [{"id": 0, "inv": 1, "o": 0, "t": 0},
+                                    {"id": 1, "inv": 0, "o": 1, "t": 0}]},
+     "edge 0: stated terminus disagrees with inverse edge"),
 ])
 def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
