@@ -14,7 +14,7 @@ from .bass_serre import (
     tree_truncation,
     validate,
 )
-from .cayley_abels import GeneratingPair, RoughCayleyTruncation, Subgroup, ball_enumerate, build, coset_canonical, trivial_subgroup
+from .cayley_abels import GeneratingPair, Subgroup, Truncation, ball_enumerate, ball_walk, build, coset_canonical, trivial_subgroup
 from .ends_cuts import Cut, EndsEstimate, classify_ends, escaping_components, find_cut
 from .ai_cohomology import (
     AIWitness,

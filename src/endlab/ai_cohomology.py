@@ -52,11 +52,7 @@ class AIWitness:
 
     def translate_chi(self, g, label):
         """chi(g^{-1} . label), i.e. the indicator of g.B at the label."""
-        backend = self.pair.backend
-        rep = coset_canonical(
-            backend, self.pair.K, backend.multiply(backend.inverse(g), label)
-        )
-        return self.chi(rep)
+        return self.chi(self.pair.act(self.pair.backend.inverse(g), label))
 
     def difference_support(self, g):
         if self._diff_support is None:
@@ -137,7 +133,7 @@ def check_almost_invariance(w, t):
         moved = [str(v) for v in t.vertices if w.translate_chi(k, v) != w.chi(v)]
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
-        k_orbits[str(k)] = {str(c): str(t.act(k, c)) for c in cert_union if c in t.index}
+        k_orbits[str(k)] = {str(c): str(w.pair.act(k, c)) for c in cert_union if c in t.index}
     for si, s in enumerate(w.pair.S):
         cert = set(w.certificates[si])
         outside = [str(v) for v in t.vertices if w.translate_chi(s, v) != w.chi(v) and v not in cert]
@@ -235,11 +231,11 @@ def cut_from_witness(w, t):
 
 
 def _require_same_pair(w, t):
-    if t.pair is w.pair:
+    if t.space is w.pair:
         return
     same = (
-        set(t.pair.K.elements) == set(w.pair.K.elements)
-        and t.pair.S == w.pair.S
+        set(t.space.K.elements) == set(w.pair.K.elements)
+        and t.space.S == w.pair.S
     )
     if not same:
         raise ValueError("witness and truncation use different generating pairs")
@@ -266,12 +262,9 @@ class DerivationValues:
 
     def translate(self, g, vec):
         """The module action g . vec on a finitely supported vector."""
-        backend = self.witness.pair.backend
         out = {}
         for label, c in vec.items():
-            moved = coset_canonical(
-                backend, self.witness.pair.K, backend.multiply(g, label)
-            )
+            moved = self.witness.pair.act(g, label)
             out[moved] = out.get(moved, Fraction(0)) + c
         return {k: v for k, v in out.items() if v}
 

@@ -27,9 +27,10 @@ word a followed by any word b from where a ends, works only past a, while
 PiOne.compose(a, b) is the product for an a that may not be reduced.  Both
 raise ValueError when b does not start where a ends.
 
-The universal covering tree is materialized only as finite truncations,
-read through reduced words alone: vertices are canonically labelled cosets
-of vertex groups, and tree edges carry no labels.
+The universal covering tree is a coset space for cayley_abels.ball_walk,
+materialized only as finite coset tables and read through reduced words
+alone: a vertex, a coset of a vertex group, is labelled by its least normal
+word, and tree edges carry no labels.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import BudgetExceeded, expect
+from .cayley_abels import ball_walk
+from .errors import BudgetExceeded, expect, required
 from .group_backends import DEFAULT_CAP, FiniteGroup
-from .serre_graphs import SerreGraph, vertex_ids
+from .serre_graphs import SerreGraph, blocks, boundary_dims, vertex_ids
 
 
 @dataclass
@@ -131,25 +133,26 @@ class GraphOfFiniteGroups:
             raise ValueError("not a graph_of_finite_groups spec")
         vertices = [
             expect(v, dict, f"vertices[{i}]")
-            for i, v in enumerate(expect(data["vertices"], list, "vertices"))
+            for i, v in enumerate(required(data, "vertices", "vertices", list))
         ]
         edges = [
             expect(ed, dict, f"edges[{i}]")
-            for i, ed in enumerate(expect(data["edges"], list, "edges"))
+            for i, ed in enumerate(required(data, "edges", "edges", list))
         ]
-        graph = SerreGraph.from_records(vertex_ids([v["id"] for v in vertices], "vertices[{}].id"), edges)
+        ids = [required(v, "id", f"vertices[{i}].id") for i, v in enumerate(vertices)]
+        graph = SerreGraph.from_records(vertex_ids(ids, "vertices[{}].id"), edges)
         vgroups = {
-            v["id"]: _group_from_json(v["group"], f"vertices[{i}].group")
+            v["id"]: _group_from_json(v, "group", f"vertices[{i}].group")
             for i, v in enumerate(vertices)
         }
         egroups, embeddings = {}, {}
         for i, ed in enumerate(edges):
             rep = min(ed["id"], ed["inv"])
             if rep not in egroups:
-                egroups[rep] = _group_from_json(ed["edge_group"], f"edges[{i}].edge_group")
+                egroups[rep] = _group_from_json(ed, "edge_group", f"edges[{i}].edge_group")
             embeddings[ed["id"]] = tuple(
                 expect(x, int, f"edges[{i}].embedding[{j}]")
-                for j, x in enumerate(expect(ed["embedding"], list, f"edges[{i}].embedding"))
+                for j, x in enumerate(required(ed, "embedding", f"edges[{i}].embedding", list))
             )
         return cls(graph, vgroups, egroups, embeddings, name=data.get("name", "gog"))
 
@@ -165,9 +168,12 @@ def _group_to_json(G):
     return {"kind": "table", "elements": list(G.elements), "table": G.table}
 
 
-def _group_from_json(data, where):
-    if expect(data, dict, where)["kind"] == "cyclic":
-        n = data["n"]
+def _group_from_json(record, key, where):
+    """The group spec record[key], the spec field `where`."""
+    data = required(record, key, where, dict)
+    kind = required(data, "kind", f"{where}.kind")
+    if kind == "cyclic":
+        n = required(data, "n", f"{where}.n")
         if type(n) is not int or n < 1:
             raise ValueError(f"{where}.n must be a positive integer, got {n!r}")
         # the group is built as an n x n table, so n is bounded before it is built
@@ -176,14 +182,14 @@ def _group_from_json(data, where):
                 f"{where}.n = {n} is past {isqrt(DEFAULT_CAP)}: its {n}x{n} table would exceed the cap of {DEFAULT_CAP} entries"
             )
         return FiniteGroup.cyclic(n)
-    if data["kind"] == "table":
-        elements = expect(data["elements"], list, f"{where}.elements")
-        table = expect(data["table"], list, f"{where}.table")
+    if kind == "table":
+        elements = required(data, "elements", f"{where}.elements", list)
+        table = required(data, "table", f"{where}.table", list)
         for i, row in enumerate(table):
             if not isinstance(row, list) or any(type(x) is not int for x in row):
                 raise ValueError(f"{where}.table[{i}] must be a list of integers, got {row!r}")
         return FiniteGroup(elements, table)
-    raise ValueError(f"unknown group kind {data['kind']!r}")
+    raise ValueError(f"unknown group kind {kind!r}")
 
 
 @dataclass
@@ -389,21 +395,22 @@ class PiOne:
 
     # -- canonical labels in the universal tree -----------------------------
     def vertex_label(self, m):
-        """(canonical label, canonical representative) of the coset vertex of m.
+        """The canonical label of the tree vertex of m: the least normal form
+        of m.u, u in the group at its end.
 
-        m may be any word.  The least normal form of m.u, u in the group at
-        its end, keys the label; the first product is normalized in full, the
-        others from its letters, which form a normal prefix.
+        All of m but its last edge letter and the group elements on either
+        side of it is trusted as normal, as for a tree neighbour m.h.e of a
+        label m, a product g.m or the identity.  The first form is
+        normalized past that prefix, the others from its letters.
         """
-        v = self.morph_end(m)
-        G, us = self.vgroup(v), range(len(self.vgroup(v)))
-        first = self.normalize(m.start, m.gs[:-1] + (G.mul(m.gs[-1], us[0]),), m.es)
-        head, x, k = first.gs[:-1], G.mul(first.gs[-1], G.inv(us[0])), len(first.es)
+        G = self.vgroup(self.morph_end(m))
+        first = self.normalize(m.start, m.gs, m.es, max(len(m.es) - 1, 0))
+        head, x, k = first.gs[:-1], first.gs[-1], len(first.es)
         forms = [first] + [
-            self.normalize(m.start, head + (G.mul(x, u),), first.es, k) for u in us[1:]
+            self.normalize(m.start, head + (G.mul(x, u),), first.es, k)
+            for u in range(len(G)) if u != G.identity
         ]
-        best = min(forms, key=self.sort_key)
-        return ("v", v, self.sort_key(best)), best
+        return min(forms, key=self.sort_key)
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
@@ -575,73 +582,43 @@ def splitting_classify(gog):
     return SplittingReport(tuple(per_edge), overall)
 
 
-class TreeTruncation:
-    """Radius-R piece of the universal covering tree."""
+class CoveringTree:
+    """The universal covering tree as a coset space for ball_walk.
 
-    def __init__(self, pi, graph, base, radius, depth, reps):
+    A vertex, the coset m.G_v of a word m ending at v, is labelled by its
+    least normal word (vertex_label).  By Serre, Trees, I.5, the tree edges
+    over e at the vertex of m correspond to the left cosets h.A_e, A_e the
+    image of the edge group at origin(e), so m h e meets each once as h
+    runs over the least elements of the cosets.
+    """
+
+    def __init__(self, pi):
         self.pi = pi
-        self.graph = graph
-        self.base = base
-        self.radius = radius
-        self.depth = depth
-        self.reps = reps
+        self.sort_key = pi.sort_key
+        self.base = pi.vertex_label(pi.identity())
+        graph, emb = pi.graph, pi.gog.embeddings
+        # v -> (h, e) per tree edge at a vertex over v
+        self._steps = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            G = pi.vgroup(graph.origin(e))
+            mins = {min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))}
+            self._steps[graph.origin(e)] += [(h, e) for h in sorted(mins)]
 
-    def act_vertex(self, g, label):
-        """Translate a truncation vertex by a group element; may leave the ball."""
-        m = self.pi.multiply(g, self.reps[label])
-        new_label, _ = self.pi.vertex_label(m)
-        return new_label
+    def neighbours(self, m):
+        pi = self.pi
+        return [pi.vertex_label(pi.cross(pi.append_mul(m, h), e)) for h, e in self._steps[pi.morph_end(m)]]
 
-    def to_dot(self):
-        colors = {}
-        palette = ["white", "lightblue", "lightyellow", "lightpink", "lightgreen", "lavender"]
-        for v, d in self.depth.items():
-            colors[v] = palette[d % len(palette)]
-        return self.graph.to_dot(name="tree", vertex_color=colors)
+    def act(self, g, m):
+        """The label of g.m for g in the fundamental group."""
+        return self.pi.vertex_label(self.pi.multiply(g, m))
 
 
 def tree_truncation(pi, radius, cap=DEFAULT_CAP):
-    """BFS the universal tree out to the given radius, over edge-group cosets.
-
-    A vertex label ("v", v, key) names the base-graph vertex v it lies
-    over.  Two facts from Serre, Trees, I.5, let the walk meet each tree
-    edge once with no edge labels.  The tree edges over e at the vertex of
-    a word m correspond to the left cosets h.A_e, A_e the image of the edge
-    group at origin(e), so m h e meets each once as h runs over the least
-    elements of the cosets.  And the length of a reduced word is its tree
-    distance from the base vertex, so the edge back to the parent is the
-    one whose target's word is a letter shorter.
-    """
+    """The radius-R ball of the universal covering tree, as a coset table
+    whose labels are the vertices' canonical normal words."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    graph, emb = pi.graph, pi.gog.embeddings
-    coset_mins = {}
-    for e in graph.edges:
-        G = pi.vgroup(graph.origin(e))
-        coset_mins[e] = sorted({min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))})
-    blabel, brep = pi.vertex_label(pi.identity())
-    reps = {blabel: brep}
-    depth = {blabel: 0}
-    pairs = []
-    frontier = [(blabel, brep)]
-    for d in range(radius):
-        nxt = []
-        for plabel, pm in frontier:
-            for e in graph.star(pi.morph_end(pm)):
-                for h in coset_mins[e]:
-                    tlabel, trep = pi.vertex_label(pi.cross(pi.append_mul(pm, h), e))
-                    if len(trep.es) < d:
-                        continue
-                    reps[tlabel] = trep
-                    depth[tlabel] = d + 1
-                    nxt.append((tlabel, trep))
-                    if len(reps) > cap:
-                        raise BudgetExceeded(f"tree truncation exceeded cap {cap}")
-                    pairs.append((plabel, tlabel))
-        frontier = nxt
-        if not frontier:
-            break
-    return TreeTruncation(pi, SerreGraph.from_geometric(list(reps), pairs), blabel, radius, depth, reps)
+    return ball_walk(CoveringTree(pi), radius, cap)
 
 
 def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
@@ -653,16 +630,17 @@ def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    graph = tree_truncation(pi, radius, cap=cap).graph
-    rank, ker, coker = graph.boundary_dims()
+    t = tree_truncation(pi, radius, cap=cap)
+    n_e = len(t.origin) // 2
+    rank, ker, coker = boundary_dims(len(t.vertices), n_e, len(blocks(t.rows)))
     return Certificate(
         kind="truncation_exactness",
         passed=ker == 0 and coker == 1,
         details={
             "group": pi.name,
             "radius": radius,
-            "vertices": len(graph.vertices),
-            "geometric_edges": len(graph.geometric_edges()),
+            "vertices": len(t.vertices),
+            "geometric_edges": n_e,
             "delta_rank": rank,
             "delta_kernel": ker,
             "delta_cokernel": coker,

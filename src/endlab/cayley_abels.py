@@ -12,7 +12,10 @@ saturated pair are quasi-isometric, so everything the lab measures agrees.
 Parallel edges (distinct s with the same target coset) are kept, so every
 interior vertex has exactly |S| outgoing edges.
 
-A truncation is its coset table, each fact stored once: the cosets in BFS
+One BFS over labels, ball_walk, truncates any coset space that gives a
+base label, a label order and the neighbours of a label: GeneratingPair is
+one such space, and the covering tree of bass_serre is the other.  A
+truncation is its coset table, each fact stored once: the cosets in BFS
 order, where each sphere starts in it, each coset's row of targets inside
 the ball, and an origin per oriented edge, edge e having inverse e ^ 1.
 """
@@ -72,14 +75,16 @@ class GeneratingPair:
 
     S is normalized, deduplicated, closed under inverses and under
     conjugation by K, and sorted canonically.  Elements of K (in particular
-    the identity) are rejected.
+    the identity) are rejected.  As a coset space for ball_walk it gives the
+    base label, the label order and the neighbours of a label.
     """
 
     def __init__(self, backend, K, S, name=None):
         self.backend = backend
         self.K = K
+        self.sort_key = backend.sort_key
         e = backend.identity()
-        base = coset_canonical(backend, K, e)
+        self.base = base = coset_canonical(backend, K, e)
         work = [backend.multiply(e, s) for s in S]
         closed = set()
         while work:
@@ -97,24 +102,51 @@ class GeneratingPair:
         self.S = tuple(sorted(closed, key=backend.sort_key))
         self.name = name or f"({K.name}; {len(self.S)} gens)"
 
+    @functools.cached_property
+    def neighbours(self):
+        """The map from a coset label x to the labels of x.s.K, one per s in S.
+
+        The label of x.s.K is the sort-minimal x.(s.k) over the precomputed
+        products s.k for k in K, which equals coset_canonical(x.s) by
+        associativity and uniqueness of normal forms.  The products x.(s.k)
+        come from the backend's right_products, each slot on its own, so a
+        wrong product leaves its edge unpaired.
+        """
+        backend, n_k = self.backend, len(self.K)
+        times_k = backend.right_products(self.K.elements)
+        products = backend.right_products([g for s in self.S for g in times_k(s)])
+        if n_k == 1:
+            return products
+        sort_key = self.sort_key
+
+        def row(x):
+            xg = products(x)
+            return [min(xg[i:i + n_k], key=sort_key) for i in range(0, len(xg), n_k)]
+
+        return row
+
+    def act(self, k, label):
+        """Left action on coset labels; defined for any group element."""
+        return coset_canonical(self.backend, self.K, self.backend.multiply(k, label))
+
     def __repr__(self):
         return f"GeneratingPair({self.name})"
 
 
-class RoughCayleyTruncation:
-    """Radius-R ball of the coset graph of a generating pair, as a coset table.
+class Truncation:
+    """Radius-R ball of a coset space, as a coset table.
 
-    A coset's label is its sort-minimal representative, so a label is
-    itself a group element and serves as the coset's representative.
+    A coset's label is the canonical representative its space gives it, so
+    a label serves as the coset's representative.
 
     vertices are the labels in BFS order and index, the only label-keyed
     structure, their positions; sphere r is vertices[starts[r]:starts[r + 1]].
-    rows[i] lists the positions of vertices[i].s.K inside the ball for s in
-    S, and oriented edge e runs from origin[e] to origin[e ^ 1].
+    rows[i] lists the positions of the neighbours of vertices[i] inside the
+    ball, and oriented edge e runs from origin[e] to origin[e ^ 1].
     """
 
-    def __init__(self, pair, index, starts, rows, origin, radius, exhausted):
-        self.pair = pair
+    def __init__(self, space, index, starts, rows, origin, radius, exhausted):
+        self.space = space
         self.index = index
         self.vertices = tuple(index)
         self.starts = starts
@@ -123,8 +155,8 @@ class RoughCayleyTruncation:
         self.radius = radius
         self.exhausted = exhausted
 
-    # the probes read the rows; only the tests and the benchmark trace, whose
-    # build hook counts graph.vertices, read this label-keyed copy
+    # the probes read the rows; only the tests, `tree --dot` and the benchmark
+    # trace, whose build hook counts graph.vertices, read this label-keyed copy
     @functools.cached_property
     def graph(self):
         v, o = self.vertices, self.origin
@@ -137,51 +169,27 @@ class RoughCayleyTruncation:
     def sphere_labels(self, r):
         return self.vertices[self.starts[r]:self.starts[r + 1]]
 
-    def act(self, k, label):
-        """Left action on coset labels; defined for any group element."""
-        backend = self.pair.backend
-        return coset_canonical(backend, self.pair.K, backend.multiply(k, label))
 
+def ball_walk(space, radius, cap=DEFAULT_CAP):
+    """BFS a coset space out to the given radius, as a one-pass coset table.
 
-def build(pair, radius, cap=DEFAULT_CAP):
-    """BFS the coset graph out to the given radius, as a one-pass coset table.
-
-    Each (coset, generator) slot is labelled exactly once: the label of
-    x.s.K is the sort-minimal x.(s.k) over the precomputed products s.k
-    for k in K, which equals coset_canonical(x.s) by associativity and
-    uniqueness of normal forms.  The products x.(s.k) come from the
-    backend's right_products, each slot on its own, so a wrong product
-    leaves its edge unpaired.  The BFS keeps each sphere's start and each
-    expanded coset's row of target positions, the outer sphere's rows are
-    labelled after it, and the half-edge pass pairs edges from the rows.
-
-    Raises BudgetExceeded past the element cap, and InternalInconsistency
-    when the rows do not pair up.
+    The space gives a base label, a label order sort_key and neighbours(x),
+    one label per oriented edge at x.  Each sphere is sorted, the outer
+    sphere's rows are labelled after it, and the half-edge pass pairs edges
+    from the rows.  Raises BudgetExceeded past the element cap, and
+    InternalInconsistency when the rows do not pair up.
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    backend = pair.backend
-    sort_key, n_k = backend.sort_key, len(pair.K)
-    times_k = backend.right_products(pair.K.elements)
-    base = min(times_k(backend.identity()), key=sort_key)
-    products = backend.right_products([g for s in pair.S for g in times_k(s)])
-    if n_k == 1:
-        row_of = products
-    else:
-        def row_of(x):
-            xg = products(x)
-            return [min(xg[i:i + n_k], key=sort_key) for i in range(0, len(xg), n_k)]
+    sort_key, neighbours = space.sort_key, space.neighbours
     # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
-    index = {base: 0}
+    index = {space.base: 0}
     starts = [0, 1]
     rows = []
-    frontier = [base]
-    exhausted = False
+    frontier = [space.base]
     for d in range(1, radius + 1):
         found = {}
         labels = []
         for x in frontier:
-            row = row_of(x)
+            row = neighbours(x)
             labels.append(row)
             for y in row:
                 if y not in index:
@@ -195,11 +203,10 @@ def build(pair, radius, cap=DEFAULT_CAP):
         rows.extend([index[y] for y in row] for row in labels)
         frontier = layer
         if not frontier:
-            exhausted = True
             break
     starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
     # the outer sphere, never expanded; its targets beyond the ball are left out
-    rows.extend([index[y] for y in row_of(x) if y in index] for x in frontier)
+    rows.extend([index[y] for y in neighbours(x) if y in index] for x in frontier)
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back
     origin = []
@@ -211,7 +218,15 @@ def build(pair, radius, cap=DEFAULT_CAP):
         raise InternalInconsistency(
             "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
         )
-    return RoughCayleyTruncation(pair, index, starts, rows, origin, radius, exhausted)
+    # an empty frontier means the whole space lies in the ball
+    return Truncation(space, index, starts, rows, origin, radius, not frontier)
+
+
+def build(pair, radius, cap=DEFAULT_CAP):
+    """The radius-R ball of the coset graph of a generating pair, by ball_walk."""
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    return ball_walk(pair, radius, cap)
 
 
 def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):

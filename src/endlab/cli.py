@@ -15,9 +15,9 @@ import sys
 
 from . import bass_serre, cayley_abels, ends_cuts, theorem_lab
 from .bass_serre import PiOne
-from .errors import BudgetExceeded, InternalInconsistency, expect
+from .errors import BudgetExceeded, InternalInconsistency, expect, required
 from .group_backends import DEFAULT_CAP
-from .serre_graphs import SerreGraph
+from .serre_graphs import SerreGraph, blocks, boundary_dims
 
 
 def _load(path):
@@ -32,14 +32,14 @@ def _emit(data):
 
 def _spec_backend(path):
     spec = expect(_load(path), dict, "spec")
-    return spec, theorem_lab.backend_from_spec(spec["backend"])
+    return spec, theorem_lab.backend_from_spec(required(spec, "backend", "backend"))
 
 
 def _spec_backend_pairs(path, pair_index):
     spec, backend = _spec_backend(path)
     pairs = [
         theorem_lab.pair_from_spec(backend, p, name=f"pair{i}", where=f"pairs[{i}]")
-        for i, p in enumerate(expect(spec["pairs"], list, "pairs"))
+        for i, p in enumerate(required(spec, "pairs", "pairs", list))
     ]
     if not 0 <= pair_index < len(pairs):
         raise ValueError(f"no pair {pair_index} in spec (found {len(pairs)})")
@@ -51,7 +51,7 @@ def cmd_ends(args):
     est = ends_cuts.classify_ends(
         pair, r_max=args.rmax, radius=args.R, cap=args.cap
     )
-    _emit({"pair": pair.name, **est.to_json(), "coarse": est.coarse_class()})
+    _emit({"pair": pair.name, **est.to_json()})
     return 0
 
 
@@ -78,14 +78,18 @@ def cmd_tree(args):
         raise ValueError("tree truncation needs a graph-of-groups backend")
     tt = bass_serre.tree_truncation(backend, args.radius, cap=args.cap)
     if args.dot:
+        palette = ["white", "lightblue", "lightyellow", "lightpink", "lightgreen", "lavender"]
+        colors = {v: palette[r % len(palette)] for r in range(args.radius + 1) for v in tt.sphere_labels(r)}
         with open(args.dot, "w") as fp:
-            fp.write(tt.to_dot())
+            fp.write(tt.graph.to_dot(name="tree", vertex_color=colors))
+    n_e = len(tt.origin) // 2
+    _, ker, coker = boundary_dims(len(tt.vertices), n_e, len(blocks(tt.rows)))
     _emit({
         "group": backend.name,
         "radius": args.radius,
-        "vertices": len(tt.graph.vertices),
-        "geometric_edges": len(tt.graph.geometric_edges()),
-        "is_tree": tt.graph.is_tree(),
+        "vertices": len(tt.vertices),
+        "geometric_edges": n_e,
+        "is_tree": ker == 0 and coker == 1,
         "dot": args.dot,
     })
     return 0
@@ -93,7 +97,7 @@ def cmd_tree(args):
 
 def cmd_homology(args):
     graph = SerreGraph.from_json(_load(args.graph))
-    rank, ker, coker = graph.boundary_dims()
+    rank, ker, coker = boundary_dims(len(graph.vertices), len(graph.edges) // 2, len(graph.components()))
     _emit({
         "vertices": len(graph.vertices),
         "geometric_edges": len(graph.geometric_edges()),

@@ -55,6 +55,7 @@ class EndsEstimate:
             "count": self.count,
             "radii": {"r_max": self.r_max, "R": self.radius},
             "exhausted": self.exhausted,
+            "coarse": self.coarse_class(),
         }
 
 

@@ -30,6 +30,14 @@ def expect(value, kind, where):
     return value
 
 
+def required(record, key, where, kind=None):
+    """record[key], the spec field `where`, which must be present and, when
+    kind is given, of that JSON kind (see expect); else ValueError naming it."""
+    if key not in record:
+        raise ValueError(f"{where} is missing")
+    return record[key] if kind is None else expect(record[key], kind, where)
+
+
 def one_of(value, allowed, where):
     """value, if it is one of the strings in allowed; else ValueError naming
     the spec field `where` and the allowed values."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import expect
+from .errors import expect, required
 
 DEFAULT_CAP = 200_000
 
@@ -326,12 +326,12 @@ class RewritingGroup:
             if not (isinstance(r, list) and len(r) == 2 and all(isinstance(w, str) for w in r)):
                 raise ValueError(f"rules[{i}] must be a pair of word strings, got {r!r}")
             rules.append(tuple(r))
-        generators = expect(data["generators"], list, "generators")
+        generators = required(data, "generators", "generators", list)
         if not generators:
             raise ValueError("generators must not be empty")
         for i, g in enumerate(generators):
             expect(g, str, f"generators[{i}]")
-        inverses = expect(data["inverses"], dict, "inverses")
+        inverses = required(data, "inverses", "inverses", dict)
         for g, gi in inverses.items():
             expect(gi, str, f"inverses[{g!r}]")
         return cls(

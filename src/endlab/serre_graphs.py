@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import expect
+from .errors import expect, required
 
 # the JSON kinds of a vertex id
 VERTEX_ID = (str, int)
@@ -117,22 +117,9 @@ class SerreGraph:
                 inverse[e] = self._inverse[e]
         return SerreGraph(keep_v, origin, inverse, check=False)
 
-    def boundary_dims(self):
-        """(rank, kernel, cokernel) dimensions of the boundary map
-        Q[geometric edges] -> Q[vertices], from one component count c.
-
-        Each component's edge columns span the sum-zero vectors on its
-        vertices, so the rank is |V| - c, the kernel (cycle space) is
-        |E| - |V| + c, loops and parallel edges included, and the cokernel
-        is c (Serre, Trees, I.2).  No elimination is needed.
-        """
-        c = len(self.components())
-        rank = len(self._vertices) - c
-        return rank, len(self._edges) // 2 - rank, c
-
     def is_tree(self):
         """Connected, nonempty and circuit-free: no cycles and one component."""
-        _, ker, coker = self.boundary_dims()
+        _, ker, coker = boundary_dims(len(self._vertices), len(self._edges) // 2, len(self.components()))
         return ker == 0 and coker == 1
 
     def to_json(self):
@@ -153,14 +140,14 @@ class SerreGraph:
         """
         origin, inverse = {}, {}
         for i, ed in enumerate(edges):
-            e = expect(ed["id"], int, f"edges[{i}].id")
+            e = required(ed, "id", f"edges[{i}].id", int)
             if e in origin:
                 raise ValueError(f"edges[{i}].id repeats edge id {e}")
-            inverse[e] = expect(ed["inv"], int, f"edges[{i}].inv")
-            origin[e] = expect(ed["o"], VERTEX_ID, f"edges[{i}].o")
+            inverse[e] = required(ed, "inv", f"edges[{i}].inv", int)
+            origin[e] = required(ed, "o", f"edges[{i}].o", VERTEX_ID)
         g = cls(vertices, origin, inverse)
-        for ed in edges:
-            if g.terminus(ed["id"]) != ed["t"]:
+        for i, ed in enumerate(edges):
+            if g.terminus(ed["id"]) != required(ed, "t", f"edges[{i}].t"):
                 raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")
         return g
 
@@ -169,9 +156,9 @@ class SerreGraph:
         expect(data, dict, "graph")
         edges = [
             expect(ed, dict, f"edges[{i}]")
-            for i, ed in enumerate(expect(data["edges"], list, "edges"))
+            for i, ed in enumerate(required(data, "edges", "edges", list))
         ]
-        vertices = vertex_ids(expect(data["vertices"], list, "vertices"), "vertices[{}]")
+        vertices = vertex_ids(required(data, "vertices", "vertices", list), "vertices[{}]")
         return cls.from_records(vertices, edges)
 
     def to_dot(self, name="g", vertex_color=None):
@@ -212,6 +199,19 @@ def blocks(neighbours, removed=()):
                         block.append(w)
             out.append(sorted(block))
     return out
+
+
+def boundary_dims(n_vertices, n_edges, c):
+    """(rank, kernel, cokernel) dimensions of the boundary map
+    Q[geometric edges] -> Q[vertices] of a graph with c components.
+
+    Each component's edge columns span the sum-zero vectors on its
+    vertices, so the rank is |V| - c, the kernel (cycle space) is
+    |E| - |V| + c, loops and parallel edges included, and the cokernel
+    is c (Serre, Trees, I.2).  No elimination is needed.
+    """
+    rank = n_vertices - c
+    return rank, n_edges - rank, c
 
 
 def _dot_id(v):

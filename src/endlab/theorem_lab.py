@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts
 from .bass_serre import Certificate, GraphOfFiniteGroups, PiOne
-from .errors import BudgetExceeded, expect, one_of
+from .errors import BudgetExceeded, expect, one_of, required
 from .group_backends import DEFAULT_CAP, RewritingGroup
 
 
@@ -99,8 +99,9 @@ class CatalogEntry:
 
     @classmethod
     def from_json(cls, data, where="entry"):
-        spec = expect(expect(data, dict, where)["spec"], dict, f"{where}.spec")
-        if not expect(spec["pairs"], list, f"{where}.spec.pairs"):
+        spec = required(expect(data, dict, where), "spec", f"{where}.spec", dict)
+        required(spec, "backend", f"{where}.spec.backend")
+        if not required(spec, "pairs", f"{where}.spec.pairs", list):
             raise ValueError(f"{where}.spec.pairs must not be empty")
         scales = expect(data.get("scales", {}), dict, f"{where}.scales")
         for key in ("r_max", "radius"):
@@ -120,9 +121,9 @@ class CatalogEntry:
                 f"{where}.witness_expected must be a boolean, got {type(witness_expected).__name__}"
             )
         entry = cls(
-            name=expect(data["name"], str, f"{where}.name"),
+            name=required(data, "name", f"{where}.name", str),
             spec=spec,
-            expected_ends=one_of(data["expected_ends"], ENDS_CLASSES, f"{where}.expected_ends"),
+            expected_ends=one_of(required(data, "expected_ends", f"{where}.expected_ends"), ENDS_CLASSES, f"{where}.expected_ends"),
             expected_splitting=splitting,
             witness_expected=witness_expected,
             marked_edge=marked_edge,
@@ -204,8 +205,8 @@ def subgroup_from_spec(backend, spec, where="K"):
 
 
 def pair_from_spec(backend, data, name=None, where="pair"):
-    K = subgroup_from_spec(backend, expect(data, dict, where)["K"], f"{where}.K")
-    words = expect(data["S"], list, f"{where}.S")
+    K = subgroup_from_spec(backend, required(expect(data, dict, where), "K", f"{where}.K"), f"{where}.K")
+    words = required(data, "S", f"{where}.S", list)
     S = [element_from_spec(backend, s, f"{where}.S[{i}]") for i, s in enumerate(words)]
     return cayley_abels.GeneratingPair(backend, K, S, name=name)
 
@@ -313,10 +314,9 @@ class TreeActionOracle:
     def __init__(self, backend):
         self.backend = backend
         self.tt = bass_serre.tree_truncation(backend, 6)
-        self.labels = list(self.tt.graph.vertices)
 
     def value(self, el):
-        return tuple(self.tt.act_vertex(el, v) for v in self.labels)
+        return tuple(self.tt.space.act(el, v) for v in self.tt.vertices)
 
 
 class MatrixAmalgamOracle:
@@ -585,7 +585,7 @@ def catalog_to_json(entries):
 
 
 def catalog_from_json(data):
-    entries = expect(expect(data, dict, "catalog")["entries"], list, "entries")
+    entries = required(expect(data, dict, "catalog"), "entries", "entries", list)
     return [CatalogEntry.from_json(e, where=f"entries[{i}]") for i, e in enumerate(entries)]
 
 
@@ -643,13 +643,11 @@ def verify_equivalence(entry, scales=None):
     scales = entry.effective_scales(scales or Scales())
     backend = entry.backend()
     ends = []
-    coarse = set()
     for pair in entry.pairs():
         est = ends_cuts.classify_ends(
             pair, r_max=scales.r_max, radius=scales.radius, cap=scales.cap,
         )
-        coarse.add(est.coarse_class())
-        ends.append({"pair": pair.name, **est.to_json(), "coarse": est.coarse_class()})
+        ends.append({"pair": pair.name, **est.to_json()})
     splitting = None
     if isinstance(backend, PiOne):
         splitting = bass_serre.splitting_classify(backend.gog).overall
@@ -666,7 +664,7 @@ def verify_equivalence(entry, scales=None):
             "pair": report["witness"]["pair"],
         }
     problems = []
-    if len(coarse) != 1:
+    if len({row["coarse"] for row in ends}) != 1:
         problems.append("generating pairs disagree on the ends class")
     measured = ends[0]["coarse"]
     if measured != entry.expected_ends:

@@ -75,7 +75,7 @@ def test_witnesses_are_proper(witnesses):
 def test_witness_keeps_its_probe_truncation(witnesses):
     # the CLI and the catalog chain reuse it instead of building it again
     for name, (_, w, t) in witnesses.items():
-        assert w.truncation.pair is w.pair, name
+        assert w.truncation.space is w.pair, name
         assert coset_table(w.truncation) == coset_table(t), name
 
 

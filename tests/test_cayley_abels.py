@@ -154,10 +154,10 @@ def test_k_action_fixes_base_and_permutes_spheres(catalog):
     t = build(pair, 3)
     base = t.vertices[0]
     for k in pair.K.elements:
-        assert t.act(k, base) == base
+        assert pair.act(k, base) == base
         for r in range(1, t.radius + 1):
             sphere = t.sphere_labels(r)
-            image = {t.act(k, v) for v in sphere}
+            image = {pair.act(k, v) for v in sphere}
             assert image == set(sphere)
 
 

@@ -1,7 +1,7 @@
 """SparseMatrixQ.rank, and the elimination reference for graph ranks.
 
 The pipeline reads the ranks of a graph's boundary map off a component
-count (SerreGraph.boundary_dims).  The fraction-free elimination it used
+count (serre_graphs.boundary_dims).  The fraction-free elimination it used
 before is kept here as the reference: the boundary and augmentation
 matrices, the product, and the short-exactness check, all on SparseMatrixQ.
 test_bass_serre and test_acceptance import them from this module.

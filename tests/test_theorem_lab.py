@@ -25,6 +25,16 @@ from endlab.theorem_lab import (
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = next(e for e in default_catalog() if e.name == "z_hnn").to_json()
 
+# a malformed-spec value that deletes its field instead of setting it
+MISSING = object()
+
+
+def set_field(node, key, value):
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+
 
 def test_default_catalog_is_consistent(catalog):
     report = run_catalog(list(catalog.values()), FAST)
@@ -162,7 +172,13 @@ def test_cli_tree_writes_dot(tmp_path, capsys, catalog):
     assert cli.main(["tree", path, "--radius", "3", "--dot", str(dot)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["is_tree"]
-    assert dot.read_text().startswith("digraph")
+    text = dot.read_text()
+    assert text.startswith("digraph")
+    # one node line per vertex, one arrow per geometric edge
+    lines = text.splitlines()[1:-1]
+    arrows = [line for line in lines if " -> " in line]
+    assert (len(lines) - len(arrows), len(arrows)) == (out["vertices"], out["geometric_edges"])
+    assert out["vertices"] == out["geometric_edges"] + 1 == 1 + 2 + 4 + 4
 
 
 def test_cli_homology(tmp_path, capsys):
@@ -281,10 +297,12 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     ("generators", ["a", 5], "generators[1] must be a string, got int"),
     ("inverses", {"a": ["A"]}, "inverses['a'] must be a string, got list"),
     ("generators", [], "generators must not be empty"),
+    ("generators", MISSING, "generators is missing"),
+    ("inverses", MISSING, "inverses is missing"),
 ])
 def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["z_rw"].spec))
-    spec["backend"][field] = value
+    set_field(spec["backend"], field, value)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["ends", str(path), "--R", "4"]) == 1
@@ -329,13 +347,31 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
      "vertices[1].id repeats vertex id 'u'"),
     # edge 0 runs u -> w, as the origin of its inverse says
     (("backend", "edges", 0, "t"), "u", "edge 0: stated terminus disagrees with inverse edge"),
+    # a missing required field is named, not reported as its bare key
+    (("backend", "edges", 0, "t"), MISSING, "edges[0].t is missing"),
+    (("backend", "edges", 0, "inv"), MISSING, "edges[0].inv is missing"),
+    (("backend", "edges", 0, "o"), MISSING, "edges[0].o is missing"),
+    (("backend", "edges", 1, "id"), MISSING, "edges[1].id is missing"),
+    (("backend", "edges", 0, "edge_group"), MISSING, "edges[0].edge_group is missing"),
+    (("backend", "edges", 0, "embedding"), MISSING, "edges[0].embedding is missing"),
+    (("backend", "vertices", 1, "id"), MISSING, "vertices[1].id is missing"),
+    (("backend", "vertices", 0, "group"), MISSING, "vertices[0].group is missing"),
+    (("backend", "vertices", 0, "group", "kind"), MISSING, "vertices[0].group.kind is missing"),
+    (("backend", "vertices", 1, "group", "n"), MISSING, "vertices[1].group.n is missing"),
+    (("backend", "vertices", 0, "group"), {"kind": "table", "table": [[0]]}, "vertices[0].group.elements is missing"),
+    (("backend", "vertices"), MISSING, "vertices is missing"),
+    (("backend", "edges"), MISSING, "edges is missing"),
+    (("backend",), MISSING, "backend is missing"),
+    (("pairs",), MISSING, "pairs is missing"),
+    (("pairs", 0, "K"), MISSING, "pairs[0].K is missing"),
+    (("pairs", 1, "S"), MISSING, "pairs[1].S is missing"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
     node = spec
     for key in field[:-1]:
         node = node[key]
-    node[field[-1]] = value
+    set_field(node, field[-1], value)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["cut", str(path), "--R", "4"]) == 1
@@ -452,6 +488,12 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "oracle"), ["tree_action"],
      "entries[0].oracle must be one of 'integer_word', 'pair_count', 'free_reduction', 'affine_word', "
      "'hnn_integer', 'affine_pi', 'tree_action', 'matrix_amalgam', got ['tree_action']"),
+    (("entries",), MISSING, "entries is missing"),
+    (("entries", 0, "name"), MISSING, "entries[0].name is missing"),
+    (("entries", 0, "expected_ends"), MISSING, "entries[0].expected_ends is missing"),
+    (("entries", 0, "spec"), MISSING, "entries[0].spec is missing"),
+    (("entries", 0, "spec", "pairs"), MISSING, "entries[0].spec.pairs is missing"),
+    (("entries", 0, "spec", "backend"), MISSING, "entries[0].spec.backend is missing"),
 ])
 def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
@@ -459,7 +501,7 @@ def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field,
         node = doc
         for key in field[:-1]:
             node = node[key]
-        node[field[-1]] = value
+        set_field(node, field[-1], value)
     else:
         doc = value
     path = tmp_path / "catalog.json"
