@@ -16,16 +16,19 @@ representative from a fixed identity-first right transversal of the
 embedded edge group.  Elements of the fundamental group are the normal
 words that start and end at the base vertex.
 
-PiOne.normalize reduces with a stack, so each pinch is removed where the
-incoming letter meets the top of the stack, and then pushes the group
-elements to transversals from right to left.  Serre's normal form theorem
-(Trees, 1980, I.5) makes the reduced, transversal-pushed word unique, so it
-does not depend on the order in which pinches are removed.  A caller that
-knows a prefix of the word is already normal says so, and only the
-junction after that prefix is worked on.  So PiOne.multiply(a, b), a normal
-word a followed by any word b from where a ends, works only past a, while
-PiOne.compose(a, b) is the product for an a that may not be reduced.  Both
-raise ValueError when b does not start where a ends.
+PiOne.normalize reduces a raw word with a stack, so each pinch is removed
+where the incoming letter meets the top of the stack, and then pushes the
+group elements to transversals from right to left.  Serre's normal form
+theorem (Trees, 1980, I.5) makes the reduced, transversal-pushed word
+unique, so it does not depend on the order in which pinches are removed.
+A caller that knows a prefix of the word is already normal says so, and
+only the junction after that prefix is worked on.  PiOne.multiply(a, b),
+a word a normal apart from its last group element followed by a normal
+word b from where a ends, never calls it: it removes the pinches across
+the junction, at most min(|a|, |b|) of them, and carries left from the
+junction only while the carry is nontrivial, since both sides are already
+normal.  PiOne.compose(a, b) is the product for any words a and b, through
+normalize.  Both raise ValueError when b does not start where a ends.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -268,10 +271,10 @@ class PiOne:
         self.base_vertex = gog.graph.vertices[0]
         self.data = validate(gog)
         self.name = f"pi1({gog.name})"
-        # per-edge tables for normalize: pinch[e] maps an image element h at
-        # terminus(e) to the element b at origin(e) with e h = b e; push[e]
-        # maps x to (s, b) with x = h s for the transversal rep s, b as for
-        # pinch, and b None when h is the identity
+        # per-edge tables for normalize and multiply: pinch[e] maps an image
+        # element h at terminus(e) to the element b at origin(e) with
+        # e h = b e; push[e] maps x to (s, b) with x = h s for the transversal
+        # rep s, b as for pinch, and b None when h is the identity
         g, emb = gog.graph, gog.embeddings
         self._inverse = {e: g.inverse(e) for e in g.edges}
         self._origin = {e: g.origin(e) for e in g.edges}
@@ -370,17 +373,18 @@ class PiOne:
     def morph_end(self, m):
         return self._terminus[m.es[-1]] if m.es else m.start
 
-    def _join(self, a, b, prefix):
-        """a followed by b, normalized past the first prefix letters of a."""
+    def _junction(self, a, b):
+        """The product of the last group element of a and the first of b,
+        in the group where b starts, which must be where a ends."""
         end = self.morph_end(a)
         if end != b.start:
             raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
-        mid = self._table[end][a.gs[-1]][b.gs[0]]
-        return self.normalize(a.start, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es, prefix)
+        return self._table[end][a.gs[-1]][b.gs[0]]
 
     def compose(self, a, b):
         """a followed by b, for any words a and b with b starting where a ends."""
-        return self._join(a, b, 0)
+        mid = self._junction(a, b)
+        return self.normalize(a.start, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es)
 
     def append_mul(self, m, u):
         """m followed by the vertex-group element u at its endpoint."""
@@ -417,11 +421,32 @@ class PiOne:
         return PiOneElement(self, (self.vgroup(self.base_vertex).identity,), (), self.base_vertex)
 
     def multiply(self, a, b):
-        """A normal word a followed by any word b from where a ends.
+        """A word a, normal apart from its last group element, followed by a
+        normal word b that starts where a ends.
 
-        a is trusted as a normal prefix, apart from its last group element.
+        Both words are trusted as they are, so only the junction is worked
+        on: the two elements that meet there merge, pinches across it are
+        removed while the last edge of a and the next edge of b are inverse
+        and the merged element lies in that edge's image, and the merged
+        element is pushed to its transversal representative, carrying left
+        only while the carry is nontrivial.
         """
-        return self._join(a, b, len(a.es))
+        mid = self._junction(a, b)
+        inverse, pinch, table = self._inverse, self._pinch, self._origin_table
+        i, j, m = len(a.es), 0, len(b.es)
+        while i and j < m and inverse[a.es[i - 1]] == b.es[j]:
+            f = a.es[i - 1]
+            c = pinch[f].get(mid)
+            if c is None:
+                break
+            t = table[f]
+            mid = t[t[a.gs[i - 1]][c]][b.gs[j + 1]]
+            i -= 1
+            j += 1
+        head = a.es[:i]
+        G = [*a.gs[:i], mid]
+        self._push_to_transversals(G, head, i)
+        return PiOneElement(self, (*G, *b.gs[j + 1:]), head + b.es[j:], a.start)
 
     def inverse(self, a):
         """The inverse of a normal word a, from where a ends."""
@@ -435,7 +460,7 @@ class PiOne:
         return PiOneElement(self, tuple(G), tuple(E), self.morph_end(a))
 
     def right_products(self, gens):
-        """The map x -> [x.g for g in gens]."""
+        """The map x -> [x.g for g in gens], for normal words x and gens."""
         gens, multiply = tuple(gens), self.multiply
         return lambda x: [multiply(x, g) for g in gens]
 
@@ -611,6 +636,9 @@ class CoveringTree:
     def act(self, g, m):
         """The label of g.m for g in the fundamental group."""
         return self.pi.vertex_label(self.pi.multiply(g, m))
+
+    def __repr__(self):
+        return f"CoveringTree({self.pi.name})"
 
 
 def tree_truncation(pi, radius, cap=DEFAULT_CAP):

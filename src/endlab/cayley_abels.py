@@ -64,8 +64,9 @@ def trivial_subgroup(backend):
 def coset_canonical(backend, K, g):
     """Sort-minimal representative of gK; equal labels iff equal cosets.
 
-    Multiplying by the subgroup elements also normalizes g, so raw input
-    words are fine.
+    g is taken as the backend's multiply takes its left factor: any word
+    for a rewriting backend, a word normal apart from its last group
+    element for PiOne.
     """
     return min((backend.multiply(g, k) for k in K.elements), key=backend.sort_key)
 
@@ -74,8 +75,10 @@ class GeneratingPair:
     """A pair (K, S): finite subgroup plus finite symmetric generator list.
 
     S is normalized, deduplicated, closed under inverses and under
-    conjugation by K, and sorted canonically.  Elements of K (in particular
-    the identity) are rejected.  As a coset space for ball_walk it gives the
+    conjugation by K, and sorted canonically.  Normalizing is the product
+    with the identity on the left, so a rewriting backend takes any words
+    and PiOne takes normal words.  Elements of K (in particular the
+    identity) are rejected.  As a coset space for ball_walk it gives the
     base label, the label order and the neighbours of a label.
     """
 
@@ -216,7 +219,8 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 origin += [i, j] * min(row.count(j), rows[j].count(i))
     if len(origin) != sum(map(len, rows)):
         raise InternalInconsistency(
-            "unbalanced edge multiplicities; generating set is not closed under K-conjugation"
+            f"unbalanced edge multiplicities in the radius-{radius} ball of {space!r}: "
+            "two rows list each other a different number of times"
         )
     # an empty frontier means the whole space lies in the ball
     return Truncation(space, index, starts, rows, origin, radius, not frontier)

@@ -223,9 +223,13 @@ class RewritingGroup:
         """
         if not self._letters.issuperset(word):
             self._check_letters(word)
-        w = word
+        return self._reduce(word, 0)
+
+    def _reduce(self, w, pos):
+        """normal_form of a word w of known letters in which no left-hand
+        side occurrence starts before position pos."""
         search, rhs, back = self._lhs_search, self._rhs, self._max_lhs - 1
-        m = search(w)
+        m = search(w, pos)
         while m is not None:
             pos = m.start()
             w = w[:pos] + rhs[m.group()] + w[m.end():]
@@ -246,8 +250,10 @@ class RewritingGroup:
         the longest left-hand side ending at the join, and if its right-hand
         side is empty (a free cancellation, say) the product is the prefix of
         x before it, which is irreducible.  Every other hit falls back to
-        normal_form(x + g).  No step chooses between rewrites, so the
-        products are normal_form's also for a system that is not confluent.
+        normal_form's reducer on x + g, whose first search starts at the
+        last _max_lhs - 1 letters of x.  No step chooses between rewrites, so
+        the products are normal_form's also for a system that is not
+        confluent.
         """
         gens = list(gens)
         for g in gens:
@@ -263,14 +269,14 @@ class RewritingGroup:
             return -1
 
         outcomes = [[outcome(q, g) for g in gens] for q in range(len(delta))]
-        back, normal_form = self._max_lhs - 1, self.normal_form
+        back, reduce = self._max_lhs - 1, self._reduce
 
         def products(x):
             q = 0
             for c in x[-back:]:
                 q = delta[q][c]
             return [
-                x + g if k == -1 else normal_form(x + g) if k is None else x[:len(x) - k]
+                x + g if k == -1 else reduce(x + g, max(len(x) - back, 0)) if k is None else x[:len(x) - k]
                 for g, k in zip(gens, outcomes[q])
             ]
 

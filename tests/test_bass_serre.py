@@ -19,7 +19,7 @@ from endlab.bass_serre import (
     tree_truncation,
 )
 from endlab.cayley_abels import ball_enumerate, coset_canonical
-from endlab.errors import BudgetExceeded
+from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
 from endlab.theorem_lab import RESOLUTION_RADIUS
@@ -441,6 +441,21 @@ def test_tree_truncation_respects_cap():
         tree_truncation(c2c3(), 6, cap=5)
 
 
+def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
+    pi = c2c3()
+
+    def trusting_label(m):
+        # trusts the last edge letter too, so a neighbour that steps back
+        # along it keeps its pinch and is labelled as a vertex of its own
+        G = pi.vgroup(pi.morph_end(m))
+        forms = [pi.normalize(m.start, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, len(m.es)) for u in range(len(G))]
+        return min(forms, key=pi.sort_key)
+
+    monkeypatch.setattr(pi, "vertex_label", trusting_label)
+    with pytest.raises(InternalInconsistency, match=r"^unbalanced edge multiplicities .*CoveringTree\(pi1\(C2\*C3\)\)"):
+        tree_truncation(pi, 2)
+
+
 # -- the linear normalizer against the left-greedy one it replaced -------------------
 
 def reference_normalize(pi, start, gs, es):
@@ -675,6 +690,43 @@ def test_normalize_trusts_a_normal_prefix(data):
     gs, es = concat(pi, end, (m.gs, m.es), tail)
     k = data.draw(st.integers(0, len(m.es)))
     assert pi.normalize(start, gs, es, k) == reference_normalize(pi, start, gs, es)
+
+
+def suffix_word(pi, m, k):
+    """The letters of m past its first k edge letters, from where they start."""
+    start = pi.vertex_chain(m.start, m.es)[k]
+    return PiOneElement(pi, (pi.vgroup(start).identity,) + m.gs[k + 1:], m.es[k:], start)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_multiply_matches_reference_at_the_junction(data):
+    # a is normal apart from its last group element and b is normal, so
+    # multiply works only where they meet: pinches across the junction,
+    # then carries left from it
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES + FUZZ_CASES))
+    start = data.draw(st.sampled_from(pi.graph.vertices))
+    normal = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
+    end = pi.morph_end(normal)
+    a = pi.append_mul(normal, data.draw(st.integers(0, len(pi.vgroup(end)) - 1)))
+    mode = data.draw(st.sampled_from(["free", "cancel_b", "cancel_a"]))
+    if mode == "free":
+        b = reference_normalize(pi, end, *draw_walk(data, pi, end, 10, 0.3))
+    elif mode == "cancel_b":
+        # the inverse of a suffix of a: the junction cancels all of b
+        k = data.draw(st.integers(0, len(a.es)))
+        b = reference_inverse(pi, suffix_word(pi, a, k))
+    else:
+        # a^-1 then a walk from where a starts: the junction cancels all of a
+        # unless the walk cancels into a^-1 first
+        tail = draw_walk(data, pi, start, 6, 0.3)
+        b = reference_normalize(pi, end, *concat(pi, start, raw_inverse(pi, start, a.gs, a.es), tail))
+    got = pi.multiply(a, b)
+    assert got == reference_normalize(pi, start, *concat(pi, end, (a.gs, a.es), (b.gs, b.es)))
+    if mode == "cancel_b":
+        assert len(got.es) == len(a.es) - len(b.es)
+    elif mode == "cancel_a" and len(b.es) == len(a.es) + len(tail[1]):
+        assert got.es == b.es[len(a.es):]
 
 
 # -- the half-tree side rule against the label-and-distance rule it replaced ----------

@@ -371,5 +371,5 @@ def test_unsaturated_generators_give_unbalanced_edges():
     K = Subgroup(pi, pi.vertex_subgroup_elements("w"), name="C3w")
     pair = GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
     pair.S = pair.S[1:2]
-    with pytest.raises(RuntimeError, match="unbalanced edge multiplicities"):
+    with pytest.raises(RuntimeError, match=r"^unbalanced edge multiplicities .*GeneratingPair\("):
         build(pair, 3)
