@@ -29,6 +29,9 @@ the junction, at most min(|a|, |b|) of them, and carries left from the
 junction only while the carry is nontrivial, since both sides are already
 normal.  PiOne.compose(a, b) is the product for any words a and b, through
 normalize.  Both raise ValueError when b does not start where a ends.
+Since multiply reads only the head of b that the junction reaches,
+PiOne.coset_products takes the least product x.b over a coset s.K from
+the least b alone whenever all of s.K share that head.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -463,6 +466,43 @@ class PiOne:
         """The map x -> [x.g for g in gens], for normal words x and gens."""
         gens, multiply = tuple(gens), self.multiply
         return lambda x: [multiply(x, g) for g in gens]
+
+    def coset_products(self, gens, K):
+        """The map x -> [the least x.g.k over k in K, for g in gens], for
+        normal words x and gens and the elements K of a finite subgroup.
+
+        Each g gets its coset g.K once, as the sort-ordered normal words B,
+        and c, the number of leading group elements and edge letters that
+        every member of B shares.  Each slot gets its own product
+        y = x.B[0], for which multiply reads only the first j + 1 group
+        elements and edge letters of B[0], j the number of pinches across
+        the junction.  When j < c, the junction reads the same letters and
+        stops at the same j for every member b, so every x.b is one pushed
+        head followed by b's own tail: the products order as B does, and y
+        is the least by uniqueness of normal forms (Serre, Trees, I.5).
+        Otherwise the least is taken over all |K| products.
+        """
+        multiply, sort_key = self.multiply, self.sort_key
+        slots = []
+        for g in gens:
+            B = sorted((multiply(g, k) for k in K), key=sort_key)
+            b0, c = B[0], 0
+            while all(len(b.es) > c and b.gs[c] == b0.gs[c] and b.es[c] == b0.es[c] for b in B):
+                c += 1
+            slots.append((B, len(b0.es) - 2 * c))
+
+        def row(x):
+            n, out = len(x.es), []
+            for B, bound in slots:
+                y = multiply(x, B[0])
+                # j < c: the product has more than |x| + |B[0]| - 2c edge letters
+                if len(y.es) > n + bound:
+                    out.append(y)
+                else:
+                    out.append(min([y, *(multiply(x, b) for b in B[1:])], key=sort_key))
+            return out
+
+        return row
 
     def sort_key(self, a):
         return (len(a.es), a.es, a.gs)

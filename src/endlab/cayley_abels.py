@@ -12,6 +12,14 @@ saturated pair are quasi-isometric, so everything the lab measures agrees.
 Parallel edges (distinct s with the same target coset) are kept, so every
 interior vertex has exactly |S| outgoing edges.
 
+For a nontrivial K the label of x.s.K is the least of the |K| products x.b,
+b in the coset s.K, and most rows need only one of them.  A product of
+normal words changes only the junction, so when every b shares the head
+that the junction with x reads, every x.b is one head followed by b's own
+tail and the products order as the b do; by uniqueness of normal forms
+(Serre, Trees, I.5) the least b then gives the label.  Where the junction
+reaches past the shared head, the row takes the least of all |K| products.
+
 One BFS over labels, ball_walk, truncates any coset space that gives a
 base label, a label order and the neighbours of a label: GeneratingPair is
 one such space, and the covering tree of bass_serre is the other.  A
@@ -79,7 +87,8 @@ class GeneratingPair:
     with the identity on the left, so a rewriting backend takes any words
     and PiOne takes normal words.  Elements of K (in particular the
     identity) are rejected.  As a coset space for ball_walk it gives the
-    base label, the label order and the neighbours of a label.
+    base label, the label order and the neighbours of a label; for a
+    nontrivial K the backend forms them with coset_products, as PiOne does.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -109,24 +118,19 @@ class GeneratingPair:
     def neighbours(self):
         """The map from a coset label x to the labels of x.s.K, one per s in S.
 
-        The label of x.s.K is the sort-minimal x.(s.k) over the precomputed
-        products s.k for k in K, which equals coset_canonical(x.s) by
-        associativity and uniqueness of normal forms.  The products x.(s.k)
-        come from the backend's right_products, each slot on its own, so a
-        wrong product leaves its edge unpaired.
+        For K = 1 these are the backend's right_products x.s.  Otherwise
+        the label of x.s.K is the sort-minimal x.b over the coset s.K, which
+        equals coset_canonical(x.s) by associativity and uniqueness of normal
+        forms.  The backend's coset_products forms it from the one product
+        with the least b when every b in s.K shares the head that the
+        junction with x reads: each x.b is then one head followed by b's
+        own tail, so the products order as the b do.  Otherwise it takes
+        the least of all |K| products.  Each slot gets its own product, so
+        a wrong product leaves its edge unpaired.
         """
-        backend, n_k = self.backend, len(self.K)
-        times_k = backend.right_products(self.K.elements)
-        products = backend.right_products([g for s in self.S for g in times_k(s)])
-        if n_k == 1:
-            return products
-        sort_key = self.sort_key
-
-        def row(x):
-            xg = products(x)
-            return [min(xg[i:i + n_k], key=sort_key) for i in range(0, len(xg), n_k)]
-
-        return row
+        if len(self.K) == 1:
+            return self.backend.right_products(self.S)
+        return self.backend.coset_products(self.S, self.K.elements)
 
     def act(self, k, label):
         """Left action on coset labels; defined for any group element."""
@@ -211,13 +215,23 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     # the outer sphere, never expanded; its targets beyond the ball are left out
     rows.extend([index[y] for y in neighbours(x) if y in index] for x in frontier)
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
-    # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back
+    # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
+    # target j > i is paired once, at the first of its parallel half-edges
     origin = []
+    balanced = True
     for i, row in enumerate(rows):
-        for j in sorted(set(row)):
-            if j > i:
-                origin += [i, j] * min(row.count(j), rows[j].count(i))
-    if len(origin) != sum(map(len, rows)):
+        last = i
+        for j in sorted(row):
+            if j > last:
+                last = j
+                n = row.count(j)
+                if rows[j].count(i) != n:
+                    balanced = False
+                origin += (i, j) * n
+    # with every pair balanced, origin holds each half-edge i -> j (i < j) and
+    # its partner, so a half-edge j -> i that row i does not list back, or a
+    # self-loop, leaves the total short
+    if not balanced or len(origin) != sum(map(len, rows)):
         raise InternalInconsistency(
             f"unbalanced edge multiplicities in the radius-{radius} ball of {space!r}: "
             "two rows list each other a different number of times"

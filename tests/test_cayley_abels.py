@@ -1,12 +1,17 @@
-import pytest
+from types import SimpleNamespace
 
-from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, build, coset_canonical, trivial_subgroup
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from endlab.bass_serre import PiOne
+from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, ball_walk, build, coset_canonical, trivial_subgroup
 from endlab.cayley_abels import build as cayley_build
-from endlab.errors import BudgetExceeded
+from endlab.errors import BudgetExceeded, InternalInconsistency
 
 from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 
-from test_bass_serre import affine_value, c2c3, dinf
+from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf
 from test_group_backends import make_f2, make_f2_redundant
 
 
@@ -343,26 +348,130 @@ def test_f2_build_makes_no_normal_form_call(monkeypatch):
 
 
 def test_build_labels_each_slot_once(catalog, monkeypatch):
+    # products are counted where they are made: PiOne forms every product,
+    # through right_products or coset_products, with multiply; a rewriting
+    # backend forms them in right_products
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
-        right_products = backend.right_products
+        if isinstance(backend, PiOne):
+            multiply = backend.multiply
 
-        def counting(gens):
-            products = right_products(gens)
+            def counting(a, b):
+                calls.append(b)
+                return multiply(a, b)
 
-            def row(x):
-                calls.extend(gens)
-                return products(x)
+            monkeypatch.setattr(backend, "multiply", counting)
+        else:
+            right_products = backend.right_products
 
-            return row
+            def counting(gens):
+                products = right_products(gens)
 
-        monkeypatch.setattr(backend, "right_products", counting)
+                def row(x):
+                    calls.extend(gens)
+                    return products(x)
+
+                return row
+
+            monkeypatch.setattr(backend, "right_products", counting)
         t = build(pair, 4)
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
         bound = len(t.vertices) * n_s * n_k + n_s * n_k + n_k
         assert 0 < len(calls) <= bound, (pair.name, len(calls), bound)
+
+
+def c2c3_vertex_pair():
+    """C2*C3 with K the C3 at w: |S| = |K| = 3, 3,070 cosets at R = 10."""
+    pi = c2c3()
+    K = Subgroup(pi, pi.vertex_subgroup_elements("w"), name="C3w")
+    return GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
+
+
+def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypatch):
+    # the full minimum over each s.K takes |S|.|K| = 9 products per coset,
+    # 27,639 in all; two of the three slots share their head with every
+    # label, so 5 per coset and 15,359 in all
+    pair = c2c3_vertex_pair()
+    pi, calls = pair.backend, []
+    multiply = pi.multiply
+
+    def counting(a, b):
+        calls.append(b)
+        return multiply(a, b)
+
+    monkeypatch.setattr(pi, "multiply", counting)
+    t = build(pair, 10)
+    assert len(t.vertices) == 3070
+    assert len(calls) <= 16_000
+
+
+# -- least coset products against the full minimum they replaced -----------------
+
+def reference_row(pair, x):
+    """The label of x.s.K for each s in S: the least x.(s.k) over all of K."""
+    pi = pair.backend
+    return [
+        min((pi.multiply(x, pi.multiply(s, k)) for k in pair.K.elements), key=pi.sort_key)
+        for s in pair.S
+    ]
+
+
+def head_blind_products(pi, gens, K):
+    """A mutant coset_products that takes x.B[0] without the head check."""
+    least = [min((pi.multiply(g, k) for k in K), key=pi.sort_key) for g in gens]
+    return lambda x: [pi.multiply(x, b) for b in least]
+
+
+def rows_off_reference(pair, neighbours, labels):
+    return [x for x in labels if neighbours(x) != reference_row(pair, x)]
+
+
+def nontrivial_k_cases():
+    """(PiOne, K, generators outside K) for each vertex group and each
+    nontrivial edge group of NORMALIZER_CASES and FUZZ_CASES."""
+    cases = []
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        groups = [pi.vertex_subgroup_elements(v) for v in pi.graph.vertices]
+        groups += [pi.edge_subgroup_elements(e) for e in pi.graph.edges if len(pi.gog.edge_group(e)) > 1]
+        for elements in groups:
+            K = Subgroup(pi, elements)
+            gens = [g for g in pi.default_generators() if g not in K.elements]
+            if len(K) > 1 and gens:
+                cases.append((pi, K, gens))
+    return cases
+
+
+NONTRIVIAL_K_CASES = nontrivial_k_cases()
+
+
+def ball_labels(pair, radius, cap=400):
+    """The labels of the radius-R ball, or of the largest smaller ball
+    within the cap."""
+    try:
+        return build(pair, radius, cap=cap).vertices
+    except BudgetExceeded:
+        return ball_labels(pair, radius - 1, cap)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_coset_rows_match_the_full_minimum(data):
+    pi, K, gens = data.draw(st.sampled_from(NONTRIVIAL_K_CASES))
+    S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2, unique=True))
+    pair = GeneratingPair(pi, K, S)
+    assert rows_off_reference(pair, pair.neighbours, ball_labels(pair, 5)) == []
+
+
+def test_head_blind_coset_products_fail_the_reference(monkeypatch):
+    pair = c2c3_vertex_pair()
+    labels = build(pair, 6).vertices
+    mutant = head_blind_products(pair.backend, pair.S, pair.K.elements)
+    assert len(rows_off_reference(pair, mutant, labels)) > len(labels) // 2
+    monkeypatch.setattr(PiOne, "coset_products", head_blind_products)
+    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
+        build(c2c3_vertex_pair(), 6)
 
 
 def test_unsaturated_generators_give_unbalanced_edges():
@@ -373,3 +482,71 @@ def test_unsaturated_generators_give_unbalanced_edges():
     pair.S = pair.S[1:2]
     with pytest.raises(RuntimeError, match=r"^unbalanced edge multiplicities .*GeneratingPair\("):
         build(pair, 3)
+
+
+# -- the half-edge pairing pass against the loop it replaced -----------------------
+
+def reference_origin(rows):
+    """The pairing loop ball_walk ran before: one min of two counts per
+    distinct target; None when a half-edge is left over."""
+    origin = []
+    for i, row in enumerate(rows):
+        for j in sorted(set(row)):
+            if j > i:
+                origin += [i, j] * min(row.count(j), rows[j].count(i))
+    return origin if len(origin) == sum(map(len, rows)) else None
+
+
+def multigraph_space(n, edges):
+    """A toy coset space on 0..n-1: a path through every vertex plus the
+    given edges, parallel edges kept, each edge listed at both ends."""
+    table = [[] for _ in range(n)]
+    for a, b in [(i, i + 1) for i in range(n - 1)] + edges:
+        table[a].append(b)
+        table[b].append(a)
+    return SimpleNamespace(base=0, sort_key=int, neighbours=table.__getitem__, table=table)
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=3 * n)) if n > 1 else []
+    if edges:
+        # repeat some edges so that rows carry parallel half-edges
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.integers(1, 10))
+def test_pairing_pass_matches_reference_loop(graph, radius):
+    t = ball_walk(multigraph_space(*graph), radius)
+    assert t.origin == reference_origin(t.rows)
+    assert sorted(zip(t.origin[::2], t.origin[1::2])) == sorted(
+        (i, j) for i, row in enumerate(t.rows) for j in row if i < j
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_pairing_pass_rejects_a_half_edge_without_partner(graph, data):
+    # one more half-edge a -> c, or one half-edge a -> b of the drawn edges
+    # redirected to a -> c, which leaves the total count of half-edges as it
+    # was; c = a makes a self-loop
+    n, edges = graph
+    space = multigraph_space(n, edges)
+    t = ball_walk(space, n)
+    a, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    slot = len(space.table[a])
+    if edges and data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(edges))
+        c = data.draw(st.integers(0, n - 1).filter(lambda c: c != b))
+        # the last entry for b at a belongs to a drawn edge, never to the path
+        slot = max(k for k, y in enumerate(space.table[a]) if y == b)
+    space.table[a][slot:slot + 1] = [c]
+    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
+        ball_walk(space, n)
+    rows = [list(row) for row in t.rows]
+    rows[t.index[a]][slot:slot + 1] = [t.index[c]]
+    assert reference_origin(rows) is None
