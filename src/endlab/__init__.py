@@ -1,6 +1,6 @@
 """Desk-scale laboratory for ends of groups and degree-one cohomology."""
 
-from .serre_graphs import GeometricEdge, SerreGraph, random_graph
+from .serre_graphs import GeometricEdge, SerreGraph
 from .qlinalg import SparseMatrixQ
 from .group_backends import FiniteGroup, RewritingGroup
 from .bass_serre import (
@@ -14,7 +14,7 @@ from .bass_serre import (
     tree_truncation,
     validate,
 )
-from .cayley_abels import GeneratingPair, Subgroup, Truncation, ball_enumerate, ball_walk, build, coset_canonical, trivial_subgroup
+from .cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build, coset_canonical, trivial_subgroup
 from .ends_cuts import Cut, EndsEstimate, classify_ends, escaping_components, find_cut
 from .ai_cohomology import (
     AIWitness,

@@ -16,22 +16,19 @@ representative from a fixed identity-first right transversal of the
 embedded edge group.  Elements of the fundamental group are the normal
 words that start and end at the base vertex.
 
-PiOne.normalize reduces a raw word with a stack, so each pinch is removed
-where the incoming letter meets the top of the stack, and then pushes the
-group elements to transversals from right to left.  Serre's normal form
-theorem (Trees, 1980, I.5) makes the reduced, transversal-pushed word
-unique, so it does not depend on the order in which pinches are removed.
-A caller that knows a prefix of the word is already normal says so, and
-only the junction after that prefix is worked on.  PiOne.multiply(a, b),
-a word a normal apart from its last group element followed by a normal
-word b from where a ends, never calls it: it removes the pinches across
-the junction, at most min(|a|, |b|) of them, and carries left from the
-junction only while the carry is nontrivial, since both sides are already
-normal.  PiOne.compose(a, b) is the product for any words a and b, through
-normalize.  Both raise ValueError when b does not start where a ends.
-Since multiply reads only the head of b that the junction reaches,
-PiOne.coset_products takes the least product x.b over a coset s.K from
-the least b alone whenever all of s.K share that head.
+PiOne.multiply(a, b) is the one product: a word a normal apart from its
+last group element, followed by a normal word b from where a ends.  It
+removes the pinches across the junction, at most min(|a|, |b|) of them,
+and carries left from the junction only while the carry is nontrivial,
+since both sides are already normal; it raises ValueError when b does not
+start where a ends.  Serre's normal form theorem (Trees, 1980, I.5) makes
+the normal word of an element unique, so its result does not depend on
+how the word was built.  Every word is grown from normal words by it: an
+edge letter e is the normal word 1 e 1, and PiOne.normalize, for a raw
+word, is multiply folded over its letters.  Since multiply reads only the
+head of b that the junction reaches, PiOne.coset_products takes the least
+product x.b over a coset s.K from the least b alone whenever all of s.K
+share that head.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -274,10 +271,11 @@ class PiOne:
         self.base_vertex = gog.graph.vertices[0]
         self.data = validate(gog)
         self.name = f"pi1({gog.name})"
-        # per-edge tables for normalize and multiply: pinch[e] maps an image
-        # element h at terminus(e) to the element b at origin(e) with
-        # e h = b e; push[e] maps x to (s, b) with x = h s for the transversal
-        # rep s, b as for pinch, and b None when h is the identity
+        # per-edge tables for multiply: pinch[e] maps an image element h at
+        # terminus(e) to the element b at origin(e) with e h = b e; push[e]
+        # maps x to (s, b) with x = h s for the transversal rep s, b as for
+        # pinch, and b None when h is the identity; letter[e] is the normal
+        # word 1 e 1, since the identity is the first transversal rep
         g, emb = gog.graph, gog.embeddings
         self._inverse = {e: g.inverse(e) for e in g.edges}
         self._origin = {e: g.origin(e) for e in g.edges}
@@ -285,10 +283,11 @@ class PiOne:
         self._origin_table = {e: gog.vgroups[g.origin(e)].table for e in g.edges}
         self._table = {v: G.table for v, G in gog.vgroups.items()}
         self._inverse_table = {v: G.inverse_table for v, G in gog.vgroups.items()}
-        self._pinch, self._push = {}, {}
+        self._pinch, self._push, self._letter = {}, {}, {}
         for e in g.edges:
             back = emb[g.inverse(e)]
             one = gog.vgroups[g.origin(e)].identity
+            self._letter[e] = PiOneElement(self, (one, gog.vgroups[g.terminus(e)].identity), (e,), g.origin(e))
             self._pinch[e] = {h: back[a] for h, a in self.data.image_inverse[e].items()}
             self._push[e] = {
                 x: (s, None if back[a] == one else back[a])
@@ -309,52 +308,17 @@ class PiOne:
         return chain
 
     # -- groupoid word machinery -------------------------------------------
-    def normalize(self, start, gs, es, prefix=0):
-        """Normal form of a groupoid word g0 e1 g1 ... en gn starting at start.
-
-        The first `prefix` edge letters must already form a normal form:
-        es[:prefix] is reduced and gs[1:prefix] are transversal
-        representatives, while gs[prefix] and everything after it are free.
-        That prefix is trusted as it is; with the default 0 the whole word
-        is raw and validated.  The remaining letters are reduced with a
-        stack: an incoming letter that pinches against the top of the stack
-        pops it, merging the group elements on either side.  Then the
-        elements are pushed to transversals from right to left, stopping at
-        the first trivial carry inside the untouched normal prefix.  Normal
-        forms are unique (Serre, Trees, I.5), so the result equals the one
-        any other order of pinch removal gives.
-        """
-        n = len(es)
-        if len(gs) != n + 1:
-            self.vertex_chain(start, es)
+    def normalize(self, start, gs, es):
+        """Normal form of a raw groupoid word g0 e1 g1 ... en gn starting at
+        start: multiply folded over its one-letter normal words."""
+        self.vertex_chain(start, es)
+        if len(gs) != len(es) + 1:
             raise ValueError("word must alternate group elements and edges")
-        inverse, origin, terminus = self._inverse, self._origin, self._terminus
-        pinch, table = self._pinch, self._origin_table
-        E = list(es[:prefix])
-        G = list(gs[:prefix + 1])
-        # G[1:low] are transversal representatives no pinch has touched
-        low = prefix
-        end = terminus[E[-1]] if E else start
-        for i in range(prefix, n):
-            e = es[i]
-            if origin[e] != end:
-                raise ValueError(f"edge {e} does not start at {end!r}")
-            end = terminus[e]
-            if E and inverse[e] == E[-1]:
-                f = E[-1]
-                b = pinch[f].get(G[-1])
-                if b is not None:
-                    E.pop()
-                    G.pop()
-                    t = table[f]
-                    G[-1] = t[t[G[-1]][b]][gs[i + 1]]
-                    if len(E) < low:
-                        low = len(E)
-                    continue
-            E.append(e)
-            G.append(gs[i + 1])
-        self._push_to_transversals(G, E, low)
-        return PiOneElement(self, tuple(G), tuple(E), start)
+        multiply, letter, terminus = self.multiply, self._letter, self._terminus
+        m = PiOneElement(self, (gs[0],), (), start)
+        for e, g in zip(es, gs[1:]):
+            m = multiply(multiply(m, letter[e]), PiOneElement(self, (g,), (), terminus[e]))
+        return m
 
     def _push_to_transversals(self, G, E, low):
         """Push the elements of a reduced word G, E to transversal
@@ -376,48 +340,27 @@ class PiOne:
     def morph_end(self, m):
         return self._terminus[m.es[-1]] if m.es else m.start
 
-    def _junction(self, a, b):
-        """The product of the last group element of a and the first of b,
-        in the group where b starts, which must be where a ends."""
-        end = self.morph_end(a)
-        if end != b.start:
-            raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
-        return self._table[end][a.gs[-1]][b.gs[0]]
-
-    def compose(self, a, b):
-        """a followed by b, for any words a and b with b starting where a ends."""
-        mid = self._junction(a, b)
-        return self.normalize(a.start, a.gs[:-1] + (mid,) + b.gs[1:], a.es + b.es)
-
     def append_mul(self, m, u):
         """m followed by the vertex-group element u at its endpoint."""
         G = self.vgroup(self.morph_end(m))
         return PiOneElement(self, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, m.start)
-
-    def cross(self, m, e):
-        """m followed by the edge letter e."""
-        if self.morph_end(m) != self.graph.origin(e):
-            raise ValueError(f"edge {e} does not start at the endpoint of the word")
-        return PiOneElement(self, m.gs + (self.vgroup(self.graph.terminus(e)).identity,), m.es + (e,), m.start)
 
     # -- canonical labels in the universal tree -----------------------------
     def vertex_label(self, m):
         """The canonical label of the tree vertex of m: the least normal form
         of m.u, u in the group at its end.
 
-        All of m but its last edge letter and the group elements on either
-        side of it is trusted as normal, as for a tree neighbour m.h.e of a
-        label m, a product g.m or the identity.  The first form is
-        normalized past that prefix, the others from its letters.
+        m is normal apart from its last group element, as a left factor of
+        multiply is, so each m.u only has its last element pushed.  Pushing
+        keeps the edge letters, so the least form has the least elements.
         """
-        G = self.vgroup(self.morph_end(m))
-        first = self.normalize(m.start, m.gs, m.es, max(len(m.es) - 1, 0))
-        head, x, k = first.gs[:-1], first.gs[-1], len(first.es)
-        forms = [first] + [
-            self.normalize(m.start, head + (G.mul(x, u),), first.es, k)
-            for u in range(len(G)) if u != G.identity
-        ]
-        return min(forms, key=self.sort_key)
+        head, k = list(m.gs[:-1]), len(m.es)
+        forms = []
+        for y in range(len(self.vgroup(self.morph_end(m)))):
+            G = head + [y]
+            self._push_to_transversals(G, m.es, k)
+            forms.append(tuple(G))
+        return PiOneElement(self, min(forms), m.es, m.start)
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
@@ -434,7 +377,10 @@ class PiOne:
         element is pushed to its transversal representative, carrying left
         only while the carry is nontrivial.
         """
-        mid = self._junction(a, b)
+        end = self.morph_end(a)
+        if end != b.start:
+            raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
+        mid = self._table[end][a.gs[-1]][b.gs[0]]
         inverse, pinch, table = self._inverse, self._pinch, self._origin_table
         i, j, m = len(a.es), 0, len(b.es)
         while i and j < m and inverse[a.es[i - 1]] == b.es[j]:
@@ -512,7 +458,7 @@ class PiOne:
         """The spanning-tree path from the base vertex to v, a normal word."""
         m = self.identity()
         for e in self.data.tree_paths[v]:
-            m = self.cross(m, e)
+            m = self.multiply(m, self._letter[e])
         return m
 
     def vertex_inclusion(self, v, u):
@@ -521,11 +467,11 @@ class PiOne:
         return self.multiply(self.append_mul(p, u), self.inverse(p))
 
     def edge_letter(self, e):
-        """The loop through edge e against the spanning tree."""
-        # p e may step back along the last edge of p, so it is not normal
+        """The loop p.e.q^-1 through edge e against the spanning tree, p and
+        q the tree paths to its ends."""
         p = self.tree_path(self.graph.origin(e))
         q = self.tree_path(self.graph.terminus(e))
-        return self.compose(self.cross(p, e), self.inverse(q))
+        return self.multiply(self.multiply(p, self._letter[e]), self.inverse(q))
 
     def vertex_subgroup_elements(self, v):
         return tuple(self.vertex_inclusion(v, u) for u in range(len(self.vgroup(v))))
@@ -671,7 +617,7 @@ class CoveringTree:
 
     def neighbours(self, m):
         pi = self.pi
-        return [pi.vertex_label(pi.cross(pi.append_mul(m, h), e)) for h, e in self._steps[pi.morph_end(m)]]
+        return [pi.vertex_label(pi.multiply(pi.append_mul(m, h), pi._letter[e])) for h, e in self._steps[pi.morph_end(m)]]
 
     def act(self, g, m):
         """The label of g.m for g in the fundamental group."""
@@ -772,9 +718,9 @@ class HalfTreeSplitting:
         d = self._geodesic(g)
         out, cur = [], self.gamma
         for i, e in enumerate(d.es):
+            # cur, gamma times a prefix of d, stays normal
             nu = pi.append_mul(cur, d.gs[i])
-            cur = pi.cross(nu, e)
+            cur = pi.multiply(nu, pi._letter[e])
             if e in (e0, e0_inv):
-                # gamma times a prefix of d may pinch at the junction
-                out.append(pi.compose(nu if e == e0 else cur, self.gamma_inv))
+                out.append(pi.multiply(nu if e == e0 else cur, self.gamma_inv))
         return tuple(out) + (g, pi.identity())

@@ -245,13 +245,3 @@ def build(pair, radius, cap=DEFAULT_CAP):
     if radius < 1:
         raise ValueError("radius must be at least 1")
     return ball_walk(pair, radius, cap)
-
-
-def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
-    """Elements of word length <= radius over gens, in BFS order.
-
-    This is the coset graph of (1, gens): gens is closed under inverses,
-    and each BFS layer comes in sort_key order.
-    """
-    pair = GeneratingPair(backend, trivial_subgroup(backend), gens)
-    return build(pair, radius, cap=cap).vertices

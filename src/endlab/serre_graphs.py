@@ -68,9 +68,6 @@ class SerreGraph:
     def edges(self):
         return self._edges
 
-    def vertex_index(self, v):
-        return self._vindex[v]
-
     def origin(self, e):
         return self._origin[e]
 
@@ -235,11 +232,3 @@ class GeometricEdge:
 
     rep: int
     inv: int
-
-
-def random_graph(rng, max_vertices=40, edge_factor=1.2):
-    """Random finite graph with loops and parallel edges allowed."""
-    n = rng.randint(1, max_vertices)
-    m = rng.randint(0, int(edge_factor * n))
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-    return SerreGraph.from_geometric(range(n), pairs)

@@ -23,9 +23,8 @@ from endlab.ai_cohomology import (
     witness_from_splitting,
 )
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import Subgroup, ball_enumerate, build, trivial_subgroup
+from endlab.cayley_abels import Subgroup, build, trivial_subgroup
 from endlab.ends_cuts import classify_ends
-from endlab.serre_graphs import random_graph
 from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
@@ -34,6 +33,7 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
+from helpers import ball_enumerate, random_graph
 from test_qlinalg import delta_matrix, rank_kernel_cokernel
 from test_serre_graphs import bfs_blocks
 

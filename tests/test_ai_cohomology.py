@@ -18,8 +18,9 @@ from endlab.ai_cohomology import (
     witness_from_splitting,
 )
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, build, coset_canonical, trivial_subgroup
+from endlab.cayley_abels import GeneratingPair, Subgroup, build, coset_canonical, trivial_subgroup
 
+from helpers import ball_enumerate
 from test_bass_serre import c2c3, c4c2c4, dinf, segment_gog, z_hnn
 from test_cayley_abels import coset_table
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from endlab import bass_serre
 from endlab.ai_cohomology import witness_from_splitting
 from endlab.bass_serre import (
+    CoveringTree,
     GraphOfFiniteGroups,
     HalfTreeSplitting,
     PiOne,
@@ -18,12 +19,13 @@ from endlab.bass_serre import (
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import ball_enumerate, coset_canonical
+from endlab.cayley_abels import coset_canonical
 from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
 from endlab.theorem_lab import RESOLUTION_RADIUS
 
+from helpers import ball_enumerate
 from test_pipeline_fuzz import random_loop, random_segment
 from test_qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from test_serre_graphs import triangle
@@ -444,14 +446,13 @@ def test_tree_truncation_respects_cap():
 def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
     pi = c2c3()
 
-    def trusting_label(m):
-        # trusts the last edge letter too, so a neighbour that steps back
-        # along it keeps its pinch and is labelled as a vertex of its own
-        G = pi.vgroup(pi.morph_end(m))
-        forms = [pi.normalize(m.start, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, len(m.es)) for u in range(len(G))]
-        return min(forms, key=pi.sort_key)
+    def raw_neighbours(self, m):
+        # appends the edge letter raw, so a neighbour that steps back along
+        # the last letter keeps its pinch and is labelled as a vertex of its own
+        pi = self.pi
+        return [pi.vertex_label(cross(pi, pi.append_mul(m, h), e)) for h, e in self._steps[pi.morph_end(m)]]
 
-    monkeypatch.setattr(pi, "vertex_label", trusting_label)
+    monkeypatch.setattr(CoveringTree, "neighbours", raw_neighbours)
     with pytest.raises(InternalInconsistency, match=r"^unbalanced edge multiplicities .*CoveringTree\(pi1\(C2\*C3\)\)"):
         tree_truncation(pi, 2)
 
@@ -495,6 +496,22 @@ def reference_normalize(pi, start, gs, es):
         G = pi.vgroup(chain[j - 1])
         gs[j - 1] = G.mul(gs[j - 1], b)
     return PiOneElement(pi, tuple(gs), tuple(es), start)
+
+
+def compose(pi, a, b):
+    """a followed by b, for any words a and b with b starting where a ends,
+    by the reference normalizer."""
+    end = pi.morph_end(a)
+    if end != b.start:
+        raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
+    return reference_normalize(pi, a.start, *concat(pi, end, (a.gs, a.es), (b.gs, b.es)))
+
+
+def cross(pi, m, e):
+    """m followed by the edge letter e, appended raw."""
+    if pi.morph_end(m) != pi.graph.origin(e):
+        raise ValueError(f"edge {e} does not start at the endpoint of the word")
+    return PiOneElement(pi, m.gs + (pi.vgroup(pi.graph.terminus(e)).identity,), m.es + (e,), m.start)
 
 
 def reference_inverse(pi, m):
@@ -601,7 +618,7 @@ def test_normalize_matches_reference_on_raw_words(data):
     got_inv = pi.inverse(got)
     assert got_inv == reference_normalize(pi, pi.morph_end(got), inv_gs, inv_es)
     empty = PiOneElement(pi, (pi.vgroup(start).identity,), (), start)
-    assert pi.multiply(got, got_inv) == empty == pi.compose(got, got_inv)
+    assert pi.multiply(got, got_inv) == empty == compose(pi, got, got_inv)
 
 
 @settings(max_examples=300, deadline=None)
@@ -648,7 +665,7 @@ def test_words_at_different_vertices_differ(catalog):
     assert len({at_u: 0, at_w: 1}) == 2
 
 
-@pytest.mark.parametrize("product", ["multiply", "compose"])
+@pytest.mark.parametrize("product", ["multiply"])
 def test_products_refuse_words_that_do_not_meet(catalog, product):
     pi = catalog["dinfty_gog"].backend()
     at_u, at_w = empty_words(pi)
@@ -661,9 +678,9 @@ def test_products_refuse_words_that_do_not_meet(catalog, product):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_coset_labels_match_reference(data):
-    # vertex_label trusts all of its word but the last edge letter and the
-    # group elements beside it: a normal word, a group element, an edge letter
-    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
+    # vertex_label takes a word normal apart from its last group element: a
+    # normal word, that word times a group element, or a tree step from either
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES + FUZZ_CASES))
     base = pi.base_vertex
     normal = reference_normalize(pi, base, *draw_walk(data, pi, base, 10, 0.5))
     h = data.draw(st.integers(0, len(pi.vgroup(pi.morph_end(normal))) - 1))
@@ -671,25 +688,30 @@ def test_coset_labels_match_reference(data):
         assert pi.vertex_label(m) == reference_vertex_label(pi, m)
         for e in pi.graph.star(pi.morph_end(m)):
             # crossing back along the last letter pinches at the junction
-            crossed = pi.cross(m, e)
-            assert pi.vertex_label(crossed) == reference_vertex_label(pi, crossed)
+            step = pi.multiply(m, pi._letter[e])
+            raw = cross(pi, m, e)
+            assert step == reference_normalize(pi, raw.start, raw.gs, raw.es)
+            assert pi.vertex_label(step) == reference_vertex_label(pi, step)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_normalize_trusts_a_normal_prefix(data):
-    pi = data.draw(st.sampled_from(NORMALIZER_CASES))
-    start = data.draw(st.sampled_from(pi.graph.vertices))
-    m = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
-    end = pi.morph_end(m)
-    if data.draw(st.booleans()):
-        tail = draw_walk(data, pi, end, 10, 0.5)
-    else:
-        # undo m, so the junction cancels into the prefix
-        tail = concat(pi, start, raw_inverse(pi, start, m.gs, m.es), draw_walk(data, pi, start, 4, 0.5))
-    gs, es = concat(pi, end, (m.gs, m.es), tail)
-    k = data.draw(st.integers(0, len(m.es)))
-    assert pi.normalize(start, gs, es, k) == reference_normalize(pi, start, gs, es)
+def reference_tree_path(pi, v):
+    """The spanning-tree path to v, raw letters normalized by the reference."""
+    m = pi.identity()
+    for e in pi.data.tree_paths[v]:
+        m = cross(pi, m, e)
+    return reference_normalize(pi, m.start, m.gs, m.es)
+
+
+def test_tree_paths_and_edge_letters_match_reference():
+    # every vertex and edge, loops included, of the catalog graphs of groups,
+    # mixed_gog and the seeded fuzz draws
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        for v in pi.graph.vertices:
+            assert pi.tree_path(v) == reference_tree_path(pi, v), (pi.name, v)
+        for e in pi.graph.edges:
+            p = reference_tree_path(pi, pi.graph.origin(e))
+            q = reference_tree_path(pi, pi.graph.terminus(e))
+            assert pi.edge_letter(e) == compose(pi, cross(pi, p, e), reference_inverse(pi, q)), (pi.name, e)
 
 
 def suffix_word(pi, m, k):
@@ -739,21 +761,21 @@ def reference_side_of_translate(half, g):
     origin vertex X, or else lies nearer Y than X in the tree.
     """
     pi, e0, gamma = half.pi, half.e0, half.gamma
-    m = pi.compose(g, gamma)
+    m = compose(pi, g, gamma)
     if reference_edge_label(pi, m, e0) == reference_edge_label(pi, gamma, e0):
         return 1
-    m_y = pi.cross(gamma, e0)
-    X = pi.vertex_label(gamma)
-    Y = pi.vertex_label(m_y)
-    p = pi.vertex_label(m)
-    q = pi.vertex_label(pi.cross(m, e0))
+    m_y = cross(pi, gamma, e0)
+    X = reference_vertex_label(pi, gamma)
+    Y = reference_vertex_label(pi, m_y)
+    p = reference_vertex_label(pi, m)
+    q = reference_vertex_label(pi, cross(pi, m, e0))
     if p == X or q == X:
         return -1
     if p == Y or q == Y:
         return 1
 
     def distance(a, b):
-        return len(pi.compose(reference_inverse(pi, a), b).es)
+        return len(compose(pi, reference_inverse(pi, a), b).es)
 
     return 1 if distance(m, m_y) < distance(m, gamma) else -1
 
@@ -851,7 +873,7 @@ def reference_tree_truncation(pi, radius, cap):
                     label = reference_edge_label(pi, nu, e)
                     if label in seen_edges:
                         continue
-                    mu2 = pi.cross(nu, e)
+                    mu2 = cross(pi, nu, e)
                     seen_edges.add(label)
                     seen_edges.add(reference_edge_label(pi, mu2, pi.graph.inverse(e)))
                     target = reference_vertex_label(pi, mu2)
@@ -906,22 +928,22 @@ def reference_translating_cosets(half, g):
     """
     pi, e0, gamma = half.pi, half.e0, half.gamma
     inverse = pi.graph.inverse
-    m_y = pi.cross(gamma, e0)
+    m_y = cross(pi, gamma, e0)
     found = {}
     for a in (gamma, m_y):
-        for b in (pi.compose(g, gamma), pi.compose(g, m_y)):
-            delta = pi.compose(reference_inverse(pi, a), b)
+        for b in (compose(pi, g, gamma), compose(pi, g, m_y)):
+            delta = compose(pi, reference_inverse(pi, a), b)
             cur = a
             for i, e in enumerate(delta.es):
                 nu = pi.append_mul(cur, delta.gs[i])
-                cur = pi.cross(nu, e)
+                cur = cross(pi, nu, e)
                 if min(e, inverse(e)) != e0:
                     continue
                 if e != e0:
                     nu = cur
                 label = reference_edge_label(pi, nu, e0)
                 if label not in found:
-                    found[label] = pi.compose(nu, half.gamma_inv)
+                    found[label] = compose(pi, nu, half.gamma_inv)
     return tuple(found.values())
 
 

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import GeneratingPair, Subgroup, ball_enumerate, ball_walk, build, coset_canonical, trivial_subgroup
+from endlab.cayley_abels import GeneratingPair, Subgroup, ball_walk, build, coset_canonical, trivial_subgroup
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded, InternalInconsistency
 
 from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 
+from helpers import ball_enumerate
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf
 from test_group_backends import make_f2, make_f2_redundant
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab.errors import BudgetExceeded
-from endlab.cayley_abels import ball_enumerate
 from endlab.group_backends import FiniteGroup, RewritingGroup
+
+from helpers import ball_enumerate
 
 
 def make_z():

@@ -22,9 +22,11 @@ from endlab.bass_serre import (
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import ball_enumerate, build
+from endlab.cayley_abels import build
 from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
+
+from helpers import ball_enumerate
 
 
 def cyclic_embedding(rng, d, n):

@@ -15,8 +15,9 @@ import pytest
 
 from endlab import cli
 from endlab.qlinalg import SparseMatrixQ
-from endlab.serre_graphs import SerreGraph, random_graph
+from endlab.serre_graphs import SerreGraph
 
+from helpers import random_graph
 from test_serre_graphs import bfs_blocks, segment, triangle
 
 
@@ -64,10 +65,11 @@ def delta_matrix(graph):
     at its origin; a loop contributes a zero column.
     """
     reps = [ge.rep for ge in graph.geometric_edges()]
+    index = {v: i for i, v in enumerate(graph.vertices)}
     entries = {}
     for j, e in enumerate(reps):
-        o = graph.vertex_index(graph.origin(e))
-        t = graph.vertex_index(graph.terminus(e))
+        o = index[graph.origin(e)]
+        t = index[graph.terminus(e)]
         if o != t:
             entries[(t, j)] = 1
             entries[(o, j)] = -1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab.serre_graphs import SerreGraph, blocks, random_graph
+from endlab.serre_graphs import SerreGraph, blocks
+
+from helpers import random_graph
 
 
 # -- independent oracles ----------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import ball_enumerate
 from endlab.group_backends import DEFAULT_CAP, FiniteGroup
 from endlab.theorem_lab import (
     CatalogEntry,
@@ -21,6 +20,8 @@ from endlab.theorem_lab import (
     verify_equivalence,
     verify_resolution_evidence,
 )
+
+from helpers import ball_enumerate
 
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = next(e for e in default_catalog() if e.name == "z_hnn").to_json()
