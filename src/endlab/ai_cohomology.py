@@ -129,14 +129,17 @@ def check_almost_invariance(w, t):
     failures = []
     k_orbits = {}
     cert_union = sorted({c for cert in w.certificates for c in cert}, key=backend.sort_key)
+    # chi(g^{-1}.v) is the indicator of g.B at v; each g is inverted once
+    chi, act = w.chi, w.pair.act
     for k in w.pair.K.elements:
-        moved = [str(v) for v in t.vertices if w.translate_chi(k, v) != w.chi(v)]
+        k_inv = backend.inverse(k)
+        moved = [str(v) for v in t.vertices if chi(act(k_inv, v)) != chi(v)]
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
         k_orbits[str(k)] = {str(c): str(w.pair.act(k, c)) for c in cert_union if c in t.index}
     for si, s in enumerate(w.pair.S):
-        cert = set(w.certificates[si])
-        outside = [str(v) for v in t.vertices if w.translate_chi(s, v) != w.chi(v) and v not in cert]
+        cert, s_inv = set(w.certificates[si]), backend.inverse(s)
+        outside = [str(v) for v in t.vertices if chi(act(s_inv, v)) != chi(v) and v not in cert]
         if outside:
             failures.append({"kind": "difference_escapes_certificate", "s": str(s), "cosets": outside[:10]})
     return Certificate(

@@ -7,10 +7,15 @@ a probe counts as escaping when it reaches the outer sphere; escaping
 counts of two or more are genuine lower bounds (provided the escaping
 components really are infinite, which the catalog certifies through its
 oracles), while "at most one" and "zero" are statements at scale only.
+
+The ball probes work on BFS positions, and look labels up only for what is
+printed: classify_ends takes every probe radius from one walk, and find_cut
+reads a coboundary off a prefix of the edge table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import cayley_abels
@@ -83,16 +88,15 @@ def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
 
     The verdict is ZeroEnds when the whole graph was exhausted below the
     cap, AtLeast(k) for a maximal escaping count k >= 3, ExactlyTwoAtScale
-    for k = 2 and AtMostOneAtScale otherwise.
+    for k = 2 and AtMostOneAtScale otherwise.  The escaping counts come
+    from one walk of the truncation minus the largest ball (ball_probes).
     """
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
     if radius <= r_max + MARGIN:
         raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
     t = cayley_abels.build(pair, radius, cap=cap)
-    probes = tuple(
-        (r, sum(esc for _, esc in escaping_components(t, t.ball(r)))) for r in range(r_max + 1)
-    )
+    probes = tuple(enumerate(ball_probes(t, r_max)))
     best = max((c for _, c in probes), default=0)
     if t.exhausted:
         verdict, count = ZERO_ENDS, 0
@@ -103,6 +107,46 @@ def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
     else:
         verdict, count = AT_MOST_ONE, best
     return EndsEstimate(probes, verdict, count, r_max, t.radius, t.exhausted)
+
+
+def ball_probes(t, r_max):
+    """Escaping counts of B_R minus B_r for r = 0..r_max, from one blocks walk.
+
+    The walk gives the blocks of B_R minus B_{r_max}; adding sphere r back
+    to B_R minus B_r gives B_R minus B_{r-1}, by union-find on positions.
+    A BFS parent path leads from each block to sphere r_max + 1, and blocks
+    are sorted, so a block's positions there are its prefix below starts[r_max + 2].
+    """
+    s, rows = t.starts, t.rows
+    outer, rim = s[t.radius], s[r_max + 2]
+    # union-find on the positions below rim; a root carries its block's escape flag
+    parent = list(range(rim))
+    escapes = bytearray(rim)
+    for b in blocks(rows, range(s[r_max + 1])):
+        escapes[b[0]] = b[-1] >= outer
+        for p in b[1:bisect_left(b, rim)]:
+            parent[p] = b[0]
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    count = sum(escapes)
+    counts = [count]
+    for r in range(r_max, 0, -1):
+        lo = s[r]
+        # sphere r joins its neighbours in spheres r and r + 1; sphere r - 1 stays out
+        for p in range(lo, s[r + 1]):
+            for q in rows[p]:
+                if q >= lo:
+                    a, b = find(p), find(q)
+                    if a != b:
+                        count -= escapes[a] and escapes[b]
+                        escapes[a] |= escapes[b]
+                        parent[b] = a
+        counts.append(count)
+    return counts[::-1]
 
 
 @dataclass
@@ -145,15 +189,22 @@ def find_cut(t):
     Probes grow from radius 0 and stay MARGIN steps away from the
     truncation boundary.  The returned component is the one whose
     earliest vertex comes first in the truncation's canonical order,
-    which is the order escaping_components lists blocks in.
+    which is the order blocks lists them in.  An edge leaving a component
+    of B_R minus B_r meets B_r, whose positions come first, so the
+    coboundary lies in the edge pairs i -> j with i in B_r, which open the
+    edge table and touch only positions in B_{r+1}.
     """
+    s, rows, o = t.starts, t.rows, t.origin
+    outer = s[t.radius]
     for r in range(max(0, t.radius - MARGIN)):
-        escaping = [block for block, esc in escaping_components(t, t.ball(r)) if esc]
+        escaping = [b for b in blocks(rows, range(s[r + 1])) if b[-1] >= outer]
         if len(escaping) >= 2:
             chosen = escaping[0]
+            inside = set(chosen[:bisect_left(chosen, s[r + 2])])
+            n = 2 * sum(j > i for i in range(s[r + 1]) for j in rows[i])
             return Cut(
-                vertices=chosen,
-                coboundary=coboundary(t, chosen),
+                vertices=tuple(map(t.vertices.__getitem__, chosen)),
+                coboundary=tuple(e for e in range(n) if (o[e] in inside) != (o[e ^ 1] in inside)),
                 escaping=True,
                 complement_escaping=True,
                 probe_radius=r,

@@ -580,10 +580,6 @@ def default_catalog():
     return entries
 
 
-def catalog_to_json(entries):
-    return {"entries": [e.to_json() for e in entries]}
-
-
 def catalog_from_json(data):
     entries = required(expect(data, dict, "catalog"), "entries", "entries", list)
     return [CatalogEntry.from_json(e, where=f"entries[{i}]") for i, e in enumerate(entries)]

@@ -21,3 +21,8 @@ def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
     """
     pair = GeneratingPair(backend, trivial_subgroup(backend), gens)
     return build(pair, radius, cap=cap).vertices
+
+
+def catalog_to_json(entries):
+    """The catalog document of the given entries, as catalog_from_json reads it."""
+    return {"entries": [e.to_json() for e in entries]}

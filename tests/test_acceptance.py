@@ -28,12 +28,11 @@ from endlab.ends_cuts import classify_ends
 from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
-    catalog_to_json,
     make_oracle,
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, random_graph
+from helpers import ball_enumerate, catalog_to_json, random_graph
 from test_qlinalg import delta_matrix, rank_kernel_cokernel
 from test_serre_graphs import bfs_blocks
 

@@ -14,7 +14,8 @@ import pytest
 
 from endlab import cli
 from endlab.serre_graphs import SerreGraph
-from endlab.theorem_lab import catalog_to_json
+
+from helpers import catalog_to_json
 
 # JSON scalars plus the small shapes that specs are made of
 VALUES = (

@@ -1,17 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from endlab.cayley_abels import GeneratingPair, build, trivial_subgroup
+from endlab import ends_cuts
+from endlab.cayley_abels import GeneratingPair, ball_walk, build, trivial_subgroup
 from endlab.ends_cuts import (
     AT_LEAST,
     AT_MOST_ONE,
     EXACTLY_TWO,
     ZERO_ENDS,
+    ball_probes,
     classify_ends,
     escaping_components,
     find_cut,
 )
 
-from test_cayley_abels import distances, make_c6, make_z
+from test_cayley_abels import distances, make_c6, make_z, multigraph_space
 from test_serre_graphs import reference_components
 
 
@@ -215,23 +219,26 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
     return EndsEstimate(tuple(probes), verdict, count, r_max, t.radius, t.exhausted)
 
 
-def reference_find_cut(t, margin=4):
-    """The original find_cut, kept as the reference: escaping blocks sorted by
-    their earliest vertex in the truncation's order."""
-    from endlab.ends_cuts import Cut
+def reference_probes(t, r_max):
+    """The per-radius probe sum classify_ends ran before ball_probes, kept as
+    the reference: one labelled escaping_components walk per ball radius."""
+    return [sum(esc for _, esc in escaping_components(t, t.ball(r))) for r in range(r_max + 1)]
 
-    index = {v: i for i, v in enumerate(t.graph.vertices)}
-    sphere = distances(t)
-    for r in range(max(0, t.radius - margin)):
-        ball = t.ball(r)
-        if any(sphere[v] >= t.radius for v in ball):
-            break
-        escaping = [block for block, esc in escaping_components(t, ball) if esc]
+
+def reference_find_cut(t):
+    """The find_cut that labelled every block of each probe and scanned the
+    whole edge table for the coboundary, kept as the reference."""
+    from endlab.ends_cuts import MARGIN, Cut, coboundary
+
+    for r in range(max(0, t.radius - MARGIN)):
+        escaping = [block for block, esc in escaping_components(t, t.ball(r)) if esc]
         if len(escaping) >= 2:
-            escaping.sort(key=lambda block: min(index[v] for v in block))
-            chosen = escaping[0]
-            return Cut(chosen, reference_coboundary(t.graph, chosen), True, True, r)
+            return Cut(escaping[0], coboundary(t, escaping[0]), True, True, r)
     return None
+
+
+def cut_json(cut):
+    return cut and cut.to_json()
 
 
 @pytest.mark.parametrize("r_max, radius", [(0, 6), (3, 8)])
@@ -242,8 +249,59 @@ def test_probe_loop_matches_reference(catalog, r_max, radius):
             ref = reference_classify_ends(pair, r_max, radius)
             assert est.to_json() == ref.to_json(), pair.name
             t = build(pair, radius)
-            cut, ref_cut = find_cut(t), reference_find_cut(t)
-            assert (cut and cut.to_json()) == (ref_cut and ref_cut.to_json()), pair.name
+            assert cut_json(find_cut(t)) == cut_json(reference_find_cut(t)), pair.name
+            # every probe radius that stays off the outer sphere
+            assert ball_probes(t, radius - 1) == reference_probes(t, radius - 1), pair.name
+
+
+@st.composite
+def probe_spaces(draw):
+    """multigraph_space on up to 30 vertices, based anywhere: the path through
+    every vertex gives two escaping sides to a base in its middle, the drawn
+    edges give same-sphere edges and, repeated, parallel edges."""
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=n // 2)) if n > 1 else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    space = multigraph_space(n, edges)
+    space.base = draw(st.integers(0, n - 1))
+    return space
+
+
+# radii past a space's eccentricity give exhausted balls
+@settings(max_examples=300, deadline=None)
+@given(probe_spaces(), st.integers(1, 12), st.data())
+def test_probe_sweep_and_cut_match_the_labelled_loops(space, radius, data):
+    t = ball_walk(space, radius)
+    r_max = data.draw(st.integers(0, radius - 1))
+    assert ball_probes(t, r_max) == reference_probes(t, r_max)
+    assert cut_json(find_cut(t)) == cut_json(reference_find_cut(t))
+
+
+def test_cut_at_probe_radius_one(catalog):
+    # with S = {a, aa} removing the base leaves Z connected: aa steps from A to a
+    t = build(catalog["z_rw"].pairs()[1], 8)
+    cut = find_cut(t)
+    assert cut.probe_radius == 1
+    assert len(cut.vertices) == 14
+    assert cut.coboundary == (12, 13, 18, 19, 20, 21)
+    assert cut.to_json() == reference_find_cut(t).to_json()
+
+
+def test_classify_ends_walks_the_truncation_once(catalog, monkeypatch):
+    walks = []
+    blocks = ends_cuts.blocks
+
+    def counted(*args):
+        walks.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(ends_cuts, "blocks", counted)
+    for name in ("z_rw", "c2_c3_gog", "c6_rw"):
+        walks.clear()
+        classify_ends(catalog[name].pairs()[0], r_max=3, radius=8)
+        assert len(walks) == 1, name
 
 
 # -- probes on the coset table against the graph copy and the old scans ----------------

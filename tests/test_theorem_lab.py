@@ -12,7 +12,6 @@ from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
     catalog_from_json,
-    catalog_to_json,
     default_catalog,
     make_oracle,
     run_catalog,
@@ -21,7 +20,7 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate
+from helpers import ball_enumerate, catalog_to_json
 
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = next(e for e in default_catalog() if e.name == "z_hnn").to_json()
