@@ -409,9 +409,13 @@ class PiOne:
         return PiOneElement(self, tuple(G), tuple(E), self.morph_end(a))
 
     def right_products(self, gens):
-        """The map x -> [x.g for g in gens], for normal words x and gens."""
+        """The map x -> [x.g for g in gens], for normal words x and gens.
+
+        The map takes the ball_walk ceiling and ignores it: the length of
+        x.g is known only once multiply has formed it.
+        """
         gens, multiply = tuple(gens), self.multiply
-        return lambda x: [multiply(x, g) for g in gens]
+        return lambda x, ceiling=None: [multiply(x, g) for g in gens]
 
     def coset_products(self, gens, K):
         """The map x -> [the least x.g.k over k in K, for g in gens], for
@@ -426,7 +430,8 @@ class PiOne:
         stops at the same j for every member b, so every x.b is one pushed
         head followed by b's own tail: the products order as B does, and y
         is the least by uniqueness of normal forms (Serre, Trees, I.5).
-        Otherwise the least is taken over all |K| products.
+        Otherwise the least is taken over all |K| products.  Like
+        right_products, the map ignores the ball_walk ceiling.
         """
         multiply, sort_key = self.multiply, self.sort_key
         slots = []
@@ -437,7 +442,7 @@ class PiOne:
                 c += 1
             slots.append((B, len(b0.es) - 2 * c))
 
-        def row(x):
+        def row(x, ceiling=None):
             n, out = len(x.es), []
             for B, bound in slots:
                 y = multiply(x, B[0])
@@ -615,7 +620,9 @@ class CoveringTree:
             mins = {min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))}
             self._steps[graph.origin(e)] += [(h, e) for h in sorted(mins)]
 
-    def neighbours(self, m):
+    def neighbours(self, m, ceiling=None):
+        """The labels of the tree neighbours of m; ceiling is ignored, as in
+        PiOne.right_products."""
         pi = self.pi
         return [pi.vertex_label(pi.multiply(pi.append_mul(m, h), pi._letter[e])) for h, e in self._steps[pi.morph_end(m)]]
 

@@ -21,11 +21,15 @@ tail and the products order as the b do; by uniqueness of normal forms
 reaches past the shared head, the row takes the least of all |K| products.
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
-base label, a label order and the neighbours of a label: GeneratingPair is
-one such space, and the covering tree of bass_serre is the other.  A
-truncation is its coset table, each fact stored once: the cosets in BFS
-order, where each sphere starts in it, each coset's row of targets inside
-the ball, and an origin per oriented edge, edge e having inverse e ^ 1.
+base label, a label order and neighbours(x, ceiling=None), the labels of
+x's neighbours: GeneratingPair is one such space, and the covering tree of
+bass_serre is the other.  Given a ceiling, a sort key no less than x's,
+neighbours may leave out any label whose key it knows exceeds the ceiling;
+ball_walk passes the largest key in the ball for the outer sphere only,
+whose targets past the ball it drops anyway.  A truncation is its coset
+table, each fact stored once: the cosets in BFS order, where each sphere
+starts in it, each coset's row of targets inside the ball, and an origin
+per oriented edge, edge e having inverse e ^ 1.
 """
 
 from __future__ import annotations
@@ -133,7 +137,12 @@ class GeneratingPair:
         return self.backend.coset_products(self.S, self.K.elements)
 
     def act(self, k, label):
-        """Left action on coset labels; defined for any group element."""
+        """Left action on coset labels; defined for any group element.
+
+        For K = 1 the product of k and the normal word label is the label.
+        """
+        if len(self.K) == 1:
+            return self.backend.multiply(k, label)
         return coset_canonical(self.backend, self.K, self.backend.multiply(k, label))
 
     def __repr__(self):
@@ -180,15 +189,20 @@ class Truncation:
 def ball_walk(space, radius, cap=DEFAULT_CAP):
     """BFS a coset space out to the given radius, as a one-pass coset table.
 
-    The space gives a base label, a label order sort_key and neighbours(x),
-    one label per oriented edge at x.  Each sphere is sorted, the outer
-    sphere's rows are labelled after it, and the half-edge pass pairs edges
-    from the rows.  Raises BudgetExceeded past the element cap, and
+    The space gives a base label, a label order sort_key and
+    neighbours(x, ceiling=None), one label per oriented edge at x.  Each
+    sphere is sorted, the outer sphere's rows are labelled after it, and the
+    half-edge pass pairs edges from the rows.  For the outer sphere only,
+    ceiling is the largest key in the ball, the last of a sphere or the
+    base's, and neighbours may leave out any label whose key it knows
+    exceeds it: such a label lies outside the ball, so the rows are the
+    same either way.  Raises BudgetExceeded past the element cap, and
     InternalInconsistency when the rows do not pair up.
     """
     sort_key, neighbours = space.sort_key, space.neighbours
     # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
     index = {space.base: 0}
+    ceiling = sort_key(space.base)
     starts = [0, 1]
     rows = []
     frontier = [space.base]
@@ -211,9 +225,11 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         frontier = layer
         if not frontier:
             break
+        ceiling = max(ceiling, sort_key(layer[-1]))
     starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
-    # the outer sphere, never expanded; its targets beyond the ball are left out
-    rows.extend([index[y] for y in neighbours(x) if y in index] for x in frontier)
+    # the outer sphere, never expanded; its targets beyond the ball are left out,
+    # and the space need not form those it knows to sort past the ball's largest label
+    rows.extend([index[y] for y in neighbours(x, ceiling) if y in index] for x in frontier)
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
     # target j > i is paired once, at the first of its parallel half-edges

@@ -23,7 +23,8 @@ Two kinds of backend live here:
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
 the coset machinery needs: identity(), multiply(a, b), inverse(a),
-sort_key(a) and right_products(gens).
+sort_key(a) and right_products(gens), whose map takes a label and an
+optional ceiling (see cayley_abels.ball_walk).
 """
 
 from __future__ import annotations
@@ -254,6 +255,14 @@ class RewritingGroup:
         last _max_lhs - 1 letters of x.  No step chooses between rewrites, so
         the products are normal_form's also for a system that is not
         confluent.
+
+        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
+        cayley_abels.ball_walk: given a sort key ceiling no less than x's
+        own, the row may leave out any label whose key exceeds it, and keeps
+        the other slots in order.  An unreduced x + g has length |x| + |g|,
+        so the row leaves out those longer than ceiling's length; the room
+        ceiling[0] - |x| picks a slot list precomputed per state.  Every
+        cancellation and fallback product is still formed.
         """
         gens = list(gens)
         for g in gens:
@@ -268,16 +277,23 @@ class RewritingGroup:
                     return len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None
             return -1
 
-        outcomes = [[outcome(q, g) for g in gens] for q in range(len(delta))]
+        # per state q and room r, the slots (g, outcome) in slot order, less
+        # each unreduced x + g longer than len(x) + r
+        top = max(map(len, gens), default=0)
+        visits = []
+        for q in range(len(delta)):
+            slots = [(g, outcome(q, g)) for g in gens]
+            visits.append([[(g, k) for g, k in slots if k != -1 or len(g) <= r] for r in range(top + 1)])
         back, reduce = self._max_lhs - 1, self._reduce
 
-        def products(x):
+        def products(x, ceiling=None):
             q = 0
             for c in x[-back:]:
                 q = delta[q][c]
+            room = top if ceiling is None else min(ceiling[0] - len(x), top)
             return [
                 x + g if k == -1 else reduce(x + g, max(len(x) - back, 0)) if k is None else x[:len(x) - k]
-                for g, k in zip(gens, outcomes[q])
+                for g, k in visits[q][room]
             ]
 
         return products

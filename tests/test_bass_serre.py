@@ -446,7 +446,7 @@ def test_tree_truncation_respects_cap():
 def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
     pi = c2c3()
 
-    def raw_neighbours(self, m):
+    def raw_neighbours(self, m, ceiling=None):
         # appends the edge letter raw, so a neighbour that steps back along
         # the last letter keeps its pinch and is labelled as a vertex of its own
         pi = self.pi

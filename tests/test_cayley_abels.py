@@ -13,7 +13,7 @@ from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 
 from helpers import ball_enumerate
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf
-from test_group_backends import make_f2, make_f2_redundant
+from test_group_backends import make_dinf, make_f2, make_f2_redundant, make_z2
 
 
 def make_z():
@@ -165,6 +165,17 @@ def test_k_action_fixes_base_and_permutes_spheres(catalog):
             sphere = t.sphere_labels(r)
             image = {pair.act(k, v) for v in sphere}
             assert image == set(sphere)
+
+
+def test_trivial_k_action_is_the_product(catalog):
+    pairs = [pair for pair in catalog_pairs(catalog) if len(pair.K) == 1]
+    assert {type(pair.backend) for pair in pairs} == {PiOne, RewritingGroup}
+    for pair in pairs:
+        backend = pair.backend
+        labels = build(pair, 3).vertices
+        for k in pair.S + labels[:10]:
+            for v in labels:
+                assert pair.act(k, v) == coset_canonical(backend, pair.K, backend.multiply(k, v)), (pair.name, k, v)
 
 
 def test_sphere_annotations_match_bfs():
@@ -364,18 +375,7 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
 
             monkeypatch.setattr(backend, "multiply", counting)
         else:
-            right_products = backend.right_products
-
-            def counting(gens):
-                products = right_products(gens)
-
-                def row(x):
-                    calls.extend(gens)
-                    return products(x)
-
-                return row
-
-            monkeypatch.setattr(backend, "right_products", counting)
+            counted_right_products(monkeypatch, calls)
         t = build(pair, 4)
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
@@ -422,7 +422,7 @@ def reference_row(pair, x):
 def head_blind_products(pi, gens, K):
     """A mutant coset_products that takes x.B[0] without the head check."""
     least = [min((pi.multiply(g, k) for k in K), key=pi.sort_key) for g in gens]
-    return lambda x: [pi.multiply(x, b) for b in least]
+    return lambda x, ceiling=None: [pi.multiply(x, b) for b in least]
 
 
 def rows_off_reference(pair, neighbours, labels):
@@ -505,7 +505,7 @@ def multigraph_space(n, edges):
     for a, b in [(i, i + 1) for i in range(n - 1)] + edges:
         table[a].append(b)
         table[b].append(a)
-    return SimpleNamespace(base=0, sort_key=int, neighbours=table.__getitem__, table=table)
+    return SimpleNamespace(base=0, sort_key=int, neighbours=lambda x, ceiling=None: table[x], table=table)
 
 
 @st.composite
@@ -551,3 +551,94 @@ def test_pairing_pass_rejects_a_half_edge_without_partner(graph, data):
     rows = [list(row) for row in t.rows]
     rows[t.index[a]][slot:slot + 1] = [t.index[c]]
     assert reference_origin(rows) is None
+
+
+# -- the outer sphere against the rows it formed before the ceiling -----------------
+
+def ceiling_blind(space):
+    """The space with a neighbours that ignores the ceiling, so ball_walk
+    forms every outer-sphere label and keeps those in the ball."""
+    return SimpleNamespace(
+        base=space.base, sort_key=space.sort_key, neighbours=lambda x, ceiling=None: space.neighbours(x)
+    )
+
+
+def reference_outer_rows(t):
+    """ball_walk's outer-sphere loop before the ceiling, kept as the reference."""
+    index, neighbours = t.index, t.space.neighbours
+    return [[index[y] for y in neighbours(x) if y in index] for x in t.sphere_labels(t.radius)]
+
+
+OUTER_SPHERE_GROUPS = [make_z(), make_z2(), make_f2(), make_f2_redundant(), make_dinf(), make_c6()]
+
+
+def assert_walks_agree(pair, radius):
+    t, ref = ball_walk(pair, radius), ball_walk(ceiling_blind(pair), radius)
+    assert t.index == ref.index and list(t.index) == list(ref.index)
+    assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
+    assert t.rows[t.starts[radius]:] == reference_outer_rows(t)
+
+
+@pytest.mark.parametrize("group, S, radius", [
+    # same-sphere edges a -> aa, and outer rows with room 0 and 1
+    (make_z(), ["a", "aa"], 3),
+    # in C6 with S = {a, aaa} sphere 2 is {aa, AA}, below sphere 1's aaa: the
+    # ceiling is the largest key in the ball, not the outer sphere's last
+    (make_c6(), ["a", "aaa"], 2),
+])
+def test_outer_sphere_rows_match_on_named_balls(group, S, radius):
+    assert_walks_agree(GeneratingPair(group, trivial_subgroup(group), S), radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_outer_sphere_rows_match_the_ceiling_blind_walk(data):
+    # generators of lengths 1 to 3 let the room |ceiling| - |x| take every value
+    # up to 3, and, as in Z with S = {a, aa}, give edges within a sphere
+    group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
+    words = st.lists(st.sampled_from(group.alphabet), min_size=1, max_size=3).map("".join)
+    S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
+    pair = GeneratingPair(group, trivial_subgroup(group), S)
+    assert_walks_agree(pair, data.draw(st.integers(1, 5), label="radius"))
+
+
+def counted_right_products(monkeypatch, calls, shift=0):
+    """Record every product RewritingGroup.right_products forms; a shift of 1
+    makes the room one short, but never below 0."""
+    right_products = RewritingGroup.right_products
+
+    def counting(self, gens):
+        products = right_products(self, gens)
+
+        def row(x, ceiling=None):
+            if ceiling is not None:
+                ceiling = (max(ceiling[0] - shift, len(x)), ceiling[1])
+            out = products(x, ceiling)
+            calls.extend(out)
+            return out
+
+        return row
+
+    monkeypatch.setattr(RewritingGroup, "right_products", counting)
+
+
+def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
+    # 485 inner cosets form 4 products each and 972 outer cosets one each;
+    # forming every slot makes 4 per coset, 5,828 in all
+    f2 = make_f2()
+    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+    calls = []
+    counted_right_products(monkeypatch, calls)
+    assert len(build(pair, 6).vertices) == 1457
+    assert len(calls) == 2912
+    calls.clear()
+    ball_walk(ceiling_blind(pair), 6)
+    assert len(calls) == 5828
+
+
+def test_room_one_short_drops_an_edge_within_the_ball(monkeypatch):
+    # in Z with S = {a, aa} the outer coset a^(2R-1) loses its edge to a^(2R)
+    z = make_z()
+    counted_right_products(monkeypatch, [], shift=1)
+    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
+        build(GeneratingPair(z, trivial_subgroup(z), ["a", "aa"]), 3)

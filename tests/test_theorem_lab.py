@@ -554,8 +554,9 @@ def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monk
 
     def corrupted(self, gens):
         products = right_products(self, gens)
-        # the one product whose word a + g is x comes out wrong
-        return lambda a: [wrong if a + g == x else y for g, y in zip(gens, products(a))]
+        # the one product whose word a + g is x comes out wrong; the row
+        # forms every slot, as it may, so that the wrong product is formed
+        return lambda a, ceiling=None: [wrong if a + g == x else y for g, y in zip(gens, products(a))]
 
     monkeypatch.setattr(RewritingGroup, "right_products", corrupted)
     message = cli_cut_on_z(tmp_path, capsys, radius)
