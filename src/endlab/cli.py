@@ -4,13 +4,15 @@ All structured output is JSON on stdout; DOT goes to files.  Exit codes:
 0 success, 1 inconsistency or failed check, 2 budget exceeded.  Errors are
 printed as {"error": kind, "message": ...} with kind invalid_input (exit 1),
 internal_inconsistency (exit 1, a defect in endlab) or budget_exceeded
-(exit 2).
+(exit 2).  A reader that closes stdout early gets exit 1 and no error text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import bass_serre, cayley_abels, ends_cuts, theorem_lab
@@ -182,6 +184,13 @@ def main(argv=None):
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: emit nothing there, and point it at
+        # devnull so that the flush at exit stays quiet too
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except BudgetExceeded as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)})
         return 2

@@ -3,10 +3,11 @@
 The number of ends of an infinite graph is a supremum over all finite
 probe sets, which no finite computation can settle, so every verdict here
 carries the scale it was measured at.  A component of the truncation minus
-a probe counts as escaping when it reaches the outer sphere; escaping
-counts of two or more are genuine lower bounds (provided the escaping
-components really are infinite, which the catalog certifies through its
-oracles), while "at most one" and "zero" are statements at scale only.
+a probe counts as escaping when it reaches the outer sphere.  An escaping
+count of two or more is a lower bound on the ends given that the escaping
+components are infinite, which nothing here checks: a catalog entry's
+provenance records the argument for it.  "At most one" and "zero" are
+statements at scale only.
 
 The ball probes work on BFS positions, and look labels up only for what is
 printed: classify_ends takes every probe radius from one walk, and find_cut
