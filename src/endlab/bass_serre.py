@@ -25,10 +25,17 @@ start where a ends.  Serre's normal form theorem (Trees, 1980, I.5) makes
 the normal word of an element unique, so its result does not depend on
 how the word was built.  Every word is grown from normal words by it: an
 edge letter e is the normal word 1 e 1, and PiOne.normalize, for a raw
-word, is multiply folded over its letters.  Since multiply reads only the
+word, is multiply folded over its letters.
+
+PiOne.pinches(a, b) walks multiply's junction loop alone and counts its
+pinches j, so the product's length |a| + |b| - 2j, which leads the sort
+key, is known before the product is formed.  Since multiply reads only the
 head of b that the junction reaches, PiOne.coset_products takes the least
-product x.b over a coset s.K from the least b alone whenever all of s.K
-share that head.
+product x.b over a coset s.K from the least b alone whenever the junction
+stops inside the head all of s.K share; otherwise it forms only the
+products of least length.  Given the ceiling of cayley_abels.ball_walk on
+the outer sphere, coset_products, right_products and the covering tree
+leave out every label whose length is past the ceiling's.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -397,6 +404,31 @@ class PiOne:
         self._push_to_transversals(G, head, i)
         return PiOneElement(self, (*G, *b.gs[j + 1:]), head + b.es[j:], a.start)
 
+    def pinches(self, a, b):
+        """The number j of pinches multiply(a, b) removes at the junction,
+        so that the product has |a| + |b| - 2j edge letters.
+
+        It walks multiply's junction loop and forms nothing else: no
+        tuple, no push and no word.  The loop is a copy of multiply's,
+        since a helper shared by both adds a call to every product.
+        """
+        end = self.morph_end(a)
+        if end != b.start:
+            raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
+        mid = self._table[end][a.gs[-1]][b.gs[0]]
+        inverse, pinch, table = self._inverse, self._pinch, self._origin_table
+        i, j, m = len(a.es), 0, len(b.es)
+        while i and j < m and inverse[a.es[i - 1]] == b.es[j]:
+            f = a.es[i - 1]
+            c = pinch[f].get(mid)
+            if c is None:
+                break
+            t = table[f]
+            mid = t[t[a.gs[i - 1]][c]][b.gs[j + 1]]
+            i -= 1
+            j += 1
+        return j
+
     def inverse(self, a):
         """The inverse of a normal word a, from where a ends."""
         # a pinch e h inv(e) in the reversed inverse of a reduced word is one
@@ -411,11 +443,20 @@ class PiOne:
     def right_products(self, gens):
         """The map x -> [x.g for g in gens], for normal words x and gens.
 
-        The map takes the ball_walk ceiling and ignores it: the length of
-        x.g is known only once multiply has formed it.
+        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
+        cayley_abels.ball_walk.  Given a ceiling, the row leaves out each g
+        whose product has more than ceiling[0] edge letters, a length known
+        before the product is formed: |x| + |g| - 2j, j = pinches(x, g).
         """
-        gens, multiply = tuple(gens), self.multiply
-        return lambda x, ceiling=None: [multiply(x, g) for g in gens]
+        gens, multiply, pinches = tuple(gens), self.multiply, self.pinches
+
+        def row(x, ceiling=None):
+            if ceiling is None:
+                return [multiply(x, g) for g in gens]
+            room = ceiling[0] - len(x.es)
+            return [multiply(x, g) for g in gens if len(g.es) - 2 * pinches(x, g) <= room]
+
+        return row
 
     def coset_products(self, gens, K):
         """The map x -> [the least x.g.k over k in K, for g in gens], for
@@ -423,34 +464,48 @@ class PiOne:
 
         Each g gets its coset g.K once, as the sort-ordered normal words B,
         and c, the number of leading group elements and edge letters that
-        every member of B shares.  Each slot gets its own product
-        y = x.B[0], for which multiply reads only the first j + 1 group
-        elements and edge letters of B[0], j the number of pinches across
-        the junction.  When j < c, the junction reads the same letters and
-        stops at the same j for every member b, so every x.b is one pushed
-        head followed by b's own tail: the products order as B does, and y
-        is the least by uniqueness of normal forms (Serre, Trees, I.5).
-        Otherwise the least is taken over all |K| products.  Like
-        right_products, the map ignores the ball_walk ceiling.
+        every member of B shares.  A product x.b has |x| + |b| - 2j edge
+        letters, j = pinches(x, b), and the sort key leads with that
+        length, so each slot reads j for B[0] first.  When j < c, the
+        junction reads the same letters and stops at the same j for every
+        member b, so every x.b is one pushed head followed by b's own tail:
+        the products order as B does, and x.B[0] is the least by uniqueness
+        of normal forms (Serre, Trees, I.5).  Otherwise the slot reads j for
+        every member and forms only the products of least length: one is
+        the label as it stands, and ties take the least of the tied
+        products.  Each slot forms its own product.
+
+        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
+        cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
+        slot whose least length is above ceiling[0].
         """
-        multiply, sort_key = self.multiply, self.sort_key
+        multiply, pinches, sort_key = self.multiply, self.pinches, self.sort_key
         slots = []
         for g in gens:
             B = sorted((multiply(g, k) for k in K), key=sort_key)
             b0, c = B[0], 0
             while all(len(b.es) > c and b.gs[c] == b0.gs[c] and b.es[c] == b0.es[c] for b in B):
                 c += 1
-            slots.append((B, len(b0.es) - 2 * c))
+            slots.append((B, c))
 
         def row(x, ceiling=None):
-            n, out = len(x.es), []
-            for B, bound in slots:
-                y = multiply(x, B[0])
-                # j < c: the product has more than |x| + |B[0]| - 2c edge letters
-                if len(y.es) > n + bound:
-                    out.append(y)
+            room = None if ceiling is None else ceiling[0] - len(x.es)
+            out = []
+            for B, c in slots:
+                # the growth |x.b| - |x| of each member b, read from its pinches
+                j = pinches(x, B[0])
+                if j < c:
+                    least, tied = len(B[0].es) - 2 * j, B[:1]
                 else:
-                    out.append(min([y, *(multiply(x, b) for b in B[1:])], key=sort_key))
+                    grow = [len(B[0].es) - 2 * j, *(len(b.es) - 2 * pinches(x, b) for b in B[1:])]
+                    least = min(grow)
+                    tied = [b for b, k in zip(B, grow) if k == least]
+                if room is not None and least > room:
+                    continue
+                if len(tied) == 1:
+                    out.append(multiply(x, tied[0]))
+                else:
+                    out.append(min([multiply(x, b) for b in tied], key=sort_key))
             return out
 
         return row
@@ -621,10 +676,16 @@ class CoveringTree:
             self._steps[graph.origin(e)] += [(h, e) for h in sorted(mins)]
 
     def neighbours(self, m, ceiling=None):
-        """The labels of the tree neighbours of m; ceiling is ignored, as in
-        PiOne.right_products."""
-        pi = self.pi
-        return [pi.vertex_label(pi.multiply(pi.append_mul(m, h), pi._letter[e])) for h, e in self._steps[pi.morph_end(m)]]
+        """The labels of the tree neighbours of m, the neighbours(x,
+        ceiling) of ball_walk.  Given a ceiling, it leaves out each child
+        m h e with more than ceiling[0] edge letters, |m| + 1 - 2j for j its
+        pinches, before the child is formed."""
+        pi, letter = self.pi, self.pi._letter
+        steps = [(pi.append_mul(m, h), letter[e]) for h, e in self._steps[pi.morph_end(m)]]
+        if ceiling is not None:
+            room = ceiling[0] - len(m.es) - 1
+            steps = [(a, b) for a, b in steps if -2 * pi.pinches(a, b) <= room]
+        return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
 
     def act(self, g, m):
         """The label of g.m for g in the fundamental group."""

@@ -18,7 +18,8 @@ normal words changes only the junction, so when every b shares the head
 that the junction with x reads, every x.b is one head followed by b's own
 tail and the products order as the b do; by uniqueness of normal forms
 (Serre, Trees, I.5) the least b then gives the label.  Where the junction
-reaches past the shared head, the row takes the least of all |K| products.
+reaches past the shared head, the row counts the pinches of each x.b, which
+give its length, and takes the least of the products of least length.
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
 base label, a label order and neighbours(x, ceiling=None), the labels of
@@ -26,7 +27,9 @@ x's neighbours: GeneratingPair is one such space, and the covering tree of
 bass_serre is the other.  Given a ceiling, a sort key no less than x's,
 neighbours may leave out any label whose key it knows exceeds the ceiling;
 ball_walk passes the largest key in the ball for the outer sphere only,
-whose targets past the ball it drops anyway.  A truncation is its coset
+whose targets past the ball it drops anyway.  The rewriting backend and
+PiOne both leave out the labels longer than the ceiling, PiOne by the
+pinch count of each product before it forms it.  A truncation is its coset
 table, each fact stored once: the cosets in BFS order, where each sphere
 starts in it, each coset's row of targets inside the ball, and an origin
 per oriented edge, edge e having inverse e ^ 1.
@@ -129,8 +132,8 @@ class GeneratingPair:
         with the least b when every b in s.K shares the head that the
         junction with x reads: each x.b is then one head followed by b's
         own tail, so the products order as the b do.  Otherwise it takes
-        the least of all |K| products.  Each slot gets its own product, so
-        a wrong product leaves its edge unpaired.
+        the least of the products of least length.  Each slot gets its own
+        product, so a wrong product leaves its edge unpaired.
         """
         if len(self.K) == 1:
             return self.backend.right_products(self.S)

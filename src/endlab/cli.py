@@ -28,8 +28,10 @@ def _load(path):
 
 
 def _emit(data):
+    # flushed here, so that a closed reader raises inside main, not at exit
     json.dump(data, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _spec_backend(path):
@@ -181,16 +183,25 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "cap", 1) < 1:
-            raise ValueError(f"--cap must be at least 1, got {args.cap}")
-        return args.func(args)
+        return _run(args)
     except BrokenPipeError:
-        # the reader closed stdout: emit nothing there, and point it at
-        # devnull so that the flush at exit stays quiet too
+        # the reader closed stdout, while a result or an error record was
+        # written: emit nothing there, and point it at devnull so that the
+        # flush at exit stays quiet too
         with contextlib.suppress(OSError, ValueError):
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 1
+
+
+def _run(args):
+    try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
+        return args.func(args)
+    except BrokenPipeError:
+        # an OSError, but a closed reader, not an invalid input: main's to handle
+        raise
     except BudgetExceeded as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)})
         return 2

@@ -665,7 +665,7 @@ def test_words_at_different_vertices_differ(catalog):
     assert len({at_u: 0, at_w: 1}) == 2
 
 
-@pytest.mark.parametrize("product", ["multiply"])
+@pytest.mark.parametrize("product", ["multiply", "pinches"])
 def test_products_refuse_words_that_do_not_meet(catalog, product):
     pi = catalog["dinfty_gog"].backend()
     at_u, at_w = empty_words(pi)
@@ -720,35 +720,51 @@ def suffix_word(pi, m, k):
     return PiOneElement(pi, (pi.vgroup(start).identity,) + m.gs[k + 1:], m.es[k:], start)
 
 
+def draw_junction(data):
+    """(pi, a, b, mode, tail): a word a, normal apart from its last group
+    element, and a normal word b from where a ends.  In mode "free" b is a
+    random walk; in "cancel_b" the junction cancels all of b; in "cancel_a"
+    b is a^-1 then the raw walk tail from where a starts, so the junction
+    cancels all of a unless tail cancels into a^-1 first."""
+    pi = data.draw(st.sampled_from(NORMALIZER_CASES + FUZZ_CASES))
+    start = data.draw(st.sampled_from(pi.graph.vertices))
+    normal = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
+    end = pi.morph_end(normal)
+    a = pi.append_mul(normal, data.draw(st.integers(0, len(pi.vgroup(end)) - 1)))
+    mode, tail = data.draw(st.sampled_from(["free", "cancel_b", "cancel_a"])), None
+    if mode == "free":
+        b = reference_normalize(pi, end, *draw_walk(data, pi, end, 10, 0.3))
+    elif mode == "cancel_b":
+        # the inverse of a suffix of a
+        k = data.draw(st.integers(0, len(a.es)))
+        b = reference_inverse(pi, suffix_word(pi, a, k))
+    else:
+        tail = draw_walk(data, pi, start, 6, 0.3)
+        b = reference_normalize(pi, end, *concat(pi, start, raw_inverse(pi, start, a.gs, a.es), tail))
+    return pi, a, b, mode, tail
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_multiply_matches_reference_at_the_junction(data):
     # a is normal apart from its last group element and b is normal, so
     # multiply works only where they meet: pinches across the junction,
     # then carries left from it
-    pi = data.draw(st.sampled_from(NORMALIZER_CASES + FUZZ_CASES))
-    start = data.draw(st.sampled_from(pi.graph.vertices))
-    normal = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
-    end = pi.morph_end(normal)
-    a = pi.append_mul(normal, data.draw(st.integers(0, len(pi.vgroup(end)) - 1)))
-    mode = data.draw(st.sampled_from(["free", "cancel_b", "cancel_a"]))
-    if mode == "free":
-        b = reference_normalize(pi, end, *draw_walk(data, pi, end, 10, 0.3))
-    elif mode == "cancel_b":
-        # the inverse of a suffix of a: the junction cancels all of b
-        k = data.draw(st.integers(0, len(a.es)))
-        b = reference_inverse(pi, suffix_word(pi, a, k))
-    else:
-        # a^-1 then a walk from where a starts: the junction cancels all of a
-        # unless the walk cancels into a^-1 first
-        tail = draw_walk(data, pi, start, 6, 0.3)
-        b = reference_normalize(pi, end, *concat(pi, start, raw_inverse(pi, start, a.gs, a.es), tail))
+    pi, a, b, mode, tail = draw_junction(data)
     got = pi.multiply(a, b)
-    assert got == reference_normalize(pi, start, *concat(pi, end, (a.gs, a.es), (b.gs, b.es)))
+    assert got == reference_normalize(pi, a.start, *concat(pi, pi.morph_end(a), (a.gs, a.es), (b.gs, b.es)))
     if mode == "cancel_b":
         assert len(got.es) == len(a.es) - len(b.es)
     elif mode == "cancel_a" and len(b.es) == len(a.es) + len(tail[1]):
         assert got.es == b.es[len(a.es):]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pinches_count_the_edge_letters_multiply_removes(data):
+    # coset rows read a product's length from pinches before forming it
+    pi, a, b, _, _ = draw_junction(data)
+    assert len(pi.multiply(a, b).es) == len(a.es) + len(b.es) - 2 * pi.pinches(a, b)
 
 
 # -- the half-tree side rule against the label-and-distance rule it replaced ----------

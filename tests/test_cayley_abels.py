@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab.bass_serre import PiOne
+from endlab.bass_serre import CoveringTree, PiOne, tree_truncation
 from endlab.cayley_abels import GeneratingPair, Subgroup, ball_walk, build, coset_canonical, trivial_subgroup
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded, InternalInconsistency
@@ -367,13 +367,7 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
         backend = pair.backend
         calls = []
         if isinstance(backend, PiOne):
-            multiply = backend.multiply
-
-            def counting(a, b):
-                calls.append(b)
-                return multiply(a, b)
-
-            monkeypatch.setattr(backend, "multiply", counting)
+            counted_multiply(monkeypatch, backend, calls)
         else:
             counted_right_products(monkeypatch, calls)
         t = build(pair, 4)
@@ -381,6 +375,17 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
         n_s, n_k = len(pair.S), len(pair.K)
         bound = len(t.vertices) * n_s * n_k + n_s * n_k + n_k
         assert 0 < len(calls) <= bound, (pair.name, len(calls), bound)
+
+
+def counted_multiply(monkeypatch, pi, calls):
+    """Record the right factor of every product pi forms with multiply."""
+    multiply = pi.multiply
+
+    def counting(a, b):
+        calls.append(b)
+        return multiply(a, b)
+
+    monkeypatch.setattr(pi, "multiply", counting)
 
 
 def c2c3_vertex_pair():
@@ -392,20 +397,28 @@ def c2c3_vertex_pair():
 
 def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypatch):
     # the full minimum over each s.K takes |S|.|K| = 9 products per coset,
-    # 27,639 in all; two of the three slots share their head with every
-    # label, so 5 per coset and 15,359 in all
+    # 27,639 in all.  Two of the three slots share their head with every
+    # label, and the third forms only its products of least length, so the
+    # 1,534 inner cosets take 3 each, 4,602; the 1,536 outer cosets form
+    # only the slots whose least length fits the ball, 2,560; and the cosets
+    # s.K take 9: 7,171 in all
     pair = c2c3_vertex_pair()
-    pi, calls = pair.backend, []
-    multiply = pi.multiply
-
-    def counting(a, b):
-        calls.append(b)
-        return multiply(a, b)
-
-    monkeypatch.setattr(pi, "multiply", counting)
+    calls = []
+    counted_multiply(monkeypatch, pair.backend, calls)
     t = build(pair, 10)
     assert len(t.vertices) == 3070
-    assert len(calls) <= 16_000
+    assert len(calls) <= 7_500
+
+
+def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
+    # the 507 inner vertices of the radius-14 ball form all their 1,268
+    # steps, and each of the 256 outer vertices, whose other steps leave the
+    # ball, only the step back to its parent: 1,524 in all
+    pi, calls = c2c3(), []
+    counted_multiply(monkeypatch, pi, calls)
+    t = tree_truncation(pi, 14)
+    assert len(t.vertices) == 763
+    assert len(calls) <= 1_600
 
 
 # -- least coset products against the full minimum they replaced -----------------
@@ -447,22 +460,26 @@ def nontrivial_k_cases():
 NONTRIVIAL_K_CASES = nontrivial_k_cases()
 
 
-def ball_labels(pair, radius, cap=400):
-    """The labels of the radius-R ball, or of the largest smaller ball
-    within the cap."""
+def small_ball(pair, radius, cap=400):
+    """The radius-R ball, or the largest smaller ball within the cap."""
     try:
-        return build(pair, radius, cap=cap).vertices
+        return build(pair, radius, cap=cap)
     except BudgetExceeded:
-        return ball_labels(pair, radius - 1, cap)
+        return small_ball(pair, radius - 1, cap)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_coset_rows_match_the_full_minimum(data):
+    # the full rows of every label of a ball; then, at a radius inside it,
+    # the walk, whose outer rows take the ceiling, against the ceiling-blind
+    # walk, whose rows are those full rows less their targets past the ball
     pi, K, gens = data.draw(st.sampled_from(NONTRIVIAL_K_CASES))
     S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2, unique=True))
     pair = GeneratingPair(pi, K, S)
-    assert rows_off_reference(pair, pair.neighbours, ball_labels(pair, 5)) == []
+    ball = small_ball(pair, 5)
+    assert rows_off_reference(pair, pair.neighbours, ball.vertices) == []
+    assert_walks_agree(pair, data.draw(st.integers(1, ball.radius), label="radius"))
 
 
 def test_head_blind_coset_products_fail_the_reference(monkeypatch):
@@ -600,6 +617,23 @@ def test_outer_sphere_rows_match_the_ceiling_blind_walk(data):
     S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
     pair = GeneratingPair(group, trivial_subgroup(group), S)
     assert_walks_agree(pair, data.draw(st.integers(1, 5), label="radius"))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 6, 9])
+def test_c2c3_trivial_k_outer_rows_match_the_ceiling_blind_walk(radius):
+    # the generator u:1 has no edge letter and w:1, w:2 have two, so outer
+    # products keep, shorten or lengthen x
+    pi = c2c3()
+    pair = GeneratingPair(pi, trivial_subgroup(pi), pi.default_generators())
+    assert_walks_agree(pair, radius)
+    t = ball_walk(pair, radius)
+    assert rows_off_reference(pair, pair.neighbours, t.vertices) == []
+
+
+@pytest.mark.parametrize("pi", FUZZ_CASES + [c2c3()], ids=lambda pi: pi.name)
+def test_covering_tree_outer_rows_match_the_ceiling_blind_walk(pi):
+    for radius in (1, 2, 3, 4):
+        assert_walks_agree(CoveringTree(pi), radius)
 
 
 def counted_right_products(monkeypatch, calls, shift=0):

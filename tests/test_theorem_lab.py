@@ -249,6 +249,31 @@ def test_cli_closed_stdout_exits_quietly(tmp_path):
     assert stderr == b""
 
 
+@pytest.mark.parametrize("unbuffered, command", [
+    # an error record, each write of which reaches the pipe at once
+    (True, ["ends", "missing.json"]),
+    # a result small enough to wait in the buffer for the flush at exit
+    (False, ["homology", "graph.json"]),
+])
+def test_cli_output_to_a_reader_closed_before_it_exits_quietly(tmp_path, unbuffered, command):
+    (tmp_path / "graph.json").write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "endlab.cli", *command],
+            stdout=write, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_cli_budget_exit_code(tmp_path, capsys, catalog):
     path = write_spec(tmp_path, catalog["f2_rw"])
     assert cli.main(["ends", path, "--R", "9", "--cap", "200"]) == 2
