@@ -33,9 +33,13 @@ key, is known before the product is formed.  Since multiply reads only the
 head of b that the junction reaches, PiOne.coset_products takes the least
 product x.b over a coset s.K from the least b alone whenever the junction
 stops inside the head all of s.K share; otherwise it forms only the
-products of least length.  Given the ceiling of cayley_abels.ball_walk on
-the outer sphere, coset_products, right_products and the covering tree
-leave out every label whose length is past the ceiling's.
+products of least length.  The junction also reads only a bounded suffix
+of x, so coset_products counts these pinches once per suffix and reuses
+the plan they give, the least length and the members that reach it, for
+every later row that ends the same way.  Given the ceiling of
+cayley_abels.ball_walk on the outer sphere, coset_products, right_products
+and the covering tree leave out every label whose length is past the
+ceiling's.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -475,6 +479,15 @@ class PiOne:
         the label as it stands, and ties take the least of the tied
         products.  Each slot forms its own product.
 
+        The junction loop reads at most the last M edge letters of x, M the
+        most edge letters of any member, and the last M group elements: the
+        element it merges at the last pinch is never read.  So a slot's
+        plan, its least growth |x.b| - |x| and the members that reach it,
+        depends only on that suffix of x.  The map works out a row's plans
+        once per suffix and keeps them in a dict of its own, which lives as
+        long as the map; a row then only checks the ceiling and forms its
+        products.
+
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
         slot whose least length is above ceiling[0].
@@ -487,19 +500,30 @@ class PiOne:
             while all(len(b.es) > c and b.gs[c] == b0.gs[c] and b.es[c] == b0.es[c] for b in B):
                 c += 1
             slots.append((B, c))
+        M = max(len(b.es) for B, _ in slots for b in B)
+        plans = {}
 
-        def row(x, ceiling=None):
-            room = None if ceiling is None else ceiling[0] - len(x.es)
+        def plan(x):
             out = []
             for B, c in slots:
                 # the growth |x.b| - |x| of each member b, read from its pinches
                 j = pinches(x, B[0])
                 if j < c:
-                    least, tied = len(B[0].es) - 2 * j, B[:1]
-                else:
-                    grow = [len(B[0].es) - 2 * j, *(len(b.es) - 2 * pinches(x, b) for b in B[1:])]
-                    least = min(grow)
-                    tied = [b for b, k in zip(B, grow) if k == least]
+                    out.append((len(B[0].es) - 2 * j, B[:1]))
+                    continue
+                grow = [len(B[0].es) - 2 * j, *(len(b.es) - 2 * pinches(x, b) for b in B[1:])]
+                least = min(grow)
+                out.append((least, [b for b, k in zip(B, grow) if k == least]))
+            return out
+
+        def row(x, ceiling=None):
+            key = (x.es[-M:], x.gs[-M:]) if M else ()
+            slot_plans = plans.get(key)
+            if slot_plans is None:
+                slot_plans = plans[key] = plan(x)
+            room = None if ceiling is None else ceiling[0] - len(x.es)
+            out = []
+            for least, tied in slot_plans:
                 if room is not None and least > room:
                     continue
                 if len(tied) == 1:

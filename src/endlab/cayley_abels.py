@@ -18,8 +18,10 @@ normal words changes only the junction, so when every b shares the head
 that the junction with x reads, every x.b is one head followed by b's own
 tail and the products order as the b do; by uniqueness of normal forms
 (Serre, Trees, I.5) the least b then gives the label.  Where the junction
-reaches past the shared head, the row counts the pinches of each x.b, which
-give its length, and takes the least of the products of least length.
+reaches past the shared head, the pinches of each x.b give its length, and
+the label is the least of the products of least length.  The junction reads
+only a bounded suffix of x, so the pinches are counted once per suffix, and
+every later row that ends the same way reuses what they gave.
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
 base label, a label order and neighbours(x, ceiling=None), the labels of
@@ -132,8 +134,11 @@ class GeneratingPair:
         with the least b when every b in s.K shares the head that the
         junction with x reads: each x.b is then one head followed by b's
         own tail, so the products order as the b do.  Otherwise it takes
-        the least of the products of least length.  Each slot gets its own
-        product, so a wrong product leaves its edge unpaired.
+        the least of the products of least length.  Which case holds, and
+        which products are of least length, depends only on a bounded
+        suffix of x, so the map works it out once per suffix; it is cached
+        here with the map, and so lives as long as the pair.  Each slot gets
+        its own product, so a wrong product leaves its edge unpaired.
         """
         if len(self.K) == 1:
             return self.backend.right_products(self.S)
@@ -225,6 +230,10 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
         starts.append(len(index))
         rows.extend([index[y] for y in row] for row in labels)
+        # the layer's products, most of them copies of labels already in the
+        # ball, would otherwise live on past the last layer into the outer
+        # sphere and the pairing pass, where the walk peaks
+        del found, labels
         frontier = layer
         if not frontier:
             break

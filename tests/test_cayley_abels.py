@@ -12,7 +12,7 @@ from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 
 from helpers import ball_enumerate
-from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf
+from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog
 from test_group_backends import make_dinf, make_f2, make_f2_redundant, make_z2
 
 
@@ -388,6 +388,17 @@ def counted_multiply(monkeypatch, pi, calls):
     monkeypatch.setattr(pi, "multiply", counting)
 
 
+def counted_pinches(monkeypatch, pi, calls):
+    """Record the right factor of every pinch count pi takes."""
+    pinches = pi.pinches
+
+    def counting(a, b):
+        calls.append(b)
+        return pinches(a, b)
+
+    monkeypatch.setattr(pi, "pinches", counting)
+
+
 def c2c3_vertex_pair():
     """C2*C3 with K the C3 at w: |S| = |K| = 3, 3,070 cosets at R = 10."""
     pi = c2c3()
@@ -408,6 +419,20 @@ def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypat
     t = build(pair, 10)
     assert len(t.vertices) == 3070
     assert len(calls) <= 7_500
+
+
+@pytest.mark.parametrize("radius, cosets", [(10, 3070), (12, 12286)])
+def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, radius, cosets):
+    # a row's plans depend only on the last 4 edge letters and group elements
+    # of its label, so the pinches are counted once per such suffix: 50 calls
+    # at either radius, where each of the 3,070 or 12,286 rows counted its own
+    # (15,350 and 61,430 calls)
+    pair = c2c3_vertex_pair()
+    calls = []
+    counted_pinches(monkeypatch, pair.backend, calls)
+    t = build(pair, radius)
+    assert len(t.vertices) == cosets
+    assert len(calls) <= 100
 
 
 def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
@@ -480,6 +505,21 @@ def test_coset_rows_match_the_full_minimum(data):
     ball = small_ball(pair, 5)
     assert rows_off_reference(pair, pair.neighbours, ball.vertices) == []
     assert_walks_agree(pair, data.draw(st.integers(1, ball.radius), label="radius"))
+
+
+@pytest.mark.parametrize("pi, n_gens", [(c2c3(), None), (PiOne(mixed_gog()), 1)], ids=["c2c3_u", "mixed_u"])
+def test_coset_rows_of_labels_one_key_letter_apart_match_the_full_minimum(pi, n_gens):
+    # labels whose junction keys differ in one place only, so that a key one
+    # group element or one edge letter short gives each the plan of the
+    # other: with K = G_u, C2*C3 has M = 2 and the labels e0.w:1.e1 and
+    # e0.w:2.e1, which differ only in the group element two from the end;
+    # mixed, with its first generator only, has M = 1 and the labels 1 and
+    # e2, which differ only in their edge letter
+    K = Subgroup(pi, pi.vertex_subgroup_elements("u"))
+    S = [g for g in pi.default_generators() if g not in K.elements][:n_gens]
+    pair = GeneratingPair(pi, K, S)
+    labels = build(pair, 3).vertices
+    assert rows_off_reference(pair, pair.neighbours, labels) == []
 
 
 def test_head_blind_coset_products_fail_the_reference(monkeypatch):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,15 @@ def test_cli_verify_default(capsys):
     assert cli.main(["verify", "--default", "--R", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_consistent"]
+
+
+def test_cli_verify_default_prints_the_bytes_the_benchmark_pins(capsys):
+    # the benchmark's catalog workload checks the same output against this
+    # record; the test only reads the file
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    want = json.loads(expected.read_text())["full"]["catalog"]["verify"]
+    assert cli.main(["verify", "--default"]) == want["exit"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want["sha256"]
 
 
 def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog):
