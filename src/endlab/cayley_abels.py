@@ -35,6 +35,14 @@ pinch count of each product before it forms it.  A truncation is its coset
 table, each fact stored once: the cosets in BFS order, where each sphere
 starts in it, each coset's row of targets inside the ball, and an origin
 per oriented edge, edge e having inverse e ^ 1.
+
+ball_walk sorts each sphere by the label order, except in a space whose
+labels it finds in that order already.  That holds for K = 1 and S the
+whole alphabet of a confluent shortlex rewriting system: normal forms are
+then geodesic and prefix-closed (Epstein et al., Word Processing in Groups,
+1992, ch. 2), so each sphere d + 1 turns up in shortlex order while sphere
+d is scanned in shortlex order.  GeneratingPair decides this once, at
+construction; every other pair and the covering tree keep the sort.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import functools
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .group_backends import DEFAULT_CAP
+from .group_backends import DEFAULT_CAP, RewritingGroup
 from .serre_graphs import SerreGraph
 
 
@@ -98,6 +106,20 @@ class GeneratingPair:
     identity) are rejected.  As a coset space for ball_walk it gives the
     base label, the label order and the neighbours of a label; for a
     nontrivial K the backend forms them with coset_products, as PiOne does.
+
+    found_in_order says that ball_walk finds each sphere in label order, so
+    need not sort it.  It is true when K is trivial, the backend is a
+    RewritingGroup whose confluence was verified, and S is exactly its
+    alphabet as one-letter words.  Normal forms are then the shortlex-least
+    words, hence geodesic and prefix-closed, and the walk scans sphere d in
+    shortlex order.  A normal form y of length d + 1 is x' + c' with
+    x' = y[:-1] in sphere d, and it first turns up at slot c' of the row
+    of x': any other x, c with x.c = y has x' + c' <lex x + c, so x' comes
+    before x, or x' = x and c' before c.  Every product of length <= d is
+    already in the ball, so the walk finds exactly sphere d + 1, ordered by
+    (x', c'), which is shortlex.  Where S leaves out a letter or holds a
+    longer word, a sphere can turn up out of order (F2 with S = {a, bb} at
+    sphere 2), so every other pair sorts.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -122,6 +144,12 @@ class GeneratingPair:
             raise ValueError("empty generating set")
         self.S = tuple(sorted(closed, key=backend.sort_key))
         self.name = name or f"({K.name}; {len(self.S)} gens)"
+        self.found_in_order = (
+            isinstance(backend, RewritingGroup)
+            and backend.confluent
+            and len(K) == 1
+            and self.S == tuple(backend.alphabet)
+        )
 
     @functools.cached_property
     def neighbours(self):
@@ -199,15 +227,18 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
 
     The space gives a base label, a label order sort_key and
     neighbours(x, ceiling=None), one label per oriented edge at x.  Each
-    sphere is sorted, the outer sphere's rows are labelled after it, and the
-    half-edge pass pairs edges from the rows.  For the outer sphere only,
-    ceiling is the largest key in the ball, the last of a sphere or the
-    base's, and neighbours may leave out any label whose key it knows
-    exceeds it: such a label lies outside the ball, so the rows are the
-    same either way.  Raises BudgetExceeded past the element cap, and
+    sphere is sorted, unless the space sets found_in_order: it then vouches
+    that the walk finds each sphere in label order (see GeneratingPair), and
+    the sphere is taken as found.  The outer sphere's rows are labelled
+    after it, and the half-edge pass pairs edges from the rows.  For the
+    outer sphere only, ceiling is the largest key in the ball, the last of
+    a sphere or the base's, and neighbours may leave out any label whose
+    key it knows exceeds it: such a label lies outside the ball, so the
+    rows are the same either way.  Raises BudgetExceeded past the element cap, and
     InternalInconsistency when the rows do not pair up.
     """
     sort_key, neighbours = space.sort_key, space.neighbours
+    in_order = getattr(space, "found_in_order", False)
     # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
     index = {space.base: 0}
     ceiling = sort_key(space.base)
@@ -223,11 +254,11 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
             for y in row:
                 if y not in index:
                     found[y] = y
-        layer = sorted(found, key=sort_key)
-        for y in layer:
-            index[y] = len(index)
-            if len(index) > cap:
-                raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        layer = list(found) if in_order else sorted(found, key=sort_key)
+        n = len(index)
+        if n + len(layer) > cap:
+            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        index.update(zip(layer, range(n, n + len(layer))))
         starts.append(len(index))
         rows.extend([index[y] for y in row] for row in labels)
         # the layer's products, most of them copies of labels already in the
@@ -241,7 +272,7 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
     # the outer sphere, never expanded; its targets beyond the ball are left out,
     # and the space need not form those it knows to sort past the ball's largest label
-    rows.extend([index[y] for y in neighbours(x, ceiling) if y in index] for x in frontier)
+    rows.extend([j for j in map(index.get, neighbours(x, ceiling)) if j is not None] for x in frontier)
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
     # target j > i is paired once, at the first of its parallel half-edges

@@ -112,7 +112,7 @@ class RewritingGroup:
     letter may be declared its own inverse (an involution), in which case
     the free-reduction rule for it is xx -> empty.  Free-reduction rules
     are added automatically.  Confluence is checked at construction unless
-    check=False.
+    check=False, and the attribute confluent records whether it was.
     """
 
     def __init__(self, generators, inverses, rules=(), name="G", check=True):
@@ -170,6 +170,9 @@ class RewritingGroup:
             ok, pair = self.verify_confluence()
             if not ok:
                 raise ValueError(f"rewriting system is not confluent: {pair}")
+        # whether verify_confluence ran and passed here; only then are normal
+        # forms the shortlex-least words, which cayley_abels.GeneratingPair reads
+        self.confluent = bool(check)
 
     def _build_acceptor(self):
         """The Aho-Corasick automaton over the left-hand sides.
@@ -246,15 +249,16 @@ class RewritingGroup:
         The gens may be any words.  Since x is irreducible, a left-hand side
         occurs in x + g only if it ends inside g, and the automaton finds
         each such occurrence starting from the state of x's last
-        _max_lhs - 1 letters, so no state is kept per x.  With no hit the
-        product is x + g.  When g is one letter, the leftmost occurrence is
-        the longest left-hand side ending at the join, and if its right-hand
-        side is empty (a free cancellation, say) the product is the prefix of
-        x before it, which is irreducible.  Every other hit falls back to
-        normal_form's reducer on x + g, whose first search starts at the
-        last _max_lhs - 1 letters of x.  No step chooses between rewrites, so
-        the products are normal_form's also for a system that is not
-        confluent.
+        _max_lhs - 1 letters, so no state is kept per x: the map runs the
+        automaton once per such suffix and looks the state's slots up after.
+        With no hit the product is x + g.  When g is one letter, the
+        leftmost occurrence is the longest left-hand side ending at the
+        join, and if its right-hand side is empty (a free cancellation, say)
+        the product is the prefix of x before it, which is irreducible.
+        Every other hit falls back to normal_form's reducer on x + g, whose
+        first search starts at the last _max_lhs - 1 letters of x.  No step
+        chooses between rewrites, so the products are normal_form's also for
+        a system that is not confluent.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk: given a sort key ceiling no less than x's
@@ -285,15 +289,21 @@ class RewritingGroup:
             slots = [(g, outcome(q, g)) for g in gens]
             visits.append([[(g, k) for g, k in slots if k != -1 or len(g) <= r] for r in range(top + 1)])
         back, reduce = self._max_lhs - 1, self._reduce
+        # x's last back letters -> visits of the state they lead to
+        by_suffix = {}
 
         def products(x, ceiling=None):
-            q = 0
-            for c in x[-back:]:
-                q = delta[q][c]
+            tail = x[-back:]
+            slots = by_suffix.get(tail)
+            if slots is None:
+                q = 0
+                for c in tail:
+                    q = delta[q][c]
+                slots = by_suffix[tail] = visits[q]
             room = top if ceiling is None else min(ceiling[0] - len(x), top)
             return [
                 x + g if k == -1 else reduce(x + g, max(len(x) - back, 0)) if k is None else x[:len(x) - k]
-                for g, k in visits[q][room]
+                for g, k in slots[room]
             ]
 
         return products

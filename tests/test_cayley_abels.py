@@ -614,7 +614,8 @@ def test_pairing_pass_rejects_a_half_edge_without_partner(graph, data):
 
 def ceiling_blind(space):
     """The space with a neighbours that ignores the ceiling, so ball_walk
-    forms every outer-sphere label and keeps those in the ball."""
+    forms every outer-sphere label and keeps those in the ball; it sets no
+    found_in_order, so ball_walk sorts every sphere."""
     return SimpleNamespace(
         base=space.base, sort_key=space.sort_key, neighbours=lambda x, ceiling=None: space.neighbours(x)
     )
@@ -716,3 +717,108 @@ def test_room_one_short_drops_an_edge_within_the_ball(monkeypatch):
     counted_right_products(monkeypatch, [], shift=1)
     with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
         build(GeneratingPair(z, trivial_subgroup(z), ["a", "aa"]), 3)
+
+
+# -- spheres taken in the order the walk finds them --------------------------------
+
+def discovery_layers(space, radius):
+    """Each sphere in the order ball_walk first meets its labels, scanning the
+    sphere before it in label order."""
+    seen, frontier, layers = {space.base}, [space.base], []
+    for _ in range(radius):
+        found = {}
+        for x in frontier:
+            found.update((y, y) for y in space.neighbours(x) if y not in seen)
+        layers.append(list(found))
+        seen.update(found)
+        frontier = sorted(found, key=space.sort_key)
+    return layers
+
+
+def first_unsorted_layer(space, radius):
+    for d, layer in enumerate(discovery_layers(space, radius), 1):
+        if layer != sorted(layer, key=space.sort_key):
+            return d
+    return None
+
+
+def forced_in_order(pair):
+    """The pair as a space for ball_walk that takes every sphere as found."""
+    return SimpleNamespace(base=pair.base, sort_key=pair.sort_key, neighbours=pair.neighbours, found_in_order=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_full_alphabet_pairs_find_each_sphere_in_label_order(data):
+    # one or both letters of each inverse pair: saturation closes S to the alphabet
+    group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
+    inv = group.letter_inverse
+    S = [c for g in group.generators for c in data.draw(st.sampled_from([[g], [inv[g]], [g, inv[g]]]))]
+    pair = GeneratingPair(group, trivial_subgroup(group), S)
+    assert pair.found_in_order
+    radius = data.draw(st.integers(1, 7), label="radius")
+    assert coset_table(build(pair, radius)) == reference_build(pair, radius)
+    for layer in discovery_layers(pair, radius):
+        assert layer == sorted(layer, key=group.sort_key)
+
+
+def test_forcing_the_found_order_where_it_is_not_sorted_fails_the_reference(catalog):
+    # F2 with S = {a, bb} finds sphere 2 as aa, abb, aBB, AA, ...: the longer
+    # abb before AA; the two graph-of-groups pairs also go wrong at sphere 2
+    f2 = make_f2()
+    pairs = [
+        GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"]),
+        catalog["c2_c3_gog"].pairs()[0],
+        catalog["dinfty_gog"].pairs()[0],
+    ]
+    for pair in pairs:
+        assert not pair.found_in_order, pair.name
+        assert first_unsorted_layer(pair, 3) == 2, pair.name
+        assert coset_table(build(pair, 3)) == reference_build(pair, 3), pair.name
+        assert coset_table(ball_walk(forced_in_order(pair), 3)) != reference_build(pair, 3), pair.name
+
+
+def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
+    taken = [(name, i) for name, e in catalog.items() for i, pair in enumerate(e.pairs()) if pair.found_in_order]
+    assert taken == [("z_rw", 0), ("z2_rw", 0), ("f2_rw", 0), ("dinfty_rw", 0), ("c6_rw", 0)]
+    # Z with S = {a, aa} finds its spheres in order, a^n, A^n, a^(n+1), A^(n+1),
+    # but S is not the alphabet
+    assert first_unsorted_layer(catalog["z_rw"].pairs()[1], 6) is None
+    # the non-confluent system, and F2 built without the confluence check
+    for group in (
+        RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")], check=False),
+        RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, check=False),
+    ):
+        assert not group.confluent
+        assert not GeneratingPair(group, trivial_subgroup(group), ["a", "b"]).found_in_order
+    c6 = make_c6()
+    assert not GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]).found_in_order
+
+
+@pytest.mark.parametrize("radius", [1, 5, 9])
+def test_f2_build_takes_one_sort_key_per_layer(monkeypatch, radius):
+    # the ceiling reads the base's key and each sphere's last; sorting the
+    # spheres took 39,364 more at R = 9
+    calls = []
+    sort_key = RewritingGroup.sort_key
+
+    def counting(self, word):
+        calls.append(word)
+        return sort_key(self, word)
+
+    monkeypatch.setattr(RewritingGroup, "sort_key", counting)
+    f2 = make_f2()
+    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+    calls.clear()
+    assert len(build(pair, radius).vertices) == 1 + 2 * (3 ** radius - 1)
+    assert len(calls) <= radius + 1
+
+
+@pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
+def test_cap_admits_exactly_the_ball(S):
+    f2 = make_f2()
+    pair = GeneratingPair(f2, trivial_subgroup(f2), S)
+    n = len(build(pair, 4).vertices)
+    assert len(build(pair, 4, cap=n).vertices) == n
+    with pytest.raises(BudgetExceeded, match=f"^coset enumeration exceeded cap {n - 1} at radius 4$"):
+        build(pair, 4, cap=n - 1)
