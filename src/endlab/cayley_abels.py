@@ -36,18 +36,23 @@ table, each fact stored once: the cosets in BFS order, where each sphere
 starts in it, each coset's row of targets inside the ball, and an origin
 per oriented edge, edge e having inverse e ^ 1.
 
-ball_walk sorts each sphere by the label order, except in a space whose
-labels it finds in that order already.  That holds for K = 1 and S the
-whole alphabet of a confluent shortlex rewriting system: normal forms are
-then geodesic and prefix-closed (Epstein et al., Word Processing in Groups,
-1992, ch. 2), so each sphere d + 1 turns up in shortlex order while sphere
-d is scanned in shortlex order.  GeneratingPair decides this once, at
-construction; every other pair and the covering tree keep the sort.
+ball_walk numbers each coset as found: one pass per sphere, the outer
+sphere the last, looks each label up once and gives a new one the next
+position.  A sphere found out of label order is renumbered, so the cosets
+stay in BFS order with each sphere sorted.  The sort is skipped in a
+space whose labels turn up in that order already.  That holds for K = 1
+and S the whole alphabet of a confluent shortlex rewriting system: normal
+forms are then geodesic and prefix-closed (Epstein et al., Word Processing
+in Groups, 1992, ch. 2), so each sphere d + 1 turns up in shortlex order
+while sphere d is scanned in shortlex order.  GeneratingPair decides this
+once, at construction; every other pair and the covering tree sort each
+sphere.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import islice
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .group_backends import DEFAULT_CAP, RewritingGroup
@@ -191,10 +196,11 @@ class Truncation:
     A coset's label is the canonical representative its space gives it, so
     a label serves as the coset's representative.
 
-    vertices are the labels in BFS order and index, the only label-keyed
-    structure, their positions; sphere r is vertices[starts[r]:starts[r + 1]].
-    rows[i] lists the positions of the neighbours of vertices[i] inside the
-    ball, and oriented edge e runs from origin[e] to origin[e ^ 1].
+    vertices are the labels in BFS order, each sphere sorted by the label
+    order, and index, the only label-keyed structure, their positions, in
+    the same order; sphere r is vertices[starts[r]:starts[r + 1]].  rows[i]
+    lists the positions of the neighbours of vertices[i] inside the ball,
+    and oriented edge e runs from origin[e] to origin[e ^ 1].
     """
 
     def __init__(self, space, index, starts, rows, origin, radius, exhausted):
@@ -227,52 +233,67 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
 
     The space gives a base label, a label order sort_key and
     neighbours(x, ceiling=None), one label per oriented edge at x.  Each
-    sphere is sorted, unless the space sets found_in_order: it then vouches
-    that the walk finds each sphere in label order (see GeneratingPair), and
-    the sphere is taken as found.  The outer sphere's rows are labelled
-    after it, and the half-edge pass pairs edges from the rows.  For the
-    outer sphere only, ceiling is the largest key in the ball, the last of
-    a sphere or the base's, and neighbours may leave out any label whose
-    key it knows exceeds it: such a label lies outside the ball, so the
-    rows are the same either way.  Raises BudgetExceeded past the element cap, and
-    InternalInconsistency when the rows do not pair up.
+    sphere is one pass over the sphere before it, and the outer sphere is
+    the last pass.  A pass looks each label it forms up in index once: a
+    new label takes the next position there and the row holds the position
+    at once.  A sphere whose labels were not found in label order is then
+    renumbered: its labels go back into index sorted, and the row entries
+    that point into it follow them.  A space that sets found_in_order
+    vouches that the walk finds each sphere in label order (see
+    GeneratingPair), and its spheres are taken as found.  The outer pass
+    admits no label, so its targets past the ball are dropped, and it alone
+    passes a ceiling, the largest key in the ball, the last of a sphere or
+    the base's: neighbours may leave out any label whose key it knows
+    exceeds it, as such a label lies outside the ball.  The half-edge pass
+    pairs edges from the rows.  Raises BudgetExceeded at the first label
+    past the element cap, and InternalInconsistency when the rows do not
+    pair up.
     """
     sort_key, neighbours = space.sort_key, space.neighbours
     in_order = getattr(space, "found_in_order", False)
-    # label -> BFS position, in BFS order; while layer d is scanned it holds spheres 0..d-1
+    # label -> BFS position, in BFS order; while sphere d is found it holds
+    # spheres 0..d-1 and the part of sphere d found so far, in the found order
     index = {space.base: 0}
+    get = index.get
     ceiling = sort_key(space.base)
     starts = [0, 1]
     rows = []
     frontier = [space.base]
-    for d in range(1, radius + 1):
-        found = {}
-        labels = []
+    for d in range(1, radius + 2):
+        bound = ceiling if d > radius else None
+        first, n = len(rows), len(index)
         for x in frontier:
-            row = neighbours(x)
-            labels.append(row)
-            for y in row:
-                if y not in index:
-                    found[y] = y
-        layer = list(found) if in_order else sorted(found, key=sort_key)
-        n = len(index)
-        if n + len(layer) > cap:
-            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
-        index.update(zip(layer, range(n, n + len(layer))))
+            row = []
+            for y in neighbours(x, bound):
+                j = get(y)
+                if j is None:
+                    if bound is not None:
+                        continue  # the outer sphere's target past the ball
+                    j = index[y] = len(index)
+                    if j >= cap:
+                        raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+                row.append(j)
+            rows.append(row)
+        if bound is not None:
+            break
+        frontier = list(islice(index, n, None))
+        if not in_order:
+            layer = sorted(frontier, key=sort_key)
+            if layer != frontier:
+                # reinsert the sphere sorted, so that index order stays BFS
+                # order; only the rows just formed point into the sphere
+                for y in frontier:
+                    del index[y]
+                index.update(zip(layer, range(n, n + len(layer))))
+                moved = [index[y] for y in frontier]
+                for i in range(first, len(rows)):
+                    rows[i] = [j if j < n else moved[j - n] for j in rows[i]]
+                frontier = layer
         starts.append(len(index))
-        rows.extend([index[y] for y in row] for row in labels)
-        # the layer's products, most of them copies of labels already in the
-        # ball, would otherwise live on past the last layer into the outer
-        # sphere and the pairing pass, where the walk peaks
-        del found, labels
-        frontier = layer
         if not frontier:
             break
-        ceiling = max(ceiling, sort_key(layer[-1]))
+        ceiling = max(ceiling, sort_key(frontier[-1]))
     starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
-    # the outer sphere, never expanded; its targets beyond the ball are left out,
-    # and the space need not form those it knows to sort past the ball's largest label
-    rows.extend([j for j in map(index.get, neighbours(x, ceiling)) if j is not None] for x in frontier)
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
     # target j > i is paired once, at the first of its parallel half-edges

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab.bass_serre import CoveringTree, PiOne, tree_truncation
-from endlab.cayley_abels import GeneratingPair, Subgroup, ball_walk, build, coset_canonical, trivial_subgroup
+from endlab.cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build, coset_canonical, trivial_subgroup
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded, InternalInconsistency
 
@@ -822,3 +822,146 @@ def test_cap_admits_exactly_the_ball(S):
     assert len(build(pair, 4, cap=n).vertices) == n
     with pytest.raises(BudgetExceeded, match=f"^coset enumeration exceeded cap {n - 1} at radius 4$"):
         build(pair, 4, cap=n - 1)
+
+
+# -- one pass per sphere against the walk it replaced ------------------------------
+
+def reference_walk(space, radius, cap=DEFAULT_CAP):
+    """ball_walk as it was before each coset took its position when first
+    found, kept as the reference: each sphere is collected in a found dict,
+    sorted unless the space sets found_in_order, checked against the cap
+    whole and indexed, the rows are looked up in a second pass, and the
+    outer sphere's rows are formed after the loop."""
+    sort_key, neighbours = space.sort_key, space.neighbours
+    in_order = getattr(space, "found_in_order", False)
+    index = {space.base: 0}
+    ceiling = sort_key(space.base)
+    starts = [0, 1]
+    rows = []
+    frontier = [space.base]
+    for d in range(1, radius + 1):
+        found = {}
+        labels = []
+        for x in frontier:
+            row = neighbours(x)
+            labels.append(row)
+            for y in row:
+                if y not in index:
+                    found[y] = y
+        layer = list(found) if in_order else sorted(found, key=sort_key)
+        n = len(index)
+        if n + len(layer) > cap:
+            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+        index.update(zip(layer, range(n, n + len(layer))))
+        starts.append(len(index))
+        rows.extend([index[y] for y in row] for row in labels)
+        del found, labels
+        frontier = layer
+        if not frontier:
+            break
+        ceiling = max(ceiling, sort_key(layer[-1]))
+    starts += [len(index)] * (radius + 2 - len(starts))
+    rows.extend([j for j in map(index.get, neighbours(x, ceiling)) if j is not None] for x in frontier)
+    origin = []
+    balanced = True
+    for i, row in enumerate(rows):
+        last = i
+        for j in sorted(row):
+            if j > last:
+                last = j
+                n = row.count(j)
+                if rows[j].count(i) != n:
+                    balanced = False
+                origin += (i, j) * n
+    if not balanced or len(origin) != sum(map(len, rows)):
+        raise InternalInconsistency(
+            f"unbalanced edge multiplicities in the radius-{radius} ball of {space!r}: "
+            "two rows list each other a different number of times"
+        )
+    return Truncation(space, index, starts, rows, origin, radius, not frontier)
+
+
+def assert_matches_reference_walk(space, radius):
+    """The walk's coset table equals the reference walk's; and at a cap one
+    short of the ball both raise the same error, at the last sphere."""
+    t, ref = ball_walk(space, radius), reference_walk(space, radius)
+    assert list(t.index.items()) == list(ref.index.items())
+    assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
+    n = len(t.vertices)
+    if n > 1:
+        last = max(r for r in range(radius + 1) if t.starts[r] < t.starts[r + 1])
+        errors = []
+        for walk in (ball_walk, reference_walk):
+            with pytest.raises(BudgetExceeded) as caught:
+                walk(space, radius, cap=n - 1)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == f"coset enumeration exceeded cap {n - 1} at radius {last}"
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_walk_matches_the_reference_walk(catalog, data):
+    kind = data.draw(st.sampled_from(["full_alphabet", "random_s", "multigraph", "pi_one", "tree"]), label="kind")
+    if kind in ("full_alphabet", "random_s"):
+        group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
+        if kind == "full_alphabet":
+            S = group.alphabet
+        else:
+            words = st.lists(st.sampled_from(group.alphabet), min_size=1, max_size=3).map("".join)
+            S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
+        space = GeneratingPair(group, trivial_subgroup(group), S)
+        assert space.found_in_order or kind == "random_s"
+        radius = data.draw(st.integers(1, 6 if kind == "full_alphabet" else 4), label="radius")
+    elif kind == "multigraph":
+        space, radius = multigraph_space(*data.draw(multigraphs())), data.draw(st.integers(1, 10), label="radius")
+    elif kind == "pi_one":
+        pairs = [p for p in catalog_pairs(catalog) if isinstance(p.backend, PiOne) and len(p.K) > 1]
+        space, radius = data.draw(st.sampled_from(pairs)), data.draw(st.integers(1, 6), label="radius")
+    else:
+        space, radius = CoveringTree(catalog["c2_c3_gog"].backend()), data.draw(st.integers(0, 6), label="radius")
+    assert_matches_reference_walk(space, radius)
+
+
+def test_spheres_found_out_of_label_order_are_renumbered(catalog):
+    # F2 with S = {a, bb} and c2_c3_gog/0 find sphere 1 in label order and
+    # sphere 2 out of it; the walk gives sphere 2 its found positions first,
+    # as the walk that takes every sphere as found keeps them, then renumbers
+    f2 = make_f2()
+    for pair in (GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"]), catalog["c2_c3_gog"].pairs()[0]):
+        found = discovery_layers(pair, 3)
+        assert found[0] == sorted(found[0], key=pair.sort_key) and found[1] != sorted(found[1], key=pair.sort_key)
+        assert list(ball_walk(forced_in_order(pair), 3).sphere_labels(2)) == found[1], pair.name
+        assert list(ball_walk(pair, 3).sphere_labels(2)) == sorted(found[1], key=pair.sort_key), pair.name
+        for radius in (2, 3, 5):
+            assert_matches_reference_walk(pair, radius)
+
+
+def lazy(space, formed):
+    """The space with a neighbours that forms one label at a time, when the
+    walk asks for it, and records it in formed."""
+    def neighbours(x, ceiling=None):
+        for y in space.neighbours(x, ceiling):
+            formed.add(y)
+            yield y
+
+    return SimpleNamespace(
+        base=space.base, sort_key=space.sort_key, neighbours=neighbours,
+        found_in_order=getattr(space, "found_in_order", False),
+    )
+
+
+@pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
+def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S):
+    # the reference forms its whole last sphere, 108 or 216 cosets past |B_3|
+    f2 = make_f2()
+    pair = GeneratingPair(f2, trivial_subgroup(f2), S)
+    inner, ball = (len(build(pair, r).vertices) for r in (3, 4))
+    for cap in (inner, inner + 1, inner + 2, (inner + ball) // 2, ball - 1):
+        formed = {pair.base}
+        with pytest.raises(BudgetExceeded, match=f"^coset enumeration exceeded cap {cap} at radius 4$"):
+            ball_walk(lazy(pair, formed), 4, cap)
+        assert len(formed) <= cap + 1
+        formed = {pair.base}
+        with pytest.raises(BudgetExceeded):
+            reference_walk(lazy(pair, formed), 4, cap)
+        assert len(formed) == ball
