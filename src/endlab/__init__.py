@@ -18,14 +18,9 @@ from .cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build
 from .ends_cuts import Cut, EndsEstimate, classify_ends, escaping_components, find_cut
 from .ai_cohomology import (
     AIWitness,
-    DerivationValues,
-    LevelMap,
     check_almost_invariance,
-    compose_level_maps,
     cut_from_witness,
     dh1_nonvanishing_certificate,
-    eta_map,
-    right_saturate,
     witness_from_splitting,
 )
 from .theorem_lab import (

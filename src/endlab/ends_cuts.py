@@ -9,9 +9,10 @@ components are infinite, which nothing here checks: a catalog entry's
 provenance records the argument for it.  "At most one" and "zero" are
 statements at scale only.
 
-The ball probes work on BFS positions, and look labels up only for what is
-printed: classify_ends takes every probe radius from one walk, and find_cut
-reads a coboundary off a prefix of the edge table.
+Every probe works on BFS positions and looks labels up only for what is
+printed.  escaping_components and coboundary are the one single-probe
+routine, shared by find_cut and the witness cut; classify_ends takes every
+probe radius from one walk (ball_probes).
 """
 
 from __future__ import annotations
@@ -65,23 +66,19 @@ class EndsEstimate:
         }
 
 
-def escaping_components(t, probe):
-    """Components of the truncation minus probe, with escape flags.
+def escaping_components(t, removed):
+    """The escaping blocks of the truncation minus the positions removed.
 
-    A component escapes when it contains a vertex on the outer sphere.
-    The probe must stay strictly inside the truncation.  The blocks are
-    walked on the rows around the probe, so nothing is copied.
+    A block escapes when it reaches the outer sphere; each is a sorted list
+    of positions, in order of its least one.  removed must stay strictly
+    inside the truncation.  The blocks are walked on the rows around it, so
+    nothing is copied.
     """
-    try:
-        probe = [t.index[v] for v in probe]
-    except KeyError:
-        raise ValueError("probe contains vertices outside the truncation") from None
     # BFS order is sorted by sphere: the outer sphere is the positions from outer on
     outer = t.starts[t.radius]
-    if any(i >= outer for i in probe):
+    if any(i >= outer for i in removed):
         raise ValueError("probe touches the truncation boundary; enlarge the radius")
-    vs = t.vertices
-    return [(tuple(map(vs.__getitem__, b)), b[-1] >= outer) for b in blocks(t.rows, probe)]
+    return [b for b in blocks(t.rows, removed) if b[-1] >= outer]
 
 
 def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
@@ -176,12 +173,13 @@ class Cut:
         }
 
 
-def coboundary(t, vertex_set):
-    """Oriented edges with exactly one endpoint in vertex_set, in id order;
-    edge e runs from t.origin[e] to t.origin[e ^ 1]."""
-    inside = {t.index[v] for v in vertex_set}
+def coboundary(t, inside, n=None):
+    """Oriented edges among the first n (default all) with exactly one
+    endpoint in the position set inside, in id order; edge e runs from
+    t.origin[e] to t.origin[e ^ 1]."""
     o = t.origin
-    return tuple(e for e, i in enumerate(o) if (i in inside) != (o[e ^ 1] in inside))
+    edges = range(len(o) if n is None else n)
+    return tuple(e for e in edges if (o[e] in inside) != (o[e ^ 1] in inside))
 
 
 def find_cut(t):
@@ -195,17 +193,15 @@ def find_cut(t):
     coboundary lies in the edge pairs i -> j with i in B_r, which open the
     edge table and touch only positions in B_{r+1}.
     """
-    s, rows, o = t.starts, t.rows, t.origin
-    outer = s[t.radius]
+    s, rows = t.starts, t.rows
     for r in range(max(0, t.radius - MARGIN)):
-        escaping = [b for b in blocks(rows, range(s[r + 1])) if b[-1] >= outer]
+        escaping = escaping_components(t, range(s[r + 1]))
         if len(escaping) >= 2:
             chosen = escaping[0]
-            inside = set(chosen[:bisect_left(chosen, s[r + 2])])
             n = 2 * sum(j > i for i in range(s[r + 1]) for j in rows[i])
             return Cut(
                 vertices=tuple(map(t.vertices.__getitem__, chosen)),
-                coboundary=tuple(e for e in range(n) if (o[e] in inside) != (o[e ^ 1] in inside)),
+                coboundary=coboundary(t, set(chosen[:bisect_left(chosen, s[r + 2])]), n),
                 escaping=True,
                 complement_escaping=True,
                 probe_radius=r,

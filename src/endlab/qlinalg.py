@@ -3,10 +3,11 @@
 Scalars are fractions.Fraction (always reduced, exact).  The rank comes from
 fraction-free elimination over the integers: each row is scaled by the lcm
 of its denominators, then rows are combined with integer
-cross-multiplication and divided by their content.  The averaging level
-maps of ai_cohomology are the matrices ranked here; the boundary map of a
-graph needs no elimination, as its ranks are read off a component count
-(SerreGraph.boundary_dims).
+cross-multiplication and divided by their content.  No code path of the
+lab ranks a matrix today: the boundary map of a graph needs no
+elimination, as its ranks are read off a component count
+(SerreGraph.boundary_dims), and the tests keep the elimination as the
+reference for those counts.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+# kept for its tests and the benchmark trace, which wraps rank by name
 class SparseMatrixQ:
     """rows x cols matrix storing only nonzero Fraction entries."""
 

@@ -8,12 +8,16 @@ from endlab.ends_cuts import (
     AT_LEAST,
     AT_MOST_ONE,
     EXACTLY_TWO,
+    MARGIN,
     ZERO_ENDS,
+    Cut,
     ball_probes,
     classify_ends,
+    coboundary,
     escaping_components,
     find_cut,
 )
+from endlab.serre_graphs import blocks
 
 from test_cayley_abels import distances, make_c6, make_z, multigraph_space
 from test_serre_graphs import reference_components
@@ -25,41 +29,43 @@ def z_truncation(radius):
     return build(pair, radius)
 
 
+def ball_positions(t, r):
+    """The positions of B_r: BFS order puts them first."""
+    return range(t.starts[r + 1])
+
+
 # -- escaping components ----------------------------------------------------------
 
 def test_finite_group_has_no_escaping_components():
     c6 = make_c6()
     pair = GeneratingPair(c6, trivial_subgroup(c6), ["a"])
     t = build(pair, 10)
-    comps = escaping_components(t, {t.vertices[0]})
-    assert comps and all(not esc for _, esc in comps)
+    assert blocks(t.rows, {0})
+    assert escaping_components(t, {0}) == []
 
 
 def test_z_minus_base_has_two_escaping_components():
     t = z_truncation(8)
-    comps = escaping_components(t, {t.vertices[0]})
-    assert sum(1 for _, esc in comps if esc) == 2
+    assert len(escaping_components(t, {0})) == 2
 
 
 def test_f2_minus_ball_one_has_at_least_three_escaping(catalog):
     pair = catalog["f2_rw"].pairs()[0]
     t = build(pair, 6)
-    ball1 = set(t.ball(1))
-    count = sum(1 for _, esc in escaping_components(t, ball1) if esc)
-    assert count >= 3
+    assert len(escaping_components(t, ball_positions(t, 1))) >= 3
 
 
 def test_probe_touching_boundary_rejected():
     t = z_truncation(4)
-    boundary = t.sphere_labels(4)
     with pytest.raises(ValueError, match="boundary"):
-        escaping_components(t, {boundary[0]})
+        escaping_components(t, {t.starts[4]})
 
 
 def test_probe_outside_graph_rejected():
+    # a position past the table lies past the outer sphere
     t = z_truncation(4)
-    with pytest.raises(ValueError, match="outside"):
-        escaping_components(t, {"zz"})
+    with pytest.raises(ValueError, match="boundary"):
+        escaping_components(t, {len(t.vertices)})
 
 
 # -- classification ----------------------------------------------------------------
@@ -121,10 +127,8 @@ def test_escape_counts_do_not_grow_with_radius(catalog):
         pair = catalog[name].pairs()[0]
         small = build(pair, radii[0])
         large = build(pair, radii[1])
-        probe_small = set(small.ball(1))
-        probe_large = set(large.ball(1))
-        c_small = sum(1 for _, e in escaping_components(small, probe_small) if e)
-        c_large = sum(1 for _, e in escaping_components(large, probe_large) if e)
+        c_small = len(escaping_components(small, ball_positions(small, 1)))
+        c_large = len(escaping_components(large, ball_positions(large, 1)))
         assert c_large <= c_small
 
 
@@ -205,7 +209,7 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
         ball = t.ball(r)
         if any(sphere[v] >= t.radius for v in ball):
             break
-        c = sum(1 for _, esc in escaping_components(t, ball) if esc)
+        c = len(reference_escaping(t, ball))
         probes.append((r, c))
         best = max(best, c)
     if t.exhausted:
@@ -219,21 +223,28 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
     return EndsEstimate(tuple(probes), verdict, count, r_max, t.radius, t.exhausted)
 
 
+def reference_escaping(t, probe):
+    """The escaping blocks of the truncation minus the probe labels, from the
+    label-keyed graph copy: its union-find components without the probe
+    that meet the outer sphere, each a tuple of labels in BFS order."""
+    rest = t.graph.remove_vertex_set(set(probe))
+    outer = set(t.sphere_labels(t.radius))
+    return [block for block in reference_components(rest) if any(v in outer for v in block)]
+
+
 def reference_probes(t, r_max):
     """The per-radius probe sum classify_ends ran before ball_probes, kept as
-    the reference: one labelled escaping_components walk per ball radius."""
-    return [sum(esc for _, esc in escaping_components(t, t.ball(r))) for r in range(r_max + 1)]
+    the reference: one labelled component walk per ball radius."""
+    return [len(reference_escaping(t, t.ball(r))) for r in range(r_max + 1)]
 
 
 def reference_find_cut(t):
     """The find_cut that labelled every block of each probe and scanned the
     whole edge table for the coboundary, kept as the reference."""
-    from endlab.ends_cuts import MARGIN, Cut, coboundary
-
     for r in range(max(0, t.radius - MARGIN)):
-        escaping = [block for block, esc in escaping_components(t, t.ball(r)) if esc]
+        escaping = reference_escaping(t, t.ball(r))
         if len(escaping) >= 2:
-            return Cut(escaping[0], coboundary(t, escaping[0]), True, True, r)
+            return Cut(escaping[0], reference_coboundary(t.graph, escaping[0]), True, True, r)
     return None
 
 
@@ -313,13 +324,15 @@ def reference_coboundary(graph, vertex_set):
     return tuple(e for e in graph.edges if (graph.origin(e) in inside) != (graph.terminus(e) in inside))
 
 
+def labels(t, positions):
+    return tuple(map(t.vertices.__getitem__, positions))
+
+
 def assert_components_agree(t, probe):
-    """escaping_components(t, probe) == the union-find components of the graph
-    copy without probe, with the escape flags read off the outer sphere."""
-    rest = t.graph.remove_vertex_set(set(probe))
-    outer = set(t.sphere_labels(t.radius))
-    want = [(block, any(v in outer for v in block)) for block in reference_components(rest)]
-    assert escaping_components(t, probe) == want
+    """escaping_components at the positions of the probe labels == the
+    escaping union-find components of the graph copy without them."""
+    got = escaping_components(t, {t.index[v] for v in probe})
+    assert [labels(t, block) for block in got] == reference_escaping(t, probe)
 
 
 @pytest.mark.parametrize("r_max, radius", [(1, 6), (3, 8)])
@@ -333,14 +346,14 @@ def test_ball_probes_walk_the_truncation_like_the_copy(catalog, r_max, radius):
 
 @pytest.mark.parametrize("radius", [6, 8])
 def test_coboundary_of_every_probe_block_matches_the_graph_scan(catalog, radius):
-    from endlab.ends_cuts import MARGIN, coboundary
-
     for entry in catalog.values():
         for pair in entry.pairs():
             t = build(pair, radius)
             for r in range(radius - MARGIN):
-                for block, _ in escaping_components(t, t.ball(r)):
-                    assert coboundary(t, block) == reference_coboundary(t.graph, block), pair.name
+                # escaping or not
+                for block in blocks(t.rows, ball_positions(t, r)):
+                    want = reference_coboundary(t.graph, labels(t, block))
+                    assert coboundary(t, set(block)) == want, pair.name
 
 
 # at probe radius 1 the coboundary reaches the outer sphere, which the probe leaves out
@@ -348,7 +361,6 @@ def test_coboundary_of_every_probe_block_matches_the_graph_scan(catalog, radius)
 def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, probe_radius):
     from endlab.ai_cohomology import cut_from_witness, witness_from_splitting
     from endlab.cayley_abels import coset_canonical
-    from endlab.ends_cuts import coboundary
 
     for entry in catalog.values():
         if entry.marked_edge is None:
@@ -357,13 +369,13 @@ def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, pr
         w = witness_from_splitting(backend, entry.marked_edge, probe_radius=probe_radius)
         t = w.truncation
         # the probe cut_from_witness takes: the interior ends of the coboundary
-        inside = [v for v in t.graph.vertices
+        inside = [i for i, v in enumerate(t.vertices)
                   if w.chi(coset_canonical(backend, w.pair.K, backend.inverse(v)))]
-        cb = reference_coboundary(t.graph, inside)
-        assert coboundary(t, inside) == cb, entry.name
+        cb = reference_coboundary(t.graph, labels(t, inside))
+        assert coboundary(t, set(inside)) == cb, entry.name
         ends = {t.graph.origin(e) for e in cb} | {t.graph.terminus(e) for e in cb}
         probe = ends.difference(t.sphere_labels(t.radius))
         assert probe, entry.name
         assert_components_agree(t, probe)
-        escaping = sum(esc for _, esc in escaping_components(t, probe))
+        escaping = len(reference_escaping(t, probe))
         assert cut_from_witness(w, t).escaping_components == escaping, entry.name
