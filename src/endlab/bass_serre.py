@@ -120,27 +120,6 @@ class GraphOfFiniteGroups:
     def edge_group(self, e):
         return self.egroups[min(e, self.graph.inverse(e))]
 
-    def to_json(self):
-        g = self.graph
-        return {
-            "type": "graph_of_finite_groups",
-            "name": self.name,
-            "vertices": [
-                {"id": v, "group": _group_to_json(self.vgroups[v])} for v in g.vertices
-            ],
-            "edges": [
-                {
-                    "id": e,
-                    "inv": g.inverse(e),
-                    "o": g.origin(e),
-                    "t": g.terminus(e),
-                    "edge_group": _group_to_json(self.edge_group(e)),
-                    "embedding": list(self.embeddings[e]),
-                }
-                for e in g.edges
-            ],
-        }
-
     @classmethod
     def from_json(cls, data):
         if data.get("type") != "graph_of_finite_groups":
@@ -172,14 +151,6 @@ class GraphOfFiniteGroups:
 
     def __repr__(self):
         return f"GraphOfFiniteGroups({self.name})"
-
-
-def _group_to_json(G):
-    n = len(G)
-    # row i of the cyclic table is i, i + 1, ..., n - 1, 0, ..., i - 1
-    if all(row == [*range(i, n), *range(i)] for i, row in enumerate(G.table)):
-        return {"kind": "cyclic", "n": n}
-    return {"kind": "table", "elements": list(G.elements), "table": G.table}
 
 
 def _group_from_json(record, key, where):

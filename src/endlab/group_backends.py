@@ -339,16 +339,6 @@ class RewritingGroup:
                         start = l1.find(l2, start + 1)
         return True, None
 
-    def to_json(self):
-        free = {(c + self.letter_inverse[c], "") for c in self.alphabet}
-        return {
-            "type": "rewriting_group",
-            "name": self.name,
-            "generators": list(self.generators),
-            "inverses": dict(self.inverses),
-            "rules": [[l, r] for l, r in self.rules if (l, r) not in free],
-        }
-
     @classmethod
     def from_json(cls, data):
         if data.get("type") != "rewriting_group":

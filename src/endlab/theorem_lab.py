@@ -2,7 +2,10 @@
 
 Each catalog entry names a group backend, at least one generating pair,
 the expected ends class, the expected splitting class, and a provenance
-recording the argument behind each expectation.  The harness runs three
+recording the argument behind each expectation.  Every catalog is read
+from one JSON document by catalog_from_json, which validates each entry;
+the built-in catalog is the document catalog.json shipped with the
+package, so a new built-in entry is data there.  The harness runs three
 measurements per entry -- ends classification from the coset graph,
 splitting classification of the graph of groups, and the witness chain
 (almost invariance, nonvanishing class, induced cut) -- and flags any
@@ -18,7 +21,9 @@ as the argument its provenance names.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from importlib import resources
 
 from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts
 from .bass_serre import Certificate, GraphOfFiniteGroups, PiOne
@@ -83,18 +88,6 @@ class CatalogEntry:
         if "radius" in self.scales:
             merged.radius = self.scales["radius"]
         return merged
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "spec": self.spec,
-            "expected_ends": self.expected_ends,
-            "expected_splitting": self.expected_splitting,
-            "witness_expected": self.witness_expected,
-            "marked_edge": self.marked_edge,
-            "provenance": self.provenance,
-            "scales": self.scales,
-        }
 
     @classmethod
     def from_json(cls, data, where="entry"):
@@ -207,207 +200,24 @@ def pair_from_spec(backend, data, name=None, where="pair"):
     return cayley_abels.GeneratingPair(backend, K, S, name=name)
 
 
-# -- the default catalog ---------------------------------------------------
-
-
-def _rw(name, generators, inverses, rules=()):
-    return {
-        "type": "rewriting_group",
-        "name": name,
-        "generators": generators,
-        "inverses": inverses,
-        "rules": [list(r) for r in rules],
-    }
-
-
-def _cyclic(n):
-    return {"kind": "cyclic", "n": n}
-
-
-def _gog_segment(name, left, right, edge, emb_left, emb_right):
-    """Two vertices u, w joined by one geometric edge (ids 0, 1)."""
-    return {
-        "type": "graph_of_finite_groups",
-        "name": name,
-        "vertices": [{"id": "u", "group": left}, {"id": "w", "group": right}],
-        "edges": [
-            {"id": 0, "inv": 1, "o": "u", "t": "w", "edge_group": edge, "embedding": emb_right},
-            {"id": 1, "inv": 0, "o": "w", "t": "u", "edge_group": edge, "embedding": emb_left},
-        ],
-    }
-
-
-def _gog_loop(name, vertex, edge, emb_fwd, emb_bwd):
-    return {
-        "type": "graph_of_finite_groups",
-        "name": name,
-        "vertices": [{"id": "v", "group": vertex}],
-        "edges": [
-            {"id": 0, "inv": 1, "o": "v", "t": "v", "edge_group": edge, "embedding": emb_fwd},
-            {"id": 1, "inv": 0, "o": "v", "t": "v", "edge_group": edge, "embedding": emb_bwd},
-        ],
-    }
-
-
-def _gog_point(name, group):
-    return {
-        "type": "graph_of_finite_groups",
-        "name": name,
-        "vertices": [{"id": "v", "group": group}],
-        "edges": [],
-    }
-
-
-def default_catalog():
-    entries = [
-        CatalogEntry(
-            name="z_rw",
-            spec={
-                "backend": _rw("Z", ["a"], {"a": "A"}),
-                "pairs": [{"K": "trivial", "S": ["a"]}, {"K": "trivial", "S": ["a", "aa"]}],
-            },
-            expected_ends="2",
-            provenance={"ends": "faithful translation action on the integer line"},
-        ),
-        CatalogEntry(
-            name="z2_rw",
-            spec={
-                "backend": _rw(
-                    "Z2",
-                    ["a", "b"],
-                    {"a": "A", "b": "B"},
-                    [("ba", "ab"), ("bA", "Ab"), ("Ba", "aB"), ("BA", "AB")],
-                ),
-                "pairs": [{"K": "trivial", "S": ["a", "b"]}],
-            },
-            expected_ends="1?",
-            provenance={"ends": "grid complement of a ball stays connected; one end expected"},
-        ),
-        CatalogEntry(
-            name="f2_rw",
-            spec={
-                "backend": _rw("F2", ["a", "b"], {"a": "A", "b": "B"}),
-                "pairs": [{"K": "trivial", "S": ["a", "b"]}],
-            },
-            expected_ends=">=3",
-            scales={"radius": 8},
-            provenance={"ends": "four-regular tree; branches escape independently"},
-        ),
-        CatalogEntry(
-            name="dinfty_rw",
-            spec={
-                "backend": _rw("Dinf", ["x", "y"], {"x": "x", "y": "y"}),
-                "pairs": [
-                    {"K": "trivial", "S": ["x", "y"]},
-                    {"K": "trivial", "S": ["x", "xy"]},
-                ],
-            },
-            expected_ends="2",
-            provenance={"ends": "faithful affine action on the integer line"},
-        ),
-        CatalogEntry(
-            name="c6_rw",
-            spec={
-                "backend": _rw("C6", ["a"], {"a": "A"}, [("aaaa", "AA"), ("AAA", "aaa")]),
-                "pairs": [{"K": "trivial", "S": ["a"]}],
-            },
-            expected_ends="0",
-            provenance={"ends": "finite group, enumeration exhausts"},
-        ),
-        CatalogEntry(
-            name="dinfty_gog",
-            spec={
-                "backend": _gog_segment("C2*C2", _cyclic(2), _cyclic(2), _cyclic(1), [0], [0]),
-                "pairs": [
-                    {"K": {"edge": 0}, "S": [[{"v": "u", "g": 1}], [{"v": "w", "g": 1}]]},
-                    {"K": {"vertex": "u"}, "S": [[{"v": "w", "g": 1}]]},
-                ],
-            },
-            expected_ends="2",
-            expected_splitting="nontrivial_s1",
-            witness_expected=True,
-            marked_edge=0,
-            provenance={
-                "ends": "faithful affine action on the integer line",
-                "splitting": "both factors properly contain the trivial edge group",
-            },
-        ),
-        CatalogEntry(
-            name="z_hnn",
-            spec={
-                "backend": _gog_loop("Z_loop", _cyclic(1), _cyclic(1), [0], [0]),
-                "pairs": [{"K": "trivial", "S": [[{"e": 0}]]}],
-            },
-            expected_ends="2",
-            expected_splitting="nontrivial_s2",
-            witness_expected=True,
-            marked_edge=0,
-            provenance={
-                "ends": "stable-letter exponent is a faithful map to the integer line",
-                "splitting": "loop edge is a stable letter by definition",
-            },
-        ),
-        CatalogEntry(
-            name="c2_c3_gog",
-            spec={
-                "backend": _gog_segment("C2*C3", _cyclic(2), _cyclic(3), _cyclic(1), [0], [0]),
-                "pairs": [
-                    {
-                        "K": {"edge": 0},
-                        "S": [[{"v": "u", "g": 1}], [{"v": "w", "g": 1}]],
-                    },
-                    {"K": {"vertex": "w"}, "S": [[{"v": "u", "g": 1}]]},
-                ],
-            },
-            expected_ends=">=3",
-            expected_splitting="nontrivial_s1",
-            witness_expected=True,
-            marked_edge=0,
-            scales={"radius": 8},
-            provenance={
-                "ends": "biregular tree; three branches at every vertex-group coset",
-                "splitting": "both factors properly contain the trivial edge group",
-            },
-        ),
-        CatalogEntry(
-            name="c4_c2_c4_gog",
-            spec={
-                "backend": _gog_segment(
-                    "C4*C4/C2", _cyclic(4), _cyclic(4), _cyclic(2), [0, 2], [0, 2]
-                ),
-                "pairs": [
-                    {
-                        "K": {"edge": 0},
-                        "S": [[{"v": "u", "g": 1}], [{"v": "w", "g": 1}]],
-                    }
-                ],
-            },
-            expected_ends="2",
-            expected_splitting="nontrivial_s1",
-            witness_expected=True,
-            marked_edge=0,
-            provenance={
-                "ends": "index-two edge group on both sides; the covering tree is a line",
-                "splitting": "order-two edge group is proper in both order-four factors",
-            },
-        ),
-        CatalogEntry(
-            name="c5_gog",
-            spec={
-                "backend": _gog_point("C5", _cyclic(5)),
-                "pairs": [{"K": "trivial", "S": [[{"v": "v", "g": 1}], [{"v": "v", "g": 2}]]}],
-            },
-            expected_ends="0",
-            expected_splitting="no_edge",
-            provenance={"ends": "finite group, enumeration exhausts"},
-        ),
-    ]
-    return entries
+# -- the catalog document ---------------------------------------------------
 
 
 def catalog_from_json(data):
+    """Catalog entries of a document {"entries": [...]}, with unique names."""
     entries = required(expect(data, dict, "catalog"), "entries", "entries", list)
-    return [CatalogEntry.from_json(e, where=f"entries[{i}]") for i, e in enumerate(entries)]
+    catalog = [CatalogEntry.from_json(e, where=f"entries[{i}]") for i, e in enumerate(entries)]
+    seen = set()
+    for i, entry in enumerate(catalog):
+        if entry.name in seen:
+            raise ValueError(f"entries[{i}].name repeats entry name {entry.name!r}")
+        seen.add(entry.name)
+    return catalog
+
+
+def default_catalog():
+    """The built-in catalog: the document catalog.json shipped with the package."""
+    return catalog_from_json(json.loads(resources.files(__package__).joinpath("catalog.json").read_text()))
 
 
 # -- the equivalence harness ----------------------------------------------

@@ -1,6 +1,9 @@
 """Test-side constructions that no endlab code reads."""
 
+import copy
+import json
 from fractions import Fraction
+from importlib import resources
 
 from endlab.bass_serre import tree_truncation
 from endlab.cayley_abels import GeneratingPair, build, trivial_subgroup
@@ -26,9 +29,15 @@ def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
     return build(pair, radius, cap=cap).vertices
 
 
-def catalog_to_json(entries):
-    """The catalog document of the given entries, as catalog_from_json reads it."""
-    return {"entries": [e.to_json() for e in entries]}
+def catalog_document():
+    """The catalog document shipped with endlab, as read from its file."""
+    return json.loads(resources.files("endlab").joinpath("catalog.json").read_text())
+
+
+def entries_of(doc, *names):
+    """A catalog document of deep copies of the named entries of doc, in that order."""
+    by_name = {e["name"]: e for e in doc["entries"]}
+    return {"entries": [copy.deepcopy(by_name[name]) for name in names]}
 
 
 # -- independent oracles: faithful pictures of the catalog groups -----------

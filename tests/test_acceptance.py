@@ -23,12 +23,11 @@ from endlab.bass_serre import PiOne
 from endlab.cayley_abels import build
 from endlab.ends_cuts import classify_ends
 from endlab.theorem_lab import (
-    CatalogEntry,
     Scales,
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, catalog_to_json, oracle_for, random_graph
+from helpers import ball_enumerate, entries_of, oracle_for, random_graph
 from test_qlinalg import delta_matrix, rank_kernel_cokernel
 from test_serre_graphs import bfs_blocks
 
@@ -164,12 +163,12 @@ def test_criterion_6_generating_pair_invariance(catalog):
     report("criterion 6: generating-pair invariance", ok)
 
 
-def test_criterion_8_negative_control(tmp_path, capsys, catalog):
+def test_criterion_8_negative_control(tmp_path, capsys, catalog_doc):
     """A deliberately false expectation must exit with code 1."""
-    doctored = CatalogEntry.from_json(catalog["c6_rw"].to_json())
-    doctored.expected_ends = "2"
+    doc = entries_of(catalog_doc, "c6_rw")
+    doc["entries"][0]["expected_ends"] = "2"
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(catalog_to_json([doctored])))
+    path.write_text(json.dumps(doc))
     code = cli.main(["verify", str(path), "--R", "8"])
     capsys.readouterr()
     report("criterion 8: negative control exits 1", code == 1, f"exit {code}")

@@ -365,23 +365,39 @@ def test_exactness_radius_validated():
 
 # -- serialization ------------------------------------------------------------------------
 
+def cyclic_spec(n):
+    return {"kind": "cyclic", "n": n}
+
+
+def segment_spec(name, left, right, edge, emb_left, emb_right):
+    """The graph_of_finite_groups spec of segment_gog: u and w joined by edges 0, 1."""
+    return {
+        "type": "graph_of_finite_groups",
+        "name": name,
+        "vertices": [{"id": "u", "group": left}, {"id": "w", "group": right}],
+        "edges": [
+            {"id": 0, "inv": 1, "o": "u", "t": "w", "edge_group": edge, "embedding": emb_right},
+            {"id": 1, "inv": 0, "o": "w", "t": "u", "edge_group": edge, "embedding": emb_left},
+        ],
+    }
+
+
+def assert_same_gog(a, b):
+    """One name, base graph and embedding per edge, and one group per vertex and edge."""
+    assert (a.name, a.graph.to_json(), a.embeddings) == (b.name, b.graph.to_json(), b.embeddings)
+    for groups_a, groups_b in ((a.vgroups, b.vgroups), (a.egroups, b.egroups)):
+        assert {x: (G.elements, G.table) for x, G in groups_a.items()} == {
+            x: (G.elements, G.table) for x, G in groups_b.items()}
+
+
 def test_gog_json_round_trip():
-    gog = c4c2c4().gog
-    data = gog.to_json()
-    back = GraphOfFiniteGroups.from_json(data)
-    assert back.to_json() == data
+    back = GraphOfFiniteGroups.from_json(
+        segment_spec("C4*C4/C2", cyclic_spec(4), cyclic_spec(4), cyclic_spec(2), [0, 2], [0, 2]))
+    assert_same_gog(back, c4c2c4().gog)
     pi = PiOne(back)
     h = pi.vertex_inclusion("u", 1)
     j = pi.vertex_inclusion("w", 1)
     assert h * h == j * j
-
-
-def test_group_json_compares_every_row_with_the_cyclic_table():
-    assert bass_serre._group_to_json(FiniteGroup.cyclic(5)) == {"kind": "cyclic", "n": 5}
-    # a table that leaves the cyclic one only in its last row is written out
-    G = FiniteGroup.cyclic(5)
-    G.table[-1] = G.table[-1][::-1]
-    assert bass_serre._group_to_json(G) == {"kind": "table", "elements": [0, 1, 2, 3, 4], "table": G.table}
 
 
 def test_multi_edge_graph_of_groups_arithmetic():
@@ -431,8 +447,10 @@ def test_table_backed_klein_four_amalgam():
     assert tt.graph.is_tree()
     assert all(len(tt.graph.star(v)) <= 2 for v in tt.graph.vertices)
     assert exactness_on_truncation(pi, 3).passed
-    back = GraphOfFiniteGroups.from_json(gog.to_json())
-    assert back.to_json() == gog.to_json()
+    # the same amalgam from a spec that gives V4 as a "table" group
+    spec = segment_spec("V4*C4/C2", {"kind": "table", "elements": klein.elements, "table": klein.table},
+                        cyclic_spec(4), cyclic_spec(2), [0, 1], [0, 2])
+    assert_same_gog(GraphOfFiniteGroups.from_json(spec), gog)
 
 
 def test_tree_truncation_respects_cap():

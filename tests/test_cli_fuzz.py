@@ -15,7 +15,7 @@ import pytest
 from endlab import cli
 from endlab.serre_graphs import SerreGraph
 
-from helpers import catalog_to_json
+from helpers import entries_of
 
 # JSON scalars plus the small shapes that specs are made of
 VALUES = (
@@ -87,8 +87,8 @@ def test_cli_survives_mutated_specs(tmp_path, capsys, catalog):
                 run_cli(tmp_path, capsys, command, doc)
 
 
-def test_cli_survives_mutated_catalogs(tmp_path, capsys, catalog):
-    doc = catalog_to_json([catalog[name] for name in ("z_rw", "dinfty_gog", "c5_gog")])
+def test_cli_survives_mutated_catalogs(tmp_path, capsys, catalog_doc):
+    doc = entries_of(catalog_doc, "z_rw", "dinfty_gog", "c5_gog")
     rng = random.Random("catalog")
     for _ in range(3 * MUTANTS):
         run_cli(tmp_path, capsys, ["verify", "--rmax", "1", "--R", "6", *CAP], mutate(doc, rng))

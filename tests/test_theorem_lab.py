@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import endlab
 from endlab import ai_cohomology, cli
 from endlab.bass_serre import PiOne
 from endlab.group_backends import DEFAULT_CAP, FiniteGroup
@@ -16,17 +18,16 @@ from endlab.theorem_lab import (
     CatalogEntry,
     Scales,
     catalog_from_json,
-    default_catalog,
     run_catalog,
     run_witness_chain,
     verify_equivalence,
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, catalog_to_json, oracle_for
+from helpers import ball_enumerate, catalog_document, entries_of, oracle_for
 
 FAST = Scales(radius=8)
-Z_HNN_ENTRY = next(e for e in default_catalog() if e.name == "z_hnn").to_json()
+Z_HNN_ENTRY = entries_of(catalog_document(), "z_hnn")["entries"][0]
 
 # a malformed-spec value that deletes its field instead of setting it
 MISSING = object()
@@ -47,10 +48,10 @@ def test_default_catalog_is_consistent(catalog):
     assert len(report.results) == len(catalog)
 
 
-def test_negative_control_flags_wrong_expectation(catalog):
-    doctored = CatalogEntry.from_json(catalog["c6_rw"].to_json())
-    doctored.expected_ends = "2"
-    report = run_catalog([doctored], FAST)
+def test_negative_control_flags_wrong_expectation(catalog_doc):
+    doctored = entries_of(catalog_doc, "c6_rw")["entries"][0]
+    doctored["expected_ends"] = "2"
+    report = run_catalog([CatalogEntry.from_json(doctored)], FAST)
     assert not report.all_consistent
     assert report.exit_code() == 1
     problems = report.results[0]["equivalence"]["details"]["problems"]
@@ -71,10 +72,14 @@ def test_budget_exhaustion_is_reported_not_fatal(catalog):
     assert "budget_exceeded" in report.results[0]
 
 
-def test_catalog_json_round_trip(catalog):
-    data = catalog_to_json(list(catalog.values()))
-    back = catalog_from_json(json.loads(json.dumps(data)))
-    assert [e.to_json() for e in back] == data["entries"]
+def test_catalog_json_round_trip(catalog, catalog_doc):
+    # each entry holds the fields its document gives it, and its provenance
+    # keeps their order, which the report prints as read
+    back = [dataclasses.asdict(e) for e in catalog_from_json(json.loads(json.dumps(catalog_doc)))]
+    assert back == [dataclasses.asdict(e) for e in catalog.values()]
+    for raw, entry in zip(catalog_doc["entries"], back, strict=True):
+        assert {key: entry[key] for key in raw} == raw
+        assert list(entry["provenance"]) == list(raw["provenance"])
 
 
 def test_verdicts_include_provenance(catalog):
@@ -210,9 +215,21 @@ def test_cli_verify_default_prints_the_bytes_the_benchmark_pins(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want["sha256"]
 
 
-def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog):
+def test_cli_verify_of_the_packaged_file_prints_the_default_bytes(capsys):
+    # verify --default reads catalog.json in the installed endlab directory,
+    # so naming that file gives the same report, the one the benchmark pins
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    want = json.loads(expected.read_text())["full"]["catalog"]["verify"]
+    assert cli.main(["verify", str(Path(endlab.__file__).with_name("catalog.json"))]) == want["exit"]
+    by_file = capsys.readouterr().out
+    assert cli.main(["verify", "--default"]) == want["exit"]
+    assert capsys.readouterr().out == by_file
+    assert hashlib.sha256(by_file.encode()).hexdigest() == want["sha256"]
+
+
+def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog_doc):
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(catalog_to_json([catalog["c5_gog"]])))
+    path.write_text(json.dumps(entries_of(catalog_doc, "c5_gog")))
     assert cli.main(["verify", str(path), "--default"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {
@@ -221,16 +238,16 @@ def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalo
     }
 
 
-def test_cli_verify_negative_control(tmp_path, capsys, catalog):
-    doctored = CatalogEntry.from_json(catalog["c5_gog"].to_json())
-    doctored.expected_splitting = "nontrivial_s1"
+def test_cli_verify_negative_control(tmp_path, capsys, catalog_doc):
+    doc = entries_of(catalog_doc, "c5_gog")
+    doc["entries"][0]["expected_splitting"] = "nontrivial_s1"
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(catalog_to_json([doctored])))
+    path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path), "--R", "8"]) == 1
 
 
-def test_cli_verify_ignores_an_old_oracle_key(tmp_path, capsys, catalog):
-    doc = catalog_to_json([catalog["z_rw"]])
+def test_cli_verify_ignores_an_old_oracle_key(tmp_path, capsys, catalog_doc):
+    doc = entries_of(catalog_doc, "z_rw")
     outputs = []
     for extra in ({}, {"oracle": "integer_word"}):
         doc["entries"][0].update(extra)
@@ -557,9 +574,12 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "spec"), MISSING, "entries[0].spec is missing"),
     (("entries", 0, "spec", "pairs"), MISSING, "entries[0].spec.pairs is missing"),
     (("entries", 0, "spec", "backend"), MISSING, "entries[0].spec.backend is missing"),
+    (("entries",), [Z_HNN_ENTRY, Z_HNN_ENTRY], "entries[1].name repeats entry name 'z_hnn'"),
 ])
-def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
-    doc = json.loads(json.dumps(catalog_to_json([catalog["c5_gog"]])))
+def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog_doc, field, value, message):
+    doc = entries_of(catalog_doc, "c5_gog")
+    # c5_gog sets no scales: the scales cases edit an empty object
+    doc["entries"][0]["scales"] = {}
     if field:
         node = doc
         for key in field[:-1]:
