@@ -12,7 +12,6 @@ from .bass_serre import (
     exactness_on_truncation,
     splitting_classify,
     tree_truncation,
-    validate,
 )
 from .cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build, coset_canonical, trivial_subgroup
 from .ends_cuts import Cut, EndsEstimate, classify_ends, escaping_components, find_cut

@@ -29,17 +29,11 @@ word, is multiply folded over its letters.
 
 PiOne.pinches(a, b) walks multiply's junction loop alone and counts its
 pinches j, so the product's length |a| + |b| - 2j, which leads the sort
-key, is known before the product is formed.  Since multiply reads only the
-head of b that the junction reaches, PiOne.coset_products takes the least
-product x.b over a coset s.K from the least b alone whenever the junction
-stops inside the head all of s.K share; otherwise it forms only the
-products of least length.  The junction also reads only a bounded suffix
-of x, so coset_products counts these pinches once per suffix and reuses
-the plan they give, the least length and the members that reach it, for
-every later row that ends the same way.  Given the ceiling of
-cayley_abels.ball_walk on the outer sphere, coset_products, right_products
-and the covering tree leave out every label whose length is past the
-ceiling's.
+key, is known before the product is formed.  PiOne.coset_products, the
+one routine for the coset rows of cayley_abels.ball_walk, K = 1 included,
+reads a row's products off these counts; its docstring gives the argument.
+Given the ceiling of ball_walk on the outer sphere, it and the covering
+tree leave out every label whose length is past the ceiling's.
 
 The universal covering tree is a coset space for cayley_abels.ball_walk,
 materialized only as finite coset tables and read through reduced words
@@ -177,19 +171,6 @@ def _group_from_json(record, key, where):
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-@dataclass
-class BassSerreData:
-    """Deterministic scaffolding fixed by validation."""
-
-    base_vertex: object
-    spanning_tree: frozenset
-    tree_paths: dict
-    stable_letters: tuple
-    transversals: dict
-    decompositions: dict
-    image_inverse: dict
-
-
 class PiOneElement:
     """A path-groupoid word from the base-graph vertex start.
 
@@ -224,9 +205,6 @@ class PiOneElement:
     def inverse(self):
         return self.pi.inverse(self)
 
-    def __invert__(self):
-        return self.pi.inverse(self)
-
     def is_identity(self):
         return not self.es and self.gs[0] == self.pi.vgroup(self.start).identity
 
@@ -249,16 +227,31 @@ class PiOne:
 
     def __init__(self, gog):
         self.gog = gog
-        self.graph = gog.graph
-        self.base_vertex = gog.graph.vertices[0]
-        self.data = validate(gog)
+        self.graph = g = gog.graph
+        self.base_vertex = v0 = g.vertices[0]
         self.name = f"pi1({gog.name})"
+        # tree_paths[v] holds the edge letters of the spanning-tree path from
+        # the base vertex to v, by BFS taking the least edge id first; the
+        # stable letters are the geometric edges the tree leaves out
+        self.tree_paths, tree, frontier = {v0: ()}, set(), [v0]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for e in g.star(v):
+                    w = g.terminus(e)
+                    if w not in self.tree_paths:
+                        self.tree_paths[w] = self.tree_paths[v] + (e,)
+                        tree.add(min(e, g.inverse(e)))
+                        nxt.append(w)
+            frontier = nxt
+        self.stable_letters = tuple(ge.rep for ge in g.geometric_edges() if ge.rep not in tree)
         # per-edge tables for multiply: pinch[e] maps an image element h at
         # terminus(e) to the element b at origin(e) with e h = b e; push[e]
         # maps x to (s, b) with x = h s for the transversal rep s, b as for
-        # pinch, and b None when h is the identity; letter[e] is the normal
-        # word 1 e 1, since the identity is the first transversal rep
-        g, emb = gog.graph, gog.embeddings
+        # pinch, and b None when h is the identity; the reps are the first of
+        # each image coset in index order, identity first, so letter[e] is
+        # the normal word 1 e 1
+        emb = gog.embeddings
         self._inverse = {e: g.inverse(e) for e in g.edges}
         self._origin = {e: g.origin(e) for e in g.edges}
         self._terminus = {e: g.terminus(e) for e in g.edges}
@@ -267,14 +260,16 @@ class PiOne:
         self._inverse_table = {v: G.inverse_table for v, G in gog.vgroups.items()}
         self._pinch, self._push, self._letter = {}, {}, {}
         for e in g.edges:
-            back = emb[g.inverse(e)]
+            img, back = emb[e], emb[g.inverse(e)]
+            H = gog.vgroups[g.terminus(e)]
             one = gog.vgroups[g.origin(e)].identity
-            self._letter[e] = PiOneElement(self, (one, gog.vgroups[g.terminus(e)].identity), (e,), g.origin(e))
-            self._pinch[e] = {h: back[a] for h, a in self.data.image_inverse[e].items()}
-            self._push[e] = {
-                x: (s, None if back[a] == one else back[a])
-                for x, (a, s) in self.data.decompositions[e].items()
-            }
+            self._letter[e] = PiOneElement(self, (one, H.identity), (e,), g.origin(e))
+            self._pinch[e] = {h: back[a] for a, h in enumerate(img)}
+            push = self._push[e] = {}
+            for s in [H.identity, *(x for x in range(len(H)) if x != H.identity)]:
+                if s not in push:
+                    for a, h in enumerate(img):
+                        push[H.mul(h, s)] = (s, None if back[a] == one else back[a])
 
     # -- small accessors ---------------------------------------------------
     def vgroup(self, v):
@@ -415,27 +410,11 @@ class PiOne:
         self._push_to_transversals(G, E, 0)
         return PiOneElement(self, tuple(G), tuple(E), self.morph_end(a))
 
-    def right_products(self, gens):
-        """The map x -> [x.g for g in gens], for normal words x and gens.
-
-        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
-        cayley_abels.ball_walk.  Given a ceiling, the row leaves out each g
-        whose product has more than ceiling[0] edge letters, a length known
-        before the product is formed: |x| + |g| - 2j, j = pinches(x, g).
-        """
-        gens, multiply, pinches = tuple(gens), self.multiply, self.pinches
-
-        def row(x, ceiling=None):
-            if ceiling is None:
-                return [multiply(x, g) for g in gens]
-            room = ceiling[0] - len(x.es)
-            return [multiply(x, g) for g in gens if len(g.es) - 2 * pinches(x, g) <= room]
-
-        return row
-
     def coset_products(self, gens, K):
         """The map x -> [the least x.g.k over k in K, for g in gens], for
-        normal words x and gens and the elements K of a finite subgroup.
+        normal words x and gens and the elements K of a finite subgroup.  It
+        gives every coset row of a PiOne pair; with K = {1} each slot has
+        one member, so it forms x.g.
 
         Each g gets its coset g.K once, as the sort-ordered normal words B,
         and c, the number of leading group elements and edge letters that
@@ -512,7 +491,7 @@ class PiOne:
     def tree_path(self, v):
         """The spanning-tree path from the base vertex to v, a normal word."""
         m = self.identity()
-        for e in self.data.tree_paths[v]:
+        for e in self.tree_paths[v]:
             m = self.multiply(m, self._letter[e])
         return m
 
@@ -545,7 +524,7 @@ class PiOne:
             for u in range(len(self.vgroup(v))):
                 if u != self.vgroup(v).identity:
                     gens.append(self.vertex_inclusion(v, u))
-        for rep in self.data.stable_letters:
+        for rep in self.stable_letters:
             t = self.edge_letter(rep)
             gens.append(t)
             gens.append(self.inverse(t))
@@ -558,57 +537,6 @@ class PiOne:
 
     def __repr__(self):
         return self.name
-
-
-def validate(gog):
-    """Check the structural invariants and fix the deterministic scaffolding."""
-    graph = gog.graph
-    v0 = graph.vertices[0]
-    # BFS spanning tree, smallest edge id first
-    tree_paths = {v0: ()}
-    tree_geom = set()
-    frontier = [v0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in graph.star(v):
-                w = graph.terminus(e)
-                if w not in tree_paths:
-                    tree_paths[w] = tree_paths[v] + (e,)
-                    tree_geom.add(min(e, graph.inverse(e)))
-                    nxt.append(w)
-        frontier = nxt
-    if len(tree_paths) != len(graph.vertices):
-        raise ValueError("base graph is not connected")
-    stable = tuple(
-        ge.rep for ge in graph.geometric_edges() if ge.rep not in tree_geom
-    )
-    transversals, decompositions, image_inverse = {}, {}, {}
-    for e in graph.edges:
-        H = gog.vgroups[graph.terminus(e)]
-        eg = gog.edge_group(e)
-        img = gog.embeddings[e]
-        image_inverse[e] = {img[a]: a for a in range(len(eg))}
-        order = [H.identity] + [i for i in range(len(H)) if i != H.identity]
-        taken = {}
-        transversal = []
-        for x in order:
-            if x in taken:
-                continue
-            transversal.append(x)
-            for a in range(len(eg)):
-                taken[H.mul(img[a], x)] = (a, x)
-        transversals[e] = tuple(transversal)
-        decompositions[e] = taken
-    return BassSerreData(
-        base_vertex=v0,
-        spanning_tree=frozenset(tree_geom),
-        tree_paths=tree_paths,
-        stable_letters=stable,
-        transversals=transversals,
-        decompositions=decompositions,
-        image_inverse=image_inverse,
-    )
 
 
 @dataclass

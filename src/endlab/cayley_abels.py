@@ -12,16 +12,11 @@ saturated pair are quasi-isometric, so everything the lab measures agrees.
 Parallel edges (distinct s with the same target coset) are kept, so every
 interior vertex has exactly |S| outgoing edges.
 
-For a nontrivial K the label of x.s.K is the least of the |K| products x.b,
-b in the coset s.K, and most rows need only one of them.  A product of
-normal words changes only the junction, so when every b shares the head
-that the junction with x reads, every x.b is one head followed by b's own
-tail and the products order as the b do; by uniqueness of normal forms
-(Serre, Trees, I.5) the least b then gives the label.  Where the junction
-reaches past the shared head, the pinches of each x.b give its length, and
-the label is the least of the products of least length.  The junction reads
-only a bounded suffix of x, so the pinches are counted once per suffix, and
-every later row that ends the same way reuses what they gave.
+The label of x.s.K is the least of the |K| products x.b, b in the coset
+s.K.  A rewriting backend, whose K is trivial, forms x.s with
+right_products; PiOne forms every row, K = 1 included, with
+coset_products, which needs most of the products only by their length:
+its docstring gives the argument, from Serre's normal form (Trees, I.5).
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
 base label, a label order and neighbours(x, ceiling=None), the labels of
@@ -109,8 +104,7 @@ class GeneratingPair:
     with the identity on the left, so a rewriting backend takes any words
     and PiOne takes normal words.  Elements of K (in particular the
     identity) are rejected.  As a coset space for ball_walk it gives the
-    base label, the label order and the neighbours of a label; for a
-    nontrivial K the backend forms them with coset_products, as PiOne does.
+    base label, the label order and the neighbours of a label.
 
     found_in_order says that ball_walk finds each sphere in label order, so
     need not sort it.  It is true when K is trivial, the backend is a
@@ -160,22 +154,20 @@ class GeneratingPair:
     def neighbours(self):
         """The map from a coset label x to the labels of x.s.K, one per s in S.
 
-        For K = 1 these are the backend's right_products x.s.  Otherwise
-        the label of x.s.K is the sort-minimal x.b over the coset s.K, which
-        equals coset_canonical(x.s) by associativity and uniqueness of normal
-        forms.  The backend's coset_products forms it from the one product
-        with the least b when every b in s.K shares the head that the
-        junction with x reads: each x.b is then one head followed by b's
-        own tail, so the products order as the b do.  Otherwise it takes
-        the least of the products of least length.  Which case holds, and
-        which products are of least length, depends only on a bounded
-        suffix of x, so the map works it out once per suffix; it is cached
-        here with the map, and so lives as long as the pair.  Each slot gets
-        its own product, so a wrong product leaves its edge unpaired.
+        A rewriting backend takes K trivial and forms the x.s with
+        right_products.  PiOne forms the sort-minimal x.b over each coset
+        s.K, which equals coset_canonical(x.s) by associativity and
+        uniqueness of normal forms, with coset_products (see there), for
+        every K.  The map is cached here, with the plans it keeps per
+        suffix of x, and so lives as long as the pair.  Each slot gets its
+        own product, so a wrong product leaves its edge unpaired.
         """
-        if len(self.K) == 1:
-            return self.backend.right_products(self.S)
-        return self.backend.coset_products(self.S, self.K.elements)
+        backend = self.backend
+        if not isinstance(backend, RewritingGroup):
+            return backend.coset_products(self.S, self.K.elements)
+        if len(self.K) != 1:
+            raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
+        return backend.right_products(self.S)
 
     def act(self, k, label):
         """Left action on coset labels; defined for any group element.

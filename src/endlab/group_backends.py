@@ -22,9 +22,10 @@ Two kinds of backend live here:
   of x, and only the other crossings are reduced by normal_form.
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
-the coset machinery needs: identity(), multiply(a, b), inverse(a),
-sort_key(a) and right_products(gens), whose map takes a label and an
-optional ceiling (see cayley_abels.ball_walk).
+the coset machinery needs: identity(), multiply(a, b), inverse(a) and
+sort_key(a).  Its coset rows, for K = 1, come from right_products(gens),
+and PiOne's, for any finite K, from coset_products(gens, K); each gives a
+map that takes a label and an optional ceiling (see cayley_abels.ball_walk).
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class HNNIntegerOracle:
     """Stable-letter exponent sum for the loop on the trivial group."""
 
     def __init__(self, backend):
-        self.loop = backend.data.stable_letters[0]
+        self.loop = backend.stable_letters[0]
 
     def value(self, el):
         return sum(1 if e == self.loop else -1 for e in el.es)

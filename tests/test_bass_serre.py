@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -115,11 +116,11 @@ def test_surjective_end_is_valid_but_trivial():
 
 def test_c2_c3_amalgam_data():
     pi = c2c3()
-    assert pi.data.spanning_tree == frozenset({0})
-    assert pi.data.stable_letters == ()
+    assert pi.tree_paths == {"u": (), "w": (0,)}
+    assert pi.stable_letters == ()
     # identity-first transversals with one representative per image coset
-    assert pi.data.transversals[0] == (0, 1, 2)
-    assert pi.data.transversals[1] == (0, 1)
+    for e, reps in [(0, (0, 1, 2)), (1, (0, 1))]:
+        assert tuple(dict.fromkeys(s for s, _ in pi._push[e].values())) == reps
 
 
 def test_non_injective_embedding_rejected():
@@ -411,7 +412,7 @@ def test_multi_edge_graph_of_groups_arithmetic():
         name="mixed",
     )
     pi = PiOne(gog)
-    assert pi.data.stable_letters == (2,)
+    assert pi.stable_letters == (2,)
     x = pi.vertex_inclusion("u", 1)
     y = pi.vertex_inclusion("w", 1)
     t = pi.edge_letter(2)
@@ -477,6 +478,24 @@ def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
 
 # -- the linear normalizer against the left-greedy one it replaced -------------------
 
+@functools.cache
+def reference_tables(pi):
+    """The original scan of the embeddings, read from pi.gog alone: per
+    edge e, the inverse h -> a of its embedding, and x -> (a, s) with
+    x = h_a s, s the first element of its image coset in an identity-first
+    scan of the group at terminus(e)."""
+    graph, image_inverse, decompositions = pi.graph, {}, {}
+    for e in graph.edges:
+        H, img = pi.vgroup(graph.terminus(e)), pi.gog.embeddings[e]
+        image_inverse[e] = {h: a for a, h in enumerate(img)}
+        taken = decompositions[e] = {}
+        for x in [H.identity] + [i for i in range(len(H)) if i != H.identity]:
+            if x not in taken:
+                for a, h in enumerate(img):
+                    taken[H.mul(h, x)] = (a, x)
+    return image_inverse, decompositions
+
+
 def reference_normalize(pi, start, gs, es):
     """The original normalizer, kept as the reference.
 
@@ -488,7 +507,7 @@ def reference_normalize(pi, start, gs, es):
     if len(gs) != len(es) + 1:
         raise ValueError("word must alternate group elements and edges")
     inv = pi.graph.inverse
-    im_inv = pi.data.image_inverse
+    im_inv, decompositions = reference_tables(pi)
     emb = pi.gog.embeddings
     while True:
         hit = -1
@@ -508,7 +527,7 @@ def reference_normalize(pi, start, gs, es):
         chain[j + 1:j + 3] = []
     for j in range(len(es), 0, -1):
         e = es[j - 1]
-        a, s = pi.data.decompositions[e][gs[j]]
+        a, s = decompositions[e][gs[j]]
         gs[j] = s
         b = emb[inv(e)][a]
         G = pi.vgroup(chain[j - 1])
@@ -603,7 +622,7 @@ def draw_loop(data, pi, max_len, backtrack):
     """A raw loop at the base vertex: a walk, then back along the tree path."""
     gs, es = draw_walk(data, pi, pi.base_vertex, max_len, backtrack)
     end = pi.vertex_chain(pi.base_vertex, es)[-1]
-    back = tuple(pi.graph.inverse(e) for e in reversed(pi.data.tree_paths[end]))
+    back = tuple(pi.graph.inverse(e) for e in reversed(pi.tree_paths[end]))
     for e in back:
         gs += (data.draw(st.integers(0, len(pi.vgroup(pi.graph.terminus(e))) - 1)),)
     return gs, es + back
@@ -715,7 +734,7 @@ def test_coset_labels_match_reference(data):
 def reference_tree_path(pi, v):
     """The spanning-tree path to v, raw letters normalized by the reference."""
     m = pi.identity()
-    for e in pi.data.tree_paths[v]:
+    for e in pi.tree_paths[v]:
         m = cross(pi, m, e)
     return reference_normalize(pi, m.start, m.gs, m.es)
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab.bass_serre import CoveringTree, PiOne, tree_truncation
+from endlab.bass_serre import CoveringTree, GraphOfFiniteGroups, PiOne, tree_truncation
 from endlab.cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build, coset_canonical, trivial_subgroup
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded, InternalInconsistency
 
-from endlab.group_backends import DEFAULT_CAP, RewritingGroup
+from endlab.group_backends import DEFAULT_CAP, FiniteGroup, RewritingGroup
+from endlab.serre_graphs import SerreGraph
 
 from helpers import ball_enumerate
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog
@@ -361,8 +362,8 @@ def test_f2_build_makes_no_normal_form_call(monkeypatch):
 
 def test_build_labels_each_slot_once(catalog, monkeypatch):
     # products are counted where they are made: PiOne forms every product,
-    # through right_products or coset_products, with multiply; a rewriting
-    # backend forms them in right_products
+    # through coset_products, with multiply; a rewriting backend forms them
+    # in right_products
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
@@ -421,13 +422,27 @@ def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypat
     assert len(calls) <= 7_500
 
 
-@pytest.mark.parametrize("radius, cosets", [(10, 3070), (12, 12286)])
-def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, radius, cosets):
+def rose_pair():
+    """F2 as the rose of two loops with trivial groups, K = 1: 39,365 cosets
+    at R = 9."""
+    graph = SerreGraph.from_geometric(["v"], [("v", "v"), ("v", "v")])
+    one = FiniteGroup.cyclic(1)
+    pi = PiOne(GraphOfFiniteGroups(graph, {"v": one}, {0: one, 2: one}, {e: [0] for e in range(4)}, name="rose"))
+    return GeneratingPair(pi, trivial_subgroup(pi), pi.default_generators())
+
+
+@pytest.mark.parametrize("pair_of, radius, cosets", [
+    pytest.param(c2c3_vertex_pair, 10, 3070, id="10-3070"),
+    pytest.param(c2c3_vertex_pair, 12, 12286, id="12-12286"),
+    pytest.param(rose_pair, 9, 39365, id="rose-9-39365"),
+])
+def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, pair_of, radius, cosets):
     # a row's plans depend only on the last 4 edge letters and group elements
     # of its label, so the pinches are counted once per such suffix: 50 calls
     # at either radius, where each of the 3,070 or 12,286 rows counted its own
-    # (15,350 and 61,430 calls)
-    pair = c2c3_vertex_pair()
+    # (15,350 and 61,430 calls).  The rose's rows, K = 1, take the same plan:
+    # 20 calls, where a count per outer-sphere slot took 104,976
+    pair = pair_of()
     calls = []
     counted_pinches(monkeypatch, pair.backend, calls)
     t = build(pair, radius)
@@ -467,22 +482,23 @@ def rows_off_reference(pair, neighbours, labels):
     return [x for x in labels if neighbours(x) != reference_row(pair, x)]
 
 
-def nontrivial_k_cases():
-    """(PiOne, K, generators outside K) for each vertex group and each
-    nontrivial edge group of NORMALIZER_CASES and FUZZ_CASES."""
+def k_cases():
+    """(PiOne, K, generators outside K) for the trivial group, each
+    nontrivial vertex group and each nontrivial edge group of
+    NORMALIZER_CASES and FUZZ_CASES."""
     cases = []
     for pi in NORMALIZER_CASES + FUZZ_CASES:
         groups = [pi.vertex_subgroup_elements(v) for v in pi.graph.vertices]
-        groups += [pi.edge_subgroup_elements(e) for e in pi.graph.edges if len(pi.gog.edge_group(e)) > 1]
-        for elements in groups:
+        groups += [pi.edge_subgroup_elements(e) for e in pi.graph.edges]
+        for elements in [(pi.identity(),)] + [k for k in groups if len(k) > 1]:
             K = Subgroup(pi, elements)
             gens = [g for g in pi.default_generators() if g not in K.elements]
-            if len(K) > 1 and gens:
+            if gens:
                 cases.append((pi, K, gens))
     return cases
 
 
-NONTRIVIAL_K_CASES = nontrivial_k_cases()
+K_CASES = k_cases()
 
 
 def small_ball(pair, radius, cap=400):
@@ -499,7 +515,7 @@ def test_coset_rows_match_the_full_minimum(data):
     # the full rows of every label of a ball; then, at a radius inside it,
     # the walk, whose outer rows take the ceiling, against the ceiling-blind
     # walk, whose rows are those full rows less their targets past the ball
-    pi, K, gens = data.draw(st.sampled_from(NONTRIVIAL_K_CASES))
+    pi, K, gens = data.draw(st.sampled_from(K_CASES))
     S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2, unique=True))
     pair = GeneratingPair(pi, K, S)
     ball = small_ball(pair, 5)
@@ -793,6 +809,13 @@ def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
         assert not GeneratingPair(group, trivial_subgroup(group), ["a", "b"]).found_in_order
     c6 = make_c6()
     assert not GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]).found_in_order
+
+
+def test_rewriting_pair_with_nontrivial_k_has_no_coset_rows():
+    # right_products forms x.s, which labels x.s.K only for K = 1
+    c6 = make_c6()
+    with pytest.raises(ValueError, match="K = 1 only"):
+        build(GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]), 2)
 
 
 @pytest.mark.parametrize("radius", [1, 5, 9])
