@@ -17,11 +17,12 @@ those maps; no level map is built here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bass_serre import Certificate, HalfTreeSplitting
 from .cayley_abels import GeneratingPair, Subgroup, build, coset_canonical
-from .ends_cuts import coboundary, escaping_components
+from .ends_cuts import MARGIN, coboundary, escaping_components
 from .group_backends import DEFAULT_CAP
 
 
@@ -84,9 +85,7 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
         details={"edge": half.e0, "group": pi.name},
     )
     t = build(pair, probe_radius, cap=cap)
-    occupancy = _side_occupancy(w, t)
-    w.details["properness"] = occupancy
-    w.details["proper"] = _is_proper(occupancy)
+    w.details["proper"] = _is_proper(_side_occupancy(w, t))
     w.truncation = t
     return w
 
@@ -193,7 +192,10 @@ def cut_from_witness(w, t):
 
     Membership of gK in C_B reads the witness at the inverse coset, which
     K-invariance makes well defined.  The oriented coboundary is bounded
-    by the total size of the declared difference certificates.
+    by the total size of the declared difference certificates.  Its
+    interior endpoints are the probe whose escaping components are
+    counted; like find_cut's, the probe must stay MARGIN spheres inside
+    the truncation boundary, or ValueError names the radius it needs.
     """
     _require_same_pair(w, t)
     backend, K = w.pair.backend, w.pair.K
@@ -203,6 +205,13 @@ def cut_from_witness(w, t):
     # the interior endpoints: cb holds both orientations, so the origins suffice
     outer = t.starts[t.radius]
     probe = {i for i in map(t.origin.__getitem__, cb) if i < outer}
+    deepest = max(probe, default=-1)
+    if deepest >= t.starts[max(t.radius - MARGIN, 0)]:
+        r = bisect_right(t.starts, deepest) - 1
+        raise ValueError(
+            f"witness cut probe reaches sphere {r}, inside the margin of {MARGIN} spheres "
+            f"of the radius-{t.radius} truncation; it needs a probe radius of at least {r + MARGIN + 1}"
+        )
     esc = len(escaping_components(t, probe)) if probe else 0
     return WitnessCut(
         vertices=tuple(map(t.vertices.__getitem__, members)),

@@ -90,9 +90,9 @@ class GraphOfFiniteGroups:
         for v in g.vertices:
             if v not in self.vgroups:
                 raise ValueError(f"vertex {v!r} has no group")
-        for ge in g.geometric_edges():
-            if ge.rep not in self.egroups:
-                raise ValueError(f"geometric edge {ge.rep} has no edge group")
+        for e in g.geometric_edges():
+            if e not in self.egroups:
+                raise ValueError(f"geometric edge {e} has no edge group")
         for e in g.edges:
             eg = self.egroups[min(e, g.inverse(e))]
             H = self.vgroups[g.terminus(e)]
@@ -244,7 +244,7 @@ class PiOne:
                         tree.add(min(e, g.inverse(e)))
                         nxt.append(w)
             frontier = nxt
-        self.stable_letters = tuple(ge.rep for ge in g.geometric_edges() if ge.rep not in tree)
+        self.stable_letters = tuple(e for e in g.geometric_edges() if e not in tree)
         # per-edge tables for multiply: pinch[e] maps an image element h at
         # terminus(e) to the element b at origin(e) with e h = b e; push[e]
         # maps x to (s, b) with x = h s for the transversal rep s, b as for
@@ -558,8 +558,7 @@ def splitting_classify(gog):
     amalgams, trivial when either embedding is onto its vertex group."""
     graph = gog.graph
     per_edge = []
-    for ge in graph.geometric_edges():
-        e = ge.rep
+    for e in graph.geometric_edges():
         if graph.origin(e) == graph.terminus(e):
             per_edge.append((e, "nontrivial_s2"))
             continue
@@ -626,6 +625,13 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
     return ball_walk(CoveringTree(pi), radius, cap)
 
 
+def truncation_boundary_dims(t):
+    """(geometric edges, rank, kernel, cokernel) of the boundary map of a
+    truncation's coset table, by serre_graphs.boundary_dims."""
+    n_e = len(t.origin) // 2
+    return (n_e, *boundary_dims(len(t.vertices), n_e, len(blocks(t.rows))))
+
+
 def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
     """Edge space -> vertex space -> scalars on the truncated tree, verified exact.
 
@@ -636,8 +642,7 @@ def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
     if radius < 1:
         raise ValueError("radius must be at least 1")
     t = tree_truncation(pi, radius, cap=cap)
-    n_e = len(t.origin) // 2
-    rank, ker, coker = boundary_dims(len(t.vertices), n_e, len(blocks(t.rows)))
+    n_e, rank, ker, coker = truncation_boundary_dims(t)
     return Certificate(
         kind="truncation_exactness",
         passed=ker == 0 and coker == 1,

@@ -57,22 +57,18 @@ from .serre_graphs import SerreGraph
 class Subgroup:
     """Finite subgroup of a backend group, given by its element list."""
 
-    def __init__(self, backend, elements, name="K", check=True):
+    def __init__(self, backend, elements, name="K"):
         self.backend = backend
         self.elements = tuple(sorted(set(elements), key=backend.sort_key))
         self.name = name
-        if check:
-            self._validate()
-
-    def _validate(self):
         elems = set(self.elements)
-        if self.backend.identity() not in elems:
+        if backend.identity() not in elems:
             raise ValueError("subgroup must contain the identity")
         for a in self.elements:
-            if self.backend.inverse(a) not in elems:
+            if backend.inverse(a) not in elems:
                 raise ValueError("subgroup not closed under inverse")
             for b in self.elements:
-                if self.backend.multiply(a, b) not in elems:
+                if backend.multiply(a, b) not in elems:
                     raise ValueError("subgroup not closed under multiplication")
 
     def __len__(self):
@@ -83,7 +79,7 @@ class Subgroup:
 
 
 def trivial_subgroup(backend):
-    return Subgroup(backend, [backend.identity()], name="1", check=False)
+    return Subgroup(backend, [backend.identity()], name="1")
 
 
 def coset_canonical(backend, K, g):
@@ -108,7 +104,7 @@ class GeneratingPair:
 
     found_in_order says that ball_walk finds each sphere in label order, so
     need not sort it.  It is true when K is trivial, the backend is a
-    RewritingGroup whose confluence was verified, and S is exactly its
+    RewritingGroup, confluent by construction, and S is exactly its
     alphabet as one-letter words.  Normal forms are then the shortlex-least
     words, hence geodesic and prefix-closed, and the walk scans sphere d in
     shortlex order.  A normal form y of length d + 1 is x' + c' with
@@ -145,7 +141,6 @@ class GeneratingPair:
         self.name = name or f"({K.name}; {len(self.S)} gens)"
         self.found_in_order = (
             isinstance(backend, RewritingGroup)
-            and backend.confluent
             and len(K) == 1
             and self.S == tuple(backend.alphabet)
         )

@@ -19,7 +19,7 @@ from . import bass_serre, cayley_abels, ends_cuts, theorem_lab
 from .bass_serre import PiOne
 from .errors import BudgetExceeded, InternalInconsistency, expect, required
 from .group_backends import DEFAULT_CAP
-from .serre_graphs import SerreGraph, blocks, boundary_dims
+from .serre_graphs import SerreGraph, boundary_dims
 
 
 def _load(path):
@@ -86,8 +86,7 @@ def cmd_tree(args):
         colors = {v: palette[r % len(palette)] for r in range(args.radius + 1) for v in tt.sphere_labels(r)}
         with open(args.dot, "w") as fp:
             fp.write(tt.graph.to_dot(name="tree", vertex_color=colors))
-    n_e = len(tt.origin) // 2
-    _, ker, coker = boundary_dims(len(tt.vertices), n_e, len(blocks(tt.rows)))
+    n_e, _, ker, coker = bass_serre.truncation_boundary_dims(tt)
     _emit({
         "group": backend.name,
         "radius": args.radius,

@@ -112,11 +112,11 @@ class RewritingGroup:
     Generators and their formal inverses are single-character letters.  A
     letter may be declared its own inverse (an involution), in which case
     the free-reduction rule for it is xx -> empty.  Free-reduction rules
-    are added automatically.  Confluence is checked at construction unless
-    check=False, and the attribute confluent records whether it was.
+    are added automatically.  Confluence is checked at construction, so
+    normal forms are unique and shortlex-least.
     """
 
-    def __init__(self, generators, inverses, rules=(), name="G", check=True):
+    def __init__(self, generators, inverses, rules=(), name="G"):
         self.name = name
         self.generators = list(generators)
         self.inverses = dict(inverses)
@@ -167,13 +167,9 @@ class RewritingGroup:
         for lhs, rhs in self.rules:
             self._rhs.setdefault(lhs, rhs)
         self._build_acceptor()
-        if check:
-            ok, pair = self.verify_confluence()
-            if not ok:
-                raise ValueError(f"rewriting system is not confluent: {pair}")
-        # whether verify_confluence ran and passed here; only then are normal
-        # forms the shortlex-least words, which cayley_abels.GeneratingPair reads
-        self.confluent = bool(check)
+        ok, pair = self.verify_confluence()
+        if not ok:
+            raise ValueError(f"rewriting system is not confluent: {pair}")
 
     def _build_acceptor(self):
         """The Aho-Corasick automaton over the left-hand sides.
@@ -257,9 +253,7 @@ class RewritingGroup:
         join, and if its right-hand side is empty (a free cancellation, say)
         the product is the prefix of x before it, which is irreducible.
         Every other hit falls back to normal_form's reducer on x + g, whose
-        first search starts at the last _max_lhs - 1 letters of x.  No step
-        chooses between rewrites, so the products are normal_form's also for
-        a system that is not confluent.
+        first search starts at the last _max_lhs - 1 letters of x.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk: given a sort key ceiling no less than x's

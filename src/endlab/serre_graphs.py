@@ -3,17 +3,16 @@
 A graph here consists of opaque hashable vertex ids, integer edge ids, an
 origin map and an inversion map.  The terminus of an edge is the origin of
 its inverse, so only origin and inversion are stored.  A geometric edge is
-the pair {e, inv(e)}; its canonical representative is the numerically
-smaller id; the DOT export, and the boundary matrix the tests keep as an
-elimination reference, order geometric edges by it.
+the pair {e, inv(e)}, named by the numerically smaller of its two ids;
+geometric_edges lists those ids in increasing order, and the DOT export,
+and the boundary matrix the tests keep as an elimination reference, order
+geometric edges by them.
 
 Instances are immutable after construction: every operation returns fresh
 data and never mutates the graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import expect, required
 
@@ -22,14 +21,13 @@ VERTEX_ID = (str, int)
 
 
 class SerreGraph:
-    def __init__(self, vertices, origin, inverse, check=True):
+    def __init__(self, vertices, origin, inverse):
         self._vertices = tuple(dict.fromkeys(vertices))
         self._vindex = {v: i for i, v in enumerate(self._vertices)}
         self._origin = dict(origin)
         self._inverse = dict(inverse)
         self._edges = tuple(sorted(self._origin))
-        if check:
-            self._validate()
+        self._validate()
         stars = {v: [] for v in self._vertices}
         for e in self._edges:
             stars[self._origin[e]].append(e)
@@ -84,13 +82,8 @@ class SerreGraph:
         return self._stars[v]
 
     def geometric_edges(self):
-        """One GeometricEdge per {e, inv(e)} pair, sorted by representative."""
-        out = []
-        for e in self._edges:
-            f = self._inverse[e]
-            if e < f:
-                out.append(GeometricEdge(e, f))
-        return tuple(out)
+        """The smaller id of each {e, inv(e)} pair, in increasing order."""
+        return tuple(e for e in self._edges if e < self._inverse[e])
 
     def components(self):
         """Connected blocks, canonically labelled so that edge order does not
@@ -112,7 +105,7 @@ class SerreGraph:
             if self._origin[e] not in subset and self.terminus(e) not in subset:
                 origin[e] = self._origin[e]
                 inverse[e] = self._inverse[e]
-        return SerreGraph(keep_v, origin, inverse, check=False)
+        return SerreGraph(keep_v, origin, inverse)
 
     def is_tree(self):
         """Connected, nonempty and circuit-free: no cycles and one component."""
@@ -166,9 +159,9 @@ class SerreGraph:
             if vertex_color and v in vertex_color:
                 attr = f' [style=filled, fillcolor="{vertex_color[v]}"]'
             lines.append(f'  "{_dot_id(v)}"{attr};')
-        for ge in self.geometric_edges():
-            o, t = self._origin[ge.rep], self.terminus(ge.rep)
-            lines.append(f'  "{_dot_id(o)}" -> "{_dot_id(t)}" [label="{ge.rep}"];')
+        for e in self.geometric_edges():
+            o, t = self._origin[e], self.terminus(e)
+            lines.append(f'  "{_dot_id(o)}" -> "{_dot_id(t)}" [label="{e}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -224,11 +217,3 @@ def vertex_ids(values, where):
             raise ValueError(f"{where.format(i)} repeats vertex id {v!r}")
         seen.add(v)
     return values
-
-
-@dataclass(frozen=True)
-class GeometricEdge:
-    """Unordered edge pair {rep, inv}; rep is the smaller id."""
-
-    rep: int
-    inv: int

@@ -22,8 +22,8 @@ as the argument its provenance names.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts
 from .bass_serre import Certificate, GraphOfFiniteGroups, PiOne
@@ -216,8 +216,13 @@ def catalog_from_json(data):
 
 
 def default_catalog():
-    """The built-in catalog: the document catalog.json shipped with the package."""
-    return catalog_from_json(json.loads(resources.files(__package__).joinpath("catalog.json").read_text()))
+    """The built-in catalog: the document catalog.json shipped with the package.
+
+    The module's own loader reads it, as pkgutil.get_data does, so a zipped
+    package works too.
+    """
+    data = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "catalog.json"))
+    return catalog_from_json(json.loads(data))
 
 
 # -- the equivalence harness ----------------------------------------------
@@ -256,8 +261,7 @@ def run_witness_chain(backend, edge, probe_radius, cap):
     inv = ai_cohomology.check_almost_invariance(w, t)
     cut = ai_cohomology.cut_from_witness(w, t)
     report = {
-        "witness": {"kind": w.kind, "pair": w.pair.name, "details": {
-            k: v for k, v in w.details.items() if k != "properness"}},
+        "witness": {"kind": w.kind, "pair": w.pair.name, "details": w.details},
         "almost_invariance": inv.to_json(),
         "cut": cut.to_json(),
     }

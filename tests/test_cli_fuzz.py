@@ -29,7 +29,7 @@ SPEC_COMMANDS = (
     ["ends", "--rmax", "1", "--R", "6", *CAP],
     ["cut", "--R", "6", *CAP],
     ["tree", "--radius", "3", *CAP],
-    ["witness", "--edge", "0", "--probe", "4", *CAP],
+    ["witness", "--edge", "0", "--probe", "6", *CAP],
 )
 
 

@@ -356,8 +356,8 @@ def test_coboundary_of_every_probe_block_matches_the_graph_scan(catalog, radius)
                     assert coboundary(t, set(block)) == want, pair.name
 
 
-# at probe radius 1 the coboundary reaches the outer sphere, which the probe leaves out
-@pytest.mark.parametrize("probe_radius", [5, 8, 1])
+# the least probe radius the margin allows, the default, and one far past it
+@pytest.mark.parametrize("probe_radius", [6, 8, 13])
 def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, probe_radius):
     from endlab.ai_cohomology import cut_from_witness, witness_from_splitting
     from endlab.cayley_abels import coset_canonical
@@ -379,3 +379,17 @@ def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, pr
         assert_components_agree(t, probe)
         escaping = len(reference_escaping(t, probe))
         assert cut_from_witness(w, t).escaping_components == escaping, entry.name
+
+
+@pytest.mark.parametrize("probe_radius", [1, 5])
+def test_witness_cut_refuses_a_probe_inside_the_margin(catalog, probe_radius):
+    # every catalog witness probe lies in sphere 1, which the margin of 4
+    # spheres allows from probe radius 6 on, as find_cut's last probe B_{R-5}
+    from endlab.ai_cohomology import cut_from_witness, witness_from_splitting
+
+    for entry in catalog.values():
+        if entry.marked_edge is None:
+            continue
+        w = witness_from_splitting(entry.backend(), entry.marked_edge, probe_radius=probe_radius)
+        with pytest.raises(ValueError, match=f"inside the margin of {MARGIN} spheres"):
+            cut_from_witness(w, w.truncation)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -286,15 +287,29 @@ def test_named_inverse_letter_is_confluent():
     assert ok
 
 
+def unverified_rewriting_group(*args, **kwargs):
+    """A RewritingGroup built with verify_confluence passing, for this one
+    construction: a reference system whose reducer is exercised even where
+    its irreducible words are not unique."""
+    with mock.patch.object(RewritingGroup, "verify_confluence", lambda self: (True, None)):
+        return RewritingGroup(*args, **kwargs)
+
+
+def non_confluent_system():
+    # ab -> a and ba -> b overlap in aba, which reduces to aa, and to ab then a
+    return unverified_rewriting_group(["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")])
+
+
 def test_non_confluent_system_reports_overlap():
-    g = RewritingGroup(
-        ["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")], check=False
-    )
+    g = non_confluent_system()
     ok, pair = g.verify_confluence()
     assert not ok
     word, one, two = pair
     assert one != two
     assert g.normal_form(word) in (one, two)
+    with pytest.raises(ValueError, match="not confluent") as info:
+        RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")])
+    assert str((word, one, two)) in str(info.value)
 
 
 def test_aa_to_a_system_rejected():
@@ -304,7 +319,7 @@ def test_aa_to_a_system_rejected():
 
 def test_non_reducing_rule_rejected():
     with pytest.raises(ValueError, match="reduce"):
-        RewritingGroup(["a"], {"a": "A"}, [("a", "aa")], check=False)
+        RewritingGroup(["a"], {"a": "A"}, [("a", "aa")])
 
 
 # -- ball enumeration ----------------------------------------------------------------
@@ -478,9 +493,7 @@ def rewriting_systems():
     ]
     groups.append(RewritingGroup.from_json(README_Z2_SPEC))
     # not confluent, so the result depends on which rewrite fires first
-    groups.append(RewritingGroup(
-        ["a", "b"], {"a": "A", "b": "B"}, [("ab", "a"), ("ba", "b")], check=False
-    ))
+    groups.append(non_confluent_system())
     return groups
 
 

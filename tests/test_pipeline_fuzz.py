@@ -91,8 +91,9 @@ def test_random_graphs_of_groups_survive_the_pipeline():
         report = splitting_classify(gog)
         if report.overall not in ("nontrivial_s1", "nontrivial_s2"):
             continue
-        w = witness_from_splitting(pi, 0, probe_radius=5)
-        t = build(w.pair, 5)
+        # the least probe radius whose margin holds a sphere-1 witness probe
+        w = witness_from_splitting(pi, 0, probe_radius=6)
+        t = build(w.pair, 6)
         cert = check_almost_invariance(w, t)
         assert cert.passed, (gog.name, cert.details["failures"])
         assert dh1_nonvanishing_certificate(w, t).passed, gog.name

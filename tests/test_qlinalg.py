@@ -64,7 +64,7 @@ def delta_matrix(graph):
     vertex order.  The column of edge e carries +1 at its terminus and -1
     at its origin; a loop contributes a zero column.
     """
-    reps = [ge.rep for ge in graph.geometric_edges()]
+    reps = list(graph.geometric_edges())
     index = {v: i for i, v in enumerate(graph.vertices)}
     entries = {}
     for j, e in enumerate(reps):

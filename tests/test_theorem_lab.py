@@ -227,6 +227,18 @@ def test_cli_verify_of_the_packaged_file_prints_the_default_bytes(capsys):
     assert hashlib.sha256(by_file.encode()).hexdigest() == want["sha256"]
 
 
+def test_default_catalog_reads_its_file_without_importlib_resources(catalog):
+    # -S keeps site's own imports out; the package's loader reads catalog.json
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = 'import sys, endlab; print(len(endlab.default_catalog()), "importlib.resources" in sys.modules)'
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(catalog)), "False"]
+
+
 def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog_doc):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(entries_of(catalog_doc, "c5_gog")))
@@ -339,6 +351,18 @@ def test_cli_witness_on_missing_edge_reports_cleanly(tmp_path, capsys, catalog):
     assert cli.main(["witness", path, "--edge", "7"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"error": "invalid_input", "message": "edge 7 is not an edge of the base graph"}
+
+
+@pytest.mark.parametrize("probe", [1, 5])
+def test_cli_witness_probe_inside_the_margin_reports_cleanly(tmp_path, capsys, catalog, probe):
+    # the C2*C3 witness probe lies in sphere 1, which a radius-6 truncation
+    # is the first to keep MARGIN spheres inside its boundary
+    path = write_spec(tmp_path, catalog["c2_c3_gog"])
+    assert cli.main(["witness", path, "--edge", "0", "--probe", str(probe)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "invalid_input"
+    assert f"inside the margin of 4 spheres of the radius-{probe} truncation" in out["message"]
+    assert cli.main(["witness", path, "--edge", "0", "--probe", "6"]) == 0
 
 
 def test_cli_missing_file_reports_cleanly(capsys):
@@ -705,8 +729,7 @@ def reference_cmd_witness(backend, edge, probe, cap=DEFAULT_CAP):
     inv = ai_cohomology.check_almost_invariance(w, t)
     cut = ai_cohomology.cut_from_witness(w, t)
     out = {
-        "witness": {"kind": w.kind, "pair": w.pair.name, "details": {
-            k: v for k, v in w.details.items() if k != "properness"}},
+        "witness": {"kind": w.kind, "pair": w.pair.name, "details": w.details},
         "almost_invariance": inv.to_json(),
         "cut": cut.to_json(),
     }
@@ -738,7 +761,7 @@ def reference_run_witness_chain(backend, marked_edge, scales):
     }
 
 
-@pytest.mark.parametrize("probe", [3, 8])
+@pytest.mark.parametrize("probe", [6, 8])
 def test_witness_chain_matches_reference(tmp_path, capsys, catalog, probe):
     marked = [e for e in catalog.values() if e.marked_edge is not None]
     assert len(marked) == 4
@@ -758,10 +781,10 @@ def test_improper_witness_is_a_failed_verdict_not_an_error(catalog, monkeypatch)
 
     monkeypatch.setattr(ai_cohomology, "dh1_nonvanishing_certificate", improper)
     entry = catalog["z_hnn"]
-    report, passed = run_witness_chain(entry.backend(), 0, 3, DEFAULT_CAP)
+    report, passed = run_witness_chain(entry.backend(), 0, 6, DEFAULT_CAP)
     assert not passed
     assert report["dh1"] == {"passed": False, "error": "improper witness: one side dies at probe scale"}
-    verdict = verify_equivalence(entry, Scales(radius=8, probe_radius=3))
+    verdict = verify_equivalence(entry, Scales(radius=8, probe_radius=6))
     assert verdict.witness["dh1_nonvanishing"] is False and not verdict.consistent
 
 
@@ -775,5 +798,5 @@ def test_cli_witness_fails_when_fewer_than_two_components_escape(tmp_path, capsy
 
     monkeypatch.setattr(ai_cohomology, "cut_from_witness", one_escaping)
     path = write_spec(tmp_path, catalog["z_hnn"])
-    assert cli.main(["witness", path, "--edge", "0", "--probe", "3"]) == 1
+    assert cli.main(["witness", path, "--edge", "0", "--probe", "6"]) == 1
     assert json.loads(capsys.readouterr().out)["cut"]["escaping_components"] == 1
