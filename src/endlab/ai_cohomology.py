@@ -8,6 +8,11 @@ the lifted splitting edge; the edge group K fixes that edge, so the half a
 translate lands in is constant on K-cosets, which makes the set exactly
 K-invariant rather than just almost so.
 
+A witness is built with the coset-graph ball it is checked on, and
+records there once how many cosets of each sphere lie in B and outside
+it.  The almost-invariance check, the class certificate and the induced
+cut all read that one ball.
+
 Nonvanishing of the degree-one cohomology at level K is decided set
 theoretically: a proper witness (both sides escaping at probe scale) is
 neither almost zero nor constant, so its class survives.  That the class
@@ -27,33 +32,45 @@ from .group_backends import DEFAULT_CAP
 
 
 class AIWitness:
-    """Membership predicate with per-generator difference certificates.
+    """Membership predicate with per-generator difference certificates,
+    checked on one coset-graph ball.
 
     chi maps a coset representative to 0 or 1 and must be constant on
     cosets of pair.K.  certificates[i] is a finite list of coset labels
     containing where chi and its translate by pair.S[i] can disagree.
-    truncation, when set, is the coset-graph ball the witness was probed
-    on, for callers to reuse.
+    truncation is the ball of pair that every check reads; one of another
+    space raises ValueError.  occupancy counts, per sphere 1..radius, the
+    cosets in B and outside it, and details["proper"] says whether both
+    sides meet every one of those spheres.
     """
 
-    def __init__(self, pair, chi, certificates, kind="custom", details=None):
+    def __init__(self, pair, chi, certificates, truncation, kind="custom", details=None):
+        if truncation.space is not pair:
+            raise ValueError("the truncation is a ball of another generating pair")
         self.pair = pair
         self.chi = chi
         self.certificates = tuple(tuple(c) for c in certificates)
+        self.truncation = truncation
         self.kind = kind
         self.details = dict(details or {})
-        self.truncation = None
         if len(self.certificates) != len(pair.S):
             raise ValueError("need one certificate set per generator")
+        self.occupancy = []
+        for r in range(1, truncation.radius + 1):
+            labels = truncation.sphere_labels(r)
+            inside = sum(map(chi, labels))
+            self.occupancy.append({"r": r, "in_B": inside, "out_B": len(labels) - inside})
+        self.details["proper"] = bool(self.occupancy) and all(
+            row["in_B"] > 0 and row["out_B"] > 0 for row in self.occupancy
+        )
 
 
 def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
     """Half-tree witness for a nontrivial splitting edge.
 
     B consists of the cosets gK whose inverse translates the lifted edge
-    into its own terminus half.  The probe-radius truncation the properness
-    check ran on is kept as w.truncation.  Raises ValueError on a trivial
-    splitting.
+    into its own terminus half, checked on the coset-graph ball of the
+    probe radius.  Raises ValueError on a trivial splitting.
     """
     half = HalfTreeSplitting(pi, geom_edge)
     K = Subgroup(pi, pi.edge_subgroup_elements(half.e0), name=f"edge{half.e0}")
@@ -77,37 +94,21 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
         tuple(dict.fromkeys(coset_canonical(pi, K, h) for h in half.translating_cosets(s)))
         for s in pair.S
     ]
-    w = AIWitness(
+    return AIWitness(
         pair,
         chi,
         certificates,
+        build(pair, probe_radius, cap=cap),
         kind="half_tree",
         details={"edge": half.e0, "group": pi.name},
     )
-    t = build(pair, probe_radius, cap=cap)
-    w.details["proper"] = _is_proper(_side_occupancy(w, t))
-    w.truncation = t
-    return w
 
 
-def _side_occupancy(w, t):
-    rows = []
-    for r in range(1, t.radius + 1):
-        labels = t.sphere_labels(r)
-        inside = sum(w.chi(v) for v in labels)
-        rows.append({"r": r, "in_B": inside, "out_B": len(labels) - inside})
-    return rows
-
-
-def _is_proper(occupancy):
-    return bool(occupancy) and all(row["in_B"] > 0 and row["out_B"] > 0 for row in occupancy)
-
-
-def check_almost_invariance(w, t):
-    """Exhaustive ball check: kB = B for k in K, and sB-differences inside
-    the declared certificates.  Failures are verdicts, not errors."""
-    _require_same_pair(w, t)
-    backend = w.pair.backend
+def check_almost_invariance(w):
+    """Exhaustive check on the witness's ball: kB = B for k in K, and
+    sB-differences inside the declared certificates.  Failures are
+    verdicts, not errors."""
+    backend, t = w.pair.backend, w.truncation
     failures = []
     k_orbits = {}
     cert_union = sorted({c for cert in w.certificates for c in cert}, key=backend.sort_key)
@@ -118,7 +119,7 @@ def check_almost_invariance(w, t):
         moved = [str(v) for v in t.vertices if chi(act(k_inv, v)) != chi(v)]
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
-        k_orbits[str(k)] = {str(c): str(w.pair.act(k, c)) for c in cert_union if c in t.index}
+        k_orbits[str(k)] = {str(c): str(act(k, c)) for c in cert_union if c in t.index}
     for si, s in enumerate(w.pair.S):
         cert, s_inv = set(w.certificates[si]), backend.inverse(s)
         outside = [str(v) for v in t.vertices if chi(act(s_inv, v)) != chi(v) and v not in cert]
@@ -137,7 +138,7 @@ def check_almost_invariance(w, t):
     )
 
 
-def dh1_nonvanishing_certificate(w, t):
+def dh1_nonvanishing_certificate(w):
     """Certify a nonzero degree-one class at level K from a proper witness.
 
     An indicator that agrees with a constant plus a finitely supported
@@ -146,9 +147,7 @@ def dh1_nonvanishing_certificate(w, t):
     persistence clause cites the paper's injective level maps, which are not
     built here.  Raises ValueError for an improper witness.
     """
-    _require_same_pair(w, t)
-    occupancy = _side_occupancy(w, t)
-    if not _is_proper(occupancy):
+    if not w.details["proper"]:
         raise ValueError("improper witness: one side dies at probe scale")
     return Certificate(
         kind="dh1_nonvanishing",
@@ -156,7 +155,7 @@ def dh1_nonvanishing_certificate(w, t):
         details={
             "pair": w.pair.name,
             "level": w.pair.K.name,
-            "occupancy": occupancy,
+            "occupancy": w.occupancy,
             "statement": (
                 "indicator class is nonzero at this level and persists under the "
                 "injective level maps"
@@ -187,18 +186,18 @@ class WitnessCut:
         }
 
 
-def cut_from_witness(w, t):
+def cut_from_witness(w):
     """Turn a K-invariant witness into a cut of the coset graph.
 
-    Membership of gK in C_B reads the witness at the inverse coset, which
-    K-invariance makes well defined.  The oriented coboundary is bounded
-    by the total size of the declared difference certificates.  Its
-    interior endpoints are the probe whose escaping components are
-    counted; like find_cut's, the probe must stay MARGIN spheres inside
-    the truncation boundary, or ValueError names the radius it needs.
+    The cut lies in the witness's ball.  Membership of gK in C_B reads the
+    witness at the inverse coset, which K-invariance makes well defined.
+    The oriented coboundary is bounded by the total size of the declared
+    difference certificates.  Its interior endpoints are the probe whose
+    escaping components are counted; like find_cut's, the probe must stay
+    MARGIN spheres inside the truncation boundary, or ValueError names the
+    radius it needs.
     """
-    _require_same_pair(w, t)
-    backend, K = w.pair.backend, w.pair.K
+    backend, K, t = w.pair.backend, w.pair.K, w.truncation
     members = [i for i, v in enumerate(t.vertices) if w.chi(coset_canonical(backend, K, backend.inverse(v)))]
     cb = coboundary(t, set(members))
     bound = sum(len(c) for c in w.certificates)
@@ -221,15 +220,4 @@ def cut_from_witness(w, t):
         escaping_components=esc,
         probe_radius=t.radius,
     )
-
-
-def _require_same_pair(w, t):
-    if t.space is w.pair:
-        return
-    same = (
-        set(t.space.K.elements) == set(w.pair.K.elements)
-        and t.space.S == w.pair.S
-    )
-    if not same:
-        raise ValueError("witness and truncation use different generating pairs")
 

@@ -199,12 +199,6 @@ class PiOneElement:
     def __hash__(self):
         return self._hash
 
-    def __mul__(self, other):
-        return self.pi.multiply(self, other)
-
-    def inverse(self):
-        return self.pi.inverse(self)
-
     def is_identity(self):
         return not self.es and self.gs[0] == self.pi.vgroup(self.start).identity
 
@@ -608,10 +602,6 @@ class CoveringTree:
             room = ceiling[0] - len(m.es) - 1
             steps = [(a, b) for a, b in steps if -2 * pi.pinches(a, b) <= room]
         return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
-
-    def act(self, g, m):
-        """The label of g.m for g in the fundamental group."""
-        return self.pi.vertex_label(self.pi.multiply(g, m))
 
     def __repr__(self):
         return f"CoveringTree({self.pi.name})"

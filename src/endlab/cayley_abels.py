@@ -207,10 +207,6 @@ class Truncation:
         v, o = self.vertices, self.origin
         return SerreGraph.from_geometric(v, [(v[i], v[j]) for i, j in zip(o[::2], o[1::2])])
 
-    def ball(self, r):
-        """Labels at distance <= r from the base coset, 0 <= r <= radius."""
-        return self.vertices[:self.starts[r + 1]]
-
     def sphere_labels(self, r):
         return self.vertices[self.starts[r]:self.starts[r + 1]]
 

@@ -99,9 +99,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def inv(self, a):
-        return self.inverse_table[a]
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {len(self)})"
 

@@ -6,7 +6,7 @@ of its denominators, then rows are combined with integer
 cross-multiplication and divided by their content.  No code path of the
 lab ranks a matrix today: the boundary map of a graph needs no
 elimination, as its ranks are read off a component count
-(SerreGraph.boundary_dims), and the tests keep the elimination as the
+(serre_graphs.boundary_dims), and the tests keep the elimination as the
 reference for those counts.
 """
 

@@ -107,18 +107,6 @@ class SerreGraph:
                 inverse[e] = self._inverse[e]
         return SerreGraph(keep_v, origin, inverse)
 
-    def is_tree(self):
-        """Connected, nonempty and circuit-free: no cycles and one component."""
-        _, ker, coker = boundary_dims(len(self._vertices), len(self._edges) // 2, len(self.components()))
-        return ker == 0 and coker == 1
-
-    def to_json(self):
-        edges = [
-            {"id": e, "inv": self._inverse[e], "o": self._origin[e], "t": self.terminus(e)}
-            for e in self._edges
-        ]
-        return {"vertices": list(self._vertices), "edges": edges}
-
     @classmethod
     def from_records(cls, vertices, edges):
         """Graph from vertex ids and JSON edge records {"id", "inv", "o", "t", ...}.

@@ -257,16 +257,15 @@ def run_witness_chain(backend, edge, probe_radius, cap):
     witness is a failed dh1 entry, not an error.
     """
     w = ai_cohomology.witness_from_splitting(backend, edge, probe_radius=probe_radius, cap=cap)
-    t = w.truncation
-    inv = ai_cohomology.check_almost_invariance(w, t)
-    cut = ai_cohomology.cut_from_witness(w, t)
+    inv = ai_cohomology.check_almost_invariance(w)
+    cut = ai_cohomology.cut_from_witness(w)
     report = {
         "witness": {"kind": w.kind, "pair": w.pair.name, "details": w.details},
         "almost_invariance": inv.to_json(),
         "cut": cut.to_json(),
     }
     try:
-        report["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w, t).to_json()
+        report["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w).to_json()
     except ValueError as exc:
         report["dh1"] = {"passed": False, "error": str(exc)}
     passed = inv.passed and report["dh1"]["passed"] and cut.bound_ok and cut.escaping_components >= 2
@@ -283,12 +282,17 @@ def verify_equivalence(entry, scales=None):
             pair, r_max=scales.r_max, radius=scales.radius, cap=scales.cap,
         )
         ends.append({"pair": pair.name, **est.to_json()})
-    splitting = None
+    splitting = marked = None
     if isinstance(backend, PiOne):
-        splitting = bass_serre.splitting_classify(backend.gog).overall
+        classes = bass_serre.splitting_classify(backend.gog)
+        splitting = classes.overall
+        # the chain runs on the marked edge's own class: overall is None
+        # once the base graph has two or more geometric edges
+        if entry.marked_edge is not None:
+            e = entry.marked_edge
+            marked = classes.kind_of(min(e, backend.graph.inverse(e)))
     witness = None
-    has_nontrivial = splitting in ("nontrivial_s1", "nontrivial_s2")
-    if has_nontrivial and entry.marked_edge is not None:
+    if marked in ("nontrivial_s1", "nontrivial_s2"):
         report, passed = run_witness_chain(backend, entry.marked_edge, scales.probe_radius, scales.cap)
         witness = {
             "passed": passed,

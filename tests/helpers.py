@@ -8,7 +8,7 @@ from importlib import resources
 from endlab.bass_serre import tree_truncation
 from endlab.cayley_abels import GeneratingPair, build, trivial_subgroup
 from endlab.group_backends import DEFAULT_CAP
-from endlab.serre_graphs import SerreGraph
+from endlab.serre_graphs import SerreGraph, boundary_dims
 
 
 def random_graph(rng, max_vertices=40, edge_factor=1.2):
@@ -17,6 +17,19 @@ def random_graph(rng, max_vertices=40, edge_factor=1.2):
     m = rng.randint(0, int(edge_factor * n))
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
     return SerreGraph.from_geometric(range(n), pairs)
+
+
+def is_tree(g):
+    """Whether a graph is connected, nonempty and circuit-free, read off
+    the boundary dimensions `endlab homology` prints."""
+    _, ker, coker = boundary_dims(len(g.vertices), len(g.geometric_edges()), len(g.components()))
+    return ker == 0 and coker == 1
+
+
+def graph_json(g):
+    """A graph as the JSON document SerreGraph.from_json reads."""
+    edges = [{"id": e, "inv": g.inverse(e), "o": g.origin(e), "t": g.terminus(e)} for e in g.edges]
+    return {"vertices": list(g.vertices), "edges": edges}
 
 
 def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
@@ -138,10 +151,12 @@ class TreeActionOracle:
     """
 
     def __init__(self, backend):
+        self.pi = backend
         self.tt = tree_truncation(backend, 6)
 
     def value(self, el):
-        return tuple(self.tt.space.act(el, v) for v in self.tt.vertices)
+        pi = self.pi
+        return tuple(pi.vertex_label(pi.multiply(el, v)) for v in self.tt.vertices)
 
 
 class MatrixAmalgamOracle:

@@ -25,8 +25,7 @@ def witnesses():
     ):
         pi = make()
         w = witness_from_splitting(pi, edge, probe_radius=8)
-        t = build(w.pair, 8)
-        out[name] = (pi, w, t)
+        out[name] = (pi, w, w.truncation)
     return out
 
 
@@ -40,7 +39,7 @@ def test_z_hnn_witness_is_a_half_line(witnesses):
         el = pi.identity()
         step = t_letter if n >= 0 else pi.inverse(t_letter)
         for _ in range(abs(n)):
-            el = el * step
+            el = pi.multiply(el, step)
         assert w.chi(el) == (1 if n <= 0 else 0)
 
 
@@ -64,10 +63,10 @@ def test_witnesses_are_proper(witnesses):
 
 
 def test_witness_keeps_its_probe_truncation(witnesses):
-    # the CLI and the catalog chain reuse it instead of building it again
+    # every check reads it instead of building it again
     for name, (_, w, t) in witnesses.items():
-        assert w.truncation.space is w.pair, name
-        assert coset_table(w.truncation) == coset_table(t), name
+        assert t.space is w.pair and t.radius == 8, name
+        assert coset_table(t) == coset_table(build(w.pair, 8)), name
 
 
 def test_trivial_splitting_has_no_witness():
@@ -87,7 +86,7 @@ def test_witness_chi_is_an_indicator(witnesses):
 def test_catalog_witnesses_pass_exhaustive_check(witnesses):
     for name in witnesses:
         _, w, t = witnesses[name]
-        cert = check_almost_invariance(w, t)
+        cert = check_almost_invariance(w)
         assert cert.passed, (name, cert.details["failures"])
 
 
@@ -111,11 +110,10 @@ def test_single_coset_set_is_almost_invariant_but_improper():
         return 1 if rep == base else 0
 
     certs = [(base, coset_canonical(pi, K, s)) for s in pair.S]
-    w = AIWitness(pair, chi, certs)
-    t = build(pair, 8)
-    assert check_almost_invariance(w, t).passed
+    w = AIWitness(pair, chi, certs, build(pair, 8))
+    assert check_almost_invariance(w).passed
     with pytest.raises(ValueError, match="improper"):
-        dh1_nonvanishing_certificate(w, t)
+        dh1_nonvanishing_certificate(w)
 
 
 def test_parity_set_is_not_almost_invariant(catalog):
@@ -124,9 +122,8 @@ def test_parity_set_is_not_almost_invariant(catalog):
     def chi(word):
         return len(word) % 2
 
-    w = AIWitness(pair, chi, [() for _ in pair.S])
-    t = build(pair, 6)
-    cert = check_almost_invariance(w, t)
+    w = AIWitness(pair, chi, [() for _ in pair.S], build(pair, 6))
+    cert = check_almost_invariance(w)
     assert not cert.passed
     kinds = {f["kind"] for f in cert.details["failures"]}
     assert "difference_escapes_certificate" in kinds
@@ -134,10 +131,10 @@ def test_parity_set_is_not_almost_invariant(catalog):
 
 def test_cofinite_set_is_improper(witnesses):
     pi, w0, t = witnesses["z_hnn"]
-    w = AIWitness(w0.pair, lambda rep: 1, [() for _ in w0.pair.S])
-    assert check_almost_invariance(w, t).passed
+    w = AIWitness(w0.pair, lambda rep: 1, [() for _ in w0.pair.S], t)
+    assert check_almost_invariance(w).passed
     with pytest.raises(ValueError, match="improper"):
-        dh1_nonvanishing_certificate(w, t)
+        dh1_nonvanishing_certificate(w)
 
 
 # -- nonvanishing certificates --------------------------------------------------------
@@ -145,7 +142,7 @@ def test_cofinite_set_is_improper(witnesses):
 def test_dh1_certified_for_catalog_witnesses(witnesses):
     for name in witnesses:
         _, w, t = witnesses[name]
-        cert = dh1_nonvanishing_certificate(w, t)
+        cert = dh1_nonvanishing_certificate(w)
         assert cert.passed
         assert all(row["in_B"] > 0 and row["out_B"] > 0 for row in cert.details["occupancy"])
 
@@ -154,7 +151,7 @@ def test_dh1_certified_for_catalog_witnesses(witnesses):
 
 def test_cut_from_z_hnn_witness(witnesses):
     _, w, t = witnesses["z_hnn"]
-    cut = cut_from_witness(w, t)
+    cut = cut_from_witness(w)
     assert len(cut.coboundary) == 2  # one geometric edge
     assert cut.bound_ok
     assert cut.escaping_components >= 2
@@ -163,7 +160,7 @@ def test_cut_from_z_hnn_witness(witnesses):
 def test_cut_bound_via_certificates(witnesses):
     for name in witnesses:
         _, w, t = witnesses[name]
-        cut = cut_from_witness(w, t)
+        cut = cut_from_witness(w)
         assert len(cut.coboundary) <= sum(len(c) for c in w.certificates)
         inside = set(cut.vertices)
         for e in cut.coboundary:
@@ -173,19 +170,38 @@ def test_cut_bound_via_certificates(witnesses):
 def test_round_trip_witness_to_two_escaping_components(witnesses):
     for name in witnesses:
         _, w, t = witnesses[name]
-        assert cut_from_witness(w, t).escaping_components >= 2, name
+        assert cut_from_witness(w).escaping_components >= 2, name
 
 
 def test_empty_witness_gives_empty_cut(witnesses):
     _, w0, t = witnesses["z_hnn"]
-    w = AIWitness(w0.pair, lambda rep: 0, [() for _ in w0.pair.S])
-    cut = cut_from_witness(w, t)
+    w = AIWitness(w0.pair, lambda rep: 0, [() for _ in w0.pair.S], t)
+    cut = cut_from_witness(w)
     assert cut.vertices == () and cut.coboundary == ()
     assert cut.escaping_components == 0
 
 
 def test_cut_requires_matching_pair(witnesses):
+    # a witness is refused a ball of any other pair, an equal one included
     _, w, _ = witnesses["z_hnn"]
     _, _, t_other = witnesses["dinf"]
-    with pytest.raises(ValueError, match="pairs"):
-        cut_from_witness(w, t_other)
+    for t in (t_other, build(GeneratingPair(w.pair.backend, w.pair.K, w.pair.S), 8)):
+        with pytest.raises(ValueError, match="another generating pair"):
+            AIWitness(w.pair, w.chi, w.certificates, t)
+
+
+def test_dh1_reads_the_occupancy_the_witness_recorded(witnesses):
+    # the witness counts each sphere once, when it is built; dh1 walks no sphere again
+    for name, (_, w, t) in witnesses.items():
+        chi, calls = w.chi, []
+        w.chi = lambda rep: calls.append(rep) or chi(rep)
+        try:
+            cert = dh1_nonvanishing_certificate(w)
+        finally:
+            w.chi = chi
+        assert calls == [], name
+        want = [sum(map(chi, t.sphere_labels(r))) for r in range(1, t.radius + 1)]
+        assert [row["in_B"] for row in cert.details["occupancy"]] == want, name
+        assert [row["in_B"] + row["out_B"] for row in w.occupancy] == [
+            t.starts[r + 1] - t.starts[r] for r in range(1, t.radius + 1)
+        ], name

@@ -12,7 +12,7 @@ from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import DEFAULT_CAP, FiniteGroup, RewritingGroup
 from endlab.serre_graphs import SerreGraph
 
-from helpers import ball_enumerate
+from helpers import ball_enumerate, graph_json, is_tree
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog
 from test_group_backends import make_dinf, make_f2, make_f2_redundant, make_z2
 
@@ -46,7 +46,7 @@ def test_c2c3_vertex_subgroup_identifies_b_powers_with_identity():
     b = pi.vertex_inclusion("w", 1)
     base = coset_canonical(pi, K, pi.identity())
     assert coset_canonical(pi, K, b) == base
-    assert coset_canonical(pi, K, b * b) == base
+    assert coset_canonical(pi, K, pi.multiply(b, b)) == base
     a = pi.vertex_inclusion("u", 1)
     assert coset_canonical(pi, K, a) != base
 
@@ -73,7 +73,7 @@ def test_pair_saturates_k_conjugation():
     y = pi.vertex_inclusion("w", 1)
     pair = GeneratingPair(pi, K, [y])
     x = pi.vertex_inclusion("u", 1)
-    assert set(pair.S) == {y, x * y * x}
+    assert set(pair.S) == {y, pi.multiply(pi.multiply(x, y), x)}
     assert all(pi.inverse(s) in set(pair.S) for s in pair.S)
 
 
@@ -92,7 +92,7 @@ def test_z_ball_three_is_a_seven_vertex_segment():
     pair = GeneratingPair(z, trivial_subgroup(z), ["a"])
     t = build(pair, 3)
     assert len(t.graph.vertices) == 7
-    assert t.graph.is_tree()
+    assert is_tree(t.graph)
     degrees = sorted(len(t.graph.star(v)) for v in t.graph.vertices)
     assert degrees == [1, 1, 2, 2, 2, 2, 2]
 
@@ -106,7 +106,7 @@ def test_dinf_trivial_k_ball_is_a_line_matching_affine_oracle():
     )
     t = build(pair, 3)
     assert len(t.graph.vertices) == 7
-    assert t.graph.is_tree()
+    assert is_tree(t.graph)
     # labels map to seven distinct points of the affine line
     images = {affine_value(pi, v) for v in t.graph.vertices}
     assert len(images) == 7
@@ -118,7 +118,7 @@ def test_c2c3_vertex_pair_truncation_interior_degree():
     pair = GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
     assert len(pair.S) == 3
     t = build(pair, 2)
-    assert t.graph.is_tree()
+    assert is_tree(t.graph)
     sphere = distances(t)
     for v in t.graph.vertices:
         if sphere[v] < 2:
@@ -207,7 +207,7 @@ def test_sphere_offsets_at_and_past_the_diameter():
     assert [list(t.sphere_labels(r)) for r in range(4)] == [[""], ["a", "A"], ["aa", "AA"], ["aaa"]]
     t = build(pair, 4)
     assert t.exhausted
-    assert t.ball(4) == t.ball(3) == t.vertices and not t.sphere_labels(4)
+    assert t.vertices[:t.starts[5]] == t.vertices[:t.starts[4]] == t.vertices and not t.sphere_labels(4)
 
 
 def test_budget_cap_enforced(catalog):
@@ -219,7 +219,7 @@ def test_budget_cap_enforced(catalog):
 def test_dot_and_json_exports(catalog):
     pair = catalog["dinfty_gog"].pairs()[0]
     t = build(pair, 2)
-    data = t.graph.to_json()
+    data = graph_json(t.graph)
     assert data["vertices"] == list(t.vertices)
     # every half-edge of a row is one oriented edge
     oriented = sum(map(len, t.rows))
@@ -245,7 +245,7 @@ def test_builds_are_deterministic(catalog):
     a = cayley_build(pair, 3)
     b = cayley_build(pair, 3)
     assert a.graph.vertices == b.graph.vertices
-    assert a.graph.to_json() == b.graph.to_json()
+    assert graph_json(a.graph) == graph_json(b.graph)
     assert distances(a) == distances(b)
 
 

@@ -15,7 +15,7 @@ import pytest
 from endlab import cli
 from endlab.serre_graphs import SerreGraph
 
-from helpers import entries_of
+from helpers import entries_of, graph_json
 
 # JSON scalars plus the small shapes that specs are made of
 VALUES = (
@@ -98,4 +98,4 @@ def test_cli_survives_mutated_graphs(tmp_path, capsys):
     graph = SerreGraph.from_geometric(["u", "w", 0], [("u", "w"), ("w", 0), (0, "u"), ("u", "u")])
     rng = random.Random("graph")
     for _ in range(10 * MUTANTS):
-        run_cli(tmp_path, capsys, ["homology"], mutate(graph.to_json(), rng))
+        run_cli(tmp_path, capsys, ["homology"], mutate(graph_json(graph), rng))

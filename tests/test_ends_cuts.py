@@ -158,7 +158,7 @@ def test_cut_in_f2_is_a_branch(catalog):
     assert cut is not None
     assert cut.probe_radius == 0
     assert len(cut.coboundary) == 2  # the two orientations at the branch root
-    rest = t.graph.remove_vertex_set(set(t.ball(cut.probe_radius)))
+    rest = t.graph.remove_vertex_set(set(t.vertices[:t.starts[cut.probe_radius + 1]]))
     blocks = {frozenset(b) for b in rest.components()}
     assert frozenset(cut.vertices) in blocks
 
@@ -206,7 +206,7 @@ def reference_classify_ends(pair, r_max, radius, margin=4):
     probes = []
     best = 0
     for r in range(r_max + 1):
-        ball = t.ball(r)
+        ball = t.vertices[:t.starts[r + 1]]
         if any(sphere[v] >= t.radius for v in ball):
             break
         c = len(reference_escaping(t, ball))
@@ -235,14 +235,14 @@ def reference_escaping(t, probe):
 def reference_probes(t, r_max):
     """The per-radius probe sum classify_ends ran before ball_probes, kept as
     the reference: one labelled component walk per ball radius."""
-    return [len(reference_escaping(t, t.ball(r))) for r in range(r_max + 1)]
+    return [len(reference_escaping(t, t.vertices[:t.starts[r + 1]])) for r in range(r_max + 1)]
 
 
 def reference_find_cut(t):
     """The find_cut that labelled every block of each probe and scanned the
     whole edge table for the coboundary, kept as the reference."""
     for r in range(max(0, t.radius - MARGIN)):
-        escaping = reference_escaping(t, t.ball(r))
+        escaping = reference_escaping(t, t.vertices[:t.starts[r + 1]])
         if len(escaping) >= 2:
             return Cut(escaping[0], reference_coboundary(t.graph, escaping[0]), True, True, r)
     return None
@@ -341,7 +341,7 @@ def test_ball_probes_walk_the_truncation_like_the_copy(catalog, r_max, radius):
         for pair in entry.pairs():
             t = build(pair, radius)
             for r in range(r_max + 1):
-                assert_components_agree(t, t.ball(r))
+                assert_components_agree(t, t.vertices[:t.starts[r + 1]])
 
 
 @pytest.mark.parametrize("radius", [6, 8])
@@ -378,7 +378,7 @@ def test_witness_coboundary_probe_walks_the_truncation_like_the_copy(catalog, pr
         assert probe, entry.name
         assert_components_agree(t, probe)
         escaping = len(reference_escaping(t, probe))
-        assert cut_from_witness(w, t).escaping_components == escaping, entry.name
+        assert cut_from_witness(w).escaping_components == escaping, entry.name
 
 
 @pytest.mark.parametrize("probe_radius", [1, 5])
@@ -392,4 +392,4 @@ def test_witness_cut_refuses_a_probe_inside_the_margin(catalog, probe_radius):
             continue
         w = witness_from_splitting(entry.backend(), entry.marked_edge, probe_radius=probe_radius)
         with pytest.raises(ValueError, match=f"inside the margin of {MARGIN} spheres"):
-            cut_from_witness(w, w.truncation)
+            cut_from_witness(w)

@@ -77,7 +77,7 @@ def test_cyclic_group_is_verified():
     assert len(g) == 6
     assert g.identity == 0
     assert g.mul(4, 5) == 3
-    assert g.inv(2) == 4
+    assert g.inverse_table[2] == 4
 
 
 def test_non_latin_table_rejected():

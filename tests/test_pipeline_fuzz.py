@@ -22,11 +22,10 @@ from endlab.bass_serre import (
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import build
 from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
 
-from helpers import ball_enumerate
+from helpers import ball_enumerate, is_tree
 
 
 def cyclic_embedding(rng, d, n):
@@ -80,12 +79,12 @@ def test_random_graphs_of_groups_survive_the_pipeline():
             ball = ball_enumerate(pi, gens, 2)
             sample = ball[:6]
             for a, b, c in itertools.product(sample, repeat=3):
-                assert (a * b) * c == a * (b * c), gog.name
+                assert pi.multiply(pi.multiply(a, b), c) == pi.multiply(a, pi.multiply(b, c)), gog.name
             for a in sample:
-                assert (a * pi.inverse(a)).is_identity(), gog.name
+                assert pi.multiply(a, pi.inverse(a)).is_identity(), gog.name
 
         tt = tree_truncation(pi, 3)
-        assert tt.graph.is_tree(), gog.name
+        assert is_tree(tt.graph), gog.name
         assert exactness_on_truncation(pi, 2).passed, gog.name
 
         report = splitting_classify(gog)
@@ -93,10 +92,9 @@ def test_random_graphs_of_groups_survive_the_pipeline():
             continue
         # the least probe radius whose margin holds a sphere-1 witness probe
         w = witness_from_splitting(pi, 0, probe_radius=6)
-        t = build(w.pair, 6)
-        cert = check_almost_invariance(w, t)
+        cert = check_almost_invariance(w)
         assert cert.passed, (gog.name, cert.details["failures"])
-        assert dh1_nonvanishing_certificate(w, t).passed, gog.name
-        cut = cut_from_witness(w, t)
+        assert dh1_nonvanishing_certificate(w).passed, gog.name
+        cut = cut_from_witness(w)
         assert cut.bound_ok, gog.name
         assert cut.escaping_components >= 2, gog.name

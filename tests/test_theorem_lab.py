@@ -24,7 +24,7 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, catalog_document, entries_of, oracle_for
+from helpers import ball_enumerate, catalog_document, entries_of, graph_json, oracle_for
 
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = entries_of(catalog_document(), "z_hnn")["entries"][0]
@@ -192,7 +192,7 @@ def test_cli_homology(tmp_path, capsys):
 
     g = SerreGraph.from_geometric(range(3), [(0, 1), (1, 2), (2, 0)])
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(g.to_json()))
+    path.write_text(json.dumps(graph_json(g)))
     assert cli.main(["homology", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cycle_space_dim"] == 1
@@ -204,6 +204,42 @@ def test_cli_verify_default(capsys):
     assert cli.main(["verify", "--default", "--R", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_consistent"]
+
+
+def c2_c3_c2_entry(marked_edge):
+    """C2*C3*C2 on the path u--w--x with trivial edge groups, as a catalog entry."""
+    def edge(e, inv, o, t):
+        return {"id": e, "inv": inv, "o": o, "t": t, "edge_group": {"kind": "cyclic", "n": 1}, "embedding": [0]}
+
+    backend = {
+        "type": "graph_of_finite_groups", "name": "C2*C3*C2",
+        "vertices": [{"id": v, "group": {"kind": "cyclic", "n": n}} for v, n in (("u", 2), ("w", 3), ("x", 2))],
+        "edges": [edge(0, 1, "u", "w"), edge(1, 0, "w", "u"), edge(2, 3, "w", "x"), edge(3, 2, "x", "w")],
+    }
+    return {
+        "name": "c2_c3_c2_gog",
+        "spec": {"backend": backend, "pairs": [
+            {"K": "trivial", "S": [[{"v": v, "g": 1}] for v in ("u", "w", "x")]},
+        ]},
+        "expected_ends": ">=3",
+        "witness_expected": True,
+        "marked_edge": marked_edge,
+        "scales": {"radius": 8},
+        "provenance": {"ends": "a free product of three nontrivial finite groups other than D_inf"},
+    }
+
+
+# edge 3 is the inverse of edge 2: the chain runs on its geometric edge
+@pytest.mark.parametrize(("marked_edge", "escaping"), [(0, 4), (3, 7)])
+def test_cli_verify_runs_the_marked_edge_chain_of_a_two_edge_graph(tmp_path, capsys, marked_edge, escaping):
+    # two geometric edges leave the overall splitting class unset; the marked
+    # edge's own class is nontrivial, so its witness chain runs and passes
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"entries": [c2_c3_c2_entry(marked_edge)]}))
+    assert cli.main(["verify", str(path)]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]["equivalence"]
+    assert row["splitting"] is None and row["consistent"], row["details"]
+    assert row["witness"]["passed"] and row["witness"]["cut_escaping_components"] == escaping
 
 
 def test_cli_verify_default_prints_the_bytes_the_benchmark_pins(capsys):
@@ -725,16 +761,15 @@ def test_cli_negative_radii_report_cleanly(tmp_path, capsys, catalog, entry, arg
 def reference_cmd_witness(backend, edge, probe, cap=DEFAULT_CAP):
     """The original `endlab witness` body after loading the spec: (stdout, exit code)."""
     w = ai_cohomology.witness_from_splitting(backend, edge, probe_radius=probe, cap=cap)
-    t = w.truncation
-    inv = ai_cohomology.check_almost_invariance(w, t)
-    cut = ai_cohomology.cut_from_witness(w, t)
+    inv = ai_cohomology.check_almost_invariance(w)
+    cut = ai_cohomology.cut_from_witness(w)
     out = {
         "witness": {"kind": w.kind, "pair": w.pair.name, "details": w.details},
         "almost_invariance": inv.to_json(),
         "cut": cut.to_json(),
     }
     try:
-        out["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w, t).to_json()
+        out["dh1"] = ai_cohomology.dh1_nonvanishing_certificate(w).to_json()
     except ValueError as exc:
         out["dh1"] = {"passed": False, "error": str(exc)}
     text = json.dumps(out, indent=2, default=str) + "\n"
@@ -746,10 +781,9 @@ def reference_run_witness_chain(backend, marked_edge, scales):
     w = ai_cohomology.witness_from_splitting(
         backend, marked_edge, probe_radius=scales.probe_radius, cap=scales.cap
     )
-    t = w.truncation
-    inv_cert = ai_cohomology.check_almost_invariance(w, t)
-    dh1 = ai_cohomology.dh1_nonvanishing_certificate(w, t)
-    cut = ai_cohomology.cut_from_witness(w, t)
+    inv_cert = ai_cohomology.check_almost_invariance(w)
+    dh1 = ai_cohomology.dh1_nonvanishing_certificate(w)
+    cut = ai_cohomology.cut_from_witness(w)
     ok = inv_cert.passed and dh1.passed and cut.bound_ok and cut.escaping_components >= 2
     return {
         "passed": ok,
@@ -776,7 +810,7 @@ def test_witness_chain_matches_reference(tmp_path, capsys, catalog, probe):
 
 
 def test_improper_witness_is_a_failed_verdict_not_an_error(catalog, monkeypatch):
-    def improper(w, t):
+    def improper(w):
         raise ValueError("improper witness: one side dies at probe scale")
 
     monkeypatch.setattr(ai_cohomology, "dh1_nonvanishing_certificate", improper)
@@ -791,8 +825,8 @@ def test_improper_witness_is_a_failed_verdict_not_an_error(catalog, monkeypatch)
 def test_cli_witness_fails_when_fewer_than_two_components_escape(tmp_path, capsys, catalog, monkeypatch):
     cut_from_witness = ai_cohomology.cut_from_witness
 
-    def one_escaping(w, t):
-        cut = cut_from_witness(w, t)
+    def one_escaping(w):
+        cut = cut_from_witness(w)
         cut.escaping_components = 1
         return cut
 
