@@ -113,10 +113,11 @@ def check_almost_invariance(w):
     k_orbits = {}
     cert_union = sorted({c for cert in w.certificates for c in cert}, key=backend.sort_key)
     # chi(g^{-1}.v) is the indicator of g.B at v; each g is inverted once
-    chi, act = w.chi, w.pair.act
+    chi, act, one = w.chi, w.pair.act, backend.identity()
     for k in w.pair.K.elements:
         k_inv = backend.inverse(k)
-        moved = [str(v) for v in t.vertices if chi(act(k_inv, v)) != chi(v)]
+        # 1.B = B needs no pass over the ball
+        moved = [str(v) for v in t.vertices if chi(act(k_inv, v)) != chi(v)] if k != one else []
         if moved:
             failures.append({"kind": "k_invariance", "k": str(k), "cosets": moved[:10]})
         k_orbits[str(k)] = {str(c): str(act(k, c)) for c in cert_union if c in t.index}

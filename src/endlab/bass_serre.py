@@ -30,19 +30,19 @@ word, is multiply folded over its letters.
 PiOne.pinches(a, b) walks multiply's junction loop alone and counts its
 pinches j, so the product's length |a| + |b| - 2j, which leads the sort
 key, is known before the product is formed.  PiOne.coset_products, the
-one routine for the coset rows of cayley_abels.ball_walk, K = 1 included,
-reads a row's products off these counts; its docstring gives the argument.
-Given the ceiling of ball_walk on the outer sphere, it and the covering
-tree leave out every label whose length is past the ceiling's.
+one routine for every coset row of cayley_abels.ball_walk, reads a row's
+products off these counts (its docstring gives the argument), and leaves
+out the labels past the ceiling ball_walk gives the outer sphere.
 
-The universal covering tree is a coset space for cayley_abels.ball_walk,
-materialized only as finite coset tables and read through reduced words
-alone: a vertex, a coset of a vertex group, is labelled by its least normal
-word, and tree edges carry no labels.
+The universal covering tree, PiOne.covering_tree, is such a coset space:
+a vertex, a coset of a vertex group, is labelled by its least normal
+word, tree edges carry no labels, and a row is the coset_products row of
+the cosets h.e.G_w of the tree edges at the vertex.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -404,14 +404,14 @@ class PiOne:
         self._push_to_transversals(G, E, 0)
         return PiOneElement(self, tuple(G), tuple(E), self.morph_end(a))
 
-    def coset_products(self, gens, K):
-        """The map x -> [the least x.g.k over k in K, for g in gens], for
-        normal words x and gens and the elements K of a finite subgroup.  It
-        gives every coset row of a PiOne pair; with K = {1} each slot has
-        one member, so it forms x.g.
+    def coset_products(self, cosets):
+        """The map x -> [the least x.b over b in C, for C in cosets], for
+        normal words x and cosets C of a finite subgroup, each the list of
+        its members as normal words.  It gives every coset row of a PiOne
+        pair, K = 1 included, and of the covering tree.
 
-        Each g gets its coset g.K once, as the sort-ordered normal words B,
-        and c, the number of leading group elements and edge letters that
+        Each coset is sorted once, as the sort-ordered normal words B, and
+        gets c, the number of leading group elements and edge letters that
         every member of B shares.  A product x.b has |x| + |b| - 2j edge
         letters, j = pinches(x, b), and the sort key leads with that
         length, so each slot reads j for B[0] first.  When j < c, the
@@ -438,13 +438,13 @@ class PiOne:
         """
         multiply, pinches, sort_key = self.multiply, self.pinches, self.sort_key
         slots = []
-        for g in gens:
-            B = sorted((multiply(g, k) for k in K), key=sort_key)
+        for members in cosets:
+            B = sorted(members, key=sort_key)
             b0, c = B[0], 0
             while all(len(b.es) > c and b.gs[c] == b0.gs[c] and b.es[c] == b0.es[c] for b in B):
                 c += 1
             slots.append((B, c))
-        M = max(len(b.es) for B, _ in slots for b in B)
+        M = max((len(b.es) for B, _ in slots for b in B), default=0)
         plans = {}
 
         def plan(x):
@@ -480,6 +480,11 @@ class PiOne:
 
     def sort_key(self, a):
         return (len(a.es), a.es, a.gs)
+
+    @functools.cached_property
+    def covering_tree(self):
+        """The universal covering tree, with its row maps, built once."""
+        return CoveringTree(self)
 
     # -- distinguished elements and subgroups --------------------------------
     def tree_path(self, v):
@@ -573,10 +578,11 @@ class CoveringTree:
     """The universal covering tree as a coset space for ball_walk.
 
     A vertex, the coset m.G_v of a word m ending at v, is labelled by its
-    least normal word (vertex_label).  By Serre, Trees, I.5, the tree edges
-    over e at the vertex of m correspond to the left cosets h.A_e, A_e the
-    image of the edge group at origin(e), so m h e meets each once as h
-    runs over the least elements of the cosets.
+    least normal word.  By Serre, Trees, I.5, the tree edges over e at the
+    vertex of m correspond to the left cosets h.A_e, A_e the image of the
+    edge group at origin(e), so m h e meets each once as h runs over the
+    least elements of the cosets, and the rows at the vertices over v are
+    one coset_products map of the cosets h.e.G_w, w = terminus(e).
     """
 
     def __init__(self, pi):
@@ -584,24 +590,20 @@ class CoveringTree:
         self.sort_key = pi.sort_key
         self.base = pi.vertex_label(pi.identity())
         graph, emb = pi.graph, pi.gog.embeddings
-        # v -> (h, e) per tree edge at a vertex over v
-        self._steps = {v: [] for v in graph.vertices}
+        # v -> the cosets h.e.G_w at a vertex over v, each member h e u
+        # normal once multiplied by the identity at w
+        cosets = {v: [] for v in graph.vertices}
         for e in graph.edges:
-            G = pi.vgroup(graph.origin(e))
-            mins = {min(G.mul(h, a) for a in emb[graph.inverse(e)]) for h in range(len(G))}
-            self._steps[graph.origin(e)] += [(h, e) for h in sorted(mins)]
+            v, w = graph.origin(e), graph.terminus(e)
+            G, H = pi.vgroup(v), pi.vgroup(w)
+            one = PiOneElement(pi, (H.identity,), (), w)
+            for h in sorted({min(G.mul(x, a) for a in emb[graph.inverse(e)]) for x in range(len(G))}):
+                cosets[v].append([pi.multiply(PiOneElement(pi, (h, u), (e,), v), one) for u in range(len(H))])
+        self._rows = {v: pi.coset_products(c) for v, c in cosets.items()}
 
     def neighbours(self, m, ceiling=None):
-        """The labels of the tree neighbours of m, the neighbours(x,
-        ceiling) of ball_walk.  Given a ceiling, it leaves out each child
-        m h e with more than ceiling[0] edge letters, |m| + 1 - 2j for j its
-        pinches, before the child is formed."""
-        pi, letter = self.pi, self.pi._letter
-        steps = [(pi.append_mul(m, h), letter[e]) for h, e in self._steps[pi.morph_end(m)]]
-        if ceiling is not None:
-            room = ceiling[0] - len(m.es) - 1
-            steps = [(a, b) for a, b in steps if -2 * pi.pinches(a, b) <= room]
-        return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
+        """The neighbours(x, ceiling) of ball_walk, by the row map of m's end."""
+        return self._rows[self.pi.morph_end(m)](m, ceiling)
 
     def __repr__(self):
         return f"CoveringTree({self.pi.name})"
@@ -612,7 +614,7 @@ def tree_truncation(pi, radius, cap=DEFAULT_CAP):
     whose labels are the vertices' canonical normal words."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    return ball_walk(CoveringTree(pi), radius, cap)
+    return ball_walk(pi.covering_tree, radius, cap)
 
 
 def truncation_boundary_dims(t):

@@ -13,23 +13,22 @@ Parallel edges (distinct s with the same target coset) are kept, so every
 interior vertex has exactly |S| outgoing edges.
 
 The label of x.s.K is the least of the |K| products x.b, b in the coset
-s.K.  A rewriting backend, whose K is trivial, forms x.s with
-right_products; PiOne forms every row, K = 1 included, with
-coset_products, which needs most of the products only by their length:
-its docstring gives the argument, from Serre's normal form (Trees, I.5).
+s.K.  Both backends form their rows with one method, coset_products,
+given the members of each coset: a rewriting backend takes K trivial, and
+PiOne needs most products only by their length (its docstring gives the
+argument, from Serre's normal form, Trees, I.5).
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
 base label, a label order and neighbours(x, ceiling=None), the labels of
 x's neighbours: GeneratingPair is one such space, and the covering tree of
-bass_serre is the other.  Given a ceiling, a sort key no less than x's,
-neighbours may leave out any label whose key it knows exceeds the ceiling;
-ball_walk passes the largest key in the ball for the outer sphere only,
-whose targets past the ball it drops anyway.  The rewriting backend and
-PiOne both leave out the labels longer than the ceiling, PiOne by the
-pinch count of each product before it forms it.  A truncation is its coset
-table, each fact stored once: the cosets in BFS order, where each sphere
-starts in it, each coset's row of targets inside the ball, and an origin
-per oriented edge, edge e having inverse e ^ 1.
+bass_serre, whose rows are coset_products maps too, is the other.  Given a
+ceiling, a sort key no less than x's, neighbours may leave out any label
+whose key it knows exceeds it, as both backends leave out the labels
+longer than the ceiling; ball_walk passes the largest key in the ball for
+the outer sphere only, whose targets past the ball it drops anyway.  A
+truncation is its coset table, each fact stored once: the cosets in BFS
+order, where each sphere starts in it, each coset's row of targets inside
+the ball, and an origin per oriented edge, edge e having inverse e ^ 1.
 
 ball_walk numbers each coset as found: one pass per sphere, the outer
 sphere the last, looks each label up once and gives a new one the next
@@ -149,20 +148,15 @@ class GeneratingPair:
     def neighbours(self):
         """The map from a coset label x to the labels of x.s.K, one per s in S.
 
-        A rewriting backend takes K trivial and forms the x.s with
-        right_products.  PiOne forms the sort-minimal x.b over each coset
-        s.K, which equals coset_canonical(x.s) by associativity and
-        uniqueness of normal forms, with coset_products (see there), for
-        every K.  The map is cached here, with the plans it keeps per
-        suffix of x, and so lives as long as the pair.  Each slot gets its
-        own product, so a wrong product leaves its edge unpaired.
+        The backend's coset_products forms the sort-minimal x.b over the
+        members s.k of each coset, which is coset_canonical(x.s) by
+        associativity and uniqueness of normal forms; s.1 is s, a normal
+        word.  The map is cached here, with what it keeps per suffix of x.
+        Each slot gets its own product, so a wrong one leaves its edge unpaired.
         """
-        backend = self.backend
-        if not isinstance(backend, RewritingGroup):
-            return backend.coset_products(self.S, self.K.elements)
-        if len(self.K) != 1:
-            raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
-        return backend.right_products(self.S)
+        backend, one = self.backend, self.backend.identity()
+        cosets = [[s, *(backend.multiply(s, k) for k in self.K.elements if k != one)] for s in self.S]
+        return backend.coset_products(cosets)
 
     def act(self, k, label):
         """Left action on coset labels; defined for any group element.

@@ -16,16 +16,16 @@ Two kinds of backend live here:
   keys compare words translated to letter-index characters.  The
   left-hand sides are also compiled once into a word acceptor, the
   Aho-Corasick automaton of Epstein et al., Word Processing in Groups
-  (1992), ch. 2.  right_products uses it to form the products x.g of a
+  (1992), ch. 2.  coset_products uses it to form the products x.g of a
   normal form x: x + g is already irreducible unless a left-hand side
   crosses the join, a free cancellation by a one-letter g leaves a prefix
   of x, and only the other crossings are reduced by normal_form.
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
-the coset machinery needs: identity(), multiply(a, b), inverse(a) and
-sort_key(a).  Its coset rows, for K = 1, come from right_products(gens),
-and PiOne's, for any finite K, from coset_products(gens, K); each gives a
-map that takes a label and an optional ceiling (see cayley_abels.ball_walk).
+the coset machinery needs: identity(), multiply(a, b), inverse(a),
+sort_key(a) and one row method, coset_products(cosets), which takes the
+members of each coset (one each here, as K = 1) and gives a map from a
+label and an optional ceiling to its row (see cayley_abels.ball_walk).
 """
 
 from __future__ import annotations
@@ -237,10 +237,10 @@ class RewritingGroup:
     def multiply(self, a, b):
         return self.normal_form(a + b)
 
-    def right_products(self, gens):
-        """The map x -> [normal_form(x + g) for g in gens], for a normal form x.
-
-        The gens may be any words.  Since x is irreducible, a left-hand side
+    def coset_products(self, cosets):
+        """The rows x -> [normal_form(x + g) for [g] in cosets] of a pair
+        with K = 1, for a normal form x and any words g; a coset of more
+        members raises ValueError.  Since x is irreducible, a left-hand side
         occurs in x + g only if it ends inside g, and the automaton finds
         each such occurrence starting from the state of x's last
         _max_lhs - 1 letters, so no state is kept per x: the map runs the
@@ -260,7 +260,9 @@ class RewritingGroup:
         ceiling[0] - |x| picks a slot list precomputed per state.  Every
         cancellation and fallback product is still formed.
         """
-        gens = list(gens)
+        if any(len(c) != 1 for c in cosets):
+            raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
+        gens = [c[0] for c in cosets]
         for g in gens:
             self._check_letters(g)
         delta, hit, rhs = self._delta, self._hit, self._rhs

@@ -8,7 +8,7 @@ from endlab.ai_cohomology import (
     witness_from_splitting,
 )
 from endlab.bass_serre import PiOne
-from endlab.cayley_abels import GeneratingPair, build, coset_canonical, trivial_subgroup
+from endlab.cayley_abels import GeneratingPair, Subgroup, build, coset_canonical, trivial_subgroup
 
 from test_bass_serre import c2c3, c4c2c4, dinf, segment_gog, z_hnn
 from test_cayley_abels import coset_table
@@ -97,6 +97,33 @@ def test_k_invariance_is_exact_for_nontrivial_k(witnesses):
         k_inv = pi.inverse(k)
         for v in t.vertices:
             assert w.chi(w.pair.act(k_inv, v)) == w.chi(v)
+
+
+def test_almost_invariance_takes_no_ball_pass_for_the_identity():
+    # the benchmark's witness: C2*C3 at edge 0, K trivial, probe radius 13.
+    # kB = B cannot fail for k = 1, so the identity acts only in its orbit
+    # table, on the 4 certificate cosets; the ball pass took 634 more
+    pi = c2c3()
+    w = witness_from_splitting(pi, 0, probe_radius=13)
+    act, one, calls = w.pair.act, pi.identity(), []
+    w.pair.act = lambda k, label: calls.append(k) or act(k, label)
+    cert = check_almost_invariance(w)
+    assert cert.passed
+    assert sum(k == one for k in calls) == 4 and len(calls) == 1_906
+    assert list(cert.details["k_orbit_tables"]) == ["1"] and len(cert.details["k_orbit_tables"]["1"]) == 4
+
+
+def test_a_set_that_k_moves_fails_k_invariance():
+    # C2*C3 over K = G_w, which is not normal: each k != 1 moves a coset of
+    # sphere 1 to another, so B = {that coset} fails kB = B for both
+    pi = c2c3()
+    K = Subgroup(pi, pi.vertex_subgroup_elements("w"))
+    pair = GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
+    t = build(pair, 4)
+    v = t.sphere_labels(1)[0]
+    w = AIWitness(pair, lambda rep: int(rep == v), [() for _ in pair.S], t)
+    failures = check_almost_invariance(w).details["failures"]
+    assert [f["k"] for f in failures if f["kind"] == "k_invariance"] == [str(k) for k in K.elements[1:]]
 
 
 def test_single_coset_set_is_almost_invariant_but_improper():

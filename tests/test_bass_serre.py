@@ -20,7 +20,7 @@ from endlab.bass_serre import (
     splitting_classify,
     tree_truncation,
 )
-from endlab.cayley_abels import coset_canonical
+from endlab.cayley_abels import ball_walk, coset_canonical
 from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
@@ -473,7 +473,7 @@ def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
         # appends the edge letter raw, so a neighbour that steps back along
         # the last letter keeps its pinch and is labelled as a vertex of its own
         pi = self.pi
-        return [pi.vertex_label(cross(pi, pi.append_mul(m, h), e)) for h, e in self._steps[pi.morph_end(m)]]
+        return [pi.vertex_label(cross(pi, pi.append_mul(m, h), e)) for h, e in tree_steps(pi, pi.morph_end(m))]
 
     monkeypatch.setattr(CoveringTree, "neighbours", raw_neighbours)
     with pytest.raises(InternalInconsistency, match=r"^unbalanced edge multiplicities .*CoveringTree\(pi1\(C2\*C3\)\)"):
@@ -569,6 +569,31 @@ def reference_vertex_label(pi, m):
         for u in range(len(G))
     ]
     return min(cands, key=pi.sort_key)
+
+
+def tree_steps(pi, v):
+    """The tree edges (h, e) at a vertex over v, in the order CoveringTree
+    kept them before its rows came from coset_products: the edges out of v
+    in edge order, and for each the least elements h of the cosets h.A_e."""
+    graph, G, emb = pi.graph, pi.vgroup(v), pi.gog.embeddings
+    return [
+        (h, e)
+        for e in graph.edges if graph.origin(e) == v
+        for h in sorted({min(G.mul(x, a) for a in emb[graph.inverse(e)]) for x in range(len(G))})
+    ]
+
+
+def reference_tree_row(pi, m, ceiling=None):
+    """CoveringTree.neighbours before its rows came from coset_products,
+    kept as the reference: each step (h, e) appends h with append_mul,
+    crosses e with multiply and labels the child with vertex_label; given a
+    ceiling, it first leaves out each child with more than ceiling[0] edge
+    letters, |m| + 1 - 2j for j its pinches."""
+    steps = [(pi.append_mul(m, h), pi._letter[e]) for h, e in tree_steps(pi, pi.morph_end(m))]
+    if ceiling is not None:
+        room = ceiling[0] - len(m.es) - 1
+        steps = [(a, b) for a, b in steps if -2 * pi.pinches(a, b) <= room]
+    return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
 
 
 def reference_edge_label(pi, m, e):
@@ -974,6 +999,40 @@ def test_tree_truncation_matches_reference():
                 break
     # the exactness step of the benchmark: C2*C3 at radius 14, 763 vertices
     assert assert_tree_matches_reference(c2c3(), 14)
+
+
+def tree_rows_off_reference(pi, radius):
+    """The (label, ceiling) pairs on which the rows of a fresh CoveringTree
+    differ from reference_tree_row.  The labels are those of the radius-R
+    ball of the reference rows, or of the largest smaller ball within
+    TREE_CAP.  Each is read without a ceiling, under the ceiling ball_walk
+    passes when its sphere is the outer one, and under the whole ball's."""
+    reference = SimpleNamespace(
+        base=reference_vertex_label(pi, pi.identity()),
+        sort_key=pi.sort_key,
+        neighbours=functools.partial(reference_tree_row, pi),
+    )
+    for r in range(radius, -1, -1):
+        try:
+            t = ball_walk(reference, r, cap=TREE_CAP)
+            break
+        except BudgetExceeded:
+            pass
+    tree = CoveringTree(pi)
+    # the largest key in the ball up to each position, in BFS order
+    running = list(itertools.accumulate(map(pi.sort_key, t.vertices), max))
+    off = []
+    for d in range(t.radius + 1):
+        for m in t.sphere_labels(d):
+            for ceiling in (None, running[t.starts[d] - 1 if d else 0], running[-1]):
+                if tree.neighbours(m, ceiling) != reference_tree_row(pi, m, ceiling):
+                    off.append((m, ceiling))
+    return off
+
+
+def test_tree_rows_match_the_reference():
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        assert tree_rows_off_reference(pi, 6) == [], pi.name
 
 
 def reference_translating_cosets(half, g):

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +14,7 @@ from endlab.group_backends import DEFAULT_CAP, FiniteGroup, RewritingGroup
 from endlab.serre_graphs import SerreGraph
 
 from helpers import ball_enumerate, graph_json, is_tree
-from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog
+from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog, tree_rows_off_reference
 from test_group_backends import make_dinf, make_f2, make_f2_redundant, make_z2
 
 
@@ -363,14 +364,14 @@ def test_f2_build_makes_no_normal_form_call(monkeypatch):
 def test_build_labels_each_slot_once(catalog, monkeypatch):
     # products are counted where they are made: PiOne forms every product,
     # through coset_products, with multiply; a rewriting backend forms them
-    # in right_products
+    # in its own coset_products
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
         if isinstance(backend, PiOne):
             counted_multiply(monkeypatch, backend, calls)
         else:
-            counted_right_products(monkeypatch, calls)
+            counted_coset_products(monkeypatch, calls)
         t = build(pair, 4)
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
@@ -451,14 +452,34 @@ def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch
 
 
 def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
-    # the 507 inner vertices of the radius-14 ball form all their 1,268
-    # steps, and each of the 256 outer vertices, whose other steps leave the
-    # ball, only the step back to its parent: 1,524 in all
-    pi, calls = c2c3(), []
-    counted_multiply(monkeypatch, pi, calls)
+    # each tree row is one coset_products row: a child step h.e.G_t shares
+    # its head h e with every member and takes one product, and the step
+    # back pinches every member, so it forms all |G_t| of them, tied.  The
+    # base forms 2 products, each of the other 506 inner vertices 1 + 3 or
+    # 2 + 2, and each of the 256 outer vertices, at the u end of its step
+    # back to a w vertex, only that step: 3 tied members, 768 products
+    pi, products, labelled = c2c3(), [], []
+    multiply, vertex_label = pi.multiply, pi.vertex_label
+
+    def counting(a, b):
+        products.append((a, multiply(a, b)))
+        return products[-1][1]
+
+    monkeypatch.setattr(pi, "multiply", counting)
+    monkeypatch.setattr(pi, "vertex_label", lambda m: labelled.append(m) or vertex_label(m))
+    tree = pi.covering_tree
+    products.clear()
     t = tree_truncation(pi, 14)
-    assert len(t.vertices) == 763
-    assert len(calls) <= 1_600
+    assert t.space is tree and len(t.vertices) == 763
+    assert len(products) == 2_794
+    # vertex_label gives the base label alone; the rows label no vertex
+    assert labelled == [pi.identity()]
+    outer = set(t.sphere_labels(14))
+    at_outer = [(a, y) for a, y in products if a in outer]
+    assert len(outer) == 256 and len(at_outer) == 768
+    assert Counter(a for a, _ in at_outer) == dict.fromkeys(outer, 3)
+    # each of them steps back along the last letter: one edge letter fewer
+    assert {len(y.es) for _, y in at_outer} == {13}
 
 
 # -- least coset products against the full minimum they replaced -----------------
@@ -472,9 +493,9 @@ def reference_row(pair, x):
     ]
 
 
-def head_blind_products(pi, gens, K):
+def head_blind_products(pi, cosets):
     """A mutant coset_products that takes x.B[0] without the head check."""
-    least = [min((pi.multiply(g, k) for k in K), key=pi.sort_key) for g in gens]
+    least = [min(members, key=pi.sort_key) for members in cosets]
     return lambda x, ceiling=None: [pi.multiply(x, b) for b in least]
 
 
@@ -541,11 +562,20 @@ def test_coset_rows_of_labels_one_key_letter_apart_match_the_full_minimum(pi, n_
 def test_head_blind_coset_products_fail_the_reference(monkeypatch):
     pair = c2c3_vertex_pair()
     labels = build(pair, 6).vertices
-    mutant = head_blind_products(pair.backend, pair.S, pair.K.elements)
+    pi = pair.backend
+    mutant = head_blind_products(pi, [[pi.multiply(s, k) for k in pair.K.elements] for s in pair.S])
     assert len(rows_off_reference(pair, mutant, labels)) > len(labels) // 2
     monkeypatch.setattr(PiOne, "coset_products", head_blind_products)
     with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
         build(c2c3_vertex_pair(), 6)
+
+
+def test_head_blind_tree_rows_fail_the_reference(monkeypatch):
+    # the step back pinches every member of its coset, and x.B[0] keeps the
+    # group element it merges, where the label takes the least; a fresh
+    # PiOne, since a cached covering tree keeps the rows it was built with
+    monkeypatch.setattr(PiOne, "coset_products", head_blind_products)
+    assert len(tree_rows_off_reference(c2c3(), 4)) > 10
 
 
 def test_unsaturated_generators_give_unbalanced_edges():
@@ -693,13 +723,13 @@ def test_covering_tree_outer_rows_match_the_ceiling_blind_walk(pi):
         assert_walks_agree(CoveringTree(pi), radius)
 
 
-def counted_right_products(monkeypatch, calls, shift=0):
-    """Record every product RewritingGroup.right_products forms; a shift of 1
+def counted_coset_products(monkeypatch, calls, shift=0):
+    """Record every product RewritingGroup.coset_products forms; a shift of 1
     makes the room one short, but never below 0."""
-    right_products = RewritingGroup.right_products
+    coset_products = RewritingGroup.coset_products
 
-    def counting(self, gens):
-        products = right_products(self, gens)
+    def counting(self, cosets):
+        products = coset_products(self, cosets)
 
         def row(x, ceiling=None):
             if ceiling is not None:
@@ -710,7 +740,7 @@ def counted_right_products(monkeypatch, calls, shift=0):
 
         return row
 
-    monkeypatch.setattr(RewritingGroup, "right_products", counting)
+    monkeypatch.setattr(RewritingGroup, "coset_products", counting)
 
 
 def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
@@ -719,7 +749,7 @@ def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
     f2 = make_f2()
     pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
     calls = []
-    counted_right_products(monkeypatch, calls)
+    counted_coset_products(monkeypatch, calls)
     assert len(build(pair, 6).vertices) == 1457
     assert len(calls) == 2912
     calls.clear()
@@ -730,7 +760,7 @@ def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
 def test_room_one_short_drops_an_edge_within_the_ball(monkeypatch):
     # in Z with S = {a, aa} the outer coset a^(2R-1) loses its edge to a^(2R)
     z = make_z()
-    counted_right_products(monkeypatch, [], shift=1)
+    counted_coset_products(monkeypatch, [], shift=1)
     with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
         build(GeneratingPair(z, trivial_subgroup(z), ["a", "aa"]), 3)
 
@@ -805,7 +835,8 @@ def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
 
 
 def test_rewriting_pair_with_nontrivial_k_has_no_coset_rows():
-    # right_products forms x.s, which labels x.s.K only for K = 1
+    # a rewriting backend's coset_products forms x.s, which labels x.s.K
+    # only for K = 1, and refuses a coset s.K of more members
     c6 = make_c6()
     with pytest.raises(ValueError, match="K = 1 only"):
         build(GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]), 2)

@@ -529,7 +529,7 @@ def test_right_products_match_normal_form(group, data):
     raw = data.draw(st.lists(st.lists(letters, min_size=1, max_size=5).map("".join), min_size=1, max_size=4))
     # raw multi-letter words, their normal forms, and every one-letter word
     gens = raw + [group.normal_form(g) for g in raw] + group.alphabet
-    got = group.right_products(gens)(x)
+    got = group.coset_products([[g] for g in gens])(x)
     assert got == [group.normal_form(x + g) for g in gens], (x, gens)
 
 
@@ -542,7 +542,7 @@ def test_right_products_under_a_ceiling_leave_out_only_labels_past_it(group, dat
     x, w = group.normal_form(data.draw(words)), group.normal_form(data.draw(words))
     gens = data.draw(st.lists(st.lists(letters, min_size=1, max_size=4).map("".join), min_size=1, max_size=5))
     ceiling = max(group.sort_key(x), group.sort_key(w))
-    products = group.right_products(gens)
+    products = group.coset_products([[g] for g in gens])
     full, row = products(x), products(x, ceiling)
     # row is full less some labels whose keys exceed the ceiling, in slot order
     rest = iter(full)
@@ -552,4 +552,9 @@ def test_right_products_under_a_ceiling_leave_out_only_labels_past_it(group, dat
 
 def test_right_products_reject_unknown_letters():
     with pytest.raises(ValueError, match="unknown letter"):
-        make_f2().right_products(["a", "ac"])
+        make_f2().coset_products([["a"], ["ac"]])
+
+
+def test_coset_products_refuse_a_coset_of_more_members():
+    with pytest.raises(ValueError, match=r"^RewritingGroup\(F2\): a rewriting backend forms coset rows for K = 1 only$"):
+        make_f2().coset_products([["a"], ["b", "bA"]])

@@ -693,15 +693,15 @@ def cli_cut_on_z(tmp_path, capsys, radius):
 def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, x, wrong):
     from endlab.group_backends import RewritingGroup
 
-    right_products = RewritingGroup.right_products
+    coset_products = RewritingGroup.coset_products
 
-    def corrupted(self, gens):
-        products = right_products(self, gens)
+    def corrupted(self, cosets):
+        products = coset_products(self, cosets)
         # the one product whose word a + g is x comes out wrong; the row
         # forms every slot, as it may, so that the wrong product is formed
-        return lambda a, ceiling=None: [wrong if a + g == x else y for g, y in zip(gens, products(a))]
+        return lambda a, ceiling=None: [wrong if a + g == x else y for (g,), y in zip(cosets, products(a))]
 
-    monkeypatch.setattr(RewritingGroup, "right_products", corrupted)
+    monkeypatch.setattr(RewritingGroup, "coset_products", corrupted)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
