@@ -18,7 +18,7 @@ words that start and end at the base vertex.
 
 PiOne.multiply(a, b) is the one product: a word a normal apart from its
 last group element, followed by a normal word b from where a ends.  It
-removes the pinches across the junction, at most min(|a|, |b|) of them,
+cancels each pinch across the junction, at most min(|a|, |b|) of them,
 and carries left from the junction only while the carry is nontrivial,
 since both sides are already normal; it raises ValueError when b does not
 start where a ends.  Serre's normal form theorem (Trees, 1980, I.5) makes
@@ -27,12 +27,13 @@ how the word was built.  Every word is grown from normal words by it: an
 edge letter e is the normal word 1 e 1, and PiOne.normalize, for a raw
 word, is multiply folded over its letters.
 
-PiOne.pinches(a, b) walks multiply's junction loop alone and counts its
-pinches j, so the product's length |a| + |b| - 2j, which leads the sort
-key, is known before the product is formed.  PiOne.coset_products, the
-one routine for every coset row of cayley_abels.ball_walk, reads a row's
-products off these counts (its docstring gives the argument), and leaves
-out the labels past the ceiling ball_walk gives the outer sphere.
+PiOne.coset_products, the one routine for every coset row of
+cayley_abels.ball_walk, works out which products of a row can be least
+from their lengths |a| + |b| - 2j, j the pinch count multiply cancels,
+which lead the sort key.  It reads the lengths off the products, once
+per junction suffix (its docstring gives the argument), so multiply is
+the one walk of a junction; and it leaves out the labels past the
+ceiling ball_walk gives the outer sphere.
 
 The universal covering tree, PiOne.covering_tree, is such a coset space:
 a vertex, a coset of a vertex group, is labelled by its least normal
@@ -342,7 +343,7 @@ class PiOne:
         normal word b that starts where a ends.
 
         Both words are trusted as they are, so only the junction is worked
-        on: the two elements that meet there merge, pinches across it are
+        on: the two elements that meet there merge, each pinch across it is
         removed while the last edge of a and the next edge of b are inverse
         and the merged element lies in that edge's image, and the merged
         element is pushed to its transversal representative, carrying left
@@ -368,31 +369,6 @@ class PiOne:
         self._push_to_transversals(G, head, i)
         return PiOneElement(self, (*G, *b.gs[j + 1:]), head + b.es[j:], a.start)
 
-    def pinches(self, a, b):
-        """The number j of pinches multiply(a, b) removes at the junction,
-        so that the product has |a| + |b| - 2j edge letters.
-
-        It walks multiply's junction loop and forms nothing else: no
-        tuple, no push and no word.  The loop is a copy of multiply's,
-        since a helper shared by both adds a call to every product.
-        """
-        end = self.morph_end(a)
-        if end != b.start:
-            raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
-        mid = self._table[end][a.gs[-1]][b.gs[0]]
-        inverse, pinch, table = self._inverse, self._pinch, self._origin_table
-        i, j, m = len(a.es), 0, len(b.es)
-        while i and j < m and inverse[a.es[i - 1]] == b.es[j]:
-            f = a.es[i - 1]
-            c = pinch[f].get(mid)
-            if c is None:
-                break
-            t = table[f]
-            mid = t[t[a.gs[i - 1]][c]][b.gs[j + 1]]
-            i -= 1
-            j += 1
-        return j
-
     def inverse(self, a):
         """The inverse of a normal word a, from where a ends."""
         # a pinch e h inv(e) in the reversed inverse of a reduced word is one
@@ -413,30 +389,33 @@ class PiOne:
         Each coset is sorted once, as the sort-ordered normal words B, and
         gets c, the number of leading group elements and edge letters that
         every member of B shares.  A product x.b has |x| + |b| - 2j edge
-        letters, j = pinches(x, b), and the sort key leads with that
-        length, so each slot reads j for B[0] first.  When j < c, the
-        junction reads the same letters and stops at the same j for every
-        member b, so every x.b is one pushed head followed by b's own tail:
-        the products order as B does, and x.B[0] is the least by uniqueness
-        of normal forms (Serre, Trees, I.5).  Otherwise the slot reads j for
-        every member and forms only the products of least length: one is
-        the label as it stands, and ties take the least of the tied
-        products.  Each slot forms its own product.
+        letters, j the pinch count multiply cancels at the junction, and the
+        sort key leads with that length.  A slot's plan is its least growth
+        |x.b| - |x| and the members that reach it, and it is read off the
+        products: the slot forms x.B[0] first.  When its growth exceeds
+        |B[0]| - 2c, that is j < c, the junction reads the same letters and
+        stops at the same j for every member b, so every x.b is one pushed
+        head followed by b's own tail: the products order as B does, and
+        x.B[0] is the least by uniqueness of normal forms (Serre, Trees,
+        I.5).  Otherwise the slot forms x.b for every member, and its label
+        is the least of them.
 
         The junction loop reads at most the last M edge letters of x, M the
         most edge letters of any member, and the last M group elements: the
-        element it merges at the last pinch is never read.  So a slot's
-        plan, its least growth |x.b| - |x| and the members that reach it,
+        element it merges at the last pinch is never read.  So a slot's plan
         depends only on that suffix of x.  The map works out a row's plans
         once per suffix and keeps them in a dict of its own, which lives as
-        long as the map; a row then only checks the ceiling and forms its
-        products.
+        long as the map.  The row that works out a plan returns the labels
+        it formed for it; a later row with the same suffix forms only the
+        products of least length: one is the label as it stands, and ties
+        take the least of the tied products.  Each slot forms its own
+        product.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
         slot whose least length is above ceiling[0].
         """
-        multiply, pinches, sort_key = self.multiply, self.pinches, self.sort_key
+        multiply, sort_key = self.multiply, self.sort_key
         slots = []
         for members in cosets:
             B = sorted(members, key=sort_key)
@@ -448,24 +427,27 @@ class PiOne:
         plans = {}
 
         def plan(x):
-            out = []
+            """The row's plans and the labels formed to work them out."""
+            n, out, labels = len(x.es), [], []
             for B, c in slots:
-                # the growth |x.b| - |x| of each member b, read from its pinches
-                j = pinches(x, B[0])
-                if j < c:
-                    out.append((len(B[0].es) - 2 * j, B[:1]))
+                p = multiply(x, B[0])
+                if len(p.es) - n > len(B[0].es) - 2 * c:
+                    out.append((len(p.es) - n, B[:1]))
+                    labels.append(p)
                     continue
-                grow = [len(B[0].es) - 2 * j, *(len(b.es) - 2 * pinches(x, b) for b in B[1:])]
-                least = min(grow)
-                out.append((least, [b for b, k in zip(B, grow) if k == least]))
-            return out
+                products = [p, *(multiply(x, b) for b in B[1:])]
+                p = min(products, key=sort_key)
+                out.append((len(p.es) - n, [b for b, q in zip(B, products) if len(q.es) == len(p.es)]))
+                labels.append(p)
+            return out, labels
 
         def row(x, ceiling=None):
             key = (x.es[-M:], x.gs[-M:]) if M else ()
+            room = None if ceiling is None else ceiling[0] - len(x.es)
             slot_plans = plans.get(key)
             if slot_plans is None:
-                slot_plans = plans[key] = plan(x)
-            room = None if ceiling is None else ceiling[0] - len(x.es)
+                plans[key], labels = plan(x)
+                return [p for (least, _), p in zip(plans[key], labels) if room is None or least <= room]
             out = []
             for least, tied in slot_plans:
                 if room is not None and least > room:
@@ -511,10 +493,8 @@ class PiOne:
 
     def edge_subgroup_elements(self, e):
         """The edge group of e embedded as the stabilizer of the lifted edge."""
-        gamma = self.tree_path(self.graph.origin(e))
-        gamma_inv = self.inverse(gamma)
-        ims = self.gog.embeddings[self.graph.inverse(e)]
-        return tuple(self.multiply(self.append_mul(gamma, u), gamma_inv) for u in ims)
+        v = self.graph.origin(e)
+        return tuple(self.vertex_inclusion(v, u) for u in self.gog.embeddings[self.graph.inverse(e)])
 
     def default_generators(self):
         """Symmetric generating list: vertex-group elements and stable letters."""

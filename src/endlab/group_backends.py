@@ -131,7 +131,6 @@ class RewritingGroup:
             if len(c) != 1:
                 raise ValueError(f"letters must be single characters, got {c!r}")
         self.alphabet = alphabet
-        self.letter_order = {c: i for i, c in enumerate(alphabet)}
         self._letters = frozenset(alphabet)
         self._order_table = str.maketrans({c: chr(i) for i, c in enumerate(alphabet)})
         # the inverse map on the full alphabet
@@ -203,7 +202,7 @@ class RewritingGroup:
 
     def _check_letters(self, word):
         for c in word:
-            if c not in self.letter_order:
+            if c not in self._letters:
                 raise ValueError(f"unknown letter {c!r}")
 
     def sort_key(self, word):

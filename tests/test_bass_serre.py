@@ -587,12 +587,11 @@ def reference_tree_row(pi, m, ceiling=None):
     """CoveringTree.neighbours before its rows came from coset_products,
     kept as the reference: each step (h, e) appends h with append_mul,
     crosses e with multiply and labels the child with vertex_label; given a
-    ceiling, it first leaves out each child with more than ceiling[0] edge
-    letters, |m| + 1 - 2j for j its pinches."""
+    ceiling, it leaves out each child with more than ceiling[0] edge
+    letters."""
     steps = [(pi.append_mul(m, h), pi._letter[e]) for h, e in tree_steps(pi, pi.morph_end(m))]
     if ceiling is not None:
-        room = ceiling[0] - len(m.es) - 1
-        steps = [(a, b) for a, b in steps if -2 * pi.pinches(a, b) <= room]
+        steps = [(a, b) for a, b in steps if len(pi.multiply(a, b).es) <= ceiling[0]]
     return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
 
 
@@ -731,7 +730,7 @@ def test_words_at_different_vertices_differ(catalog):
     assert len({at_u: 0, at_w: 1}) == 2
 
 
-@pytest.mark.parametrize("product", ["multiply", "pinches"])
+@pytest.mark.parametrize("product", ["multiply"])
 def test_products_refuse_words_that_do_not_meet(catalog, product):
     pi = catalog["dinfty_gog"].backend()
     at_u, at_w = empty_words(pi)
@@ -823,14 +822,6 @@ def test_multiply_matches_reference_at_the_junction(data):
         assert len(got.es) == len(a.es) - len(b.es)
     elif mode == "cancel_a" and len(b.es) == len(a.es) + len(tail[1]):
         assert got.es == b.es[len(a.es):]
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_pinches_count_the_edge_letters_multiply_removes(data):
-    # coset rows read a product's length from pinches before forming it
-    pi, a, b, _, _ = draw_junction(data)
-    assert len(pi.multiply(a, b).es) == len(a.es) + len(b.es) - 2 * pi.pinches(a, b)
 
 
 # -- the half-tree side rule against the label-and-distance rule it replaced ----------

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from types import SimpleNamespace
 
@@ -390,17 +391,6 @@ def counted_multiply(monkeypatch, pi, calls):
     monkeypatch.setattr(pi, "multiply", counting)
 
 
-def counted_pinches(monkeypatch, pi, calls):
-    """Record the right factor of every pinch count pi takes."""
-    pinches = pi.pinches
-
-    def counting(a, b):
-        calls.append(b)
-        return pinches(a, b)
-
-    monkeypatch.setattr(pi, "pinches", counting)
-
-
 def c2c3_vertex_pair():
     """C2*C3 with K the C3 at w: |S| = |K| = 3, 3,070 cosets at R = 10."""
     pi = c2c3()
@@ -414,7 +404,9 @@ def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypat
     # label, and the third forms only its products of least length, so the
     # 1,534 inner cosets take 3 each, 4,602; the 1,536 outer cosets form
     # only the slots whose least length fits the ball, 2,560; and the cosets
-    # s.K take 9: 7,171 in all
+    # s.K take their members s.k, k != 1, 6: 7,168 in all.  A row that works
+    # out the plan of its junction suffix forms every member of the slots
+    # it compares, and all its slots, past the ball or not: 20 more, 7,188
     pair = c2c3_vertex_pair()
     calls = []
     counted_multiply(monkeypatch, pair.backend, calls)
@@ -439,16 +431,29 @@ def rose_pair():
 ])
 def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, pair_of, radius, cosets):
     # a row's plans depend only on the last 4 edge letters and group elements
-    # of its label, so the pinches are counted once per such suffix: 50 calls
-    # at either radius, where each of the 3,070 or 12,286 rows counted its own
-    # (15,350 and 61,430 calls).  The rose's rows, K = 1, take the same plan:
-    # 20 calls, where a count per outer-sphere slot took 104,976
+    # of its label, and the row that works out a plan reads the pinches off
+    # the products it forms, every member of the slots it compares; so the
+    # products past those the rows return are the 6 members s.k, k != 1, of
+    # the cosets s.K and 20 that the rows working out a plan form past their
+    # own: 26 at either radius, where working out a plan in each of the 3,070 or 12,286 rows
+    # forms 15,356 and 61,436 products, about twice the rows' own.  The
+    # rose's rows, K = 1, take the same plan: its 78,728 products are the
+    # rows' own, where a plan per row, each outer-sphere slot included,
+    # forms 157,460
     pair = pair_of()
-    calls = []
-    counted_pinches(monkeypatch, pair.backend, calls)
+    calls, labels = [], []
+    counted_multiply(monkeypatch, pair.backend, calls)
+    row = pair.neighbours
+
+    def counted_row(x, ceiling=None):
+        out = row(x, ceiling)
+        labels.extend(out)
+        return out
+
+    pair.neighbours = counted_row
     t = build(pair, radius)
     assert len(t.vertices) == cosets
-    assert len(calls) <= 100
+    assert len(calls) <= len(labels) + 100
 
 
 def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
@@ -576,6 +581,35 @@ def test_head_blind_tree_rows_fail_the_reference(monkeypatch):
     # PiOne, since a cached covering tree keeps the rows it was built with
     monkeypatch.setattr(PiOne, "coset_products", head_blind_products)
     assert len(tree_rows_off_reference(c2c3(), 4)) > 10
+
+
+def plan_misses_off_warm(warm, fresh, labels, sort_key):
+    """The (label, ceiling) pairs on which the row of a fresh row map, which
+    works out the plan of the label's suffix, differs from the row of the
+    map warm, which has worked out the plans of every label already.  Each
+    label is read with no ceiling, under its own key and under the largest
+    key of the labels."""
+    for x in labels:
+        warm(x)
+    top = max(map(sort_key, labels))
+    return [(x, c) for x in labels for c in (None, sort_key(x), top) if fresh()(x, c) != warm(x, c)]
+
+
+def test_rows_that_work_out_their_plan_match_the_warm_rows():
+    # every K_CASES pair with all its generators, and the covering tree of
+    # every NORMALIZER_CASES and FUZZ_CASES graph of groups, each on the ball
+    # of radius 4, or the largest smaller ball within 400 cosets
+    for pi, K, gens in K_CASES:
+        pair = GeneratingPair(pi, K, gens)
+        labels = small_ball(pair, 4).vertices
+        cosets = [[pi.multiply(s, k) for k in K.elements] for s in pair.S]
+        fresh = functools.partial(pi.coset_products, cosets)
+        assert plan_misses_off_warm(pair.neighbours, fresh, labels, pi.sort_key) == [], (pi.name, K)
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        tree = CoveringTree(pi)
+        labels = small_ball(tree, 4).vertices
+        fresh = lambda: CoveringTree(pi).neighbours
+        assert plan_misses_off_warm(tree.neighbours, fresh, labels, pi.sort_key) == [], pi.name
 
 
 def test_unsaturated_generators_give_unbalanced_edges():

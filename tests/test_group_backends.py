@@ -471,7 +471,7 @@ def reference_normal_form(group, word):
 
 def reference_sort_key(group, word):
     """The original tuple-per-call shortlex key."""
-    return (len(word), tuple(group.letter_order[c] for c in word))
+    return (len(word), tuple(group.alphabet.index(c) for c in word))
 
 
 README_Z2_SPEC = {
