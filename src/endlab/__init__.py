@@ -1,7 +1,6 @@
 """Desk-scale laboratory for ends of groups and degree-one cohomology."""
 
 from .serre_graphs import SerreGraph
-from .qlinalg import SparseMatrixQ
 from .group_backends import FiniteGroup, RewritingGroup
 from .bass_serre import (
     Certificate,

@@ -74,11 +74,7 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
     """
     half = HalfTreeSplitting(pi, geom_edge)
     K = Subgroup(pi, pi.edge_subgroup_elements(half.e0), name=f"edge{half.e0}")
-    base = coset_canonical(pi, K, pi.identity())
-    gens = [
-        g for g in pi.default_generators()
-        if coset_canonical(pi, K, g) != base
-    ]
+    gens = [g for g in pi.default_generators() if g not in K.members]
     pair = GeneratingPair(pi, K, gens, name=f"{pi.name}/edge{half.e0}")
 
     cache = {}

@@ -23,9 +23,11 @@ and carries left from the junction only while the carry is nontrivial,
 since both sides are already normal; it raises ValueError when b does not
 start where a ends.  Serre's normal form theorem (Trees, 1980, I.5) makes
 the normal word of an element unique, so its result does not depend on
-how the word was built.  Every word is grown from normal words by it: an
-edge letter e is the normal word 1 e 1, and PiOne.normalize, for a raw
-word, is multiply folded over its letters.
+how the word was built.  Four routines form normal words: the edge
+letters, e the word 1 e 1; PiOne.element_at(v, u), the one-element word u
+at v; multiply; and inverse.  Every other word is grown from these by
+multiply: the identity is an element_at, normalize folds multiply over a
+raw word, and vertex_label is the least product with an element_at.
 
 PiOne.coset_products, the one routine for every coset row of
 cayley_abels.ball_walk, works out which products of a row can be least
@@ -286,10 +288,10 @@ class PiOne:
         self.vertex_chain(start, es)
         if len(gs) != len(es) + 1:
             raise ValueError("word must alternate group elements and edges")
-        multiply, letter, terminus = self.multiply, self._letter, self._terminus
-        m = PiOneElement(self, (gs[0],), (), start)
+        multiply, element_at, letter, terminus = self.multiply, self.element_at, self._letter, self._terminus
+        m = element_at(start, gs[0])
         for e, g in zip(es, gs[1:]):
-            m = multiply(multiply(m, letter[e]), PiOneElement(self, (g,), (), terminus[e]))
+            m = multiply(multiply(m, letter[e]), element_at(terminus[e], g))
         return m
 
     def _push_to_transversals(self, G, E, low):
@@ -312,31 +314,21 @@ class PiOne:
     def morph_end(self, m):
         return self._terminus[m.es[-1]] if m.es else m.start
 
-    def append_mul(self, m, u):
-        """m followed by the vertex-group element u at its endpoint."""
-        G = self.vgroup(self.morph_end(m))
-        return PiOneElement(self, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, m.start)
+    def element_at(self, v, u):
+        """The one-element normal word u, an element of the group at v."""
+        return PiOneElement(self, (u,), (), v)
 
     # -- canonical labels in the universal tree -----------------------------
     def vertex_label(self, m):
         """The canonical label of the tree vertex of m: the least normal form
-        of m.u, u in the group at its end.
-
-        m is normal apart from its last group element, as a left factor of
-        multiply is, so each m.u only has its last element pushed.  Pushing
-        keeps the edge letters, so the least form has the least elements.
-        """
-        head, k = list(m.gs[:-1]), len(m.es)
-        forms = []
-        for y in range(len(self.vgroup(self.morph_end(m)))):
-            G = head + [y]
-            self._push_to_transversals(G, m.es, k)
-            forms.append(tuple(G))
-        return PiOneElement(self, min(forms), m.es, m.start)
+        of m.u, u in the group at its end, each formed by multiply."""
+        end = self.morph_end(m)
+        forms = (self.multiply(m, self.element_at(end, u)) for u in range(len(self.vgroup(end))))
+        return min(forms, key=self.sort_key)
 
     # -- group backend protocol ---------------------------------------------
     def identity(self):
-        return PiOneElement(self, (self.vgroup(self.base_vertex).identity,), (), self.base_vertex)
+        return self.element_at(self.base_vertex, self.vgroup(self.base_vertex).identity)
 
     def multiply(self, a, b):
         """A word a, normal apart from its last group element, followed by a
@@ -479,7 +471,7 @@ class PiOne:
     def vertex_inclusion(self, v, u):
         """The vertex-group element u of vgroup(v) as a fundamental group element."""
         p = self.tree_path(v)
-        return self.multiply(self.append_mul(p, u), self.inverse(p))
+        return self.multiply(self.multiply(p, self.element_at(v, u)), self.inverse(p))
 
     def edge_letter(self, e):
         """The loop p.e.q^-1 through edge e against the spanning tree, p and
@@ -576,7 +568,7 @@ class CoveringTree:
         for e in graph.edges:
             v, w = graph.origin(e), graph.terminus(e)
             G, H = pi.vgroup(v), pi.vgroup(w)
-            one = PiOneElement(pi, (H.identity,), (), w)
+            one = pi.element_at(w, H.identity)
             for h in sorted({min(G.mul(x, a) for a in emb[graph.inverse(e)]) for x in range(len(G))}):
                 cosets[v].append([pi.multiply(PiOneElement(pi, (h, u), (e,), v), one) for u in range(len(H))])
         self._rows = {v: pi.coset_products(c) for v, c in cosets.items()}
@@ -687,7 +679,7 @@ class HalfTreeSplitting:
         out, cur = [], self.gamma
         for i, e in enumerate(d.es):
             # cur, gamma times a prefix of d, stays normal
-            nu = pi.append_mul(cur, d.gs[i])
+            nu = pi.multiply(cur, pi.element_at(pi.morph_end(cur), d.gs[i]))
             cur = pi.multiply(nu, pi._letter[e])
             if e in (e0, e0_inv):
                 out.append(pi.multiply(nu if e == e0 else cur, self.gamma_inv))

@@ -54,20 +54,20 @@ from .serre_graphs import SerreGraph
 
 
 class Subgroup:
-    """Finite subgroup of a backend group, given by its element list."""
+    """Finite subgroup of a backend group: elements, sorted, and members, their set."""
 
     def __init__(self, backend, elements, name="K"):
         self.backend = backend
         self.elements = tuple(sorted(set(elements), key=backend.sort_key))
         self.name = name
-        elems = set(self.elements)
-        if backend.identity() not in elems:
+        self.members = members = frozenset(self.elements)
+        if backend.identity() not in members:
             raise ValueError("subgroup must contain the identity")
         for a in self.elements:
-            if backend.inverse(a) not in elems:
+            if backend.inverse(a) not in members:
                 raise ValueError("subgroup not closed under inverse")
             for b in self.elements:
-                if backend.multiply(a, b) not in elems:
+                if backend.multiply(a, b) not in members:
                     raise ValueError("subgroup not closed under multiplication")
 
     def __len__(self):
@@ -98,8 +98,9 @@ class GeneratingPair:
     conjugation by K, and sorted canonically.  Normalizing is the product
     with the identity on the left, so a rewriting backend takes any words
     and PiOne takes normal words.  Elements of K (in particular the
-    identity) are rejected.  As a coset space for ball_walk it gives the
-    base label, the label order and the neighbours of a label.
+    identity) are rejected, by lookup, as normal forms are unique.  As a
+    coset space for ball_walk it gives the base label, the label order and
+    the neighbours of a label.
 
     found_in_order says that ball_walk finds each sphere in label order, so
     need not sort it.  It is true when K is trivial, the backend is a
@@ -121,14 +122,14 @@ class GeneratingPair:
         self.K = K
         self.sort_key = backend.sort_key
         e = backend.identity()
-        self.base = base = coset_canonical(backend, K, e)
+        self.base = coset_canonical(backend, K, e)
         work = [backend.multiply(e, s) for s in S]
         closed = set()
         while work:
             s = work.pop()
             if s in closed:
                 continue
-            if coset_canonical(backend, K, s) == base:
+            if s in K.members:
                 raise ValueError(f"generator {s!r} lies in K")
             closed.add(s)
             work.append(backend.inverse(s))
@@ -224,8 +225,11 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     exceeds it, as such a label lies outside the ball.  The half-edge pass
     pairs edges from the rows.  Raises BudgetExceeded at the first label
     past the element cap, and InternalInconsistency when the rows do not
-    pair up.
+    pair up, and refuses a radius past the cap before the walk: a ball not
+    closed by radius cap already holds more than cap cosets.
     """
+    if radius > cap:
+        raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
     sort_key, neighbours = space.sort_key, space.neighbours
     in_order = getattr(space, "found_in_order", False)
     # label -> BFS position, in BFS order; while sphere d is found it holds

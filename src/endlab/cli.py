@@ -24,7 +24,10 @@ from .serre_graphs import SerreGraph, boundary_dims
 
 def _load(path):
     with open(path) as fp:
-        return json.load(fp)
+        try:
+            return json.load(fp)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _emit(data):

@@ -193,7 +193,8 @@ def boundary_dims(n_vertices, n_edges, c):
 
 
 def _dot_id(v):
-    return str(v).replace('"', "'")
+    # backslashes are escaped first, so that the quotes' escapes stay single
+    return str(v).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def vertex_ids(values, where):

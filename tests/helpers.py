@@ -2,10 +2,11 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
-from endlab.bass_serre import tree_truncation
+from endlab.bass_serre import PiOneElement, tree_truncation
 from endlab.cayley_abels import GeneratingPair, build, trivial_subgroup
 from endlab.group_backends import DEFAULT_CAP
 from endlab.serre_graphs import SerreGraph, boundary_dims
@@ -26,6 +27,14 @@ def is_tree(g):
     return ker == 0 and coker == 1
 
 
+def append_mul(pi, m, u):
+    """m followed by the vertex-group element u at its end, merged into its
+    last group element raw: no push to a transversal representative, so a
+    normal m gives a word normal apart from its last group element."""
+    G = pi.vgroup(pi.morph_end(m))
+    return PiOneElement(pi, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, m.start)
+
+
 def graph_json(g):
     """A graph as the JSON document SerreGraph.from_json reads."""
     edges = [{"id": e, "inv": g.inverse(e), "o": g.origin(e), "t": g.terminus(e)} for e in g.edges]
@@ -40,6 +49,18 @@ def ball_enumerate(backend, gens, radius, cap=DEFAULT_CAP):
     """
     pair = GeneratingPair(backend, trivial_subgroup(backend), gens)
     return build(pair, radius, cap=cap).vertices
+
+
+# a quoted DOT id: any character but a quote or a backslash, or an escaped one
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def dot_lines_close_their_quotes(text):
+    """Whether every line between a DOT file's braces is a node or an arrow
+    whose quoted ids each close."""
+    node = rf'  {DOT_ID}(?: \[style=filled, fillcolor="\w+"\])?;'
+    arrow = rf'  {DOT_ID} -> {DOT_ID} \[label="\d+"\];'
+    return all(re.fullmatch(node, line) or re.fullmatch(arrow, line) for line in text.splitlines()[1:-1])
 
 
 def catalog_document():

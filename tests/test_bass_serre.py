@@ -26,7 +26,7 @@ from endlab.group_backends import FiniteGroup
 from endlab.serre_graphs import SerreGraph
 from endlab.theorem_lab import RESOLUTION_RADIUS
 
-from helpers import ball_enumerate, graph_json, is_tree
+from helpers import append_mul, ball_enumerate, graph_json, is_tree
 from test_pipeline_fuzz import random_loop, random_segment
 from test_qlinalg import augmentation_matrix, delta_matrix, rank_kernel_cokernel, verify_short_exact
 from test_serre_graphs import triangle
@@ -473,7 +473,7 @@ def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
         # appends the edge letter raw, so a neighbour that steps back along
         # the last letter keeps its pinch and is labelled as a vertex of its own
         pi = self.pi
-        return [pi.vertex_label(cross(pi, pi.append_mul(m, h), e)) for h, e in tree_steps(pi, pi.morph_end(m))]
+        return [pi.vertex_label(cross(pi, append_mul(pi, m, h), e)) for h, e in tree_steps(pi, pi.morph_end(m))]
 
     monkeypatch.setattr(CoveringTree, "neighbours", raw_neighbours)
     with pytest.raises(InternalInconsistency, match=r"^unbalanced edge multiplicities .*CoveringTree\(pi1\(C2\*C3\)\)"):
@@ -585,11 +585,11 @@ def tree_steps(pi, v):
 
 def reference_tree_row(pi, m, ceiling=None):
     """CoveringTree.neighbours before its rows came from coset_products,
-    kept as the reference: each step (h, e) appends h with append_mul,
+    kept as the reference: each step (h, e) appends h raw with append_mul,
     crosses e with multiply and labels the child with vertex_label; given a
     ceiling, it leaves out each child with more than ceiling[0] edge
     letters."""
-    steps = [(pi.append_mul(m, h), pi._letter[e]) for h, e in tree_steps(pi, pi.morph_end(m))]
+    steps = [(append_mul(pi, m, h), pi._letter[e]) for h, e in tree_steps(pi, pi.morph_end(m))]
     if ceiling is not None:
         steps = [(a, b) for a, b in steps if len(pi.multiply(a, b).es) <= ceiling[0]]
     return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
@@ -599,7 +599,7 @@ def reference_edge_label(pi, m, e):
     ims = pi.gog.embeddings[pi.graph.inverse(e)]
     best = min(
         pi.sort_key(reference_normalize(pi, nu.start, nu.gs, nu.es))
-        for nu in (pi.append_mul(m, u) for u in ims)
+        for nu in (append_mul(pi, m, u) for u in ims)
     )
     return ("e", e, best)
 
@@ -749,7 +749,7 @@ def test_coset_labels_match_reference(data):
     base = pi.base_vertex
     normal = reference_normalize(pi, base, *draw_walk(data, pi, base, 10, 0.5))
     h = data.draw(st.integers(0, len(pi.vgroup(pi.morph_end(normal))) - 1))
-    for m in (normal, pi.append_mul(normal, h)):
+    for m in (normal, append_mul(pi, normal, h)):
         assert pi.vertex_label(m) == reference_vertex_label(pi, m)
         for e in pi.graph.star(pi.morph_end(m)):
             # crossing back along the last letter pinches at the junction
@@ -779,6 +779,19 @@ def test_tree_paths_and_edge_letters_match_reference():
             assert pi.edge_letter(e) == compose(pi, cross(pi, p, e), reference_inverse(pi, q)), (pi.name, e)
 
 
+def test_one_element_words_and_vertex_inclusions_match_reference():
+    # element_at is the one-element normal word, and vertex_inclusion, which
+    # multiplies by it, is p u p^-1 for the tree path p
+    for pi in NORMALIZER_CASES + FUZZ_CASES:
+        assert pi.identity() == reference_normalize(pi, pi.base_vertex, (pi.vgroup(pi.base_vertex).identity,), ())
+        for v in pi.graph.vertices:
+            p = reference_tree_path(pi, v)
+            for u in range(len(pi.vgroup(v))):
+                assert pi.element_at(v, u) == reference_normalize(pi, v, (u,), ()), (pi.name, v, u)
+                want = compose(pi, append_mul(pi, p, u), reference_inverse(pi, p))
+                assert pi.vertex_inclusion(v, u) == want, (pi.name, v, u)
+
+
 def suffix_word(pi, m, k):
     """The letters of m past its first k edge letters, from where they start."""
     start = pi.vertex_chain(m.start, m.es)[k]
@@ -795,7 +808,7 @@ def draw_junction(data):
     start = data.draw(st.sampled_from(pi.graph.vertices))
     normal = reference_normalize(pi, start, *draw_walk(data, pi, start, 10, 0.3))
     end = pi.morph_end(normal)
-    a = pi.append_mul(normal, data.draw(st.integers(0, len(pi.vgroup(end)) - 1)))
+    a = append_mul(pi, normal, data.draw(st.integers(0, len(pi.vgroup(end)) - 1)))
     mode, tail = data.draw(st.sampled_from(["free", "cancel_b", "cancel_a"])), None
     if mode == "free":
         b = reference_normalize(pi, end, *draw_walk(data, pi, end, 10, 0.3))
@@ -942,7 +955,7 @@ def reference_tree_truncation(pi, radius, cap):
             v = pi.morph_end(pm)
             for e in pi.graph.star(v):
                 for h in range(len(pi.vgroup(v))):
-                    nu = pi.append_mul(pm, h)
+                    nu = append_mul(pi, pm, h)
                     label = reference_edge_label(pi, nu, e)
                     if label in seen_edges:
                         continue
@@ -1042,7 +1055,7 @@ def reference_translating_cosets(half, g):
             delta = compose(pi, reference_inverse(pi, a), b)
             cur = a
             for i, e in enumerate(delta.es):
-                nu = pi.append_mul(cur, delta.gs[i])
+                nu = append_mul(pi, cur, delta.gs[i])
                 cur = cross(pi, nu, e)
                 if min(e, inverse(e)) != e0:
                     continue

@@ -964,7 +964,8 @@ def reference_walk(space, radius, cap=DEFAULT_CAP):
 
 def assert_matches_reference_walk(space, radius):
     """The walk's coset table equals the reference walk's; and at a cap one
-    short of the ball both raise the same error, at the last sphere."""
+    short of the ball the reference raises at the last sphere, as the walk
+    does unless the radius is past that cap, which it refuses at once."""
     t, ref = ball_walk(space, radius), reference_walk(space, radius)
     assert list(t.index.items()) == list(ref.index.items())
     assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
@@ -976,7 +977,11 @@ def assert_matches_reference_walk(space, radius):
             with pytest.raises(BudgetExceeded) as caught:
                 walk(space, radius, cap=n - 1)
             errors.append(str(caught.value))
-        assert errors[0] == errors[1] == f"coset enumeration exceeded cap {n - 1} at radius {last}"
+        assert errors[1] == f"coset enumeration exceeded cap {n - 1} at radius {last}"
+        if radius > n - 1:
+            assert errors[0] == f"radius {radius} is past the cap of {n - 1} cosets"
+        else:
+            assert errors[0] == errors[1]
 
 
 @settings(max_examples=250, deadline=None)

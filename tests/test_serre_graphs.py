@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from endlab.serre_graphs import SerreGraph, blocks
 
-from helpers import graph_json, is_tree, random_graph
+from helpers import dot_lines_close_their_quotes, graph_json, is_tree, random_graph
 
 
 # -- independent oracles ----------------------------------------------------
@@ -277,3 +278,13 @@ def test_dot_has_one_arrow_per_geometric_edge():
     dot = g.to_dot()
     assert dot.count("->") == len(g.geometric_edges())
     assert dot.startswith("digraph")
+
+
+def test_dot_ids_escape_backslashes_and_quotes():
+    names = ['a"', "a'", "b\\", 'c\\"']
+    g = SerreGraph.from_geometric(names, [(names[0], names[2]), (names[1], names[3])])
+    dot = g.to_dot()
+    assert dot_lines_close_their_quotes(dot)
+    # each id reads back as its vertex, so distinct vertices keep distinct ids
+    ids = [line.split('"', 1)[1].rsplit('"', 1)[0] for line in dot.splitlines()[1:len(names) + 1]]
+    assert [re.sub(r"\\(.)", r"\1", i) for i in ids] == names

@@ -24,7 +24,7 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, catalog_document, entries_of, graph_json, oracle_for
+from helpers import ball_enumerate, catalog_document, dot_lines_close_their_quotes, entries_of, graph_json, oracle_for
 
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = entries_of(catalog_document(), "z_hnn")["entries"][0]
@@ -187,6 +187,24 @@ def test_cli_tree_writes_dot(tmp_path, capsys, catalog):
     assert out["vertices"] == out["geometric_edges"] + 1 == 1 + 2 + 4 + 4
 
 
+def test_cli_tree_dot_ids_close_their_quotes(tmp_path, capsys):
+    # the element x\ of a table group whose identity comes second ends the
+    # base vertex's label u:x\, as it is the least element
+    spec = {"backend": {
+        "type": "graph_of_finite_groups", "name": "backslash",
+        "vertices": [{"id": "u", "group": {"kind": "table", "elements": ["x\\", "e"], "table": [[1, 0], [0, 1]]}},
+                     {"id": "w", "group": {"kind": "cyclic", "n": 2}}],
+        "edges": [{"id": 0, "inv": 1, "o": "u", "t": "w", "edge_group": {"kind": "cyclic", "n": 1}, "embedding": [0]},
+                  {"id": 1, "inv": 0, "o": "w", "t": "u", "edge_group": {"kind": "cyclic", "n": 1}, "embedding": [1]}],
+    }}
+    path, dot = tmp_path / "spec.json", tmp_path / "tree.dot"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["tree", str(path), "--radius", "2", "--dot", str(dot)]) == 0
+    text = dot.read_text()
+    assert '  "u:x\\\\" [style=filled, fillcolor="white"];' in text.splitlines()
+    assert dot_lines_close_their_quotes(text)
+
+
 def test_cli_homology(tmp_path, capsys):
     from endlab.serre_graphs import SerreGraph
 
@@ -273,6 +291,20 @@ def test_default_catalog_reads_its_file_without_importlib_resources(catalog):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(len(catalog)), "False"]
+
+
+def test_import_endlab_leaves_the_elimination_unloaded():
+    # no code path runs the rational elimination, so importing the package
+    # and its command line loads neither it nor the fractions it imports
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ('import sys, endlab, endlab.cli; print(*(m in sys.modules for m in '
+            '("endlab.qlinalg", "fractions", "decimal")))')
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_cli_verify_rejects_a_catalog_file_with_default(tmp_path, capsys, catalog_doc):
@@ -404,6 +436,35 @@ def test_cli_witness_probe_inside_the_margin_reports_cleanly(tmp_path, capsys, c
 def test_cli_missing_file_reports_cleanly(capsys):
     assert cli.main(["ends", "no_such_file.json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("command", ["ends", "verify", "homology"])
+def test_cli_json_nested_past_the_decoder_reports_cleanly(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main([command, str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "invalid_input", "message": f"{path}: JSON nested too deeply to read"}
+
+
+@pytest.mark.parametrize("entry, command, option", [
+    ("c6_rw", "ends", "--R"),
+    ("c6_rw", "cut", "--R"),
+    ("c5_gog", "ends", "--R"),
+    ("c5_gog", "cut", "--R"),
+    ("c5_gog", "tree", "--radius"),
+])
+@pytest.mark.parametrize("radius, cap", [(10_000_000, DEFAULT_CAP), (9, 8)])
+def test_cli_radius_past_the_cap_is_refused_before_the_walk(tmp_path, capsys, catalog, entry, command, option,
+                                                            radius, cap):
+    # both groups are finite, and their balls close by radius 3; a ball that
+    # has not closed by radius = cap already holds more than cap cosets
+    path = write_spec(tmp_path, catalog[entry])
+    assert cli.main([command, path, option, str(radius), "--cap", str(cap)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "budget_exceeded", "message": f"radius {radius} is past the cap of {cap} cosets"}
+    # at radius = cap the walk runs
+    assert cli.main([command, path, option, "8", "--cap", "8"]) == 0
 
 
 @pytest.mark.parametrize("pairs, field", [
