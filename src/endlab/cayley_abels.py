@@ -41,11 +41,21 @@ in Groups, 1992, ch. 2), so each sphere d + 1 turns up in shortlex order
 while sphere d is scanned in shortlex order.  GeneratingPair decides this
 once, at construction; every other pair and the covering tree sort each
 sphere.
+
+Such a pair also gives ball_walk its acceptor, and the walk then forms
+each sphere with no label row.  It keeps the acceptor state of each
+frontier position x and reads the outcome of each slot x.c off the
+backend's slot table for that state: an irreducible x + c is the next
+coset, with no lookup; a free cancellation of k letters is the position
+of x less its last k letters; only another rule hit is reduced and looked
+up, and in an inner sphere a miss there is an InternalInconsistency, as
+the found-in-order argument numbers every such product first.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from itertools import islice
 
 from .errors import BudgetExceeded, InternalInconsistency
@@ -54,14 +64,22 @@ from .serre_graphs import SerreGraph
 
 
 class Subgroup:
-    """Finite subgroup of a backend group: elements, sorted, and members, their set."""
+    """Finite subgroup of a backend group: elements, sorted, and members, their set.
+
+    Each element must be a normal form, one the product with the identity
+    leaves as it is, so that distinct elements are distinct group elements.
+    """
 
     def __init__(self, backend, elements, name="K"):
+        e = backend.identity()
+        for a in elements:
+            if backend.multiply(e, a) != a:
+                raise ValueError(f"subgroup element {a!r} is not a normal form")
         self.backend = backend
         self.elements = tuple(sorted(set(elements), key=backend.sort_key))
         self.name = name
         self.members = members = frozenset(self.elements)
-        if backend.identity() not in members:
+        if e not in members:
             raise ValueError("subgroup must contain the identity")
         for a in self.elements:
             if backend.inverse(a) not in members:
@@ -115,6 +133,12 @@ class GeneratingPair:
     (x', c'), which is shortlex.  Where S leaves out a letter or holds a
     longer word, a sphere can turn up out of order (F2 with S = {a, bb} at
     sphere 2), so every other pair sorts.
+
+    acceptor, for a found_in_order pair only, is the backend's slot_table
+    of S with its join_product.  By the argument above, an irreducible
+    x + c is a coset not yet found, a prefix of x is in the ball already,
+    and so is any other product of an inner sphere, so ball_walk forms the
+    ball from the slot outcomes with no lookup but for those others.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -144,6 +168,14 @@ class GeneratingPair:
             and len(K) == 1
             and self.S == tuple(backend.alphabet)
         )
+
+    @functools.cached_property
+    def acceptor(self):
+        """For a found_in_order pair, the backend's slot_table of S and its
+        join_product, from which ball_walk forms each sphere; else None."""
+        if not self.found_in_order:
+            return None
+        return self.backend.slot_table(self.S), self.backend.join_product
 
     @functools.cached_property
     def neighbours(self):
@@ -222,16 +254,30 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     admits no label, so its targets past the ball are dropped, and it alone
     passes a ceiling, the largest key in the ball, the last of a sphere or
     the base's: neighbours may leave out any label whose key it knows
-    exceeds it, as such a label lies outside the ball.  The half-edge pass
-    pairs edges from the rows.  Raises BudgetExceeded at the first label
-    past the element cap, and InternalInconsistency when the rows do not
-    pair up, and refuses a radius past the cap before the walk: a ball not
-    closed by radius cap already holds more than cap cosets.
+    exceeds it, as such a label lies outside the ball.
+
+    A space that gives an acceptor, a slot table and a join product (see
+    GeneratingPair and RewritingGroup.slot_table), is walked along it
+    instead, and neighbours is not read.  Each frontier position keeps its
+    acceptor state, one array item, and its row comes from the slots of
+    that state: a child x + c takes the next position with no lookup and
+    passes its state on; a cancellation of k letters is the position of x
+    less its last k letters; any other slot is join(x, c), looked up, and
+    a miss is dropped in the outer sphere and raises InternalInconsistency
+    in an inner one.  The outer pass reads room 0 of the table, which
+    holds no child slot.
+
+    The half-edge pass pairs edges from the rows.  Raises BudgetExceeded at
+    the first label past the element cap, and InternalInconsistency when
+    the rows do not pair up, and refuses a radius past the cap before the
+    walk: a ball not closed by radius cap already holds more than cap
+    cosets.
     """
     if radius > cap:
         raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
-    sort_key, neighbours = space.sort_key, space.neighbours
-    in_order = getattr(space, "found_in_order", False)
+    sort_key = space.sort_key
+    acceptor = getattr(space, "acceptor", None)
+    in_order = acceptor is not None or getattr(space, "found_in_order", False)
     # label -> BFS position, in BFS order; while sphere d is found it holds
     # spheres 0..d-1 and the part of sphere d found so far, in the found order
     index = {space.base: 0}
@@ -240,21 +286,58 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     starts = [0, 1]
     rows = []
     frontier = [space.base]
+    if acceptor is None:
+        neighbours = space.neighbours
+    else:
+        slots, join = acceptor
+        # the acceptor state of each frontier position, the base's the start state
+        code = "B" if len(slots) <= 1 << 8 else "H" if len(slots) <= 1 << 16 else "L"
+        states = array(code, [0])
     for d in range(1, radius + 2):
         bound = ceiling if d > radius else None
         first, n = len(rows), len(index)
-        for x in frontier:
-            row = []
-            for y in neighbours(x, bound):
-                j = get(y)
-                if j is None:
-                    if bound is not None:
-                        continue  # the outer sphere's target past the ball
-                    j = index[y] = len(index)
-                    if j >= cap:
-                        raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
-                row.append(j)
-            rows.append(row)
+        if acceptor is None:
+            for x in frontier:
+                row = []
+                for y in neighbours(x, bound):
+                    j = get(y)
+                    if j is None:
+                        if bound is not None:
+                            continue  # the outer sphere's target past the ball
+                        j = index[y] = len(index)
+                        if j >= cap:
+                            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+                    row.append(j)
+                rows.append(row)
+        else:
+            # the outer sphere reads room 0, the slots that form no x + c
+            by_state = [rooms[0 if bound is not None else -1] for rooms in slots]
+            grown = array(code)
+            for x, q in zip(frontier, states):
+                row = []
+                for c, k, p in by_state[q]:
+                    if k == -1:
+                        # x + c is irreducible: the next coset of sphere d
+                        j = index[x + c] = len(index)
+                        if j >= cap:
+                            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+                        grown.append(p)
+                    elif k is None:
+                        y = join(x, c)
+                        j = get(y)
+                        if j is None:
+                            if bound is not None:
+                                continue  # the outer sphere's target past the ball
+                            raise InternalInconsistency(
+                                f"the product {y!r} of {x!r} by {c!r} in the radius-{radius} ball of "
+                                f"{space!r} was not numbered by sphere {d}: a walk along the acceptor "
+                                "finds each coset at its parent first"
+                            )
+                    else:
+                        j = index[x[:len(x) - k]]  # a free cancellation of k letters
+                    row.append(j)
+                rows.append(row)
+            states = grown
         if bound is not None:
             break
         frontier = list(islice(index, n, None))

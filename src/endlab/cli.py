@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -31,9 +32,19 @@ def _load(path):
 
 
 def _emit(data):
-    # flushed here, so that a closed reader raises inside main, not at exit
-    json.dump(data, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    # formed whole first, so that data nested past the recursion limit writes
+    # nothing; by the pure-Python encoder, which json.dumps with an indent
+    # uses before Python 3.13, so that the limit is the same on every
+    # version; then written in buffer-sized slices, as a large write to a
+    # closed pipe can come back short without raising, and flushed here, so
+    # that a closed reader raises inside main, not at exit
+    try:
+        text = "".join(json.JSONEncoder(indent=2, default=str).iterencode(data)) + "\n"
+    except RecursionError:
+        raise ValueError("output nested too deeply to write as JSON") from None
+    step = io.DEFAULT_BUFFER_SIZE
+    for i in range(0, len(text), step):
+        sys.stdout.write(text[i:i + step])
     sys.stdout.flush()
 
 

@@ -16,10 +16,16 @@ Two kinds of backend live here:
   keys compare words translated to letter-index characters.  The
   left-hand sides are also compiled once into a word acceptor, the
   Aho-Corasick automaton of Epstein et al., Word Processing in Groups
-  (1992), ch. 2.  coset_products uses it to form the products x.g of a
-  normal form x: x + g is already irreducible unless a left-hand side
-  crosses the join, a free cancellation by a one-letter g leaves a prefix
-  of x, and only the other crossings are reduced by normal_form.
+  (1992), ch. 2.  slot_table reads off it the outcome of each product x.g
+  of a normal form x, per acceptor state of x: x + g is already
+  irreducible unless a left-hand side crosses the join, a free
+  cancellation by a one-letter g leaves a prefix of x, and only the other
+  crossings are reduced, by join_product.  coset_products forms its rows
+  from that table, and so does cayley_abels.ball_walk, with no label row,
+  when K is trivial and the generators are the whole alphabet: it keeps
+  the state of each frontier word, and an irreducible x + g is a new
+  coset, found with no lookup, while the reduced products of an inner
+  sphere must already be in the ball, a check the walk gets for free.
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
 the coset machinery needs: identity(), multiply(a, b), inverse(a),
@@ -236,53 +242,72 @@ class RewritingGroup:
     def multiply(self, a, b):
         return self.normal_form(a + b)
 
+    def slot_table(self, gens):
+        """The outcome of each product x.g of a normal form x, per acceptor
+        state of x and room, for words g in slot order: table[q][r] lists
+        the slots (g, k, p) of a normal form x whose letters lead the
+        acceptor to state q, less each unreduced x + g longer than
+        len(x) + r, for r = 0..max |g|.
+
+        Since x is irreducible, a left-hand side occurs in x + g only if it
+        ends inside g, and the automaton finds each such occurrence from
+        q, the state of x's last _max_lhs - 1 letters.  With no hit, k is
+        -1: x.g is x + g, and p is the state it leads to.  When g is one
+        letter, the leftmost occurrence is the longest left-hand side
+        ending at the join, and if its right-hand side is empty (a free
+        cancellation, say) k is its length less one: x.g is the prefix of
+        x less its last k letters, which is irreducible.  Every other hit
+        has k None: x.g is join_product(x, g).  p is None unless k is -1.
+        This is the one outcome rule, read by coset_products and by
+        cayley_abels.ball_walk for a found_in_order pair.
+        """
+        for g in gens:
+            self._check_letters(g)
+        delta, hit, rhs = self._delta, self._hit, self._rhs
+
+        def outcome(q, g):
+            for c in g:
+                q = delta[q][c]
+                if hit[q]:
+                    return (g, len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None, None)
+            return (g, -1, q)
+
+        top = max(map(len, gens), default=0)
+        table = []
+        for q in range(len(delta)):
+            slots = [outcome(q, g) for g in gens]
+            table.append([[s for s in slots if s[1] != -1 or len(s[0]) <= r] for r in range(top + 1)])
+        return table
+
+    def join_product(self, x, g):
+        """normal_form(x + g) for a normal form x and a word g of known
+        letters, whose first search starts at the last _max_lhs - 1 letters
+        of x, as a left-hand side must end inside g."""
+        return self._reduce(x + g, max(len(x) - self._max_lhs + 1, 0))
+
     def coset_products(self, cosets):
         """The rows x -> [normal_form(x + g) for [g] in cosets] of a pair
         with K = 1, for a normal form x and any words g; a coset of more
-        members raises ValueError.  Since x is irreducible, a left-hand side
-        occurs in x + g only if it ends inside g, and the automaton finds
-        each such occurrence starting from the state of x's last
-        _max_lhs - 1 letters, so no state is kept per x: the map runs the
-        automaton once per such suffix and looks the state's slots up after.
-        With no hit the product is x + g.  When g is one letter, the
-        leftmost occurrence is the longest left-hand side ending at the
-        join, and if its right-hand side is empty (a free cancellation, say)
-        the product is the prefix of x before it, which is irreducible.
-        Every other hit falls back to normal_form's reducer on x + g, whose
-        first search starts at the last _max_lhs - 1 letters of x.
+        members raises ValueError.  Each product is formed as slot_table
+        gives its outcome in the state of x's last _max_lhs - 1 letters, so
+        no state is kept per x: the map runs the automaton once per such
+        suffix and looks the state's slots up after.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk: given a sort key ceiling no less than x's
         own, the row may leave out any label whose key exceeds it, and keeps
         the other slots in order.  An unreduced x + g has length |x| + |g|,
         so the row leaves out those longer than ceiling's length; the room
-        ceiling[0] - |x| picks a slot list precomputed per state.  Every
+        ceiling[0] - |x| picks the slot list of the state.  Every
         cancellation and fallback product is still formed.
         """
         if any(len(c) != 1 for c in cosets):
             raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
         gens = [c[0] for c in cosets]
-        for g in gens:
-            self._check_letters(g)
-        delta, hit, rhs = self._delta, self._hit, self._rhs
-
-        # -1: x + g; k >= 0: x less its last k letters; None: normal_form(x + g)
-        def outcome(q, g):
-            for c in g:
-                q = delta[q][c]
-                if hit[q]:
-                    return len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None
-            return -1
-
-        # per state q and room r, the slots (g, outcome) in slot order, less
-        # each unreduced x + g longer than len(x) + r
-        top = max(map(len, gens), default=0)
-        visits = []
-        for q in range(len(delta)):
-            slots = [(g, outcome(q, g)) for g in gens]
-            visits.append([[(g, k) for g, k in slots if k != -1 or len(g) <= r] for r in range(top + 1)])
-        back, reduce = self._max_lhs - 1, self._reduce
-        # x's last back letters -> visits of the state they lead to
+        visits = self.slot_table(gens)
+        top = len(visits[0]) - 1
+        delta, back, join = self._delta, self._max_lhs - 1, self.join_product
+        # x's last back letters -> the slot lists of the state they lead to
         by_suffix = {}
 
         def products(x, ceiling=None):
@@ -294,10 +319,7 @@ class RewritingGroup:
                     q = delta[q][c]
                 slots = by_suffix[tail] = visits[q]
             room = top if ceiling is None else min(ceiling[0] - len(x), top)
-            return [
-                x + g if k == -1 else reduce(x + g, max(len(x) - back, 0)) if k is None else x[:len(x) - k]
-                for g, k in slots[room]
-            ]
+            return [x + g if k == -1 else join(x, g) if k is None else x[:len(x) - k] for g, k, _ in slots[room]]
 
         return products
 

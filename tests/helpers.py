@@ -8,7 +8,7 @@ from importlib import resources
 
 from endlab.bass_serre import PiOneElement, tree_truncation
 from endlab.cayley_abels import GeneratingPair, build, trivial_subgroup
-from endlab.group_backends import DEFAULT_CAP
+from endlab.group_backends import DEFAULT_CAP, RewritingGroup
 from endlab.serre_graphs import SerreGraph, boundary_dims
 
 
@@ -33,6 +33,44 @@ def append_mul(pi, m, u):
     normal m gives a word normal apart from its last group element."""
     G = pi.vgroup(pi.morph_end(m))
     return PiOneElement(pi, m.gs[:-1] + (G.mul(m.gs[-1], u),), m.es, m.start)
+
+
+class ReadSlots(list):
+    """A slot list of RewritingGroup.slot_table that appends a copy of itself
+    to reads at each pass over it."""
+
+    def __init__(self, slots, reads):
+        super().__init__(slots)
+        self.reads = reads
+
+    def __iter__(self):
+        self.reads.append(tuple(super().__iter__()))
+        return super().__iter__()
+
+
+def recorded_slot_tables(monkeypatch, reads):
+    """Make each slot table RewritingGroup.slot_table gives record every pass
+    over one of its slot lists in reads: a walk along the acceptor reads the
+    list of each position it scans once, and forms at most one product per
+    slot it reads."""
+    slot_table = RewritingGroup.slot_table
+
+    def recording(self, gens):
+        return [[ReadSlots(room, reads) for room in rooms] for rooms in slot_table(self, gens)]
+
+    monkeypatch.setattr(RewritingGroup, "slot_table", recording)
+
+
+def rewired_slot_tables(monkeypatch, rewire):
+    """Make RewritingGroup.slot_table give rewire(q, r, slot) in place of each
+    slot (g, k, p) of state q in room r."""
+    slot_table = RewritingGroup.slot_table
+
+    def rewired(self, gens):
+        table = slot_table(self, gens)
+        return [[[rewire(q, r, s) for s in room] for r, room in enumerate(rooms)] for q, rooms in enumerate(table)]
+
+    monkeypatch.setattr(RewritingGroup, "slot_table", rewired)
 
 
 def graph_json(g):

@@ -14,7 +14,7 @@ from endlab.errors import BudgetExceeded, InternalInconsistency
 from endlab.group_backends import DEFAULT_CAP, FiniteGroup, RewritingGroup
 from endlab.serre_graphs import SerreGraph
 
-from helpers import ball_enumerate, graph_json, is_tree
+from helpers import ball_enumerate, graph_json, is_tree, recorded_slot_tables, rewired_slot_tables
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog, tree_rows_off_reference
 from test_group_backends import make_dinf, make_f2, make_f2_redundant, make_z2
 
@@ -85,6 +85,18 @@ def test_pair_rejects_generators_inside_k():
     x = pi.vertex_inclusion("u", 1)
     with pytest.raises(ValueError, match="lies in K"):
         GeneratingPair(pi, K, [x])
+
+
+def test_subgroup_refuses_an_element_that_is_not_a_normal_form():
+    # in C6, a^9 is a^3: listed beside it, it passed every closure check and
+    # made a third element of a subgroup of order 2
+    c6 = make_c6()
+    with pytest.raises(ValueError, match=r"^subgroup element 'aaaaaaaaa' is not a normal form$"):
+        Subgroup(c6, ["", "aaa", "aaaaaaaaa"])
+    assert Subgroup(c6, ["", "aaa", "aaa"]).elements == ("", "aaa")
+    pi = dinf()
+    x = pi.vertex_inclusion("u", 1)
+    assert len(Subgroup(pi, [pi.identity(), x])) == 2
 
 
 # -- building truncations ------------------------------------------------------------
@@ -365,15 +377,23 @@ def test_f2_build_makes_no_normal_form_call(monkeypatch):
 def test_build_labels_each_slot_once(catalog, monkeypatch):
     # products are counted where they are made: PiOne forms every product,
     # through coset_products, with multiply; a rewriting backend forms them
-    # in its own coset_products
+    # in its own coset_products, or, for a found_in_order pair, the walk
+    # forms at most one per slot it reads off the acceptor's slot table
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
         if isinstance(backend, PiOne):
             counted_multiply(monkeypatch, backend, calls)
+        elif pair.found_in_order:
+            reads = []
+            recorded_slot_tables(monkeypatch, reads)
+            pair = GeneratingPair(backend, pair.K, pair.S, pair.name)
         else:
             counted_coset_products(monkeypatch, calls)
         t = build(pair, 4)
+        if pair.found_in_order:
+            assert len(reads) == len(t.vertices), pair.name
+            calls = [slot for slots in reads for slot in slots]
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
         bound = len(t.vertices) * n_s * n_k + n_s * n_k + n_k
@@ -778,15 +798,20 @@ def counted_coset_products(monkeypatch, calls, shift=0):
 
 
 def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
-    # 485 inner cosets form 4 products each and 972 outer cosets one each;
-    # forming every slot makes 4 per coset, 5,828 in all
+    # the walk along the acceptor reads the 4 slots of each of 485 inner
+    # cosets and only the free cancellation of each of 972 outer cosets,
+    # so no outer slot x + c is read, let alone formed; forming every slot
+    # makes 4 per coset, 5,828 in all
     f2 = make_f2()
+    reads = []
+    recorded_slot_tables(monkeypatch, reads)
     pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+    t = build(pair, 6)
+    assert len(t.vertices) == 1457
+    assert len(reads) == 1457 and sum(map(len, reads)) == 2912
+    assert [k for slots in reads[t.starts[6]:] for _, k, _ in slots] == [1] * 972
     calls = []
     counted_coset_products(monkeypatch, calls)
-    assert len(build(pair, 6).vertices) == 1457
-    assert len(calls) == 2912
-    calls.clear()
     ball_walk(ceiling_blind(pair), 6)
     assert len(calls) == 5828
 
@@ -856,6 +881,12 @@ def test_forcing_the_found_order_where_it_is_not_sorted_fails_the_reference(cata
         assert first_unsorted_layer(pair, 3) == 2, pair.name
         assert coset_table(build(pair, 3)) == reference_build(pair, 3), pair.name
         assert coset_table(ball_walk(forced_in_order(pair), 3)) != reference_build(pair, 3), pair.name
+    # a walk along the acceptor takes each x + c it finds irreducible for a
+    # new coset, and so the found order, which S = {a, bb} does not vouch for
+    pair = pairs[0]
+    forced = SimpleNamespace(base=pair.base, sort_key=pair.sort_key, acceptor=(f2.slot_table(pair.S), f2.join_product))
+    assert list(ball_walk(forced, 3).sphere_labels(2))[:3] == ["aa", "abb", "aBB"]
+    assert coset_table(ball_walk(forced, 3)) != reference_build(pair, 3)
 
 
 def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
@@ -1037,17 +1068,129 @@ def lazy(space, formed):
 
 
 @pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
-def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S):
-    # the reference forms its whole last sphere, 108 or 216 cosets past |B_3|
+def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S, monkeypatch):
+    # the reference forms its whole last sphere, 108 or 216 cosets past |B_3|.
+    # The walk along the acceptor, for S = {a, b}, stops in the row that
+    # forms position cap: the rows it read before it hold fewer than cap
+    # child slots, the cosets past the base, and with it cap or more.  The
+    # label walk, for S = {a, bb}, forms at most the coset past the cap
     f2 = make_f2()
     pair = GeneratingPair(f2, trivial_subgroup(f2), S)
     inner, ball = (len(build(pair, r).vertices) for r in (3, 4))
     for cap in (inner, inner + 1, inner + 2, (inner + ball) // 2, ball - 1):
-        formed = {pair.base}
-        with pytest.raises(BudgetExceeded, match=f"^coset enumeration exceeded cap {cap} at radius 4$"):
-            ball_walk(lazy(pair, formed), 4, cap)
-        assert len(formed) <= cap + 1
+        message = f"^coset enumeration exceeded cap {cap} at radius 4$"
+        if pair.found_in_order:
+            reads = []
+            recorded_slot_tables(monkeypatch, reads)
+            with pytest.raises(BudgetExceeded, match=message):
+                ball_walk(GeneratingPair(f2, trivial_subgroup(f2), S), 4, cap)
+            monkeypatch.undo()
+            children = [sum(k == -1 for _, k, _ in slots) for slots in reads]
+            assert sum(children[:-1]) < cap <= sum(children)
+        else:
+            formed = {pair.base}
+            with pytest.raises(BudgetExceeded, match=message):
+                ball_walk(lazy(pair, formed), 4, cap)
+            assert len(formed) <= cap + 1
         formed = {pair.base}
         with pytest.raises(BudgetExceeded):
             reference_walk(lazy(pair, formed), 4, cap)
         assert len(formed) == ball
+
+
+# -- the walk along the word acceptor against the label walk ------------------------
+
+def cyclic_rules(g, G, n):
+    """Shortlex rules of C_n on the letters g < G, past the free cancellations;
+    none for Z, as n = 0."""
+    m, odd = divmod(n, 2)
+    if n == 0:
+        return []
+    if odd:
+        return [(g * (m + 1), G * m), (G * (m + 1), g * m)]
+    return [(G * m, g * m), (g * (m + 1), G * (m - 1))]
+
+
+@st.composite
+def confluent_systems(draw):
+    """A free product of one to three cyclic groups, Z or C_n for n = 2..7
+    (C_2 on one involution letter), on shortlex rules, and maybe its direct
+    product with C_2 on a last letter t that commutes with every other."""
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6, 7]), min_size=1, max_size=3), label="orders")
+    generators, inverses, rules = [], {}, []
+    for (g, G), n in zip(["aA", "bB", "cC"], orders):
+        generators.append(g)
+        inverses[g] = g if n == 2 else G
+        if n != 2:
+            rules += cyclic_rules(g, G, n)
+    name = "*".join(f"C{n}" if n else "Z" for n in orders)
+    if draw(st.booleans(), label="times C2"):
+        rules += [("t" + c, c + "t") for g in generators for c in dict.fromkeys(g + inverses[g])]
+        generators.append("t")
+        inverses["t"] = "t"
+        name = f"({name})xC2"
+    return RewritingGroup(generators, inverses, rules, name=name)
+
+
+def assert_walks_as_the_reference(pair, radius):
+    t, ref = ball_walk(pair, radius), reference_walk(pair, radius)
+    assert list(t.index.items()) == list(ref.index.items()), (pair.backend, radius)
+    assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_walk_along_the_acceptor_matches_the_reference_walk(data):
+    # reference_walk reads the label rows of coset_products and takes each
+    # sphere as found; the walk reads the acceptor's slot table instead
+    if data.draw(st.booleans(), label="random system"):
+        group = data.draw(confluent_systems(), label="group")
+    else:
+        group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
+    pair = GeneratingPair(group, trivial_subgroup(group), group.alphabet)
+    assert pair.acceptor is not None
+    radius = data.draw(st.integers(1, 5), label="radius")
+    assert_matches_reference_walk(pair, radius)
+
+
+@pytest.mark.parametrize("name", ["z_rw", "z2_rw", "f2_rw", "dinfty_rw", "c6_rw"])
+def test_found_in_order_catalog_pairs_walk_as_the_reference(catalog, name):
+    pair = catalog[name].pairs()[0]
+    assert pair.acceptor is not None
+    for radius in range(1, 9):
+        assert_walks_as_the_reference(pair, radius)
+
+
+def test_walk_along_an_acceptor_of_more_than_256_states():
+    # C_301 on a: its rules a^151 -> A^150 and A^151 -> a^150 give the
+    # acceptor 305 states, past one byte per frontier position
+    c301 = RewritingGroup(["a"], {"a": "A"}, cyclic_rules("a", "A", 301), name="C301")
+    pair = GeneratingPair(c301, trivial_subgroup(c301), ["a"])
+    assert len(pair.acceptor[0]) == 305
+    t = ball_walk(pair, 151)
+    assert t.exhausted and len(t.vertices) == 301 and t.vertices[-2:] == ("a" * 150, "A" * 150)
+    assert_walks_as_the_reference(pair, 151)
+
+
+def test_a_child_slot_taken_for_a_fallback_fails_in_an_inner_sphere(monkeypatch):
+    # a fallback slot reduces x + c and looks it up; the child x + c is not
+    # numbered yet, and in an inner sphere the walk refuses the miss
+    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], None, None) if s[:2] == ("b", -1) else s)
+    f2 = make_f2()
+    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+    message = r"^the product 'b' of '' by 'b' in the radius-3 ball of GeneratingPair\(\(1; 4 gens\)\) was not numbered by sphere 1: "
+    with pytest.raises(InternalInconsistency, match=message):
+        build(pair, 3)
+
+
+def test_a_fallback_slot_taken_for_a_child_fails_the_reference(monkeypatch):
+    # in Z^2 the product b.a is the normal form ab, found at a; a walk that
+    # takes ba for a new coset of sphere 2 numbers a word that is no label,
+    # whose row, read in the start state, does not list b back.  Room 0, the
+    # outer sphere's, holds no child slot
+    z2 = make_z2()
+    pair = GeneratingPair(z2, trivial_subgroup(z2), ["a", "b"])
+    assert "ab" in reference_walk(pair, 3).index
+    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], -1, 0) if r and s[1] is None else s)
+    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities in the radius-3 ball"):
+        build(GeneratingPair(z2, trivial_subgroup(z2), ["a", "b"]), 3)

@@ -24,7 +24,10 @@ from endlab.theorem_lab import (
     verify_resolution_evidence,
 )
 
-from helpers import ball_enumerate, catalog_document, dot_lines_close_their_quotes, entries_of, graph_json, oracle_for
+from helpers import (
+    ball_enumerate, catalog_document, dot_lines_close_their_quotes, entries_of, graph_json, oracle_for,
+    rewired_slot_tables,
+)
 
 FAST = Scales(radius=8)
 Z_HNN_ENTRY = entries_of(catalog_document(), "z_hnn")["entries"][0]
@@ -336,6 +339,18 @@ def test_cli_verify_ignores_an_old_oracle_key(tmp_path, capsys, catalog_doc):
         assert cli.main(["verify", str(path), "--R", "8"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_emit_refuses_data_nested_too_deeply_before_writing(capsys):
+    # a catalog provenance nested 990 deep reaches _emit on Python 3.12 and
+    # 3.13, whose decoders read it; the encoder's RecursionError is then an
+    # invalid input, with no byte of the report on stdout
+    deep = "x"
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="^output nested too deeply to write as JSON$"):
+        cli._emit({"provenance": deep})
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_closed_stdout_exits_quietly(tmp_path):
@@ -745,24 +760,17 @@ def cli_cut_on_z(tmp_path, capsys, radius):
     return out["message"]
 
 
-@pytest.mark.parametrize("radius, x, wrong", [
-    # the row of the interior coset a: its half-edge a -> AA has no partner
-    (3, "aa", "AA"),
-    # the row of the outer coset aa: its half-edge aa -> AA has no partner
-    (2, "aaa", "AA"),
-])
-def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, x, wrong):
-    from endlab.group_backends import RewritingGroup
-
-    coset_products = RewritingGroup.coset_products
-
-    def corrupted(self, cosets):
-        products = coset_products(self, cosets)
-        # the one product whose word a + g is x comes out wrong; the row
-        # forms every slot, as it may, so that the wrong product is formed
-        return lambda a, ceiling=None: [wrong if a + g == x else y for (g,), y in zip(cosets, products(a))]
-
-    monkeypatch.setattr(RewritingGroup, "coset_products", corrupted)
+@pytest.mark.parametrize("radius, room", [
+    # room 1, the inner rows: each cancellation a^n.A and A^n.a is read as
+    # one of 0 letters, so the row of the inner coset a lists a, a self-loop
+    (3, 1),
+    # room 0, the outer rows only: the outer coset aa lists aa, at radius 2
+    (2, 0),
+], ids=["inner", "outer"])
+def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, room):
+    # Z on its whole alphabet walks along the acceptor, so the corruption is
+    # a slot outcome of its slot table in one room
+    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], 0, s[2]) if r == room and s[1] == 1 else s)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
