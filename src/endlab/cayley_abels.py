@@ -19,37 +19,37 @@ PiOne needs most products only by their length (its docstring gives the
 argument, from Serre's normal form, Trees, I.5).
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
-base label, a label order and neighbours(x, ceiling=None), the labels of
-x's neighbours: GeneratingPair is one such space, and the covering tree of
-bass_serre, whose rows are coset_products maps too, is the other.  Given a
-ceiling, a sort key no less than x's, neighbours may leave out any label
-whose key it knows exceeds it, as both backends leave out the labels
-longer than the ceiling; ball_walk passes the largest key in the ball for
-the outer sphere only, whose targets past the ball it drops anyway.  A
-truncation is its coset table, each fact stored once: the cosets in BFS
-order, where each sphere starts in it, each coset's row of targets inside
-the ball, and an origin per oriented edge, edge e having inverse e ^ 1.
+base label, a label order, neighbours(x, ceiling=None), the labels of x's
+neighbours, and maybe an acceptor: GeneratingPair is one such space, and
+the covering tree of bass_serre, whose rows are coset_products maps too,
+is the other.  Given a ceiling, a sort key no less than x's, neighbours
+may leave out any label whose key it knows exceeds it, as PiOne leaves out
+the products longer than the ceiling; ball_walk passes the largest key in
+the ball for the outer sphere only, whose targets past the ball it drops
+anyway.  A truncation is its coset table, each fact stored once: the
+cosets in BFS order, where each sphere starts in it, each coset's row of
+targets inside the ball, and an origin per oriented edge, edge e having
+inverse e ^ 1.
 
 ball_walk numbers each coset as found: one pass per sphere, the outer
 sphere the last, looks each label up once and gives a new one the next
 position.  A sphere found out of label order is renumbered, so the cosets
-stay in BFS order with each sphere sorted.  The sort is skipped in a
-space whose labels turn up in that order already.  That holds for K = 1
-and S the whole alphabet of a confluent shortlex rewriting system: normal
-forms are then geodesic and prefix-closed (Epstein et al., Word Processing
-in Groups, 1992, ch. 2), so each sphere d + 1 turns up in shortlex order
-while sphere d is scanned in shortlex order.  GeneratingPair decides this
-once, at construction; every other pair and the covering tree sort each
-sphere.
+stay in BFS order with each sphere sorted.
 
-Such a pair also gives ball_walk its acceptor, and the walk then forms
-each sphere with no label row.  It keeps the acceptor state of each
-frontier position x and reads the outcome of each slot x.c off the
-backend's slot table for that state: an irreducible x + c is the next
-coset, with no lookup; a free cancellation of k letters is the position
-of x less its last k letters; only another rule hit is reduced and looked
-up, and in an inner sphere a miss there is an InternalInconsistency, as
-the found-in-order argument numbers every such product first.
+The acceptor is the one claim that each sphere turns up in label order.
+A pair gives one when K = 1 and S is the whole alphabet of a confluent
+shortlex rewriting system: normal forms are then geodesic and
+prefix-closed (Epstein et al., Word Processing in Groups, 1992, ch. 2),
+so each sphere d + 1 turns up in shortlex order while sphere d is scanned
+in shortlex order.  ball_walk then forms each sphere with no label row
+and no sort.  It keeps the acceptor state of each frontier position x and
+reads the outcome of each slot x.c off the backend's slot table for that
+state: an irreducible x + c is the next coset, with no lookup; a free
+cancellation of k letters is the position of x less its last k letters;
+only another rule hit is reduced and looked up, and in an inner sphere a
+miss there is an InternalInconsistency, as the found-in-order argument
+numbers every such product first.  Every other pair and the covering tree
+sort each sphere.
 """
 
 from __future__ import annotations
@@ -117,12 +117,12 @@ class GeneratingPair:
     with the identity on the left, so a rewriting backend takes any words
     and PiOne takes normal words.  Elements of K (in particular the
     identity) are rejected, by lookup, as normal forms are unique.  As a
-    coset space for ball_walk it gives the base label, the label order and
-    the neighbours of a label.
+    coset space for ball_walk it gives the base label, the label order, the
+    neighbours of a label and, for some pairs, an acceptor.
 
-    found_in_order says that ball_walk finds each sphere in label order, so
-    need not sort it.  It is true when K is trivial, the backend is a
-    RewritingGroup, confluent by construction, and S is exactly its
+    The acceptor vouches that ball_walk finds each sphere in label order,
+    so need not sort it.  A pair gives one when K is trivial, the backend
+    is a RewritingGroup, confluent by construction, and S is exactly its
     alphabet as one-letter words.  Normal forms are then the shortlex-least
     words, hence geodesic and prefix-closed, and the walk scans sphere d in
     shortlex order.  A normal form y of length d + 1 is x' + c' with
@@ -134,11 +134,11 @@ class GeneratingPair:
     longer word, a sphere can turn up out of order (F2 with S = {a, bb} at
     sphere 2), so every other pair sorts.
 
-    acceptor, for a found_in_order pair only, is the backend's slot_table
-    of S with its join_product.  By the argument above, an irreducible
-    x + c is a coset not yet found, a prefix of x is in the ball already,
-    and so is any other product of an inner sphere, so ball_walk forms the
-    ball from the slot outcomes with no lookup but for those others.
+    The acceptor is the backend's slot_table of S with its join_product.
+    By the argument above, an irreducible x + c is a coset not yet found, a
+    prefix of x is in the ball already, and so is any other product of an
+    inner sphere, so ball_walk forms the ball from the slot outcomes with
+    no lookup but for those others.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -163,19 +163,16 @@ class GeneratingPair:
             raise ValueError("empty generating set")
         self.S = tuple(sorted(closed, key=backend.sort_key))
         self.name = name or f"({K.name}; {len(self.S)} gens)"
-        self.found_in_order = (
-            isinstance(backend, RewritingGroup)
-            and len(K) == 1
-            and self.S == tuple(backend.alphabet)
-        )
 
     @functools.cached_property
     def acceptor(self):
-        """For a found_in_order pair, the backend's slot_table of S and its
-        join_product, from which ball_walk forms each sphere; else None."""
-        if not self.found_in_order:
-            return None
-        return self.backend.slot_table(self.S), self.backend.join_product
+        """For K = 1 and S the whole alphabet of a rewriting backend, the
+        backend's slot_table of S and its join_product, from which ball_walk
+        forms each sphere; else None."""
+        backend = self.backend
+        if isinstance(backend, RewritingGroup) and len(self.K) == 1 and self.S == tuple(backend.alphabet):
+            return backend.slot_table(self.S), backend.join_product
+        return None
 
     @functools.cached_property
     def neighbours(self):
@@ -184,8 +181,9 @@ class GeneratingPair:
         The backend's coset_products forms the sort-minimal x.b over the
         members s.k of each coset, which is coset_canonical(x.s) by
         associativity and uniqueness of normal forms; s.1 is s, a normal
-        word.  The map is cached here, with what it keeps per suffix of x.
-        Each slot gets its own product, so a wrong one leaves its edge unpaired.
+        word.  The map is cached here.  Each slot gets its own product, so a
+        wrong one leaves its edge unpaired.  ball_walk reads it for a pair
+        with no acceptor.
         """
         backend, one = self.backend, self.backend.identity()
         cosets = [[s, *(backend.multiply(s, k) for k in self.K.elements if k != one)] for s in self.S]
@@ -248,24 +246,23 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     new label takes the next position there and the row holds the position
     at once.  A sphere whose labels were not found in label order is then
     renumbered: its labels go back into index sorted, and the row entries
-    that point into it follow them.  A space that sets found_in_order
-    vouches that the walk finds each sphere in label order (see
-    GeneratingPair), and its spheres are taken as found.  The outer pass
-    admits no label, so its targets past the ball are dropped, and it alone
-    passes a ceiling, the largest key in the ball, the last of a sphere or
-    the base's: neighbours may leave out any label whose key it knows
-    exceeds it, as such a label lies outside the ball.
+    that point into it follow them.  The outer pass admits no label, so its
+    targets past the ball are dropped, and it alone passes a ceiling, the
+    largest key in the ball, the last of a sphere or the base's: neighbours
+    may leave out any label whose key it knows exceeds it, as such a label
+    lies outside the ball.
 
     A space that gives an acceptor, a slot table and a join product (see
     GeneratingPair and RewritingGroup.slot_table), is walked along it
-    instead, and neighbours is not read.  Each frontier position keeps its
-    acceptor state, one array item, and its row comes from the slots of
-    that state: a child x + c takes the next position with no lookup and
-    passes its state on; a cancellation of k letters is the position of x
-    less its last k letters; any other slot is join(x, c), looked up, and
-    a miss is dropped in the outer sphere and raises InternalInconsistency
-    in an inner one.  The outer pass reads room 0 of the table, which
-    holds no child slot.
+    instead: neighbours is not read, and each sphere is taken as found, as
+    the acceptor vouches that it turns up in label order.  Each frontier
+    position keeps its acceptor state, one array item, and its row comes
+    from the slots of that state: a child x + c takes the next position
+    with no lookup and passes its state on; a cancellation of k letters is
+    the position of x less its last k letters; any other slot is join(x, c),
+    looked up, and a miss is dropped in the outer sphere and raises
+    InternalInconsistency in an inner one.  The outer pass reads only each state's outer slots,
+    those that form no x + c.
 
     The half-edge pass pairs edges from the rows.  Raises BudgetExceeded at
     the first label past the element cap, and InternalInconsistency when
@@ -277,7 +274,6 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
     sort_key = space.sort_key
     acceptor = getattr(space, "acceptor", None)
-    in_order = acceptor is not None or getattr(space, "found_in_order", False)
     # label -> BFS position, in BFS order; while sphere d is found it holds
     # spheres 0..d-1 and the part of sphere d found so far, in the found order
     index = {space.base: 0}
@@ -310,8 +306,8 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     row.append(j)
                 rows.append(row)
         else:
-            # the outer sphere reads room 0, the slots that form no x + c
-            by_state = [rooms[0 if bound is not None else -1] for rooms in slots]
+            # the outer sphere reads only the slots that form no x + c
+            by_state = [outer if bound is not None else every for outer, every in slots]
             grown = array(code)
             for x, q in zip(frontier, states):
                 row = []
@@ -341,7 +337,7 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         if bound is not None:
             break
         frontier = list(islice(index, n, None))
-        if not in_order:
+        if acceptor is None:
             layer = sorted(frontier, key=sort_key)
             if layer != frontier:
                 # reinsert the sphere sorted, so that index order stays BFS

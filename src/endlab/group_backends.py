@@ -20,18 +20,19 @@ Two kinds of backend live here:
   of a normal form x, per acceptor state of x: x + g is already
   irreducible unless a left-hand side crosses the join, a free
   cancellation by a one-letter g leaves a prefix of x, and only the other
-  crossings are reduced, by join_product.  coset_products forms its rows
-  from that table, and so does cayley_abels.ball_walk, with no label row,
-  when K is trivial and the generators are the whole alphabet: it keeps
-  the state of each frontier word, and an irreducible x + g is a new
-  coset, found with no lookup, while the reduced products of an inner
+  crossings are reduced, by join_product.  cayley_abels.ball_walk reads
+  that table when K is trivial and the generators are the whole alphabet:
+  it keeps the state of each frontier word, and an irreducible x + g is a
+  new coset, found with no lookup, while the reduced products of an inner
   sphere must already be in the ball, a check the walk gets for free.
+  Every other rewriting pair forms its rows as plain products.
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
 the coset machinery needs: identity(), multiply(a, b), inverse(a),
 sort_key(a) and one row method, coset_products(cosets), which takes the
 members of each coset (one each here, as K = 1) and gives a map from a
-label and an optional ceiling to its row (see cayley_abels.ball_walk).
+label and an optional ceiling to its row (see cayley_abels.ball_walk);
+here the row is one normal_form(x + g) per slot, whatever the ceiling.
 """
 
 from __future__ import annotations
@@ -244,10 +245,10 @@ class RewritingGroup:
 
     def slot_table(self, gens):
         """The outcome of each product x.g of a normal form x, per acceptor
-        state of x and room, for words g in slot order: table[q][r] lists
-        the slots (g, k, p) of a normal form x whose letters lead the
-        acceptor to state q, less each unreduced x + g longer than
-        len(x) + r, for r = 0..max |g|.
+        state of x, for words g in slot order: table[q] is the pair (outer,
+        slots) for a normal form x whose letters lead the acceptor to state
+        q, where slots lists every slot (g, k, p) and outer those that form
+        no x + g.
 
         Since x is irreducible, a left-hand side occurs in x + g only if it
         ends inside g, and the automaton finds each such occurrence from
@@ -258,8 +259,8 @@ class RewritingGroup:
         cancellation, say) k is its length less one: x.g is the prefix of
         x less its last k letters, which is irreducible.  Every other hit
         has k None: x.g is join_product(x, g).  p is None unless k is -1.
-        This is the one outcome rule, read by coset_products and by
-        cayley_abels.ball_walk for a found_in_order pair.
+        cayley_abels.ball_walk reads this table when it walks a ball along
+        the acceptor.
         """
         for g in gens:
             self._check_letters(g)
@@ -272,11 +273,10 @@ class RewritingGroup:
                     return (g, len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None, None)
             return (g, -1, q)
 
-        top = max(map(len, gens), default=0)
         table = []
         for q in range(len(delta)):
             slots = [outcome(q, g) for g in gens]
-            table.append([[s for s in slots if s[1] != -1 or len(s[0]) <= r] for r in range(top + 1)])
+            table.append(([s for s in slots if s[1] != -1], slots))
         return table
 
     def join_product(self, x, g):
@@ -287,41 +287,20 @@ class RewritingGroup:
 
     def coset_products(self, cosets):
         """The rows x -> [normal_form(x + g) for [g] in cosets] of a pair
-        with K = 1, for a normal form x and any words g; a coset of more
-        members raises ValueError.  Each product is formed as slot_table
-        gives its outcome in the state of x's last _max_lhs - 1 letters, so
-        no state is kept per x: the map runs the automaton once per such
-        suffix and looks the state's slots up after.
+        with K = 1; a coset of more members, or a word g with a letter not
+        in the alphabet, raises ValueError.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
-        cayley_abels.ball_walk: given a sort key ceiling no less than x's
-        own, the row may leave out any label whose key exceeds it, and keeps
-        the other slots in order.  An unreduced x + g has length |x| + |g|,
-        so the row leaves out those longer than ceiling's length; the room
-        ceiling[0] - |x| picks the slot list of the state.  Every
-        cancellation and fallback product is still formed.
+        cayley_abels.ball_walk, which allows a row to leave out labels past
+        the ceiling; this one forms every slot, as the walk drops the outer
+        sphere's targets past the ball itself.
         """
         if any(len(c) != 1 for c in cosets):
             raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
         gens = [c[0] for c in cosets]
-        visits = self.slot_table(gens)
-        top = len(visits[0]) - 1
-        delta, back, join = self._delta, self._max_lhs - 1, self.join_product
-        # x's last back letters -> the slot lists of the state they lead to
-        by_suffix = {}
-
-        def products(x, ceiling=None):
-            tail = x[-back:]
-            slots = by_suffix.get(tail)
-            if slots is None:
-                q = 0
-                for c in tail:
-                    q = delta[q][c]
-                slots = by_suffix[tail] = visits[q]
-            room = top if ceiling is None else min(ceiling[0] - len(x), top)
-            return [x + g if k == -1 else join(x, g) if k is None else x[:len(x) - k] for g, k, _ in slots[room]]
-
-        return products
+        for g in gens:
+            self._check_letters(g)
+        return lambda x, ceiling=None: [self.normal_form(x + g) for g in gens]
 
     def inverse(self, word):
         self._check_letters(word)

@@ -152,6 +152,8 @@ def element_from_spec(backend, spec, where="element"):
         raise ValueError(f"{where} must be a list of atoms, got {type(spec).__name__}")
     el = backend.identity()
     for j, atom in enumerate(spec):
+        if isinstance(atom, dict) and "v" in atom and "e" in atom:
+            raise ValueError(f'{where}[{j}] names both "v" and "e", got {atom!r}')
         if isinstance(atom, dict) and "v" in atom:
             v, g = atom["v"], atom.get("g")
             if type(v) not in (str, int) or v not in backend.graph.vertices:
@@ -172,8 +174,8 @@ def element_from_spec(backend, spec, where="element"):
 
 
 def subgroup_from_spec(backend, spec, where="K"):
-    """K from "trivial", or from {"vertex": v} or {"edge": e} naming a base
-    vertex or edge of a graph-of-groups backend.
+    """K from "trivial", or from {"vertex": v} or {"edge": e}, not both,
+    naming a base vertex or edge of a graph-of-groups backend.
 
     Any other spec raises ValueError naming the field `where`.
     """
@@ -181,6 +183,8 @@ def subgroup_from_spec(backend, spec, where="K"):
         return cayley_abels.trivial_subgroup(backend)
     if not (isinstance(spec, dict) and spec.keys() & {"vertex", "edge"}):
         raise ValueError(f'{where} must be "trivial", {{"vertex": id}} or {{"edge": id}}, got {spec!r}')
+    if spec.keys() >= {"vertex", "edge"}:
+        raise ValueError(f'{where} names both "vertex" and "edge", got {spec!r}')
     kind = "vertex" if "vertex" in spec else "edge"
     if not isinstance(backend, PiOne):
         raise ValueError(f"{where}.{kind} needs a graph-of-groups backend")

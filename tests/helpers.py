@@ -56,19 +56,20 @@ def recorded_slot_tables(monkeypatch, reads):
     slot_table = RewritingGroup.slot_table
 
     def recording(self, gens):
-        return [[ReadSlots(room, reads) for room in rooms] for rooms in slot_table(self, gens)]
+        return [[ReadSlots(slots, reads) for slots in pair] for pair in slot_table(self, gens)]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", recording)
 
 
 def rewired_slot_tables(monkeypatch, rewire):
     """Make RewritingGroup.slot_table give rewire(q, r, slot) in place of each
-    slot (g, k, p) of state q in room r."""
+    slot (g, k, p) in list r of state q: r is 0 for the outer slots, 1 for
+    all of them."""
     slot_table = RewritingGroup.slot_table
 
     def rewired(self, gens):
         table = slot_table(self, gens)
-        return [[[rewire(q, r, s) for s in room] for r, room in enumerate(rooms)] for q, rooms in enumerate(table)]
+        return [[[rewire(q, r, s) for s in slots] for r, slots in enumerate(pair)] for q, pair in enumerate(table)]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", rewired)
 

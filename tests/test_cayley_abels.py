@@ -377,21 +377,21 @@ def test_f2_build_makes_no_normal_form_call(monkeypatch):
 def test_build_labels_each_slot_once(catalog, monkeypatch):
     # products are counted where they are made: PiOne forms every product,
     # through coset_products, with multiply; a rewriting backend forms them
-    # in its own coset_products, or, for a found_in_order pair, the walk
+    # in its own coset_products, or, for a pair with an acceptor, the walk
     # forms at most one per slot it reads off the acceptor's slot table
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
         if isinstance(backend, PiOne):
             counted_multiply(monkeypatch, backend, calls)
-        elif pair.found_in_order:
+        elif pair.acceptor is not None:
             reads = []
             recorded_slot_tables(monkeypatch, reads)
             pair = GeneratingPair(backend, pair.K, pair.S, pair.name)
         else:
             counted_coset_products(monkeypatch, calls)
         t = build(pair, 4)
-        if pair.found_in_order:
+        if pair.acceptor is not None:
             assert len(reads) == len(t.vertices), pair.name
             calls = [slot for slots in reads for slot in slots]
         monkeypatch.undo()
@@ -714,8 +714,8 @@ def test_pairing_pass_rejects_a_half_edge_without_partner(graph, data):
 
 def ceiling_blind(space):
     """The space with a neighbours that ignores the ceiling, so ball_walk
-    forms every outer-sphere label and keeps those in the ball; it sets no
-    found_in_order, so ball_walk sorts every sphere."""
+    forms every outer-sphere label and keeps those in the ball; it gives no
+    acceptor, so ball_walk sorts every sphere."""
     return SimpleNamespace(
         base=space.base, sort_key=space.sort_key, neighbours=lambda x, ceiling=None: space.neighbours(x)
     )
@@ -738,7 +738,7 @@ def assert_walks_agree(pair, radius):
 
 
 @pytest.mark.parametrize("group, S, radius", [
-    # same-sphere edges a -> aa, and outer rows with room 0 and 1
+    # same-sphere edges a -> aa, and outer products one and two letters longer
     (make_z(), ["a", "aa"], 3),
     # in C6 with S = {a, aaa} sphere 2 is {aa, AA}, below sphere 1's aaa: the
     # ceiling is the largest key in the ball, not the outer sphere's last
@@ -751,8 +751,8 @@ def test_outer_sphere_rows_match_on_named_balls(group, S, radius):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_outer_sphere_rows_match_the_ceiling_blind_walk(data):
-    # generators of lengths 1 to 3 let the room |ceiling| - |x| take every value
-    # up to 3, and, as in Z with S = {a, aa}, give edges within a sphere
+    # generators of lengths 1 to 3 give outer products up to 3 letters longer
+    # than x, and, as in Z with S = {a, aa}, edges within a sphere
     group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
     words = st.lists(st.sampled_from(group.alphabet), min_size=1, max_size=3).map("".join)
     S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
@@ -777,17 +777,14 @@ def test_covering_tree_outer_rows_match_the_ceiling_blind_walk(pi):
         assert_walks_agree(CoveringTree(pi), radius)
 
 
-def counted_coset_products(monkeypatch, calls, shift=0):
-    """Record every product RewritingGroup.coset_products forms; a shift of 1
-    makes the room one short, but never below 0."""
+def counted_coset_products(monkeypatch, calls):
+    """Record every product RewritingGroup.coset_products forms."""
     coset_products = RewritingGroup.coset_products
 
     def counting(self, cosets):
         products = coset_products(self, cosets)
 
         def row(x, ceiling=None):
-            if ceiling is not None:
-                ceiling = (max(ceiling[0] - shift, len(x)), ceiling[1])
             out = products(x, ceiling)
             calls.extend(out)
             return out
@@ -816,14 +813,6 @@ def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
     assert len(calls) == 5828
 
 
-def test_room_one_short_drops_an_edge_within_the_ball(monkeypatch):
-    # in Z with S = {a, aa} the outer coset a^(2R-1) loses its edge to a^(2R)
-    z = make_z()
-    counted_coset_products(monkeypatch, [], shift=1)
-    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities"):
-        build(GeneratingPair(z, trivial_subgroup(z), ["a", "aa"]), 3)
-
-
 # -- spheres taken in the order the walk finds them --------------------------------
 
 def discovery_layers(space, radius):
@@ -847,11 +836,6 @@ def first_unsorted_layer(space, radius):
     return None
 
 
-def forced_in_order(pair):
-    """The pair as a space for ball_walk that takes every sphere as found."""
-    return SimpleNamespace(base=pair.base, sort_key=pair.sort_key, neighbours=pair.neighbours, found_in_order=True)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_full_alphabet_pairs_find_each_sphere_in_label_order(data):
@@ -860,43 +844,36 @@ def test_full_alphabet_pairs_find_each_sphere_in_label_order(data):
     inv = group.letter_inverse
     S = [c for g in group.generators for c in data.draw(st.sampled_from([[g], [inv[g]], [g, inv[g]]]))]
     pair = GeneratingPair(group, trivial_subgroup(group), S)
-    assert pair.found_in_order
+    assert pair.acceptor is not None
     radius = data.draw(st.integers(1, 7), label="radius")
     assert coset_table(build(pair, radius)) == reference_build(pair, radius)
     for layer in discovery_layers(pair, radius):
         assert layer == sorted(layer, key=group.sort_key)
 
 
-def test_forcing_the_found_order_where_it_is_not_sorted_fails_the_reference(catalog):
+def test_forcing_the_found_order_where_it_is_not_sorted_fails_the_reference():
     # F2 with S = {a, bb} finds sphere 2 as aa, abb, aBB, AA, ...: the longer
-    # abb before AA; the two graph-of-groups pairs also go wrong at sphere 2
+    # abb before AA.  A walk along the acceptor takes each x + c it finds
+    # irreducible for a new coset, and so the found order, which S = {a, bb}
+    # does not vouch for
     f2 = make_f2()
-    pairs = [
-        GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"]),
-        catalog["c2_c3_gog"].pairs()[0],
-        catalog["dinfty_gog"].pairs()[0],
-    ]
-    for pair in pairs:
-        assert not pair.found_in_order, pair.name
-        assert first_unsorted_layer(pair, 3) == 2, pair.name
-        assert coset_table(build(pair, 3)) == reference_build(pair, 3), pair.name
-        assert coset_table(ball_walk(forced_in_order(pair), 3)) != reference_build(pair, 3), pair.name
-    # a walk along the acceptor takes each x + c it finds irreducible for a
-    # new coset, and so the found order, which S = {a, bb} does not vouch for
-    pair = pairs[0]
+    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"])
+    assert pair.acceptor is None
+    assert first_unsorted_layer(pair, 3) == 2
+    assert coset_table(build(pair, 3)) == reference_build(pair, 3)
     forced = SimpleNamespace(base=pair.base, sort_key=pair.sort_key, acceptor=(f2.slot_table(pair.S), f2.join_product))
     assert list(ball_walk(forced, 3).sphere_labels(2))[:3] == ["aa", "abb", "aBB"]
     assert coset_table(ball_walk(forced, 3)) != reference_build(pair, 3)
 
 
 def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
-    taken = [(name, i) for name, e in catalog.items() for i, pair in enumerate(e.pairs()) if pair.found_in_order]
+    taken = [(name, i) for name, e in catalog.items() for i, pair in enumerate(e.pairs()) if pair.acceptor is not None]
     assert taken == [("z_rw", 0), ("z2_rw", 0), ("f2_rw", 0), ("dinfty_rw", 0), ("c6_rw", 0)]
     # Z with S = {a, aa} finds its spheres in order, a^n, A^n, a^(n+1), A^(n+1),
     # but S is not the alphabet
     assert first_unsorted_layer(catalog["z_rw"].pairs()[1], 6) is None
     c6 = make_c6()
-    assert not GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]).found_in_order
+    assert GeneratingPair(c6, Subgroup(c6, ["", "aaa"]), ["a"]).acceptor is None
 
 
 def test_rewriting_pair_with_nontrivial_k_has_no_coset_rows():
@@ -941,11 +918,11 @@ def test_cap_admits_exactly_the_ball(S):
 def reference_walk(space, radius, cap=DEFAULT_CAP):
     """ball_walk as it was before each coset took its position when first
     found, kept as the reference: each sphere is collected in a found dict,
-    sorted unless the space sets found_in_order, checked against the cap
-    whole and indexed, the rows are looked up in a second pass, and the
-    outer sphere's rows are formed after the loop."""
+    sorted, checked against the cap whole and indexed, the rows are looked
+    up in a second pass, and the outer sphere's rows are formed after the
+    loop.  It reads neighbours only, so a walk along an acceptor is checked
+    against the label rows, its found order against the sorted one."""
     sort_key, neighbours = space.sort_key, space.neighbours
-    in_order = getattr(space, "found_in_order", False)
     index = {space.base: 0}
     ceiling = sort_key(space.base)
     starts = [0, 1]
@@ -960,7 +937,7 @@ def reference_walk(space, radius, cap=DEFAULT_CAP):
             for y in row:
                 if y not in index:
                     found[y] = y
-        layer = list(found) if in_order else sorted(found, key=sort_key)
+        layer = sorted(found, key=sort_key)
         n = len(index)
         if n + len(layer) > cap:
             raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
@@ -1027,7 +1004,7 @@ def test_walk_matches_the_reference_walk(catalog, data):
             words = st.lists(st.sampled_from(group.alphabet), min_size=1, max_size=3).map("".join)
             S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
         space = GeneratingPair(group, trivial_subgroup(group), S)
-        assert space.found_in_order or kind == "random_s"
+        assert space.acceptor is not None or kind == "random_s"
         radius = data.draw(st.integers(1, 6 if kind == "full_alphabet" else 4), label="radius")
     elif kind == "multigraph":
         space, radius = multigraph_space(*data.draw(multigraphs())), data.draw(st.integers(1, 10), label="radius")
@@ -1042,15 +1019,25 @@ def test_walk_matches_the_reference_walk(catalog, data):
 def test_spheres_found_out_of_label_order_are_renumbered(catalog):
     # F2 with S = {a, bb} and c2_c3_gog/0 find sphere 1 in label order and
     # sphere 2 out of it; the walk gives sphere 2 its found positions first,
-    # as the walk that takes every sphere as found keeps them, then renumbers
+    # in the order discovery_layers reads, then renumbers
     f2 = make_f2()
     for pair in (GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"]), catalog["c2_c3_gog"].pairs()[0]):
         found = discovery_layers(pair, 3)
         assert found[0] == sorted(found[0], key=pair.sort_key) and found[1] != sorted(found[1], key=pair.sort_key)
-        assert list(ball_walk(forced_in_order(pair), 3).sphere_labels(2)) == found[1], pair.name
         assert list(ball_walk(pair, 3).sphere_labels(2)) == sorted(found[1], key=pair.sort_key), pair.name
         for radius in (2, 3, 5):
             assert_matches_reference_walk(pair, radius)
+
+
+def test_only_an_acceptor_vouches_for_the_found_order(catalog):
+    # a space that says its spheres turn up in label order, but gives no
+    # acceptor, is walked by its label rows and has every sphere sorted
+    f2 = make_f2()
+    for pair in (GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"]), catalog["c2_c3_gog"].pairs()[0]):
+        space = SimpleNamespace(base=pair.base, sort_key=pair.sort_key, neighbours=pair.neighbours, found_in_order=True)
+        for radius in (2, 3, 5):
+            assert_matches_reference_walk(space, radius)
+            assert coset_table(ball_walk(space, radius)) == reference_build(pair, radius), pair.name
 
 
 def lazy(space, formed):
@@ -1061,10 +1048,7 @@ def lazy(space, formed):
             formed.add(y)
             yield y
 
-    return SimpleNamespace(
-        base=space.base, sort_key=space.sort_key, neighbours=neighbours,
-        found_in_order=getattr(space, "found_in_order", False),
-    )
+    return SimpleNamespace(base=space.base, sort_key=space.sort_key, neighbours=neighbours)
 
 
 @pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
@@ -1079,7 +1063,7 @@ def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S, monkeypatch):
     inner, ball = (len(build(pair, r).vertices) for r in (3, 4))
     for cap in (inner, inner + 1, inner + 2, (inner + ball) // 2, ball - 1):
         message = f"^coset enumeration exceeded cap {cap} at radius 4$"
-        if pair.found_in_order:
+        if pair.acceptor is not None:
             reads = []
             recorded_slot_tables(monkeypatch, reads)
             with pytest.raises(BudgetExceeded, match=message):

@@ -584,6 +584,9 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
     (("pairs",), MISSING, "pairs is missing"),
     (("pairs", 0, "K"), MISSING, "pairs[0].K is missing"),
     (("pairs", 1, "S"), MISSING, "pairs[1].S is missing"),
+    # an atom naming both a vertex and an edge was read as its vertex element
+    (("pairs", 0, "S", 0, 0), {"v": "u", "g": 1, "e": 0},
+     """pairs[0].S[0][0] names both "v" and "e", got {'v': 'u', 'g': 1, 'e': 0}"""),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -737,6 +740,9 @@ def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog_doc, fi
     ("c2_c3_gog", {"vertex": "zz"}, "pairs[1].K.vertex names no base vertex, got 'zz'"),
     ("c2_c3_gog", {"edge": 7}, "pairs[1].K.edge names no base edge, got 7"),
     ("c2_c3_gog", 5, 'pairs[1].K must be "trivial", {"vertex": id} or {"edge": id}, got 5'),
+    # a K naming both a vertex and an edge was read as its vertex group
+    ("c2_c3_gog", {"vertex": "w", "edge": 0},
+     """pairs[1].K names both "vertex" and "edge", got {'vertex': 'w', 'edge': 0}"""),
 ])
 def test_cli_malformed_subgroup_spec_reports_cleanly(tmp_path, capsys, catalog, entry, K, message):
     spec = json.loads(json.dumps(catalog[entry].spec))
@@ -760,17 +766,19 @@ def cli_cut_on_z(tmp_path, capsys, radius):
     return out["message"]
 
 
-@pytest.mark.parametrize("radius, room", [
-    # room 1, the inner rows: each cancellation a^n.A and A^n.a is read as
-    # one of 0 letters, so the row of the inner coset a lists a, a self-loop
+@pytest.mark.parametrize("radius, part", [
+    # list 1, all slots, read by the inner rows: each cancellation a^n.A and
+    # A^n.a is read as one of 0 letters, so the row of the inner coset a
+    # lists a, a self-loop
     (3, 1),
-    # room 0, the outer rows only: the outer coset aa lists aa, at radius 2
+    # list 0, the outer slots, read by the outer rows only: the outer coset
+    # aa lists aa, at radius 2
     (2, 0),
 ], ids=["inner", "outer"])
-def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, room):
+def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, part):
     # Z on its whole alphabet walks along the acceptor, so the corruption is
-    # a slot outcome of its slot table in one room
-    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], 0, s[2]) if r == room and s[1] == 1 else s)
+    # a slot outcome in one of the two slot lists of its slot table
+    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], 0, s[2]) if r == part and s[1] == 1 else s)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
