@@ -45,11 +45,20 @@ in shortlex order.  ball_walk then forms each sphere with no label row
 and no sort.  It keeps the acceptor state of each frontier position x and
 reads the outcome of each slot x.c off the backend's slot table for that
 state: an irreducible x + c is the next coset, with no lookup; a free
-cancellation of k letters is the position of x less its last k letters;
-only another rule hit is reduced and looked up, and in an inner sphere a
-miss there is an InternalInconsistency, as the found-in-order argument
-numbers every such product first.  Every other pair and the covering tree
-sort each sphere.
+cancellation of k letters is x's k-th BFS ancestor, read off the parent
+position kept for each coset as it is found, with no label formed; only
+another rule hit is reduced and looked up, and in an inner sphere a miss
+there is an InternalInconsistency, as the found-in-order argument numbers
+every such product first.  Every other pair and the covering tree sort
+each sphere.
+
+The edges of a truncation are numbered by (i, j), i < j, from the rows.
+The label walk pairs them in one pass after the walk, as it renumbers
+spheres it finds out of order.  The acceptor walk pairs each row as it
+forms it: a child x + c takes a position above every target already in
+the ball, so the row's upward targets in (i, j) order are its upward
+non-children, sorted, then its children in slot order, and only a row
+with an upward non-child is sorted.
 """
 
 from __future__ import annotations
@@ -258,17 +267,24 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     the acceptor vouches that it turns up in label order.  Each frontier
     position keeps its acceptor state, one array item, and its row comes
     from the slots of that state: a child x + c takes the next position
-    with no lookup and passes its state on; a cancellation of k letters is
-    the position of x less its last k letters; any other slot is join(x, c),
-    looked up, and a miss is dropped in the outer sphere and raises
-    InternalInconsistency in an inner one.  The outer pass reads only each state's outer slots,
-    those that form no x + c.
+    with no lookup, passes its state on and records x as its parent; a
+    cancellation of k letters is x's k-th ancestor, k parent steps; any
+    other slot is join(x, c), looked up, and a miss is dropped in the outer
+    sphere and raises InternalInconsistency in an inner one.  The outer
+    pass reads only each state's outer slots, those that form no x + c.
 
-    The half-edge pass pairs edges from the rows.  Raises BudgetExceeded at
-    the first label past the element cap, and InternalInconsistency when
-    the rows do not pair up, and refuses a radius past the cap before the
-    walk: a ball not closed by radius cap already holds more than cap
-    cosets.
+    The label walk pairs the half-edges from the rows after the walk.  The
+    acceptor walk pairs each row as it forms it, its children in slot
+    order, and sorts only a row with an upward target that is no child.
+    Its pairs are checked as strictly as the post pass checks them: a
+    child's row lists its parent once, a sorted row's counts are checked
+    against its targets' rows after the walk, and every position has a
+    row.
+
+    Raises BudgetExceeded at the first label past the element cap, and
+    InternalInconsistency when the rows do not pair up, and refuses a
+    radius past the cap before the walk: a ball not closed by radius cap
+    already holds more than cap cosets.
     """
     if radius > cap:
         raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
@@ -281,6 +297,8 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     ceiling = sort_key(space.base)
     starts = [0, 1]
     rows = []
+    origin = []
+    balanced = True
     frontier = [space.base]
     if acceptor is None:
         neighbours = space.neighbours
@@ -289,6 +307,10 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         # the acceptor state of each frontier position, the base's the start state
         code = "B" if len(slots) <= 1 << 8 else "H" if len(slots) <= 1 << 16 else "L"
         states = array(code, [0])
+        # the BFS parent of each position, filled as children are found; the
+        # base is its own, and grouped lists the rows paired by sorting
+        parent = [0]
+        grouped = []
     for d in range(1, radius + 2):
         bound = ceiling if d > radius else None
         first, n = len(rows), len(index)
@@ -309,8 +331,10 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
             # the outer sphere reads only the slots that form no x + c
             by_state = [outer if bound is not None else every for outer, every in slots]
             grown = array(code)
-            for x, q in zip(frontier, states):
+            for i, (x, q) in enumerate(zip(frontier, states), first):
                 row = []
+                mark = len(origin)
+                grouping = False
                 for c, k, p in by_state[q]:
                     if k == -1:
                         # x + c is irreducible: the next coset of sphere d
@@ -318,6 +342,8 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                         if j >= cap:
                             raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
                         grown.append(p)
+                        parent.append(i)
+                        origin += (i, j)
                     elif k is None:
                         y = join(x, c)
                         j = get(y)
@@ -329,10 +355,22 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                                 f"{space!r} was not numbered by sphere {d}: a walk along the acceptor "
                                 "finds each coset at its parent first"
                             )
+                        if j > i:
+                            grouping = True
                     else:
-                        j = index[x[:len(x) - k]]  # a free cancellation of k letters
+                        # a free cancellation of k letters: x's k-th BFS ancestor
+                        j = i
+                        while k:
+                            j = parent[j]
+                            k -= 1
                     row.append(j)
                 rows.append(row)
+                if i and row.count(parent[i]) != 1:
+                    balanced = False  # a child lists its parent other than once
+                if grouping:
+                    # an upward target that is no child lies below every child
+                    grouped.append(i)
+                    origin[mark:] = [v for j in sorted(row) if j > i for v in (i, j)]
             states = grown
         if bound is not None:
             break
@@ -357,17 +395,23 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
     # target j > i is paired once, at the first of its parallel half-edges
-    origin = []
-    balanced = True
-    for i, row in enumerate(rows):
-        last = i
-        for j in sorted(row):
-            if j > last:
-                last = j
-                n = row.count(j)
-                if rows[j].count(i) != n:
-                    balanced = False
-                origin += (i, j) * n
+    if acceptor is None:
+        for i, row in enumerate(rows):
+            last = i
+            for j in sorted(row):
+                if j > last:
+                    last = j
+                    n = row.count(j)
+                    if rows[j].count(i) != n:
+                        balanced = False
+                    origin += (i, j) * n
+    elif len(rows) < len(index):
+        balanced = False  # an outer slot formed a child, which has no row
+    else:
+        for i in grouped:
+            row = rows[i]
+            if any(row.count(j) != rows[j].count(i) for j in set(row) if j > i):
+                balanced = False
     # with every pair balanced, origin holds each half-edge i -> j (i < j) and
     # its partner, so a half-edge j -> i that row i does not list back, or a
     # self-loop, leaves the total short

@@ -346,10 +346,18 @@ class RewritingGroup:
         if not generators:
             raise ValueError("generators must not be empty")
         for i, g in enumerate(generators):
-            expect(g, str, f"generators[{i}]")
+            if len(expect(g, str, f"generators[{i}]")) != 1:
+                raise ValueError(f"generators[{i}] must be a single character, got {g!r}")
         inverses = required(data, "inverses", "inverses", dict)
         for g, gi in inverses.items():
-            expect(gi, str, f"inverses[{g!r}]")
+            if len(expect(gi, str, f"inverses[{g!r}]")) != 1:
+                raise ValueError(f"inverses[{g!r}] must be a single character, got {gi!r}")
+        # the alphabet as the constructor forms it, less an undeclared inverse
+        letters = {*generators, *(inverses[g] for g in generators if g in inverses)}
+        for i, r in enumerate(rules):
+            for c in "".join(r):
+                if c not in letters:
+                    raise ValueError(f"rules[{i}] has unknown letter {c!r}, got {list(r)!r}")
         return cls(
             generators,
             inverses,

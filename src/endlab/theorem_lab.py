@@ -147,6 +147,9 @@ def element_from_spec(backend, spec, where="element"):
     if isinstance(backend, RewritingGroup):
         if not isinstance(spec, str):
             raise ValueError(f"{where} must be a word string, got {type(spec).__name__}")
+        for c in spec:
+            if c not in backend.alphabet:
+                raise ValueError(f"{where} has unknown letter {c!r}, got {spec!r}")
         return backend.normal_form(spec)
     if not isinstance(spec, list):
         raise ValueError(f"{where} must be a list of atoms, got {type(spec).__name__}")

@@ -1178,3 +1178,50 @@ def test_a_fallback_slot_taken_for_a_child_fails_the_reference(monkeypatch):
     rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], -1, 0) if r and s[1] is None else s)
     with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities in the radius-3 ball"):
         build(GeneratingPair(z2, trivial_subgroup(z2), ["a", "b"]), 3)
+
+
+# -- the pairs the acceptor walk forms against the pairing loop, on mutant tables ----
+
+MUTANT_GROUPS = [
+    make_z(),
+    RewritingGroup(["a", "t"], {"a": "A", "t": "t"}, [("ta", "at"), ("tA", "At")], name="ZxC2"),
+    RewritingGroup(["a", "b"], {"a": "a", "b": "B"}, [("bb", "B"), ("BB", "b")], name="C2*C3"),
+]
+
+
+@st.composite
+def slot_rewirings(draw):
+    """A group of MUTANT_GROUPS and one slot (q, r, g) of its slot table with
+    its outcome rewired: a cancellation of k letters read as one of k - 1 or
+    k + 1, a child read as a fallback, or a fallback read as a child."""
+    group = draw(st.sampled_from(MUTANT_GROUPS), label="group")
+    table = group.slot_table(group.alphabet)
+    q = draw(st.integers(0, len(table) - 1), label="state")
+    r = draw(st.sampled_from([r for r in (0, 1) if table[q][r]]), label="list")
+    g, k, _ = draw(st.sampled_from(table[q][r]), label="slot")
+    if k == -1:
+        new = (g, None, None)
+    elif k is None:
+        new = (g, -1, draw(st.integers(0, len(table) - 1), label="child state"))
+    else:
+        new = (g, k + draw(st.sampled_from([-1, 1]), label="k step"), None)
+    return group, (q, r, g), new
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_rewirings(), st.integers(1, 5))
+def test_the_acceptor_walk_pairs_a_mutant_table_as_the_pairing_loop(rewiring, radius):
+    # the walk pairs each row as it forms it; on a table with one slot
+    # rewired it raises, or every row has its own and the pairs it forms are
+    # those of the pairing loop it replaced, so its checks are no weaker
+    group, at, new = rewiring
+    with pytest.MonkeyPatch.context() as mp:
+        rewired_slot_tables(mp, lambda q, r, s: new if (q, r, s[0]) == at else s)
+        pair = GeneratingPair(group, trivial_subgroup(group), group.alphabet)
+        try:
+            t = ball_walk(pair, radius)
+        except InternalInconsistency:
+            return
+    assert len(t.rows) == len(t.index)
+    assert t.origin == reference_origin(t.rows)
+

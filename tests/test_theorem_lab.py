@@ -489,6 +489,8 @@ def test_cli_radius_past_the_cap_is_refused_before_the_walk(tmp_path, capsys, ca
     ([{"K": "trivial", "S": [["a"]]}], "pairs[0].S[0] must be a word string"),
     (5, "pairs must be a list, got int"),
     ([5], "pairs[0] must be an object, got int"),
+    ([{"K": "trivial", "S": ["a"]}, {"K": "trivial", "S": ["A", "ac"]}],
+     "pairs[1].S[1] has unknown letter 'c', got 'ac'"),
 ])
 def test_cli_malformed_word_spec_reports_cleanly(tmp_path, capsys, catalog, pairs, field):
     spec = {"backend": catalog["z_rw"].spec["backend"], "pairs": pairs}
@@ -518,6 +520,11 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     ("generators", [], "generators must not be empty"),
     ("generators", MISSING, "generators is missing"),
     ("inverses", MISSING, "inverses is missing"),
+    ("generators", ["ab"], "generators[0] must be a single character, got 'ab'"),
+    ("generators", ["a", ""], "generators[1] must be a single character, got ''"),
+    ("inverses", {"a": "AB"}, "inverses['a'] must be a single character, got 'AB'"),
+    ("rules", [["aA", "c"]], "rules[0] has unknown letter 'c', got ['aA', 'c']"),
+    ("rules", [["AAA", "a"], ["ca", ""]], "rules[1] has unknown letter 'c', got ['ca', '']"),
 ])
 def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["z_rw"].spec))
@@ -766,19 +773,23 @@ def cli_cut_on_z(tmp_path, capsys, radius):
     return out["message"]
 
 
-@pytest.mark.parametrize("radius, part", [
+@pytest.mark.parametrize("radius, part, k", [
     # list 1, all slots, read by the inner rows: each cancellation a^n.A and
     # A^n.a is read as one of 0 letters, so the row of the inner coset a
     # lists a, a self-loop
-    (3, 1),
+    (3, 1, 0),
     # list 0, the outer slots, read by the outer rows only: the outer coset
     # aa lists aa, at radius 2
-    (2, 0),
-], ids=["inner", "outer"])
-def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, part):
+    (2, 0, 0),
+    # list 1 again, each cancellation read as one of 2 letters: the walk of
+    # two ancestors goes past the parent, so the inner coset aa lists the
+    # base where it should list a
+    (3, 1, 2),
+], ids=["inner", "outer", "inner_past_parent"])
+def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, part, k):
     # Z on its whole alphabet walks along the acceptor, so the corruption is
     # a slot outcome in one of the two slot lists of its slot table
-    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], 0, s[2]) if r == part and s[1] == 1 else s)
+    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], k, s[2]) if r == part and s[1] == 1 else s)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
