@@ -31,10 +31,13 @@ cosets in BFS order, where each sphere starts in it, each coset's row of
 targets inside the ball, and an origin per oriented edge, edge e having
 inverse e ^ 1.
 
-ball_walk numbers each coset as found: one pass per sphere, the outer
-sphere the last, looks each label up once and gives a new one the next
-position.  A sphere found out of label order is renumbered, so the cosets
-stay in BFS order with each sphere sorted.
+ball_walk numbers each coset as found, in one pass per sphere, the
+outer sphere the last.  The label walk looks each label up once and gives
+a new one the next position; a sphere found out of label order is
+renumbered, so the cosets stay in BFS order with each sphere sorted.  The
+acceptor walk below numbers a coset by its BFS parent and its last letter
+and forms no label: the truncation forms the labels, and their index, only
+when something reads them, and the probes read positions only.
 
 The acceptor is the one claim that each sphere turns up in label order.
 A pair gives one when K = 1 and S is the whole alphabet of a confluent
@@ -44,13 +47,15 @@ so each sphere d + 1 turns up in shortlex order while sphere d is scanned
 in shortlex order.  ball_walk then forms each sphere with no label row
 and no sort.  It keeps the acceptor state of each frontier position x and
 reads the outcome of each slot x.c off the backend's slot table for that
-state: an irreducible x + c is the next coset, with no lookup; a free
-cancellation of k letters is x's k-th BFS ancestor, read off the parent
-position kept for each coset as it is found, with no label formed; only
-another rule hit is reduced and looked up, and in an inner sphere a miss
+state: an irreducible x + c is the next coset, recorded by its parent x
+and its letter c, with no label formed and no lookup; a free cancellation
+of k letters is x's k-th BFS ancestor, read off the parent position kept
+for each coset; only another rule hit is reduced and looked up, among the
+labels of the positions numbered so far, and in an inner sphere a miss
 there is an InternalInconsistency, as the found-in-order argument numbers
-every such product first.  Every other pair and the covering tree sort
-each sphere.
+every such product first.  As each sphere is the child slots of the
+states before it, the walk counts it before it forms it, and refuses one
+past the cap.  Every other pair and the covering tree sort each sphere.
 
 The edges of a truncation are numbered by (i, j), i < j, from the rows.
 The label walk pairs them in one pass after the walk, as it renumbers
@@ -218,21 +223,42 @@ class Truncation:
     a label serves as the coset's representative.
 
     vertices are the labels in BFS order, each sphere sorted by the label
-    order, and index, the only label-keyed structure, their positions, in
-    the same order; sphere r is vertices[starts[r]:starts[r + 1]].  rows[i]
-    lists the positions of the neighbours of vertices[i] inside the ball,
-    and oriented edge e runs from origin[e] to origin[e ^ 1].
+    order, and index their positions, in the same order; sphere r is
+    vertices[starts[r]:starts[r + 1]].  rows[i] lists the positions of the
+    neighbours of vertices[i] inside the ball, and oriented edge e runs
+    from origin[e] to origin[e ^ 1].
+
+    The label walk passes index.  The acceptor walk passes trie instead:
+    the labels it formed, a prefix of vertices; the BFS parent of each
+    position and the code of its last letter; and the letters, by code.
+    It forms vertices, label j being label parent[j] followed by j's
+    letter, and then index, each the first time it is read: the probes
+    read positions only.
     """
 
-    def __init__(self, space, index, starts, rows, origin, radius, exhausted):
+    def __init__(self, space, index, starts, rows, origin, radius, exhausted, trie=None):
         self.space = space
-        self.index = index
-        self.vertices = tuple(index)
+        if index is not None:
+            self.index = index
+        self.trie = trie
         self.starts = starts
         self.rows = rows
         self.origin = origin
         self.radius = radius
         self.exhausted = exhausted
+
+    @functools.cached_property
+    def vertices(self):
+        if self.trie is None:
+            return tuple(self.index)
+        labels, parent, letters, words = self.trie
+        extend_labels(labels, parent, letters, words, self.starts)
+        return tuple(labels)
+
+    @functools.cached_property
+    def index(self):
+        # read only for a ball of the acceptor walk: the label walk passes it
+        return index_labels({}, self.vertices, self.space, self.radius)
 
     # the probes read the rows; only the tests, `tree --dot` and the benchmark
     # trace, whose build hook counts graph.vertices, read this label-keyed copy
@@ -243,6 +269,36 @@ class Truncation:
 
     def sphere_labels(self, r):
         return self.vertices[self.starts[r]:self.starts[r + 1]]
+
+
+def typecode(n):
+    """The array typecode of the least item size that holds 0..n - 1."""
+    return "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "L"
+
+
+def extend_labels(labels, parent, letters, words, starts):
+    """Extend labels, those of the first positions of an acceptor ball, to
+    every position parent numbers: label j is label parent[j] followed by
+    the letter words[letters[j]].  A parent lies in the sphere before its
+    child's, whose start starts lists, so each sphere is one pass."""
+    for end in (*starts[1:], len(parent)):
+        m = len(labels)
+        if m < end:
+            labels += [labels[p] + words[c] for p, c in zip(parent[m:end], letters[m:end])]
+
+
+def index_labels(index, labels, space, radius):
+    """index, the positions of the first labels, extended over all of them;
+    a repeated label raises InternalInconsistency."""
+    m = len(index)
+    index.update(zip(labels[m:], range(m, len(labels))))
+    if len(index) < len(labels):
+        y = next(y for j, y in enumerate(labels) if index[y] != j)
+        raise InternalInconsistency(
+            f"the label {y!r} names two cosets of the radius-{radius} ball of {space!r}: "
+            "a walk along the acceptor forms each normal form once"
+        )
+    return index
 
 
 def ball_walk(space, radius, cap=DEFAULT_CAP):
@@ -264,14 +320,19 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     A space that gives an acceptor, a slot table and a join product (see
     GeneratingPair and RewritingGroup.slot_table), is walked along it
     instead: neighbours is not read, and each sphere is taken as found, as
-    the acceptor vouches that it turns up in label order.  Each frontier
-    position keeps its acceptor state, one array item, and its row comes
-    from the slots of that state: a child x + c takes the next position
-    with no lookup, passes its state on and records x as its parent; a
-    cancellation of k letters is x's k-th ancestor, k parent steps; any
-    other slot is join(x, c), looked up, and a miss is dropped in the outer
-    sphere and raises InternalInconsistency in an inner one.  The outer
-    pass reads only each state's outer slots, those that form no x + c.
+    the acceptor vouches that it turns up in label order.  The frontier is
+    the acceptor state of each of its positions, one array item, and each
+    row comes from the slots of its state.  A child x + c takes the next
+    position and passes its state on, and the walk records x as its parent
+    and c as its letter, with no label formed and no lookup: normal forms
+    are prefix-closed, so parent and letter name the coset.  A cancellation
+    of k letters is x's k-th ancestor, k parent steps.  Any other slot is
+    join(x, c), looked up in an index of the positions numbered so far,
+    whose labels are formed for it from their parents and letters; a miss
+    is dropped in the outer sphere and raises InternalInconsistency in an
+    inner one.  The outer pass reads only each state's outer slots, those
+    that form no x + c.  The truncation forms vertices and index when they
+    are first read.
 
     The label walk pairs the half-edges from the rows after the walk.  The
     acceptor walk pairs each row as it forms it, its children in slot
@@ -282,39 +343,55 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     row.
 
     Raises BudgetExceeded at the first label past the element cap, and
-    InternalInconsistency when the rows do not pair up, and refuses a
-    radius past the cap before the walk: a ball not closed by radius cap
-    already holds more than cap cosets.
+    InternalInconsistency when the rows do not pair up, or when the
+    acceptor walk names two cosets alike.  The acceptor walk counts each
+    sphere, its frontier's child slots, and refuses one past the cap before
+    it forms a coset of it.  A radius past the cap is refused before the
+    walk: a ball not closed by radius cap already holds more than cap
+    cosets.
     """
     if radius > cap:
         raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
-    sort_key = space.sort_key
     acceptor = getattr(space, "acceptor", None)
-    # label -> BFS position, in BFS order; while sphere d is found it holds
-    # spheres 0..d-1 and the part of sphere d found so far, in the found order
-    index = {space.base: 0}
-    get = index.get
-    ceiling = sort_key(space.base)
     starts = [0, 1]
     rows = []
     origin = []
     balanced = True
-    frontier = [space.base]
     if acceptor is None:
-        neighbours = space.neighbours
+        sort_key, neighbours = space.sort_key, space.neighbours
+        # label -> BFS position, in BFS order; while sphere d is found it holds
+        # spheres 0..d-1 and the part of sphere d found so far, in the found order
+        index = {space.base: 0}
+        get = index.get
+        ceiling = sort_key(space.base)
+        frontier = [space.base]
     else:
         slots, join = acceptor
-        # the acceptor state of each frontier position, the base's the start state
-        code = "B" if len(slots) <= 1 << 8 else "H" if len(slots) <= 1 << 16 else "L"
-        states = array(code, [0])
-        # the BFS parent of each position, filled as children are found; the
-        # base is its own, and grouped lists the rows paired by sorting
+        # the frontier is the acceptor state of each of its positions, the
+        # base's the start state
+        code = typecode(len(slots))
+        frontier = array(code, [0])
+        # a state's child slots, those that form an x + c, are the slots
+        # its outer slots leave out
+        children = [len(every) - len(outer) for outer, every in slots]
+        # the BFS parent of each position and the code of its last letter,
+        # filled as children are found; the base is its own parent, and a
+        # slot's letter, a word of S, is coded by the order codes first met it
         parent = [0]
+        codes = {}
+        letters = array(typecode(len(slots[0][1])), [0])
+        # the labels of the first positions and their index, formed only as
+        # far as a fallback slot reads them
+        labels = [space.base]
+        found = {space.base: 0}
+        # the rows paired by sorting
         grouped = []
     for d in range(1, radius + 2):
-        bound = ceiling if d > radius else None
-        first, n = len(rows), len(index)
+        outer_pass = d > radius
+        first = len(rows)
         if acceptor is None:
+            bound = ceiling if outer_pass else None
+            n = len(index)
             for x in frontier:
                 row = []
                 for y in neighbours(x, bound):
@@ -328,30 +405,36 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     row.append(j)
                 rows.append(row)
         else:
+            # sphere d is the child slots of its frontier's states, counted
+            # before any is formed
+            if not outer_pass and len(parent) + sum(map(children.__getitem__, frontier)) > cap:
+                raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
             # the outer sphere reads only the slots that form no x + c
-            by_state = [outer if bound is not None else every for outer, every in slots]
+            by_state = [outer if outer_pass else every for outer, every in slots]
             grown = array(code)
-            for i, (x, q) in enumerate(zip(frontier, states), first):
+            for i, q in enumerate(frontier, first):
                 row = []
                 mark = len(origin)
                 grouping = False
                 for c, k, p in by_state[q]:
                     if k == -1:
                         # x + c is irreducible: the next coset of sphere d
-                        j = index[x + c] = len(index)
-                        if j >= cap:
-                            raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
-                        grown.append(p)
+                        j = len(parent)
                         parent.append(i)
+                        letters.append(codes.setdefault(c, len(codes)))
+                        grown.append(p)
                         origin += (i, j)
                     elif k is None:
-                        y = join(x, c)
-                        j = get(y)
+                        if len(labels) < len(parent):
+                            extend_labels(labels, parent, letters, list(codes), starts)
+                            index_labels(found, labels, space, radius)
+                        y = join(labels[i], c)
+                        j = found.get(y)
                         if j is None:
-                            if bound is not None:
+                            if outer_pass:
                                 continue  # the outer sphere's target past the ball
                             raise InternalInconsistency(
-                                f"the product {y!r} of {x!r} by {c!r} in the radius-{radius} ball of "
+                                f"the product {y!r} of {labels[i]!r} by {c!r} in the radius-{radius} ball of "
                                 f"{space!r} was not numbered by sphere {d}: a walk along the acceptor "
                                 "finds each coset at its parent first"
                             )
@@ -371,11 +454,10 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     # an upward target that is no child lies below every child
                     grouped.append(i)
                     origin[mark:] = [v for j in sorted(row) if j > i for v in (i, j)]
-            states = grown
-        if bound is not None:
+        if outer_pass:
             break
-        frontier = list(islice(index, n, None))
         if acceptor is None:
+            frontier = list(islice(index, n, None))
             layer = sorted(frontier, key=sort_key)
             if layer != frontier:
                 # reinsert the sphere sorted, so that index order stays BFS
@@ -387,11 +469,15 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 for i in range(first, len(rows)):
                     rows[i] = [j if j < n else moved[j - n] for j in rows[i]]
                 frontier = layer
-        starts.append(len(index))
+            if frontier:
+                ceiling = max(ceiling, sort_key(frontier[-1]))
+        else:
+            frontier = grown
+        # sphere d holds the positions past those with a row
+        starts.append(len(rows) + len(frontier))
         if not frontier:
             break
-        ceiling = max(ceiling, sort_key(frontier[-1]))
-    starts += [len(index)] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
+    starts += [starts[-1]] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
     # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
     # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
     # target j > i is paired once, at the first of its parallel half-edges
@@ -405,7 +491,7 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     if rows[j].count(i) != n:
                         balanced = False
                     origin += (i, j) * n
-    elif len(rows) < len(index):
+    elif len(rows) < len(parent):
         balanced = False  # an outer slot formed a child, which has no row
     else:
         for i in grouped:
@@ -421,7 +507,9 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
             "two rows list each other a different number of times"
         )
     # an empty frontier means the whole space lies in the ball
-    return Truncation(space, index, starts, rows, origin, radius, not frontier)
+    if acceptor is None:
+        return Truncation(space, index, starts, rows, origin, radius, not frontier)
+    return Truncation(space, None, starts, rows, origin, radius, not frontier, (labels, parent, letters, list(codes)))
 
 
 def build(pair, radius, cap=DEFAULT_CAP):

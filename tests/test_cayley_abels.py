@@ -975,6 +975,7 @@ def assert_matches_reference_walk(space, radius):
     short of the ball the reference raises at the last sphere, as the walk
     does unless the radius is past that cap, which it refuses at once."""
     t, ref = ball_walk(space, radius), reference_walk(space, radius)
+    assert t.vertices == ref.vertices
     assert list(t.index.items()) == list(ref.index.items())
     assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
     n = len(t.vertices)
@@ -1054,13 +1055,13 @@ def lazy(space, formed):
 @pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
 def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S, monkeypatch):
     # the reference forms its whole last sphere, 108 or 216 cosets past |B_3|.
-    # The walk along the acceptor, for S = {a, b}, stops in the row that
-    # forms position cap: the rows it read before it hold fewer than cap
-    # child slots, the cosets past the base, and with it cap or more.  The
-    # label walk, for S = {a, bb}, forms at most the coset past the cap
+    # The walk along the acceptor, for S = {a, b}, counts sphere 4 off the
+    # states of sphere 3 and refuses it before it reads a row of sphere 3:
+    # it reads the rows of B_2 only, which form B_3.  The label walk, for
+    # S = {a, bb}, forms at most the coset past the cap
     f2 = make_f2()
     pair = GeneratingPair(f2, trivial_subgroup(f2), S)
-    inner, ball = (len(build(pair, r).vertices) for r in (3, 4))
+    below, inner, ball = (len(build(pair, r).vertices) for r in (2, 3, 4))
     for cap in (inner, inner + 1, inner + 2, (inner + ball) // 2, ball - 1):
         message = f"^coset enumeration exceeded cap {cap} at radius 4$"
         if pair.acceptor is not None:
@@ -1069,8 +1070,8 @@ def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S, monkeypatch):
             with pytest.raises(BudgetExceeded, match=message):
                 ball_walk(GeneratingPair(f2, trivial_subgroup(f2), S), 4, cap)
             monkeypatch.undo()
-            children = [sum(k == -1 for _, k, _ in slots) for slots in reads]
-            assert sum(children[:-1]) < cap <= sum(children)
+            assert len(reads) == below
+            assert 1 + sum(k == -1 for slots in reads for _, k, _ in slots) == inner
         else:
             formed = {pair.base}
             with pytest.raises(BudgetExceeded, match=message):
@@ -1117,7 +1118,9 @@ def confluent_systems(draw):
 
 
 def assert_walks_as_the_reference(pair, radius):
+    # an acceptor ball forms its labels, and then their index, when first read
     t, ref = ball_walk(pair, radius), reference_walk(pair, radius)
+    assert t.vertices == ref.vertices, (pair.backend, radius)
     assert list(t.index.items()) == list(ref.index.items()), (pair.backend, radius)
     assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
 
@@ -1193,13 +1196,17 @@ MUTANT_GROUPS = [
 def slot_rewirings(draw):
     """A group of MUTANT_GROUPS and one slot (q, r, g) of its slot table with
     its outcome rewired: a cancellation of k letters read as one of k - 1 or
-    k + 1, a child read as a fallback, or a fallback read as a child."""
+    k + 1, a child read as a fallback or with the letter of another child
+    slot of q, or a fallback read as a child."""
     group = draw(st.sampled_from(MUTANT_GROUPS), label="group")
     table = group.slot_table(group.alphabet)
     q = draw(st.integers(0, len(table) - 1), label="state")
     r = draw(st.sampled_from([r for r in (0, 1) if table[q][r]]), label="list")
-    g, k, _ = draw(st.sampled_from(table[q][r]), label="slot")
-    if k == -1:
+    g, k, p = draw(st.sampled_from(table[q][r]), label="slot")
+    twins = [c for c, j, _ in table[q][r] if j == -1 and c != g]
+    if k == -1 and twins and draw(st.booleans(), label="letter"):
+        new = (draw(st.sampled_from(twins), label="twin letter"), -1, p)
+    elif k == -1:
         new = (g, None, None)
     elif k is None:
         new = (g, -1, draw(st.integers(0, len(table) - 1), label="child state"))
@@ -1213,15 +1220,21 @@ def slot_rewirings(draw):
 def test_the_acceptor_walk_pairs_a_mutant_table_as_the_pairing_loop(rewiring, radius):
     # the walk pairs each row as it forms it; on a table with one slot
     # rewired it raises, or every row has its own and the pairs it forms are
-    # those of the pairing loop it replaced, so its checks are no weaker
+    # those of the pairing loop it replaced, so its checks are no weaker.  A
+    # child slot given a twin's letter names two cosets alike, which the
+    # index refuses, or its state is never scanned and the ball is the
+    # reference's
     group, at, new = rewiring
     with pytest.MonkeyPatch.context() as mp:
         rewired_slot_tables(mp, lambda q, r, s: new if (q, r, s[0]) == at else s)
         pair = GeneratingPair(group, trivial_subgroup(group), group.alphabet)
         try:
             t = ball_walk(pair, radius)
+            t.index
         except InternalInconsistency:
             return
     assert len(t.rows) == len(t.index)
     assert t.origin == reference_origin(t.rows)
+    if new[0] != at[2]:
+        assert_walks_as_the_reference(pair, radius)
 

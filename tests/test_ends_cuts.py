@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import ends_cuts
+from endlab import cayley_abels, ends_cuts
 from endlab.cayley_abels import GeneratingPair, ball_walk, build, trivial_subgroup
 from endlab.ends_cuts import (
     AT_LEAST,
@@ -17,9 +17,11 @@ from endlab.ends_cuts import (
     escaping_components,
     find_cut,
 )
+from endlab.group_backends import RewritingGroup
 from endlab.serre_graphs import blocks
 
 from test_cayley_abels import distances, make_c6, make_z, multigraph_space
+from test_group_backends import make_f2
 from test_serre_graphs import reference_components
 
 
@@ -313,6 +315,44 @@ def test_classify_ends_walks_the_truncation_once(catalog, monkeypatch):
         walks.clear()
         classify_ends(catalog[name].pairs()[0], r_max=3, radius=8)
         assert len(walks) == 1, name
+
+
+def f2_ball(radius):
+    f2 = make_f2()
+    return build(GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"]), radius)
+
+
+def test_probing_an_acceptor_ball_forms_no_label(monkeypatch):
+    # the walk along the acceptor numbers F2's cosets by parent and letter,
+    # and F2 has no rule but the free cancellations, so no product is joined;
+    # the probes read positions, and form no label and no index
+    joined = []
+    monkeypatch.setattr(RewritingGroup, "join_product", lambda self, x, g: joined.append((x, g)))
+    t = f2_ball(9)
+    assert ball_probes(t, 3) == [4, 12, 36, 108]
+    assert "vertices" not in t.__dict__ and "index" not in t.__dict__
+    assert joined == []
+
+
+def test_find_cut_forms_the_labels_of_an_acceptor_ball_once(monkeypatch):
+    # the cut prints its vertices, so it forms every label but the base's,
+    # once: a second cut reads the labels already formed
+    formed = []
+    extend_labels = cayley_abels.extend_labels
+
+    def counted(labels, *args):
+        n = len(labels)
+        extend_labels(labels, *args)
+        formed.append(len(labels) - n)
+
+    monkeypatch.setattr(cayley_abels, "extend_labels", counted)
+    t = f2_ball(9)
+    assert formed == []
+    cut = find_cut(t)
+    assert find_cut(t) == cut
+    assert formed == [len(t.rows) - 1] == [39364]
+    assert (len(cut.vertices), cut.vertices[:3], cut.coboundary) == (9841, ("a", "aa", "ab"), (0, 1))
+    assert "index" not in t.__dict__
 
 
 # -- probes on the coset table against the graph copy and the old scans ----------------
