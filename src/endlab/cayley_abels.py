@@ -35,35 +35,20 @@ ball_walk numbers each coset as found, in one pass per sphere, the
 outer sphere the last.  The label walk looks each label up once and gives
 a new one the next position; a sphere found out of label order is
 renumbered, so the cosets stay in BFS order with each sphere sorted.  The
-acceptor walk below numbers a coset by its BFS parent and its last letter
-and forms no label: the truncation forms the labels, and their index, only
-when something reads them, and the probes read positions only.
+edges are numbered by (i, j), i < j, and paired from the rows after the
+walk.
 
 The acceptor is the one claim that each sphere turns up in label order.
-A pair gives one when K = 1 and S is the whole alphabet of a confluent
-shortlex rewriting system: normal forms are then geodesic and
-prefix-closed (Epstein et al., Word Processing in Groups, 1992, ch. 2),
-so each sphere d + 1 turns up in shortlex order while sphere d is scanned
-in shortlex order.  ball_walk then forms each sphere with no label row
-and no sort.  It keeps the acceptor state of each frontier position x and
-reads the outcome of each slot x.c off the backend's slot table for that
-state: an irreducible x + c is the next coset, recorded by its parent x
-and its letter c, with no label formed and no lookup; a free cancellation
-of k letters is x's k-th BFS ancestor, read off the parent position kept
-for each coset; only another rule hit is reduced and looked up, among the
-labels of the positions numbered so far, and in an inner sphere a miss
-there is an InternalInconsistency, as the found-in-order argument numbers
-every such product first.  As each sphere is the child slots of the
-states before it, the walk counts it before it forms it, and refuses one
-past the cap.  Every other pair and the covering tree sort each sphere.
-
-The edges of a truncation are numbered by (i, j), i < j, from the rows.
-The label walk pairs them in one pass after the walk, as it renumbers
-spheres it finds out of order.  The acceptor walk pairs each row as it
-forms it: a child x + c takes a position above every target already in
-the ball, so the row's upward targets in (i, j) order are its upward
-non-children, sorted, then its children in slot order, and only a row
-with an upward non-child is sorted.
+A pair gives one when K = 1, S is the whole alphabet of a confluent
+shortlex rewriting system and every rule cancels (see GeneratingPair).
+ball_walk then keeps the acceptor state of each frontier position and
+reads each slot's outcome off the backend's slot table, one of two: a
+child, the next coset, numbered by its BFS parent and its last letter
+with no label formed and no lookup, or a cancellation, an ancestor of the
+position.  It counts each sphere before it forms it, pairs each row as it
+forms it, and forms no label: the truncation forms the labels, and their
+index, only when something reads them, and the probes read positions
+only.  Every other pair and the covering tree sort each sphere.
 """
 
 from __future__ import annotations
@@ -136,23 +121,23 @@ class GeneratingPair:
 
     The acceptor vouches that ball_walk finds each sphere in label order,
     so need not sort it.  A pair gives one when K is trivial, the backend
-    is a RewritingGroup, confluent by construction, and S is exactly its
-    alphabet as one-letter words.  Normal forms are then the shortlex-least
-    words, hence geodesic and prefix-closed, and the walk scans sphere d in
-    shortlex order.  A normal form y of length d + 1 is x' + c' with
-    x' = y[:-1] in sphere d, and it first turns up at slot c' of the row
-    of x': any other x, c with x.c = y has x' + c' <lex x + c, so x' comes
-    before x, or x' = x and c' before c.  Every product of length <= d is
-    already in the ball, so the walk finds exactly sphere d + 1, ordered by
-    (x', c'), which is shortlex.  Where S leaves out a letter or holds a
-    longer word, a sphere can turn up out of order (F2 with S = {a, bb} at
-    sphere 2), so every other pair sorts.
+    is a RewritingGroup, confluent by construction, whose every rule
+    cancels, and S is exactly its alphabet as one-letter words.  Normal
+    forms are then the shortlex-least words, hence geodesic and
+    prefix-closed, and the walk scans sphere d in shortlex order.  A
+    normal form y of length d + 1 is x' + c' with x' = y[:-1] in sphere d,
+    and it first turns up at slot c' of the row of x': any other x, c with
+    x.c = y has x' + c' <lex x + c, so x' comes before x, or x' = x and c'
+    before c.  Every product of length <= d is already in the ball, so the
+    walk finds exactly sphere d + 1, ordered by (x', c'), which is
+    shortlex.  Where S leaves out a letter or holds a longer word, a sphere
+    can turn up out of order (F2 with S = {a, bb} at sphere 2), so every
+    other pair sorts.
 
-    The acceptor is the backend's slot_table of S with its join_product.
-    By the argument above, an irreducible x + c is a coset not yet found, a
-    prefix of x is in the ball already, and so is any other product of an
-    inner sphere, so ball_walk forms the ball from the slot outcomes with
-    no lookup but for those others.
+    The acceptor is the backend's slot_table.  By the argument above, an
+    irreducible x + c is a coset not yet found, and as every rule cancels,
+    any other x.c is a prefix of x, in the ball already.  A rule that does
+    not cancel (Z^2's ba -> ab, say) makes some x.c neither.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -180,12 +165,17 @@ class GeneratingPair:
 
     @functools.cached_property
     def acceptor(self):
-        """For K = 1 and S the whole alphabet of a rewriting backend, the
-        backend's slot_table of S and its join_product, from which ball_walk
+        """For K = 1 and S the whole alphabet of a rewriting backend whose
+        every rule cancels, the backend's slot_table, from which ball_walk
         forms each sphere; else None."""
         backend = self.backend
-        if isinstance(backend, RewritingGroup) and len(self.K) == 1 and self.S == tuple(backend.alphabet):
-            return backend.slot_table(self.S), backend.join_product
+        if (
+            isinstance(backend, RewritingGroup)
+            and len(self.K) == 1
+            and self.S == tuple(backend.alphabet)
+            and not any(rhs for _, rhs in backend.rules)
+        ):
+            return backend.slot_table()
         return None
 
     @functools.cached_property
@@ -229,10 +219,9 @@ class Truncation:
     from origin[e] to origin[e ^ 1].
 
     The label walk passes index.  The acceptor walk passes trie instead:
-    the labels it formed, a prefix of vertices; the BFS parent of each
-    position and the code of its last letter; and the letters, by code.
-    It forms vertices, label j being label parent[j] followed by j's
-    letter, and then index, each the first time it is read: the probes
+    the BFS parent of each position and the index in S of its last letter.
+    vertices are formed from it, label j being label parent[j] followed by
+    j's letter, and then index, each the first time it is read: the probes
     read positions only.
     """
 
@@ -251,14 +240,27 @@ class Truncation:
     def vertices(self):
         if self.trie is None:
             return tuple(self.index)
-        labels, parent, letters, words = self.trie
-        extend_labels(labels, parent, letters, words, self.starts)
+        parent, letters = self.trie
+        S = self.space.S
+        # a parent lies in the sphere before its child's, so each sphere is one pass
+        labels = [self.space.base]
+        for end in self.starts[2:]:
+            m = len(labels)
+            labels += [labels[p] + S[c] for p, c in zip(parent[m:end], letters[m:end])]
         return tuple(labels)
 
     @functools.cached_property
     def index(self):
         # read only for a ball of the acceptor walk: the label walk passes it
-        return index_labels({}, self.vertices, self.space, self.radius)
+        v = self.vertices
+        index = dict(zip(v, range(len(v))))
+        if len(index) < len(v):
+            y = next(y for j, y in enumerate(v) if index[y] != j)
+            raise InternalInconsistency(
+                f"the label {y!r} names two cosets of the radius-{self.radius} ball of {self.space!r}: "
+                "a walk along the acceptor forms each normal form once"
+            )
+        return index
 
     # the probes read the rows; only the tests, `tree --dot` and the benchmark
     # trace, whose build hook counts graph.vertices, read this label-keyed copy
@@ -274,31 +276,6 @@ class Truncation:
 def typecode(n):
     """The array typecode of the least item size that holds 0..n - 1."""
     return "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "L"
-
-
-def extend_labels(labels, parent, letters, words, starts):
-    """Extend labels, those of the first positions of an acceptor ball, to
-    every position parent numbers: label j is label parent[j] followed by
-    the letter words[letters[j]].  A parent lies in the sphere before its
-    child's, whose start starts lists, so each sphere is one pass."""
-    for end in (*starts[1:], len(parent)):
-        m = len(labels)
-        if m < end:
-            labels += [labels[p] + words[c] for p, c in zip(parent[m:end], letters[m:end])]
-
-
-def index_labels(index, labels, space, radius):
-    """index, the positions of the first labels, extended over all of them;
-    a repeated label raises InternalInconsistency."""
-    m = len(index)
-    index.update(zip(labels[m:], range(m, len(labels))))
-    if len(index) < len(labels):
-        y = next(y for j, y in enumerate(labels) if index[y] != j)
-        raise InternalInconsistency(
-            f"the label {y!r} names two cosets of the radius-{radius} ball of {space!r}: "
-            "a walk along the acceptor forms each normal form once"
-        )
-    return index
 
 
 def ball_walk(space, radius, cap=DEFAULT_CAP):
@@ -317,30 +294,19 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     may leave out any label whose key it knows exceeds it, as such a label
     lies outside the ball.
 
-    A space that gives an acceptor, a slot table and a join product (see
-    GeneratingPair and RewritingGroup.slot_table), is walked along it
-    instead: neighbours is not read, and each sphere is taken as found, as
-    the acceptor vouches that it turns up in label order.  The frontier is
-    the acceptor state of each of its positions, one array item, and each
-    row comes from the slots of its state.  A child x + c takes the next
-    position and passes its state on, and the walk records x as its parent
-    and c as its letter, with no label formed and no lookup: normal forms
-    are prefix-closed, so parent and letter name the coset.  A cancellation
-    of k letters is x's k-th ancestor, k parent steps.  Any other slot is
-    join(x, c), looked up in an index of the positions numbered so far,
-    whose labels are formed for it from their parents and letters; a miss
-    is dropped in the outer sphere and raises InternalInconsistency in an
-    inner one.  The outer pass reads only each state's outer slots, those
-    that form no x + c.  The truncation forms vertices and index when they
-    are first read.
-
-    The label walk pairs the half-edges from the rows after the walk.  The
-    acceptor walk pairs each row as it forms it, its children in slot
-    order, and sorts only a row with an upward target that is no child.
-    Its pairs are checked as strictly as the post pass checks them: a
-    child's row lists its parent once, a sorted row's counts are checked
-    against its targets' rows after the walk, and every position has a
-    row.
+    A space that gives an acceptor, a slot table (see GeneratingPair and
+    RewritingGroup.slot_table), is walked along it instead, with each
+    sphere taken as found.  The frontier is the acceptor state of each of
+    its positions, one array item, and each row is read off the slots of
+    its state, each a child or a cancellation.  A child x + c takes the
+    next position and passes its state on, recorded by its parent x and
+    the code of c, its index in S, with no label formed and no lookup:
+    normal forms are prefix-closed, so these name the coset.  A
+    cancellation of k letters is x's k-th ancestor.  The outer pass reads
+    only the cancellations.  Each row is paired as it is formed, its upward
+    targets being its children in slot order, and checked as strictly as
+    the label walk's pairs are: a child's row lists its parent once, every
+    position has a row, and the half-edges paired number the row entries.
 
     Raises BudgetExceeded at the first label past the element cap, and
     InternalInconsistency when the rows do not pair up, or when the
@@ -366,26 +332,17 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         ceiling = sort_key(space.base)
         frontier = [space.base]
     else:
-        slots, join = acceptor
         # the frontier is the acceptor state of each of its positions, the
         # base's the start state
-        code = typecode(len(slots))
+        code = typecode(len(acceptor))
         frontier = array(code, [0])
         # a state's child slots, those that form an x + c, are the slots
         # its outer slots leave out
-        children = [len(every) - len(outer) for outer, every in slots]
+        children = [len(every) - len(outer) for outer, every in acceptor]
         # the BFS parent of each position and the code of its last letter,
-        # filled as children are found; the base is its own parent, and a
-        # slot's letter, a word of S, is coded by the order codes first met it
+        # filled as children are found; the base is its own parent
         parent = [0]
-        codes = {}
-        letters = array(typecode(len(slots[0][1])), [0])
-        # the labels of the first positions and their index, formed only as
-        # far as a fallback slot reads them
-        labels = [space.base]
-        found = {space.base: 0}
-        # the rows paired by sorting
-        grouped = []
+        letters = array(typecode(len(acceptor[0][1])), [0])
     for d in range(1, radius + 2):
         outer_pass = d > radius
         first = len(rows)
@@ -410,38 +367,20 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
             if not outer_pass and len(parent) + sum(map(children.__getitem__, frontier)) > cap:
                 raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
             # the outer sphere reads only the slots that form no x + c
-            by_state = [outer if outer_pass else every for outer, every in slots]
+            by_state = [outer if outer_pass else every for outer, every in acceptor]
             grown = array(code)
             for i, q in enumerate(frontier, first):
                 row = []
-                mark = len(origin)
-                grouping = False
                 for c, k, p in by_state[q]:
                     if k == -1:
                         # x + c is irreducible: the next coset of sphere d
                         j = len(parent)
                         parent.append(i)
-                        letters.append(codes.setdefault(c, len(codes)))
+                        letters.append(c)
                         grown.append(p)
                         origin += (i, j)
-                    elif k is None:
-                        if len(labels) < len(parent):
-                            extend_labels(labels, parent, letters, list(codes), starts)
-                            index_labels(found, labels, space, radius)
-                        y = join(labels[i], c)
-                        j = found.get(y)
-                        if j is None:
-                            if outer_pass:
-                                continue  # the outer sphere's target past the ball
-                            raise InternalInconsistency(
-                                f"the product {y!r} of {labels[i]!r} by {c!r} in the radius-{radius} ball of "
-                                f"{space!r} was not numbered by sphere {d}: a walk along the acceptor "
-                                "finds each coset at its parent first"
-                            )
-                        if j > i:
-                            grouping = True
                     else:
-                        # a free cancellation of k letters: x's k-th BFS ancestor
+                        # a cancellation of k letters: x's k-th BFS ancestor
                         j = i
                         while k:
                             j = parent[j]
@@ -450,10 +389,6 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 rows.append(row)
                 if i and row.count(parent[i]) != 1:
                     balanced = False  # a child lists its parent other than once
-                if grouping:
-                    # an upward target that is no child lies below every child
-                    grouped.append(i)
-                    origin[mark:] = [v for j in sorted(row) if j > i for v in (i, j)]
         if outer_pass:
             break
         if acceptor is None:
@@ -493,11 +428,6 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     origin += (i, j) * n
     elif len(rows) < len(parent):
         balanced = False  # an outer slot formed a child, which has no row
-    else:
-        for i in grouped:
-            row = rows[i]
-            if any(row.count(j) != rows[j].count(i) for j in set(row) if j > i):
-                balanced = False
     # with every pair balanced, origin holds each half-edge i -> j (i < j) and
     # its partner, so a half-edge j -> i that row i does not list back, or a
     # self-loop, leaves the total short
@@ -509,7 +439,7 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     # an empty frontier means the whole space lies in the ball
     if acceptor is None:
         return Truncation(space, index, starts, rows, origin, radius, not frontier)
-    return Truncation(space, None, starts, rows, origin, radius, not frontier, (labels, parent, letters, list(codes)))
+    return Truncation(space, None, starts, rows, origin, radius, not frontier, (parent, letters))
 
 
 def build(pair, radius, cap=DEFAULT_CAP):

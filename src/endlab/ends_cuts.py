@@ -81,6 +81,14 @@ def escaping_components(t, removed):
     return [b for b in blocks(t.rows, removed) if b[-1] >= outer]
 
 
+def check_scales(r_max, radius):
+    """Raise ValueError unless classify_ends can probe at r_max and radius."""
+    if r_max < 0:
+        raise ValueError(f"r_max must be non-negative, got {r_max}")
+    if radius <= r_max + MARGIN:
+        raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
+
+
 def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
     """Probe the coset graph with balls of radius 0..r_max.
 
@@ -89,10 +97,7 @@ def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
     for k = 2 and AtMostOneAtScale otherwise.  The escaping counts come
     from one walk of the truncation minus the largest ball (ball_probes).
     """
-    if r_max < 0:
-        raise ValueError(f"r_max must be non-negative, got {r_max}")
-    if radius <= r_max + MARGIN:
-        raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
+    check_scales(r_max, radius)
     t = cayley_abels.build(pair, radius, cap=cap)
     probes = tuple(enumerate(ball_probes(t, r_max)))
     best = max((c for _, c in probes), default=0)

@@ -16,16 +16,15 @@ Two kinds of backend live here:
   keys compare words translated to letter-index characters.  The
   left-hand sides are also compiled once into a word acceptor, the
   Aho-Corasick automaton of Epstein et al., Word Processing in Groups
-  (1992), ch. 2.  slot_table reads off it the outcome of each product x.g
-  of a normal form x, per acceptor state of x: x + g is already
-  irreducible unless a left-hand side crosses the join, a free
-  cancellation by a one-letter g leaves a prefix of x, and only the other
-  crossings are reduced, by join_product.  cayley_abels.ball_walk reads
-  that table when K is trivial and the generators are the whole alphabet:
-  it keeps the state of each frontier word, and an irreducible x + g is a
-  new coset, found with no lookup, while the reduced products of an inner
-  sphere must already be in the ball, a check the walk gets for free.
-  Every other rewriting pair forms its rows as plain products.
+  (1992), ch. 2.  When every rule cancels, its right-hand side empty,
+  slot_table reads off it the outcome of each product x.c of a normal form
+  x by a letter c, per acceptor state of x, one of two: x + c is
+  irreducible, or a left-hand side ends at c and x.c is a prefix of x.
+  cayley_abels.ball_walk reads that table when K is trivial and the
+  generators are the whole alphabet: it keeps the state of each frontier
+  word, an irreducible x + c is a new coset, found with no lookup, and a
+  prefix of x one of its ancestors.  Every other rewriting pair forms its
+  rows as plain products.
 
 RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
 the coset machinery needs: identity(), multiply(a, b), inverse(a),
@@ -227,63 +226,49 @@ class RewritingGroup:
         """
         if not self._letters.issuperset(word):
             self._check_letters(word)
-        return self._reduce(word, 0)
-
-    def _reduce(self, w, pos):
-        """normal_form of a word w of known letters in which no left-hand
-        side occurrence starts before position pos."""
         search, rhs, back = self._lhs_search, self._rhs, self._max_lhs - 1
-        m = search(w, pos)
+        m = search(word)
         while m is not None:
             pos = m.start()
-            w = w[:pos] + rhs[m.group()] + w[m.end():]
-            m = search(w, pos - back if pos > back else 0)
-        return w
+            word = word[:pos] + rhs[m.group()] + word[m.end():]
+            m = search(word, pos - back if pos > back else 0)
+        return word
 
     def multiply(self, a, b):
         return self.normal_form(a + b)
 
-    def slot_table(self, gens):
-        """The outcome of each product x.g of a normal form x, per acceptor
-        state of x, for words g in slot order: table[q] is the pair (outer,
-        slots) for a normal form x whose letters lead the acceptor to state
-        q, where slots lists every slot (g, k, p) and outer those that form
-        no x + g.
+    def slot_table(self):
+        """The outcome of each product x.c of a normal form x by a letter c,
+        per acceptor state of x, for a system whose every rule cancels:
+        table[q] is the pair (outer, slots) for a normal form x whose
+        letters lead the acceptor to state q, where slots lists one slot
+        (code, k, p) per letter, code being its index in the alphabet, in
+        alphabet order, and outer those that form no x + c.
 
-        Since x is irreducible, a left-hand side occurs in x + g only if it
-        ends inside g, and the automaton finds each such occurrence from
-        q, the state of x's last _max_lhs - 1 letters.  With no hit, k is
-        -1: x.g is x + g, and p is the state it leads to.  When g is one
-        letter, the leftmost occurrence is the longest left-hand side
-        ending at the join, and if its right-hand side is empty (a free
-        cancellation, say) k is its length less one: x.g is the prefix of
-        x less its last k letters, which is irreducible.  Every other hit
-        has k None: x.g is join_product(x, g).  p is None unless k is -1.
+        Since x is irreducible, a left-hand side occurs in x + c only if it
+        ends at c, and the acceptor finds the longest such from q.  With
+        none, k is -1: x.c is x + c, a child of x, and p the state it
+        leads to.  Else the leftmost occurrence is the longest, and as its
+        right-hand side is empty, x.c is x less its last k letters, k the
+        left-hand side's length less one, a prefix of x and so irreducible;
+        p is None.  A rule that does not cancel raises ValueError.
         cayley_abels.ball_walk reads this table when it walks a ball along
         the acceptor.
         """
-        for g in gens:
-            self._check_letters(g)
-        delta, hit, rhs = self._delta, self._hit, self._rhs
+        for lhs, rhs in self.rules:
+            if rhs:
+                raise ValueError(f"{self!r}: the rule {lhs!r} -> {rhs!r} does not cancel")
+        delta, hit = self._delta, self._hit
 
-        def outcome(q, g):
-            for c in g:
-                q = delta[q][c]
-                if hit[q]:
-                    return (g, len(hit[q]) - 1 if len(g) == 1 and not rhs[hit[q]] else None, None)
-            return (g, -1, q)
+        def outcome(q, code, c):
+            r = delta[q][c]
+            return (code, len(hit[r]) - 1, None) if hit[r] else (code, -1, r)
 
         table = []
         for q in range(len(delta)):
-            slots = [outcome(q, g) for g in gens]
+            slots = [outcome(q, code, c) for code, c in enumerate(self.alphabet)]
             table.append(([s for s in slots if s[1] != -1], slots))
         return table
-
-    def join_product(self, x, g):
-        """normal_form(x + g) for a normal form x and a word g of known
-        letters, whose first search starts at the last _max_lhs - 1 letters
-        of x, as a left-hand side must end inside g."""
-        return self._reduce(x + g, max(len(x) - self._max_lhs + 1, 0))
 
     def coset_products(self, cosets):
         """The rows x -> [normal_form(x + g) for [g] in cosets] of a pair

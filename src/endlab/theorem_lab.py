@@ -54,8 +54,8 @@ class CatalogEntry:
 
     expected_ends is one of ENDS_CLASSES and expected_splitting, if set, one
     of SPLITTING_CLASSES; provenance maps each expectation ("ends",
-    "splitting") to the argument that backs it.  from_json ignores keys it
-    does not know.
+    "splitting") to the argument that backs it.  where names the entry in
+    its document.  from_json ignores keys it does not know.
     """
 
     name: str
@@ -66,6 +66,7 @@ class CatalogEntry:
     marked_edge: int | None = None
     provenance: dict = field(default_factory=dict)
     scales: dict = field(default_factory=dict)
+    where: str = "entry"
 
     _backend_cache = None
 
@@ -82,11 +83,21 @@ class CatalogEntry:
         ]
 
     def effective_scales(self, scales):
+        """scales with the entry's own r_max and radius in place; a pair
+        classify_ends refuses raises ValueError naming the entry, and the
+        entry's field at fault where it sets one."""
         merged = Scales(**vars(scales))
-        if "r_max" in self.scales:
-            merged.r_max = self.scales["r_max"]
-        if "radius" in self.scales:
-            merged.radius = self.scales["radius"]
+        for key in ("r_max", "radius"):
+            if key in self.scales:
+                setattr(merged, key, self.scales[key])
+        try:
+            ends_cuts.check_scales(merged.r_max, merged.radius)
+        except ValueError as exc:
+            # a negative r_max is at fault alone, else the radius or r_max
+            at_fault = ("r_max",) if merged.r_max < 0 else ("radius", "r_max")
+            key = next((k for k in at_fault if k in self.scales), None)
+            where = f"{self.where}.scales.{key}" if key else self.where
+            raise ValueError(f"{where}: {exc}") from None
         return merged
 
     @classmethod
@@ -119,6 +130,7 @@ class CatalogEntry:
             marked_edge=marked_edge,
             provenance=expect(data.get("provenance", {}), dict, f"{where}.provenance"),
             scales=scales,
+            where=where,
         )
         # the backend is built here, not after the entry's probes, to check the edge
         if marked_edge is not None:
@@ -168,7 +180,10 @@ def element_from_spec(backend, spec, where="element"):
             if type(atom["e"]) is not int or atom["e"] not in backend.graph.edges:
                 raise ValueError(f"{where}[{j}].e names no edge, got {atom['e']!r}")
             nxt = backend.edge_letter(atom["e"])
-            if atom.get("inv"):
+            inv = atom.get("inv", False)
+            if type(inv) is not bool:
+                raise ValueError(f"{where}[{j}].inv must be a boolean, got {type(inv).__name__}")
+            if inv:
                 nxt = backend.inverse(nxt)
         else:
             raise ValueError(f"bad element atom {atom!r} in {where}")

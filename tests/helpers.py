@@ -55,20 +55,20 @@ def recorded_slot_tables(monkeypatch, reads):
     slot it reads."""
     slot_table = RewritingGroup.slot_table
 
-    def recording(self, gens):
-        return [[ReadSlots(slots, reads) for slots in pair] for pair in slot_table(self, gens)]
+    def recording(self):
+        return [[ReadSlots(slots, reads) for slots in pair] for pair in slot_table(self)]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", recording)
 
 
 def rewired_slot_tables(monkeypatch, rewire):
     """Make RewritingGroup.slot_table give rewire(q, r, slot) in place of each
-    slot (g, k, p) in list r of state q: r is 0 for the outer slots, 1 for
+    slot (code, k, p) in list r of state q: r is 0 for the outer slots, 1 for
     all of them."""
     slot_table = RewritingGroup.slot_table
 
-    def rewired(self, gens):
-        table = slot_table(self, gens)
+    def rewired(self):
+        table = slot_table(self)
         return [[[rewire(q, r, s) for s in slots] for r, slots in enumerate(pair)] for q, pair in enumerate(table)]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", rewired)

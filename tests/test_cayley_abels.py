@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab.bass_serre import CoveringTree, GraphOfFiniteGroups, PiOne, tree_truncation
-from endlab.cayley_abels import GeneratingPair, Subgroup, Truncation, ball_walk, build, coset_canonical, trivial_subgroup
+from endlab.cayley_abels import (
+    GeneratingPair,
+    Subgroup,
+    Truncation,
+    ball_walk,
+    build,
+    coset_canonical,
+    trivial_subgroup,
+    typecode,
+)
 from endlab.cayley_abels import build as cayley_build
 from endlab.errors import BudgetExceeded, InternalInconsistency
 
@@ -25,6 +34,13 @@ def make_z():
 
 def make_c6():
     return RewritingGroup(["a"], {"a": "A"}, [("aaaa", "AA"), ("AAA", "aaa")], name="C6")
+
+
+def make_f2_cancelling():
+    # bAaB -> empty follows from the free cancellations; its trie path b, bA,
+    # bAa has no rule of its own at bAa, where Aa is only reached through a
+    # fail link, and every rule cancels, so the pair on a, b has an acceptor
+    return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("bAaB", "")], name="F2+bAaB")
 
 
 # -- canonical coset labels ------------------------------------------------------
@@ -355,9 +371,9 @@ def catalog_pairs(catalog):
 
 @pytest.mark.parametrize("radius", [3, 5])
 def test_build_matches_two_pass_reference(catalog, radius):
-    # F2 with the redundant rule baAb -> bb: a free cancellation at the join
-    # after ba is found only through the acceptor's fail link
-    f2 = make_f2_redundant()
+    # F2 with the redundant rule bAaB -> empty: a free cancellation at the
+    # join after bA is found only through the acceptor's fail link
+    f2 = make_f2_cancelling()
     pairs = catalog_pairs(catalog) + [GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])]
     for pair in pairs:
         assert coset_table(build(pair, radius)) == reference_build(pair, radius), pair.name
@@ -844,7 +860,9 @@ def test_full_alphabet_pairs_find_each_sphere_in_label_order(data):
     inv = group.letter_inverse
     S = [c for g in group.generators for c in data.draw(st.sampled_from([[g], [inv[g]], [g, inv[g]]]))]
     pair = GeneratingPair(group, trivial_subgroup(group), S)
-    assert pair.acceptor is not None
+    # every full-alphabet pair finds its spheres in order, but only one whose
+    # every rule cancels walks along the acceptor
+    assert (pair.acceptor is None) == any(rhs for _, rhs in group.rules)
     radius = data.draw(st.integers(1, 7), label="radius")
     assert coset_table(build(pair, radius)) == reference_build(pair, radius)
     for layer in discovery_layers(pair, radius):
@@ -853,22 +871,29 @@ def test_full_alphabet_pairs_find_each_sphere_in_label_order(data):
 
 def test_forcing_the_found_order_where_it_is_not_sorted_fails_the_reference():
     # F2 with S = {a, bb} finds sphere 2 as aa, abb, aBB, AA, ...: the longer
-    # abb before AA.  A walk along the acceptor takes each x + c it finds
-    # irreducible for a new coset, and so the found order, which S = {a, bb}
-    # does not vouch for
+    # abb before AA.  Taking each sphere as found would keep that order,
+    # which S = {a, bb} does not vouch for: the pair gives no acceptor, and
+    # the walk sorts sphere 2 as the reference does
     f2 = make_f2()
     pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "bb"])
     assert pair.acceptor is None
     assert first_unsorted_layer(pair, 3) == 2
+    found = discovery_layers(pair, 3)[1]
+    assert found[:3] == ["aa", "abb", "aBB"]
+    assert list(build(pair, 3).sphere_labels(2)) == sorted(found, key=pair.sort_key) != found
     assert coset_table(build(pair, 3)) == reference_build(pair, 3)
-    forced = SimpleNamespace(base=pair.base, sort_key=pair.sort_key, acceptor=(f2.slot_table(pair.S), f2.join_product))
-    assert list(ball_walk(forced, 3).sphere_labels(2))[:3] == ["aa", "abb", "aBB"]
-    assert coset_table(ball_walk(forced, 3)) != reference_build(pair, 3)
+    assert_matches_reference_walk(pair, 3)
 
 
 def test_only_verified_full_alphabet_pairs_skip_the_sort(catalog):
     taken = [(name, i) for name, e in catalog.items() for i, pair in enumerate(e.pairs()) if pair.acceptor is not None]
-    assert taken == [("z_rw", 0), ("z2_rw", 0), ("f2_rw", 0), ("dinfty_rw", 0), ("c6_rw", 0)]
+    assert taken == [("z_rw", 0), ("f2_rw", 0), ("dinfty_rw", 0)]
+    # Z^2 and C6 on their whole alphabets find their spheres in order, but
+    # a rule that does not cancel, ba -> ab or aaaa -> AA, gives no acceptor
+    for name in ("z2_rw", "c6_rw"):
+        pair = catalog[name].pairs()[0]
+        assert pair.S == tuple(pair.backend.alphabet) and pair.acceptor is None
+        assert first_unsorted_layer(pair, 6) is None
     # Z with S = {a, aa} finds its spheres in order, a^n, A^n, a^(n+1), A^(n+1),
     # but S is not the alphabet
     assert first_unsorted_layer(catalog["z_rw"].pairs()[1], 6) is None
@@ -1005,7 +1030,8 @@ def test_walk_matches_the_reference_walk(catalog, data):
             words = st.lists(st.sampled_from(group.alphabet), min_size=1, max_size=3).map("".join)
             S = data.draw(st.lists(words.filter(lambda w: group.normal_form(w)), min_size=1, max_size=3), label="S")
         space = GeneratingPair(group, trivial_subgroup(group), S)
-        assert space.acceptor is not None or kind == "random_s"
+        if kind == "full_alphabet":
+            assert (space.acceptor is None) == any(rhs for _, rhs in group.rules)
         radius = data.draw(st.integers(1, 6 if kind == "full_alphabet" else 4), label="radius")
     elif kind == "multigraph":
         space, radius = multigraph_space(*data.draw(multigraphs())), data.draw(st.integers(1, 10), label="radius")
@@ -1097,11 +1123,12 @@ def cyclic_rules(g, G, n):
 
 
 @st.composite
-def confluent_systems(draw):
-    """A free product of one to three cyclic groups, Z or C_n for n = 2..7
-    (C_2 on one involution letter), on shortlex rules, and maybe its direct
-    product with C_2 on a last letter t that commutes with every other."""
-    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6, 7]), min_size=1, max_size=3), label="orders")
+def confluent_systems(draw, orders=(0, 2, 3, 4, 5, 6, 7)):
+    """A free product of one to three cyclic groups, Z or C_n for n in
+    orders (C_2 on one involution letter), on shortlex rules, and maybe its
+    direct product with C_2 on a last letter t that commutes with every
+    other."""
+    orders = draw(st.lists(st.sampled_from(orders), min_size=1, max_size=3), label="orders")
     generators, inverses, rules = [], {}, []
     for (g, G), n in zip(["aA", "bB", "cC"], orders):
         generators.append(g)
@@ -1129,90 +1156,94 @@ def assert_walks_as_the_reference(pair, radius):
 @given(st.data())
 def test_walk_along_the_acceptor_matches_the_reference_walk(data):
     # reference_walk reads the label rows of coset_products and takes each
-    # sphere as found; the walk reads the acceptor's slot table instead
+    # sphere as found; the walk reads the acceptor's slot table instead,
+    # where every rule cancels, and sorts each sphere where one does not
     if data.draw(st.booleans(), label="random system"):
         group = data.draw(confluent_systems(), label="group")
     else:
         group = data.draw(st.sampled_from(OUTER_SPHERE_GROUPS), label="group")
     pair = GeneratingPair(group, trivial_subgroup(group), group.alphabet)
-    assert pair.acceptor is not None
+    assert (pair.acceptor is None) == any(rhs for _, rhs in group.rules)
     radius = data.draw(st.integers(1, 5), label="radius")
     assert_matches_reference_walk(pair, radius)
 
 
 @pytest.mark.parametrize("name", ["z_rw", "z2_rw", "f2_rw", "dinfty_rw", "c6_rw"])
 def test_found_in_order_catalog_pairs_walk_as_the_reference(catalog, name):
+    # all five find their spheres in order; Z^2 and C6 have a rule that does
+    # not cancel, so they take the label walk and sort each sphere
     pair = catalog[name].pairs()[0]
-    assert pair.acceptor is not None
+    assert (pair.acceptor is None) == (name in ("z2_rw", "c6_rw"))
     for radius in range(1, 9):
         assert_walks_as_the_reference(pair, radius)
 
 
 def test_walk_along_an_acceptor_of_more_than_256_states():
-    # C_301 on a: its rules a^151 -> A^150 and A^151 -> a^150 give the
-    # acceptor 305 states, past one byte per frontier position
-    c301 = RewritingGroup(["a"], {"a": "A"}, cyclic_rules("a", "A", 301), name="C301")
-    pair = GeneratingPair(c301, trivial_subgroup(c301), ["a"])
-    assert len(pair.acceptor[0]) == 305
-    t = ball_walk(pair, 151)
-    assert t.exhausted and len(t.vertices) == 301 and t.vertices[-2:] == ("a" * 150, "A" * 150)
-    assert_walks_as_the_reference(pair, 151)
+    # F_64 on 128 one-character letters: the free cancellations give the
+    # acceptor 257 states, its start, one per first letter and one per rule,
+    # past one byte per frontier position
+    letters = [chr(0x100 + i) for i in range(128)]
+    f64 = RewritingGroup(letters[::2], dict(zip(letters[::2], letters[1::2])), name="F64")
+    pair = GeneratingPair(f64, trivial_subgroup(f64), letters)
+    assert len(pair.acceptor) == 257 and typecode(len(pair.acceptor)) == "H"
+    t = ball_walk(pair, 2)
+    assert t.starts == [0, 1, 129, 16385] and not t.exhausted
+    assert_walks_as_the_reference(pair, 2)
 
 
-def test_a_child_slot_taken_for_a_fallback_fails_in_an_inner_sphere(monkeypatch):
-    # a fallback slot reduces x + c and looks it up; the child x + c is not
-    # numbered yet, and in an inner sphere the walk refuses the miss
-    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], None, None) if s[:2] == ("b", -1) else s)
-    f2 = make_f2()
-    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
-    message = r"^the product 'b' of '' by 'b' in the radius-3 ball of GeneratingPair\(\(1; 4 gens\)\) was not numbered by sphere 1: "
-    with pytest.raises(InternalInconsistency, match=message):
-        build(pair, 3)
+# -- which pairs walk along the acceptor ---------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_acceptor_exactly_where_k_is_trivial_s_the_alphabet_and_every_rule_cancels(catalog, data):
+    # a free product of copies of Z and C2 cancels in every rule; its direct
+    # product with C2 on a central t adds the rules tc -> ct, which do not
+    group = data.draw(confluent_systems(orders=(0, 2)), label="group")
+    alphabet = group.alphabet
+    S = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True), label="S")
+    K = trivial_subgroup(group)
+    if "t" in alphabet and data.draw(st.booleans(), label="K = <t>"):
+        K = Subgroup(group, ["", "t"])
+        S = [c for c in S if c != "t"] or [alphabet[0]]
+    pairs = [GeneratingPair(group, K, S)] + catalog_pairs(catalog)
+    for pair in pairs:
+        backend = pair.backend
+        cancels = isinstance(backend, RewritingGroup) and all(not rhs for _, rhs in backend.rules)
+        full = isinstance(backend, RewritingGroup) and set(pair.S) == set(backend.alphabet)
+        assert (pair.acceptor is not None) == (len(pair.K) == 1 and full and cancels), pair.name
+    if pairs[0].acceptor is not None:
+        assert_walks_as_the_reference(pairs[0], data.draw(st.integers(1, 4), label="radius"))
 
 
-def test_a_fallback_slot_taken_for_a_child_fails_the_reference(monkeypatch):
-    # in Z^2 the product b.a is the normal form ab, found at a; a walk that
-    # takes ba for a new coset of sphere 2 numbers a word that is no label,
-    # whose row, read in the start state, does not list b back.  Room 0, the
-    # outer sphere's, holds no child slot
-    z2 = make_z2()
-    pair = GeneratingPair(z2, trivial_subgroup(z2), ["a", "b"])
-    assert "ab" in reference_walk(pair, 3).index
-    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], -1, 0) if r and s[1] is None else s)
-    with pytest.raises(InternalInconsistency, match="^unbalanced edge multiplicities in the radius-3 ball"):
-        build(GeneratingPair(z2, trivial_subgroup(z2), ["a", "b"]), 3)
+def test_slot_table_refuses_a_rule_that_does_not_cancel():
+    with pytest.raises(ValueError, match=r"^RewritingGroup\(Z2\): the rule 'ba' -> 'ab' does not cancel$"):
+        make_z2().slot_table()
 
 
 # -- the pairs the acceptor walk forms against the pairing loop, on mutant tables ----
 
-MUTANT_GROUPS = [
-    make_z(),
-    RewritingGroup(["a", "t"], {"a": "A", "t": "t"}, [("ta", "at"), ("tA", "At")], name="ZxC2"),
-    RewritingGroup(["a", "b"], {"a": "a", "b": "B"}, [("bb", "B"), ("BB", "b")], name="C2*C3"),
-]
+MUTANT_GROUPS = [make_z(), make_dinf(), make_f2()]
 
 
 @st.composite
 def slot_rewirings(draw):
-    """A group of MUTANT_GROUPS and one slot (q, r, g) of its slot table with
+    """A group of MUTANT_GROUPS and one slot (q, r, c) of its slot table with
     its outcome rewired: a cancellation of k letters read as one of k - 1 or
-    k + 1, a child read as a fallback or with the letter of another child
-    slot of q, or a fallback read as a child."""
+    k + 1, a child read with the letter of another child slot of q, or a
+    child with no such twin read as a cancellation of one letter."""
     group = draw(st.sampled_from(MUTANT_GROUPS), label="group")
-    table = group.slot_table(group.alphabet)
+    table = group.slot_table()
     q = draw(st.integers(0, len(table) - 1), label="state")
     r = draw(st.sampled_from([r for r in (0, 1) if table[q][r]]), label="list")
-    g, k, p = draw(st.sampled_from(table[q][r]), label="slot")
-    twins = [c for c, j, _ in table[q][r] if j == -1 and c != g]
+    c, k, p = draw(st.sampled_from(table[q][r]), label="slot")
+    twins = [b for b, j, _ in table[q][r] if j == -1 and b != c]
     if k == -1 and twins and draw(st.booleans(), label="letter"):
         new = (draw(st.sampled_from(twins), label="twin letter"), -1, p)
     elif k == -1:
-        new = (g, None, None)
-    elif k is None:
-        new = (g, -1, draw(st.integers(0, len(table) - 1), label="child state"))
+        new = (c, 1, None)
     else:
-        new = (g, k + draw(st.sampled_from([-1, 1]), label="k step"), None)
-    return group, (q, r, g), new
+        new = (c, k + draw(st.sampled_from([-1, 1]), label="k step"), None)
+    return group, (q, r, c), new
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import cayley_abels, ends_cuts
+from endlab import ends_cuts
 from endlab.cayley_abels import GeneratingPair, ball_walk, build, trivial_subgroup
 from endlab.ends_cuts import (
     AT_LEAST,
@@ -17,7 +17,6 @@ from endlab.ends_cuts import (
     escaping_components,
     find_cut,
 )
-from endlab.group_backends import RewritingGroup
 from endlab.serre_graphs import blocks
 
 from test_cayley_abels import distances, make_c6, make_z, multigraph_space
@@ -322,35 +321,23 @@ def f2_ball(radius):
     return build(GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"]), radius)
 
 
-def test_probing_an_acceptor_ball_forms_no_label(monkeypatch):
-    # the walk along the acceptor numbers F2's cosets by parent and letter,
-    # and F2 has no rule but the free cancellations, so no product is joined;
+def test_probing_an_acceptor_ball_forms_no_label():
+    # the walk along the acceptor numbers F2's cosets by parent and letter;
     # the probes read positions, and form no label and no index
-    joined = []
-    monkeypatch.setattr(RewritingGroup, "join_product", lambda self, x, g: joined.append((x, g)))
     t = f2_ball(9)
     assert ball_probes(t, 3) == [4, 12, 36, 108]
     assert "vertices" not in t.__dict__ and "index" not in t.__dict__
-    assert joined == []
 
 
-def test_find_cut_forms_the_labels_of_an_acceptor_ball_once(monkeypatch):
-    # the cut prints its vertices, so it forms every label but the base's,
-    # once: a second cut reads the labels already formed
-    formed = []
-    extend_labels = cayley_abels.extend_labels
-
-    def counted(labels, *args):
-        n = len(labels)
-        extend_labels(labels, *args)
-        formed.append(len(labels) - n)
-
-    monkeypatch.setattr(cayley_abels, "extend_labels", counted)
+def test_find_cut_forms_the_labels_of_an_acceptor_ball_once():
+    # the cut prints its vertices, so it forms every label, once: a second
+    # cut reads the labels already formed
     t = f2_ball(9)
-    assert formed == []
+    assert "vertices" not in t.__dict__
     cut = find_cut(t)
+    labels = t.__dict__["vertices"]
     assert find_cut(t) == cut
-    assert formed == [len(t.rows) - 1] == [39364]
+    assert t.vertices is labels and len(labels) == len(t.rows) == 39365
     assert (len(cut.vertices), cut.vertices[:3], cut.coboundary) == (9841, ("a", "aa", "ab"), (0, 1))
     assert "index" not in t.__dict__
 

@@ -19,6 +19,7 @@ from endlab.theorem_lab import (
     Scales,
     catalog_from_json,
     run_catalog,
+    element_from_spec,
     run_witness_chain,
     verify_equivalence,
     verify_resolution_evidence,
@@ -594,6 +595,9 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
     # an atom naming both a vertex and an edge was read as its vertex element
     (("pairs", 0, "S", 0, 0), {"v": "u", "g": 1, "e": 0},
      """pairs[0].S[0][0] names both "v" and "e", got {'v': 'u', 'g': 1, 'e': 0}"""),
+    # any truthy inv was read as true, so "false" inverted the edge letter
+    (("pairs", 0, "S", 0, 0), {"e": 0, "inv": "false"}, "pairs[0].S[0][0].inv must be a boolean, got str"),
+    (("pairs", 0, "S", 0, 0), {"e": 0, "inv": [1]}, "pairs[0].S[0][0].inv must be a boolean, got list"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -697,7 +701,7 @@ def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, m
     (("entries", 0, "spec", "pairs"), 5, "entries[0].spec.pairs must be a list, got int"),
     (("entries", 0, "scales"), 5, "entries[0].scales must be an object, got int"),
     (("entries", 0, "scales", "r_max"), "x", "entries[0].scales.r_max must be an integer, got 'x'"),
-    (("entries", 0, "scales", "r_max"), -1, "r_max must be non-negative, got -1"),
+    (("entries", 0, "scales", "r_max"), -1, "entries[0].scales.r_max: r_max must be non-negative, got -1"),
     (("entries", 0, "name"), 5, "entries[0].name must be a string, got int"),
     (("entries", 0, "spec", "pairs"), [], "entries[0].spec.pairs must not be empty"),
     (("entries", 0, "marked_edge"), [0], "entries[0].marked_edge must be an integer, got list"),
@@ -737,6 +741,28 @@ def test_cli_malformed_catalog_reports_cleanly(tmp_path, capsys, catalog_doc, fi
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("scales, args, message", [
+    ({"radius": 0}, [], "entries[0].scales.radius: need radius > r_max + margin, got 0 <= 3 + 4"),
+    ({"r_max": -1}, [], "entries[0].scales.r_max: r_max must be non-negative, got -1"),
+    # the entry sets neither scale, so the radius at fault is the command line's
+    ({}, ["--R", "5"], "entries[0]: need radius > r_max + margin, got 5 <= 3 + 4"),
+], ids=["radius", "r_max", "command_line"])
+def test_cli_scales_an_entry_cannot_probe_at_name_the_entry(tmp_path, capsys, catalog_doc, scales, args, message):
+    doc = entries_of(catalog_doc, "z_rw")
+    doc["entries"][0]["scales"] = scales
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path), *args]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "invalid_input", "message": message}
+
+
+def test_edge_letter_inv_is_read_as_a_boolean(catalog):
+    backend = catalog["z_hnn"].backend()
+    e = element_from_spec(backend, [{"e": 0}])
+    assert element_from_spec(backend, [{"e": 0, "inv": False}]) == e
+    assert element_from_spec(backend, [{"e": 0, "inv": True}]) == backend.inverse(e) != e
 
 
 @pytest.mark.parametrize("entry, K, message", [
