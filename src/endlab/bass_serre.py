@@ -21,13 +21,17 @@ last group element, followed by a normal word b from where a ends.  It
 cancels each pinch across the junction, at most min(|a|, |b|) of them,
 and carries left from the junction only while the carry is nontrivial,
 since both sides are already normal; it raises ValueError when b does not
-start where a ends.  Serre's normal form theorem (Trees, 1980, I.5) makes
-the normal word of an element unique, so its result does not depend on
-how the word was built.  Four routines form normal words: the edge
-letters, e the word 1 e 1; PiOne.element_at(v, u), the one-element word u
-at v; multiply; and inverse.  Every other word is grown from these by
-multiply: the identity is an element_at, normalize folds multiply over a
-raw word, and vertex_label is the least product with an element_at.
+start where a ends.  A trivial carry, the only kind over trivial edge
+groups, leaves the rest of a normal, so the product is then one slice of
+each word around the junction's representative; a nontrivial carry goes
+through the push routine that inverse shares.  Serre's normal form
+theorem (Trees, 1980, I.5) makes the normal word of an element unique, so
+its result does not depend on how the word was built.  Four routines form
+normal words: the edge letters, e the word 1 e 1; PiOne.element_at(v, u),
+the one-element word u at v; multiply; and inverse.  Every other word is
+grown from these by multiply: the identity is an element_at, normalize
+folds multiply over a raw word, and vertex_label is the least product
+with an element_at.
 
 PiOne.coset_products, the one routine for every coset row of
 cayley_abels.ball_walk, works out which products of a row can be least
@@ -41,6 +45,11 @@ The universal covering tree, PiOne.covering_tree, is such a coset space:
 a vertex, a coset of a vertex group, is labelled by its least normal
 word, tree edges carry no labels, and a row is the coset_products row of
 the cosets h.e.G_w of the tree edges at the vertex.
+
+HalfTreeSplitting reads the side of a translate g.E of a lifted edge E
+off the tree geodesic gamma^-1 g gamma, gamma the spanning-tree path to
+the origin of E; where E leaves the base vertex, gamma = 1 and the
+geodesic is g itself, with no product formed.
 """
 
 from __future__ import annotations
@@ -339,27 +348,37 @@ class PiOne:
         removed while the last edge of a and the next edge of b are inverse
         and the merged element lies in that edge's image, and the merged
         element is pushed to its transversal representative, carrying left
-        only while the carry is nontrivial.
+        only while the carry is nontrivial.  A trivial carry, the only kind
+        over a trivial edge group, leaves the rest of a as it is, so the
+        product is then a slice of a, the representative and a slice of b.
         """
-        end = self.morph_end(a)
+        es, bes = a.es, b.es
+        end = self._terminus[es[-1]] if es else a.start
         if end != b.start:
             raise ValueError(f"words do not meet: the first ends at {end!r}, the second starts at {b.start!r}")
         mid = self._table[end][a.gs[-1]][b.gs[0]]
-        inverse, pinch, table = self._inverse, self._pinch, self._origin_table
-        i, j, m = len(a.es), 0, len(b.es)
-        while i and j < m and inverse[a.es[i - 1]] == b.es[j]:
-            f = a.es[i - 1]
-            c = pinch[f].get(mid)
-            if c is None:
-                break
-            t = table[f]
-            mid = t[t[a.gs[i - 1]][c]][b.gs[j + 1]]
-            i -= 1
-            j += 1
-        head = a.es[:i]
+        i, j = len(es), 0
+        if i and bes:
+            inverse, pinch, table = self._inverse, self._pinch, self._origin_table
+            m = len(bes)
+            while i and j < m and inverse[es[i - 1]] == bes[j]:
+                f = es[i - 1]
+                c = pinch[f].get(mid)
+                if c is None:
+                    break
+                t = table[f]
+                mid = t[t[a.gs[i - 1]][c]][b.gs[j + 1]]
+                i -= 1
+                j += 1
+        if not i:
+            return PiOneElement(self, (mid,) + b.gs[j + 1:], bes[j:], a.start)
+        head = es[:i]
+        s, c = self._push[es[i - 1]][mid]
+        if c is None:
+            return PiOneElement(self, a.gs[:i] + (s,) + b.gs[j + 1:], head + bes[j:], a.start)
         G = [*a.gs[:i], mid]
         self._push_to_transversals(G, head, i)
-        return PiOneElement(self, (*G, *b.gs[j + 1:]), head + b.es[j:], a.start)
+        return PiOneElement(self, (*G, *b.gs[j + 1:]), head + bes[j:], a.start)
 
     def inverse(self, a):
         """The inverse of a normal word a, from where a ends."""
@@ -604,7 +623,7 @@ def exactness_on_truncation(pi, radius, cap=DEFAULT_CAP):
     cokernel is one-dimensional: no cycles and one component.
     """
     if radius < 1:
-        raise ValueError("radius must be at least 1")
+        raise ValueError(f"radius must be at least 1, got {radius}")
     t = tree_truncation(pi, radius, cap=cap)
     n_e, rank, ker, coker = truncation_boundary_dims(t)
     return Certificate(
@@ -653,7 +672,11 @@ class HalfTreeSplitting:
         self.stabilizer = pi.gog.embeddings[graph.inverse(e0)]
 
     def _geodesic(self, g):
-        """The reduced word of gamma^-1 g gamma: the tree geodesic from X to g.X."""
+        """The reduced word of gamma^-1 g gamma: the tree geodesic from X to
+        g.X.  When the lifted edge leaves the base vertex, gamma = 1 and the
+        normal loop g is that word already, so no product is formed."""
+        if not self.gamma.es:
+            return g
         pi = self.pi
         return pi.multiply(self.gamma_inv, pi.multiply(g, self.gamma))
 

@@ -445,5 +445,5 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
 def build(pair, radius, cap=DEFAULT_CAP):
     """The radius-R ball of the coset graph of a generating pair, by ball_walk."""
     if radius < 1:
-        raise ValueError("radius must be at least 1")
+        raise ValueError(f"radius must be at least 1, got {radius}")
     return ball_walk(pair, radius, cap)

@@ -22,9 +22,9 @@ from endlab.bass_serre import (
 )
 from endlab.cayley_abels import ball_walk, coset_canonical
 from endlab.errors import BudgetExceeded, InternalInconsistency
-from endlab.group_backends import FiniteGroup
+from endlab.group_backends import DEFAULT_CAP, FiniteGroup
 from endlab.serre_graphs import SerreGraph
-from endlab.theorem_lab import RESOLUTION_RADIUS
+from endlab.theorem_lab import RESOLUTION_RADIUS, run_witness_chain
 
 from helpers import append_mul, ball_enumerate, graph_json, is_tree
 from test_pipeline_fuzz import random_loop, random_segment
@@ -917,6 +917,15 @@ def side_cases():
 SIDE_CASES = side_cases()
 
 
+def test_side_cases_hold_both_geodesic_branches():
+    # gamma = 1 where the lifted edge leaves the base vertex, as on C2*C3, and
+    # the geodesic is g itself; on path_gog it is one tree step, and the
+    # geodesic is the conjugate gamma^-1 g gamma
+    trivial = {half.pi.name for half, _ in SIDE_CASES if half.gamma == half.pi.identity()}
+    nontrivial = {half.pi.name for half, _ in SIDE_CASES if half.gamma.es}
+    assert "pi1(C2*C3)" in trivial and "pi1(path)" in nontrivial
+
+
 def draw_product(data, pi, gens):
     """A product of up to 12 generators."""
     g = pi.identity()
@@ -931,6 +940,18 @@ def test_side_of_translate_matches_reference(data):
     half, gens = data.draw(st.sampled_from(SIDE_CASES))
     g = draw_product(data, half.pi, gens)
     assert half.side_of_translate(g) == reference_side_of_translate(half, g)
+
+
+def test_witness_chain_multiply_count(monkeypatch):
+    # the benchmark's witness chain: C2*C3 at edge 0, probe radius 13.  Its
+    # lifted edge leaves the base vertex, so the half-tree geodesic of g is g
+    # and forms no product; the conjugate took 1,786 more
+    pi, calls = c2c3(), []
+    multiply = PiOne.multiply
+    monkeypatch.setattr(PiOne, "multiply", lambda self, a, b: calls.append(None) or multiply(self, a, b))
+    report, passed = run_witness_chain(pi, 0, 13, DEFAULT_CAP)
+    assert passed
+    assert len(calls) <= 4_486
 
 
 # -- the coset walk and the reduced-word supports against the labelled walks they replaced --

@@ -863,6 +863,8 @@ def test_cli_cap_below_one_reports_cleanly(tmp_path, capsys, catalog, argv, cap)
     ("f2_rw", ["ends", "--rmax", "-1", "--R", "6"], "r_max must be non-negative, got -1"),
     ("f2_rw", ["ends", "--rmax", "-3", "--R", "2"], "r_max must be non-negative, got -3"),
     ("c2_c3_gog", ["tree", "--radius", "-2"], "radius must be non-negative, got -2"),
+    ("f2_rw", ["cut", "--R", "0"], "radius must be at least 1, got 0"),
+    ("c2_c3_gog", ["witness", "--edge", "0", "--probe", "-4"], "radius must be at least 1, got -4"),
 ])
 def test_cli_negative_radii_report_cleanly(tmp_path, capsys, catalog, entry, args, message):
     path = write_spec(tmp_path, catalog[entry])
