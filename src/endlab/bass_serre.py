@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .cayley_abels import ball_walk
-from .errors import BudgetExceeded, expect, required
+from .errors import BudgetExceeded, expect, one_of, required
 from .group_backends import DEFAULT_CAP, FiniteGroup
 from .serre_graphs import SerreGraph, blocks, boundary_dims, vertex_ids
 
@@ -162,7 +162,7 @@ class GraphOfFiniteGroups:
 def _group_from_json(record, key, where):
     """The group spec record[key], the spec field `where`."""
     data = required(record, key, where, dict)
-    kind = required(data, "kind", f"{where}.kind")
+    kind = one_of(required(data, "kind", f"{where}.kind"), ("cyclic", "table"), f"{where}.kind")
     if kind == "cyclic":
         n = required(data, "n", f"{where}.n")
         if type(n) is not int or n < 1:
@@ -173,14 +173,12 @@ def _group_from_json(record, key, where):
                 f"{where}.n = {n} is past {isqrt(DEFAULT_CAP)}: its {n}x{n} table would exceed the cap of {DEFAULT_CAP} entries"
             )
         return FiniteGroup.cyclic(n)
-    if kind == "table":
-        elements = required(data, "elements", f"{where}.elements", list)
-        table = required(data, "table", f"{where}.table", list)
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or any(type(x) is not int for x in row):
-                raise ValueError(f"{where}.table[{i}] must be a list of integers, got {row!r}")
-        return FiniteGroup(elements, table)
-    raise ValueError(f"unknown group kind {kind!r}")
+    elements = required(data, "elements", f"{where}.elements", list)
+    table = required(data, "table", f"{where}.table", list)
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or any(type(x) is not int for x in row):
+            raise ValueError(f"{where}.table[{i}] must be a list of integers, got {row!r}")
+    return FiniteGroup(elements, table)
 
 
 class PiOneElement:

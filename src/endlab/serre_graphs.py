@@ -112,10 +112,12 @@ class SerreGraph:
         """Graph from vertex ids and JSON edge records {"id", "inv", "o", "t", ...}.
 
         Vertex ids are strings or integers, edge ids distinct integers; a
-        record of another shape, a repeated id or a stated terminus other
-        than the origin of the inverse edge raises ValueError naming its
-        field.
+        record of another shape, a repeated id, an origin that is no vertex,
+        an inverse that is no other edge or whose own inverse is another
+        edge, or a stated terminus other than the origin of the inverse edge
+        raises ValueError naming its field, before the graph is built.
         """
+        known = set(vertices)
         origin, inverse = {}, {}
         for i, ed in enumerate(edges):
             e = required(ed, "id", f"edges[{i}].id", int)
@@ -123,11 +125,22 @@ class SerreGraph:
                 raise ValueError(f"edges[{i}].id repeats edge id {e}")
             inverse[e] = required(ed, "inv", f"edges[{i}].inv", int)
             origin[e] = required(ed, "o", f"edges[{i}].o", VERTEX_ID)
-        g = cls(vertices, origin, inverse)
+            if origin[e] not in known:
+                raise ValueError(f"edges[{i}].o names no vertex, got {origin[e]!r}")
+        # every inv must name another edge before any pair is matched, so
+        # that a bad inv is named at its own record, not at its partner's
         for i, ed in enumerate(edges):
-            if g.terminus(ed["id"]) != required(ed, "t", f"edges[{i}].t"):
-                raise ValueError(f"edge {ed['id']}: stated terminus disagrees with inverse edge")
-        return g
+            f = inverse[ed["id"]]
+            if f == ed["id"] or f not in inverse:
+                raise ValueError(f"edges[{i}].inv must name another edge, got {f}")
+        for i, ed in enumerate(edges):
+            e, f = ed["id"], inverse[ed["id"]]
+            if inverse[f] != e:
+                raise ValueError(f"edges[{i}].inv must name an edge whose inv is {e}, got {f}")
+            t = required(ed, "t", f"edges[{i}].t")
+            if t != origin[f]:
+                raise ValueError(f"edges[{i}].t must be {origin[f]!r}, the origin of its inverse edge {f}, got {t!r}")
+        return cls(vertices, origin, inverse)
 
     @classmethod
     def from_json(cls, data):

@@ -218,7 +218,13 @@ def subgroup_from_spec(backend, spec, where="K"):
 def pair_from_spec(backend, data, name=None, where="pair"):
     K = subgroup_from_spec(backend, required(expect(data, dict, where), "K", f"{where}.K"), f"{where}.K")
     words = required(data, "S", f"{where}.S", list)
+    if not words:
+        raise ValueError(f"{where}.S must not be empty")
     S = [element_from_spec(backend, s, f"{where}.S[{i}]") for i, s in enumerate(words)]
+    # K is a subgroup, so the saturation of S brings in no element of K that S lacks
+    for i, s in enumerate(S):
+        if s in K.members:
+            raise ValueError(f"{where}.S[{i}] lies in K, got {words[i]!r}")
     return cayley_abels.GeneratingPair(backend, K, S, name=name)
 
 
