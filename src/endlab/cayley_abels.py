@@ -41,8 +41,10 @@ walk.
 The acceptor is the one claim that each sphere turns up in label order.
 A pair gives one when K = 1, S is the whole alphabet of a confluent
 shortlex rewriting system and every rule cancels (see GeneratingPair).
-ball_walk then keeps the acceptor state of each frontier position and
-reads each slot's outcome off the backend's slot table, one of two: a
+ball_walk then keeps the acceptor state of each frontier position, the
+last M - 1 letters of its label for M the longest left-hand side's
+length, and reads each slot's outcome off the backend's slot table,
+which normal_form fills in once per state and letter, one of two: a
 child, the next coset, numbered by its BFS parent and its last letter
 with no label formed and no lookup, or a cancellation, an ancestor of the
 position.  It counts each sphere before it forms it, pairs each row as it
@@ -137,7 +139,8 @@ class GeneratingPair:
     The acceptor is the backend's slot_table.  By the argument above, an
     irreducible x + c is a coset not yet found, and as every rule cancels,
     any other x.c is a prefix of x, in the ball already.  A rule that does
-    not cancel (Z^2's ba -> ab, say) makes some x.c neither.
+    not cancel (Z^2's ba -> ab, say) makes some x.c neither, and
+    slot_table gives None.
     """
 
     def __init__(self, backend, K, S, name=None):
@@ -165,16 +168,11 @@ class GeneratingPair:
 
     @functools.cached_property
     def acceptor(self):
-        """For K = 1 and S the whole alphabet of a rewriting backend whose
-        every rule cancels, the backend's slot_table, from which ball_walk
-        forms each sphere; else None."""
+        """For K = 1 and S the whole alphabet of a rewriting backend, the
+        backend's slot_table, from which ball_walk forms each sphere, or
+        None where a rule does not cancel; None for any other pair."""
         backend = self.backend
-        if (
-            isinstance(backend, RewritingGroup)
-            and len(self.K) == 1
-            and self.S == tuple(backend.alphabet)
-            and not any(rhs for _, rhs in backend.rules)
-        ):
+        if isinstance(backend, RewritingGroup) and len(self.K) == 1 and self.S == tuple(backend.alphabet):
             return backend.slot_table()
         return None
 

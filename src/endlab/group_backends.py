@@ -13,13 +13,13 @@ Two kinds of backend live here:
   alternation of the left-hand sides in rule order: a search finds the
   leftmost occurrence of any left-hand side, and at a tie the first rule,
   so each rewrite is the one a rule-by-rule scan would pick.  Shortlex
-  keys compare words translated to letter-index characters.  The
-  left-hand sides are also compiled once into a word acceptor, the
-  Aho-Corasick automaton of Epstein et al., Word Processing in Groups
-  (1992), ch. 2.  When every rule cancels, its right-hand side empty,
-  slot_table reads off it the outcome of each product x.c of a normal form
-  x by a letter c, per acceptor state of x, one of two: x + c is
-  irreducible, or a left-hand side ends at c and x.c is a prefix of x.
+  keys compare words translated to letter-index characters.  When every
+  rule cancels, its right-hand side empty, slot_table gives a word
+  acceptor (Epstein et al., Word Processing in Groups, 1992, ch. 2): the
+  outcome of each product x.c of a normal form x by a letter c, read off
+  normal_form of x's last M - 1 letters and c, M the longest left-hand
+  side's length, one of two: x + c is irreducible, or a left-hand side
+  ends at c and x.c is a prefix of x.
   cayley_abels.ball_walk reads that table when K is trivial and the
   generators are the whole alphabet: it keeps the state of each frontier
   word, an irreducible x + c is a new coset, found with no lookup, and a
@@ -142,10 +142,10 @@ class RewritingGroup:
         # the inverse map on the full alphabet
         inv = dict(self.inverses)
         for g, gi in self.inverses.items():
+            if not self._letters.issuperset((g, gi)):
+                raise ValueError(f"inverses[{g!r}] maps outside the alphabet {''.join(alphabet)!r}, got {g!r} -> {gi!r}")
             inv.setdefault(gi, g)
         self.letter_inverse = inv
-        if set(inv) != set(alphabet):
-            raise ValueError("inverse map must close over the alphabet")
 
         seen = set()
         self.rules = []
@@ -168,43 +168,9 @@ class RewritingGroup:
         self._rhs = {}
         for lhs, rhs in self.rules:
             self._rhs.setdefault(lhs, rhs)
-        self._build_acceptor()
         ok, pair = self.verify_confluence()
         if not ok:
             raise ValueError(f"rewriting system is not confluent: {pair}")
-
-    def _build_acceptor(self):
-        """The Aho-Corasick automaton over the left-hand sides.
-
-        A state is a trie node: the longest suffix of the text read that is
-        a prefix of some left-hand side.  _delta[q][c] is the state after
-        reading c in state q, and _hit[q] the longest left-hand side that
-        is a suffix of q's word ("" for none), inherited through the fail
-        links.  A word is irreducible exactly when no state its letters
-        pass through has a hit (Epstein et al., Word Processing in Groups,
-        1992, ch. 2; Aho and Corasick, CACM 18, 1975).
-        """
-        goto, hit = [{}], [""]
-        for lhs, _ in self.rules:
-            q = 0
-            for c in lhs:
-                if c not in goto[q]:
-                    goto[q][c] = len(goto)
-                    goto.append({})
-                    hit.append("")
-                q = goto[q][c]
-            hit[q] = lhs
-        delta = [{**dict.fromkeys(self.alphabet, 0), **goto[0]}] + [None] * (len(goto) - 1)
-        fail = [0] * len(goto)
-        # breadth first: a fail state is shallower than its state, so complete before it
-        queue = [0]
-        for q in queue:
-            for c, r in goto[q].items():
-                f = fail[r] = delta[fail[q]][c] if q else 0
-                delta[r] = {**delta[f], **goto[r]}
-                hit[r] = hit[r] or hit[f]
-                queue.append(r)
-        self._delta, self._hit = delta, hit
 
     def _check_letters(self, word):
         for c in word:
@@ -239,34 +205,40 @@ class RewritingGroup:
 
     def slot_table(self):
         """The outcome of each product x.c of a normal form x by a letter c,
-        per acceptor state of x, for a system whose every rule cancels:
-        table[q] is the pair (outer, slots) for a normal form x whose
-        letters lead the acceptor to state q, where slots lists one slot
-        (code, k, p) per letter, code being its index in the alphabet, in
+        per state of x, where every rule cancels; else None.
+
+        With M the longest left-hand side's length, the state of x is its
+        last M - 1 letters, so the states are the irreducible words of fewer
+        than M letters, numbered in BFS order from the empty word.  table[q]
+        is the pair (outer, slots) for x in state q: slots has one slot
+        (code, k, p) per letter c, code its index in the alphabet, in
         alphabet order, and outer those that form no x + c.
 
-        Since x is irreducible, a left-hand side occurs in x + c only if it
-        ends at c, and the acceptor finds the longest such from q.  With
-        none, k is -1: x.c is x + c, a child of x, and p the state it
-        leads to.  Else the leftmost occurrence is the longest, and as its
-        right-hand side is empty, x.c is x less its last k letters, k the
-        left-hand side's length less one, a prefix of x and so irreducible;
-        p is None.  A rule that does not cancel raises ValueError.
-        cayley_abels.ball_walk reads this table when it walks a ball along
-        the acceptor.
+        As x is irreducible, a left-hand side occurs in x + c only if it
+        ends at c, so it lies in w + c, w the word of q, and each slot is
+        read off y = normal_form(w + c).  If y is w + c, k is -1: x.c is x + c, a
+        child of x, and p the state of y.  Else the leftmost occurrence is
+        the longest, its right-hand side empty, so x.c is x less its last
+        k = len(w) - len(y) letters, a prefix of x and so irreducible, and p
+        is None.  cayley_abels.ball_walk walks a ball along this table.
         """
-        for lhs, rhs in self.rules:
-            if rhs:
-                raise ValueError(f"{self!r}: the rule {lhs!r} -> {rhs!r} does not cancel")
-        delta, hit = self._delta, self._hit
-
-        def outcome(q, code, c):
-            r = delta[q][c]
-            return (code, len(hit[r]) - 1, None) if hit[r] else (code, -1, r)
-
-        table = []
-        for q in range(len(delta)):
-            slots = [outcome(q, code, c) for code, c in enumerate(self.alphabet)]
+        if any(rhs for _, rhs in self.rules):
+            return None
+        back = self._max_lhs - 1
+        words, state, table = [""], {"": 0}, []
+        # the loop also reads the states appended while it runs
+        for w in words:
+            slots = []
+            for code, c in enumerate(self.alphabet):
+                y = self.normal_form(w + c)
+                if y == w + c:
+                    t = y[-back:]
+                    if t not in state:
+                        state[t] = len(words)
+                        words.append(t)
+                    slots.append((code, -1, state[t]))
+                else:
+                    slots.append((code, len(w) - len(y), None))
             table.append(([s for s in slots if s[1] != -1], slots))
         return table
 

@@ -137,7 +137,7 @@ class SerreGraph:
             e, f = ed["id"], inverse[ed["id"]]
             if inverse[f] != e:
                 raise ValueError(f"edges[{i}].inv must name an edge whose inv is {e}, got {f}")
-            t = required(ed, "t", f"edges[{i}].t")
+            t = required(ed, "t", f"edges[{i}].t", VERTEX_ID)
             if t != origin[f]:
                 raise ValueError(f"edges[{i}].t must be {origin[f]!r}, the origin of its inverse edge {f}, got {t!r}")
         return cls(vertices, origin, inverse)

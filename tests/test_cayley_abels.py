@@ -37,9 +37,10 @@ def make_c6():
 
 
 def make_f2_cancelling():
-    # bAaB -> empty follows from the free cancellations; its trie path b, bA,
-    # bAa has no rule of its own at bAa, where Aa is only reached through a
-    # fail link, and every rule cancels, so the pair on a, b has an acceptor
+    # bAaB -> empty follows from the free cancellations, and every rule
+    # cancels, so the pair on a, b has an acceptor; its longest left-hand side
+    # has 4 letters, so each state of the slot table is an irreducible word of
+    # up to 3 letters
     return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("bAaB", "")], name="F2+bAaB")
 
 
@@ -371,23 +372,26 @@ def catalog_pairs(catalog):
 
 @pytest.mark.parametrize("radius", [3, 5])
 def test_build_matches_two_pass_reference(catalog, radius):
-    # F2 with the redundant rule bAaB -> empty: a free cancellation at the
-    # join after bA is found only through the acceptor's fail link
+    # F2 with the redundant rule bAaB -> empty, whose slot table has a state
+    # per irreducible word of up to three letters
     f2 = make_f2_cancelling()
     pairs = catalog_pairs(catalog) + [GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])]
     for pair in pairs:
         assert coset_table(build(pair, radius)) == reference_build(pair, radius), pair.name
 
 
-def test_f2_build_makes_no_normal_form_call(monkeypatch):
+def test_f2_build_calls_normal_form_only_for_the_slot_table(monkeypatch):
+    # the slot table reads one normal form per state and letter, 5 x 4 on F2,
+    # and the walk along it none, whatever the radius
     f2 = make_f2()
-    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
-
-    def refused(self, word):
-        raise AssertionError(f"normal_form({word!r}) called")
-
-    monkeypatch.setattr(RewritingGroup, "normal_form", refused)
-    assert len(build(pair, 6).vertices) == 1 + 4 * (3 ** 6 - 1) // 2
+    normal_form, calls, counts = RewritingGroup.normal_form, [], []
+    monkeypatch.setattr(RewritingGroup, "normal_form", lambda self, word: calls.append(word) or normal_form(self, word))
+    for radius in (2, 6):
+        pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+        calls.clear()
+        assert len(build(pair, radius).vertices) == 1 + 4 * (3 ** radius - 1) // 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 5 * 4
 
 
 def test_build_labels_each_slot_once(catalog, monkeypatch):
@@ -1179,16 +1183,16 @@ def test_found_in_order_catalog_pairs_walk_as_the_reference(catalog, name):
 
 
 def test_walk_along_an_acceptor_of_more_than_256_states():
-    # F_64 on 128 one-character letters: the free cancellations give the
-    # acceptor 257 states, its start, one per first letter and one per rule,
-    # past one byte per frontier position
-    letters = [chr(0x100 + i) for i in range(128)]
-    f64 = RewritingGroup(letters[::2], dict(zip(letters[::2], letters[1::2])), name="F64")
-    pair = GeneratingPair(f64, trivial_subgroup(f64), letters)
+    # F_128 on 256 one-character letters: the free cancellations give the
+    # acceptor 257 states, the empty word and one per letter, past one byte
+    # per frontier position
+    letters = [chr(0x100 + i) for i in range(256)]
+    f128 = RewritingGroup(letters[::2], dict(zip(letters[::2], letters[1::2])), name="F128")
+    pair = GeneratingPair(f128, trivial_subgroup(f128), letters)
     assert len(pair.acceptor) == 257 and typecode(len(pair.acceptor)) == "H"
     t = ball_walk(pair, 2)
-    assert t.starts == [0, 1, 129, 16385] and not t.exhausted
-    assert_walks_as_the_reference(pair, 2)
+    assert t.starts == [0, 1, 257, 65537] and not t.exhausted
+    assert_walks_as_the_reference(pair, 1)
 
 
 # -- which pairs walk along the acceptor ---------------------------------------------
@@ -1215,9 +1219,48 @@ def test_acceptor_exactly_where_k_is_trivial_s_the_alphabet_and_every_rule_cance
         assert_walks_as_the_reference(pairs[0], data.draw(st.integers(1, 4), label="radius"))
 
 
-def test_slot_table_refuses_a_rule_that_does_not_cancel():
-    with pytest.raises(ValueError, match=r"^RewritingGroup\(Z2\): the rule 'ba' -> 'ab' does not cancel$"):
-        make_z2().slot_table()
+def test_slot_table_is_none_for_a_rule_that_does_not_cancel():
+    assert make_z2().slot_table() is None and make_c6().slot_table() is None
+
+
+# -- the slot table against normal_form -----------------------------------------------
+
+def test_slot_table_has_a_state_per_irreducible_word_shorter_than_the_longest_rule(catalog):
+    # the free cancellations alone: the empty word and one state per letter
+    for name in ("z_rw", "dinfty_rw", "f2_rw"):
+        backend = catalog[name].pairs()[0].backend
+        assert len(backend.slot_table()) == 1 + len(backend.alphabet), name
+    # with bAaB -> empty, the freely reduced words of length 0 to 3 over a, A, b, B
+    assert len(make_f2_cancelling().slot_table()) == 1 + 4 + 12 + 36
+
+
+def slot_outcomes(group, x):
+    """x.c for each letter c, read off the slot table: x's letters lead from
+    the start state along child slots, and each slot of the state reached
+    gives x + c or x less its last k letters."""
+    table, code = group.slot_table(), {c: i for i, c in enumerate(group.alphabet)}
+    q = 0
+    for c in x:
+        _, k, q = table[q][1][code[c]]
+        assert k == -1, (x, c)
+    return [x + c if k == -1 else x[: len(x) - k] for c, (_, k, _) in zip(group.alphabet, table[q][1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slot_table_outcomes_are_normal_forms(data):
+    # free products of copies of Z and C2 cancel in every rule, as does F2
+    # with bAaB -> empty; x is longer than any state
+    group = data.draw(
+        st.one_of(
+            confluent_systems(orders=(0, 2)).filter(lambda g: "t" not in g.alphabet),
+            st.sampled_from([make_f2_cancelling(), make_dinf()]),
+        ),
+        label="group",
+    )
+    word = data.draw(st.lists(st.sampled_from(group.alphabet), max_size=12).map("".join), label="word")
+    x = group.normal_form(word)
+    assert slot_outcomes(group, x) == [group.normal_form(x + c) for c in group.alphabet]
 
 
 # -- the pairs the acceptor walk forms against the pairing loop, on mutant tables ----

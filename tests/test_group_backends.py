@@ -34,8 +34,8 @@ def make_dinf():
 
 
 def make_f2_redundant():
-    # baAb -> bb follows from aA -> empty; its trie path b, ba, baA has no
-    # rule of its own at baA, where aA is only reached through a fail link
+    # baAb -> bb follows from aA -> empty, whose left-hand side lies inside
+    # its own: the reducer meets both at baAb and must reach one normal form
     return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("baAb", "bb")], name="F2+baAb")
 
 

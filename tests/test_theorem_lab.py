@@ -520,6 +520,8 @@ def test_cli_malformed_atom_list_reports_cleanly(tmp_path, capsys, catalog):
     ("inverses", {"a": "AB"}, "inverses['a'] must be a single character, got 'AB'"),
     ("rules", [["aA", "c"]], "rules[0] has unknown letter 'c', got ['aA', 'c']"),
     ("rules", [["AAA", "a"], ["ca", ""]], "rules[1] has unknown letter 'c', got ['ca', '']"),
+    # b is no letter of the alphabet a, A
+    ("inverses", {"a": "A", "b": "B"}, "inverses['b'] maps outside the alphabet 'aA', got 'b' -> 'B'"),
 ])
 def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["z_rw"].spec))
@@ -605,6 +607,9 @@ def test_cli_malformed_rewriting_backend_reports_cleanly(tmp_path, capsys, catal
      "edges[0].inv must name an edge whose inv is 0, got 1"),
     # K = G_w holds w:1, so a generator w:1 over it is refused before saturation
     (("pairs", 1, "S", 0), [{"v": "w", "g": 1}], "pairs[1].S[0] lies in K, got [{'v': 'w', 'g': 1}]"),
+    # a boolean or a float names no vertex, as for o
+    (("backend", "edges", 0, "t"), True, "edges[0].t must be a string or an integer, got bool"),
+    (("backend", "edges", 1, "t"), 0.0, "edges[1].t must be a string or an integer, got float"),
 ])
 def test_cli_malformed_gog_spec_reports_cleanly(tmp_path, capsys, catalog, field, value, message):
     spec = json.loads(json.dumps(catalog["c2_c3_gog"].spec))
@@ -701,6 +706,13 @@ def test_cli_cyclic_bound_is_the_table_size(tmp_path, capsys, catalog, n, code):
                                     {"id": 1, "inv": 2, "o": 1, "t": 0},
                                     {"id": 2, "inv": 1, "o": 1, "t": 0}]},
      "edges[0].inv must name an edge whose inv is 0, got 1"),
+    # true == 1 and 0.0 == 0, yet neither is a vertex id
+    ({"vertices": [0, 1], "edges": [{"id": 0, "inv": 1, "o": 0, "t": True},
+                                    {"id": 1, "inv": 0, "o": 1, "t": 0}]},
+     "edges[0].t must be a string or an integer, got bool"),
+    ({"vertices": [0, 1], "edges": [{"id": 0, "inv": 1, "o": 0, "t": 1},
+                                    {"id": 1, "inv": 0, "o": 1, "t": 0.0}]},
+     "edges[1].t must be a string or an integer, got float"),
 ])
 def test_cli_malformed_homology_graph_reports_cleanly(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
