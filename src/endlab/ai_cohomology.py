@@ -36,7 +36,10 @@ class AIWitness:
     checked on one coset-graph ball.
 
     chi maps a coset representative to 0 or 1 and must be constant on
-    cosets of pair.K.  certificates[i] is a finite list of coset labels
+    cosets of pair.K.  in_cut, if given, maps a coset label v to the
+    indicator of the induced cut, chi at the coset of v^-1, which
+    cut_from_witness otherwise reads through an inverse and a canonical
+    label per coset.  certificates[i] is a finite list of coset labels
     containing where chi and its translate by pair.S[i] can disagree.
     truncation is the ball of pair that every check reads; one of another
     space raises ValueError.  occupancy counts, per sphere 1..radius, the
@@ -44,11 +47,12 @@ class AIWitness:
     sides meet every one of those spheres.
     """
 
-    def __init__(self, pair, chi, certificates, truncation, kind="custom", details=None):
+    def __init__(self, pair, chi, certificates, truncation, kind="custom", details=None, in_cut=None):
         if truncation.space is not pair:
             raise ValueError("the truncation is a ball of another generating pair")
         self.pair = pair
         self.chi = chi
+        self.in_cut = in_cut
         self.certificates = tuple(tuple(c) for c in certificates)
         self.truncation = truncation
         self.kind = kind
@@ -70,7 +74,11 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
 
     B consists of the cosets gK whose inverse translates the lifted edge
     into its own terminus half, checked on the coset-graph ball of the
-    probe radius.  Raises ValueError on a trivial splitting.
+    probe radius.  So gK lies in the induced cut exactly when g translates
+    the edge into that half: the coset g^-1 K has a representative g^-1 k,
+    k in K, and k^-1 g translates the edge into the half g does, as k^-1
+    fixes the edge and so maps each half to itself.  The cut is read off g
+    with no inverse.  Raises ValueError on a trivial splitting.
     """
     half = HalfTreeSplitting(pi, geom_edge)
     K = Subgroup(pi, pi.edge_subgroup_elements(half.e0), name=f"edge{half.e0}")
@@ -97,6 +105,7 @@ def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
         build(pair, probe_radius, cap=cap),
         kind="half_tree",
         details={"edge": half.e0, "group": pi.name},
+        in_cut=lambda v: half.side_of_translate(v) > 0,
     )
 
 
@@ -186,8 +195,9 @@ class WitnessCut:
 def cut_from_witness(w):
     """Turn a K-invariant witness into a cut of the coset graph.
 
-    The cut lies in the witness's ball.  Membership of gK in C_B reads the
-    witness at the inverse coset, which K-invariance makes well defined.
+    The cut lies in the witness's ball.  Membership of gK in C_B is the
+    witness's in_cut, or else chi at the inverse coset, which K-invariance
+    makes well defined.
     The oriented coboundary is bounded by the total size of the declared
     difference certificates.  Its interior endpoints are the probe whose
     escaping components are counted; like find_cut's, the probe must stay
@@ -195,7 +205,8 @@ def cut_from_witness(w):
     radius it needs.
     """
     backend, K, t = w.pair.backend, w.pair.K, w.truncation
-    members = [i for i, v in enumerate(t.vertices) if w.chi(coset_canonical(backend, K, backend.inverse(v)))]
+    in_cut = w.in_cut or (lambda v: w.chi(coset_canonical(backend, K, backend.inverse(v))))
+    members = [i for i, v in enumerate(t.vertices) if in_cut(v)]
     cb = coboundary(t, set(members))
     bound = sum(len(c) for c in w.certificates)
     # the interior endpoints: cb holds both orientations, so the origins suffice

@@ -39,7 +39,13 @@ from their lengths |a| + |b| - 2j, j the pinch count multiply cancels,
 which lead the sort key.  It reads the lengths off the products, once
 per junction suffix (its docstring gives the argument), so multiply is
 the one walk of a junction; and it leaves out the labels past the
-ceiling ball_walk gives the outer sphere.
+ceiling ball_walk gives the outer sphere.  Over trivial edge groups the
+normal form is a free product's, with no carry across an edge, so x.b
+differs from x only in a bounded tail: a row forms products only where
+it first meets its junction suffix, and every later row with that suffix
+slices its labels from them, as the finite-state multiplier of an
+automatic structure does (Epstein et al., Word Processing in Groups,
+1992).
 
 The universal covering tree, PiOne.covering_tree, is such a coset space:
 a vertex, a coset of a vertex group, is labelled by its least normal
@@ -420,6 +426,18 @@ class PiOne:
         take the least of the tied products.  Each slot forms its own
         product.
 
+        When every edge group is trivial, each carry is trivial and multiply
+        keeps x.gs[:i] and x.es[:i], i >= keep = max(0, |x| - M), so x.b is
+        x's head up to keep followed by a tail that depends only on x's tail
+        past keep and on b.  That tail of x, the last M edge letters and the
+        last M + 1 group elements, is the key: the element merged at the
+        last pinch is now read, and the last group element is read even when
+        M = 0.  Products with one head order as their tails do, so the first
+        row with a key keeps each slot's move, the tail of the label it
+        forms, and a later row forms its label as its own head up to keep
+        and that tail, with no product.  Over a nontrivial edge group a
+        carry can run through the whole word, and the rows take the plans.
+
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
         slot whose least length is above ceiling[0].
@@ -434,6 +452,8 @@ class PiOne:
             slots.append((B, c))
         M = max((len(b.es) for B, _ in slots for b in B), default=0)
         plans = {}
+        # over trivial edge groups each slot's per-suffix record is a move
+        moves = all(len(eg) == 1 for eg in self.gog.egroups.values())
 
         def plan(x):
             """The row's plans and the labels formed to work them out."""
@@ -451,12 +471,25 @@ class PiOne:
             return out, labels
 
         def row(x, ceiling=None):
-            key = (x.es[-M:], x.gs[-M:]) if M else ()
             room = None if ceiling is None else ceiling[0] - len(x.es)
+            keep = max(0, len(x.es) - M)
+            if moves:
+                # x's tail past keep is the key, and each slot's move replaces it
+                key = (x.es[keep:], x.gs[keep:])
+            else:
+                key = (x.es[-M:], x.gs[-M:]) if M else ()
             slot_plans = plans.get(key)
             if slot_plans is None:
-                plans[key], labels = plan(x)
-                return [p for (least, _), p in zip(plans[key], labels) if room is None or least <= room]
+                out, labels = plan(x)
+                plans[key] = [(least, p.gs[keep:], p.es[keep:]) for (least, _), p in zip(out, labels)] if moves else out
+                return [p for (least, _), p in zip(out, labels) if room is None or least <= room]
+            if moves:
+                gs, es = x.gs[:keep], x.es[:keep]
+                return [
+                    PiOneElement(self, gs + tail_gs, es + tail_es, x.start)
+                    for least, tail_gs, tail_es in slot_plans
+                    if room is None or least <= room
+                ]
             out = []
             for least, tied in slot_plans:
                 if room is not None and least > room:

@@ -17,9 +17,9 @@ Two kinds of backend live here:
   rule cancels, its right-hand side empty, slot_table gives a word
   acceptor (Epstein et al., Word Processing in Groups, 1992, ch. 2): the
   outcome of each product x.c of a normal form x by a letter c, read off
-  normal_form of x's last M - 1 letters and c, M the longest left-hand
-  side's length, one of two: x + c is irreducible, or a left-hand side
-  ends at c and x.c is a prefix of x.
+  normal_form of x's last M - 1 letters and c, M the length of the longest
+  left-hand side that holds no other one, one of two: x + c is
+  irreducible, or a left-hand side ends at c and x.c is a prefix of x.
   cayley_abels.ball_walk reads that table when K is trivial and the
   generators are the whole alphabet: it keeps the state of each frontier
   word, an irreducible x + c is a new coset, found with no lookup, and a
@@ -207,24 +207,30 @@ class RewritingGroup:
         """The outcome of each product x.c of a normal form x by a letter c,
         per state of x, where every rule cancels; else None.
 
-        With M the longest left-hand side's length, the state of x is its
-        last M - 1 letters, so the states are the irreducible words of fewer
-        than M letters, numbered in BFS order from the empty word.  table[q]
-        is the pair (outer, slots) for x in state q: slots has one slot
-        (code, k, p) per letter c, code its index in the alphabet, in
-        alphabet order, and outer those that form no x + c.
+        With M the length of the longest left-hand side that holds no other
+        one as a factor, the state of x is its last M - 1 letters, so the
+        states are the irreducible words of fewer than M letters, numbered
+        in BFS order from the empty word.  table[q] is the pair (outer,
+        slots) for x in state q: slots has one slot (code, k, p) per letter
+        c, code its index in the alphabet, in alphabet order, and outer
+        those that form no x + c.
 
         As x is irreducible, a left-hand side occurs in x + c only if it
-        ends at c, so it lies in w + c, w the word of q, and each slot is
-        read off y = normal_form(w + c).  If y is w + c, k is -1: x.c is x + c, a
-        child of x, and p the state of y.  Else the leftmost occurrence is
-        the longest, its right-hand side empty, so x.c is x less its last
-        k = len(w) - len(y) letters, a prefix of x and so irreducible, and p
-        is None.  cayley_abels.ball_walk walks a ball along this table.
+        ends at c.  One that holds another never does: the other would end
+        at c too, and cancelling either would leave a different prefix of
+        x, two irreducible words of one element, which confluence rules
+        out.  So every occurrence lies in w + c, w the word of q, and each
+        slot is read off y = normal_form(w + c).  If y is w + c, k is -1:
+        x.c is x + c, a child of x, and p the state of y.  Else the leftmost
+        occurrence is the longest, its right-hand side empty, so x.c is x
+        less its last k = len(w) - len(y) letters, a prefix of x and so
+        irreducible, and p is None.  cayley_abels.ball_walk walks a ball
+        along this table.
         """
         if any(rhs for _, rhs in self.rules):
             return None
-        back = self._max_lhs - 1
+        sides = [lhs for lhs, _ in self.rules]
+        back = max(len(l) for l in sides if not any(o != l and o in l for o in sides)) - 1
         words, state, table = [""], {"": 0}, []
         # the loop also reads the states appended while it runs
         for w in words:

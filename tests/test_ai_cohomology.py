@@ -194,6 +194,20 @@ def test_cut_bound_via_certificates(witnesses):
             assert (t.graph.origin(e) in inside) != (t.graph.terminus(e) in inside)
 
 
+def test_splitting_cut_indicator_is_chi_at_the_inverse_coset(witnesses):
+    # a half-tree witness reads the cut off each label, with no inverse; the
+    # edge group fixes the lifted edge, so that is chi at the inverse coset,
+    # which a witness with no in_cut reads, K of order 2 on C4*C4/C2 included
+    assert {len(w.pair.K) for _, w, _ in witnesses.values()} == {1, 2}
+    for name, (pi, w, t) in witnesses.items():
+        K = w.pair.K
+        want = [w.chi(coset_canonical(pi, K, pi.inverse(v))) for v in t.vertices]
+        assert [w.in_cut(v) for v in t.vertices] == want and set(want) == {0, 1}, name
+        generic = AIWitness(w.pair, w.chi, w.certificates, t)
+        assert generic.in_cut is None
+        assert cut_from_witness(generic) == cut_from_witness(w), name
+
+
 def test_round_trip_witness_to_two_escaping_components(witnesses):
     for name in witnesses:
         _, w, t = witnesses[name]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endlab.ai_cohomology import witness_from_splitting
 from endlab.bass_serre import CoveringTree, GraphOfFiniteGroups, PiOne, tree_truncation
 from endlab.cayley_abels import (
     GeneratingPair,
@@ -38,9 +39,8 @@ def make_c6():
 
 def make_f2_cancelling():
     # bAaB -> empty follows from the free cancellations, and every rule
-    # cancels, so the pair on a, b has an acceptor; its longest left-hand side
-    # has 4 letters, so each state of the slot table is an irreducible word of
-    # up to 3 letters
+    # cancels, so the pair on a, b has an acceptor; bAaB holds Aa, so it
+    # never occurs in an irreducible x + c, and the slot table is F2's
     return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("bAaB", "")], name="F2+bAaB")
 
 
@@ -440,19 +440,18 @@ def c2c3_vertex_pair():
 
 def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypatch):
     # the full minimum over each s.K takes |S|.|K| = 9 products per coset,
-    # 27,639 in all.  Two of the three slots share their head with every
-    # label, and the third forms only its products of least length, so the
-    # 1,534 inner cosets take 3 each, 4,602; the 1,536 outer cosets form
-    # only the slots whose least length fits the ball, 2,560; and the cosets
-    # s.K take their members s.k, k != 1, 6: 7,168 in all.  A row that works
-    # out the plan of its junction suffix forms every member of the slots
-    # it compares, and all its slots, past the ball or not: 20 more, 7,188
+    # 27,639 in all, and the plan of each junction suffix alone, one product
+    # per slot that shares its head with every label and the least-length
+    # members of the third, 7,188.  Over the trivial edge groups of C2*C3 a
+    # row forms products only where it first meets its junction suffix, and
+    # every later row slices its labels from them: 70, and the 6 members
+    # s.k, k != 1, of the cosets s.K, 76 in all
     pair = c2c3_vertex_pair()
     calls = []
     counted_multiply(monkeypatch, pair.backend, calls)
     t = build(pair, 10)
     assert len(t.vertices) == 3070
-    assert len(calls) <= 7_500
+    assert len(calls) <= 76
 
 
 def rose_pair():
@@ -464,22 +463,27 @@ def rose_pair():
     return GeneratingPair(pi, trivial_subgroup(pi), pi.default_generators())
 
 
+def mixed_pair():
+    """mixed_gog, over C2 edge groups, K = 1: 2,410 cosets at R = 5."""
+    pi = PiOne(mixed_gog())
+    return GeneratingPair(pi, trivial_subgroup(pi), pi.default_generators())
+
+
 @pytest.mark.parametrize("pair_of, radius, cosets", [
     pytest.param(c2c3_vertex_pair, 10, 3070, id="10-3070"),
     pytest.param(c2c3_vertex_pair, 12, 12286, id="12-12286"),
     pytest.param(rose_pair, 9, 39365, id="rose-9-39365"),
+    pytest.param(mixed_pair, 5, 2410, id="mixed-5-2410"),
 ])
 def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, pair_of, radius, cosets):
-    # a row's plans depend only on the last 4 edge letters and group elements
-    # of its label, and the row that works out a plan reads the pinches off
-    # the products it forms, every member of the slots it compares; so the
-    # products past those the rows return are the 6 members s.k, k != 1, of
-    # the cosets s.K and 20 that the rows working out a plan form past their
-    # own: 26 at either radius, where working out a plan in each of the 3,070 or 12,286 rows
-    # forms 15,356 and 61,436 products, about twice the rows' own.  The
-    # rose's rows, K = 1, take the same plan: its 78,728 products are the
-    # rows' own, where a plan per row, each outer-sphere slot included,
-    # forms 157,460
+    # a row's plans depend only on a suffix of its label, and the row that
+    # works out a plan reads the pinches off the products it forms, every
+    # member of the slots it compares.  Over the C2 edge groups of mixed_gog
+    # a later row forms its products of least length, and the 21,050
+    # products are the rows' own.  Over the trivial edge groups of C2*C3 and
+    # of the rose a later row forms none, as it slices its labels from those
+    # of the first row of its suffix: C2*C3 forms 76 products at either
+    # radius, and the rose 20, where its rows hold 78,728 labels
     pair = pair_of()
     calls, labels = [], []
     counted_multiply(monkeypatch, pair.backend, calls)
@@ -497,13 +501,16 @@ def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch
 
 
 def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
-    # each tree row is one coset_products row: a child step h.e.G_t shares
-    # its head h e with every member and takes one product, and the step
-    # back pinches every member, so it forms all |G_t| of them, tied.  The
-    # base forms 2 products, each of the other 506 inner vertices 1 + 3 or
-    # 2 + 2, and each of the 256 outer vertices, at the u end of its step
-    # back to a w vertex, only that step: 3 tied members, 768 products
-    pi, products, labelled = c2c3(), [], []
+    # each tree row is one coset_products row, and over the trivial edge
+    # groups of C2*C3 a row forms products only where it first meets its
+    # junction suffix, the last edge letter and the last two group elements:
+    # the base 2, one per child step; e0 and u:1.e0, at w, 4 each, the 2
+    # tied members of their step back and one per child step; and
+    # e0.w:1.e1 and e0.w:2.e1, at u, 4 each, the 3 tied members of their
+    # step back and the child step.  Every other label is a slice move, so
+    # the 256 outer vertices, at the u end of their step back to a w vertex,
+    # form nothing and get that step alone
+    pi, products, labelled, rows = c2c3(), [], [], {}
     multiply, vertex_label = pi.multiply, pi.vertex_label
 
     def counting(a, b):
@@ -513,18 +520,19 @@ def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
     monkeypatch.setattr(pi, "multiply", counting)
     monkeypatch.setattr(pi, "vertex_label", lambda m: labelled.append(m) or vertex_label(m))
     tree = pi.covering_tree
+    neighbours = tree.neighbours
+    monkeypatch.setattr(tree, "neighbours", lambda m, ceiling=None: rows.setdefault(m, neighbours(m, ceiling)))
     products.clear()
     t = tree_truncation(pi, 14)
     assert t.space is tree and len(t.vertices) == 763
-    assert len(products) == 2_794
+    assert len(products) == 18
+    assert Counter(str(a) for a, _ in products) == {"1": 2, "e0": 4, "u:1.e0": 4, "e0.w:1.e1": 4, "e0.w:2.e1": 4}
     # vertex_label gives the base label alone; the rows label no vertex
     assert labelled == [pi.identity()]
-    outer = set(t.sphere_labels(14))
-    at_outer = [(a, y) for a, y in products if a in outer]
-    assert len(outer) == 256 and len(at_outer) == 768
-    assert Counter(a for a, _ in at_outer) == dict.fromkeys(outer, 3)
-    # each of them steps back along the last letter: one edge letter fewer
-    assert {len(y.es) for _, y in at_outer} == {13}
+    outer = t.sphere_labels(14)
+    assert len(outer) == 256
+    # each steps back along its last letter: one edge letter fewer
+    assert all(len(rows[m]) == 1 and len(rows[m][0].es) == 13 for m in outer)
 
 
 # -- least coset products against the full minimum they replaced -----------------
@@ -650,6 +658,111 @@ def test_rows_that_work_out_their_plan_match_the_warm_rows():
         labels = small_ball(tree, 4).vertices
         fresh = lambda: CoveringTree(pi).neighbours
         assert plan_misses_off_warm(tree.neighbours, fresh, labels, pi.sort_key) == [], pi.name
+
+
+# -- coset rows over trivial edge groups, sliced from one product per suffix --------
+
+def warm_rows_off_reference(pair, labels):
+    """The (label, ceiling) pairs on which the rows of pair, read again after
+    every label's row, differ from reference_row less its labels with more
+    edge letters than the ceiling's.  Each label is read with no ceiling,
+    under its own key and under the largest key of the labels."""
+    pi = pair.backend
+    for x in labels:
+        pair.neighbours(x)
+    top = max(map(pi.sort_key, labels))
+    off = []
+    for x in labels:
+        full = reference_row(pair, x)
+        for c in (None, pi.sort_key(x), top):
+            if pair.neighbours(x, c) != [y for y in full if c is None or len(y.es) <= c[0]]:
+                off.append((x, c))
+    return off
+
+
+def witness_pair():
+    """The pair of the C2*C3 witness at edge 0, K = 1: 634 cosets at R = 13."""
+    return witness_from_splitting(c2c3(), 0, probe_radius=1).pair
+
+
+@pytest.mark.parametrize("pair_of, radius, cosets", [
+    pytest.param(witness_pair, 13, 634, id="witness-13-634"),
+    pytest.param(c2c3_vertex_pair, 10, 3070, id="c3w-10-3070"),
+])
+def test_warm_rows_of_the_benchmark_balls_match_the_full_minimum(pair_of, radius, cosets):
+    # the two C2*C3 balls of the witness chain benchmark, whose rows past the
+    # first of each junction suffix are slice moves
+    pair = pair_of()
+    labels = build(pair, radius).vertices
+    assert len(labels) == cosets
+    assert warm_rows_off_reference(pair, labels) == []
+
+
+def test_warm_rows_of_catalog_pairs_match_the_full_minimum(catalog):
+    # every pi1 pair of the catalog, on the ball of radius 12 or the largest
+    # smaller one within 2,000 cosets: c5_gog's members have no edge letter,
+    # so its junction suffix is the last group element alone
+    pairs = [pair for pair in catalog_pairs(catalog) if isinstance(pair.backend, PiOne)]
+    assert {pair.backend.name for pair in pairs} >= {"pi1(C2*C3)", "pi1(C4*C4/C2)", "pi1(C5)"}
+    for pair in pairs:
+        pair = GeneratingPair(pair.backend, pair.K, pair.S, pair.name)
+        assert warm_rows_off_reference(pair, small_ball(pair, 12, cap=2000).vertices) == [], pair.name
+
+
+def test_warm_rows_form_a_product_exactly_where_an_edge_group_is_nontrivial():
+    # a warm row over trivial edge groups is all slices; over a nontrivial
+    # one a carry can run through the whole word, so it forms its products
+    cases = [pi for pi in NORMALIZER_CASES + FUZZ_CASES if pi.default_generators()]
+    assert {all(len(g) == 1 for g in pi.gog.egroups.values()) for pi in cases} == {True, False}
+    for pi in cases:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            # the row map keeps the multiply it finds when it is made
+            counted_multiply(mp, pi, calls)
+            pair = GeneratingPair(pi, trivial_subgroup(pi), pi.default_generators())
+            labels = small_ball(pair, 4).vertices
+            calls.clear()
+            for x in labels:
+                pair.neighbours(x)
+        trivial = all(len(g) == 1 for g in pi.gog.egroups.values())
+        assert (calls == []) == trivial, pi.name
+
+
+@st.composite
+def free_products_of_cyclic_groups(draw):
+    """pi1 of a graph of cyclic groups with trivial edge groups: a tree on
+    one to three vertices, each edge to an earlier vertex, and up to two HNN
+    loops over 1, each at a vertex of its own choosing."""
+    n = draw(st.integers(1, 3), label="vertices")
+    orders = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n), label="orders")
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(vertices[draw(st.integers(0, i - 1), label="parent")], vertices[i]) for i in range(1, n)]
+    edges += [(v, v) for v in draw(st.lists(st.sampled_from(vertices), max_size=2), label="loops")]
+    one = FiniteGroup.cyclic(1)
+    gog = GraphOfFiniteGroups(
+        SerreGraph.from_geometric(vertices, edges),
+        {v: FiniteGroup.cyclic(k) for v, k in zip(vertices, orders)},
+        {2 * i: one for i in range(len(edges))},
+        {e: [0] for e in range(2 * len(edges))},
+        name="*".join(f"C{k}" for k in orders) + "*Z" * (len(edges) - n + 1),
+    )
+    return PiOne(gog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slice_rows_of_free_products_match_the_full_minimum(data):
+    # K trivial or a vertex group, and up to three generators outside it;
+    # then the covering tree's rows against the reference tree rows
+    pi = data.draw(free_products_of_cyclic_groups(), label="pi")
+    groups = [pi.vertex_subgroup_elements(v) for v in pi.graph.vertices]
+    K = Subgroup(pi, data.draw(st.sampled_from([(pi.identity(),), *groups]), label="K"))
+    gens = [g for g in pi.default_generators() if g not in K.elements]
+    if gens:
+        S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3, unique=True), label="S")
+        pair = GeneratingPair(pi, K, S)
+        assert warm_rows_off_reference(pair, small_ball(pair, 5).vertices) == []
+    assert tree_rows_off_reference(pi, 4) == []
 
 
 def test_unsaturated_generators_give_unbalanced_edges():
@@ -1226,12 +1339,29 @@ def test_slot_table_is_none_for_a_rule_that_does_not_cancel():
 # -- the slot table against normal_form -----------------------------------------------
 
 def test_slot_table_has_a_state_per_irreducible_word_shorter_than_the_longest_rule(catalog):
-    # the free cancellations alone: the empty word and one state per letter
+    # the free cancellations alone: the empty word and one state per letter.
+    # The longest rule counted is the longest that holds no other: bAaB
+    # holds Aa, so F2 with bAaB -> empty has F2's table, not one of the 53
+    # freely reduced words of up to 3 letters
     for name in ("z_rw", "dinfty_rw", "f2_rw"):
         backend = catalog[name].pairs()[0].backend
         assert len(backend.slot_table()) == 1 + len(backend.alphabet), name
-    # with bAaB -> empty, the freely reduced words of length 0 to 3 over a, A, b, B
-    assert len(make_f2_cancelling().slot_table()) == 1 + 4 + 12 + 36
+    assert make_f2_cancelling().slot_table() == make_f2().slot_table()
+    assert len(make_f2_cancelling().slot_table()) == 1 + 4
+
+
+def test_f2_cancelling_build_calls_normal_form_only_for_f2s_slot_table(monkeypatch):
+    # 5 states x 4 letters, not 53 x 4 = 212 for a state per freely reduced
+    # word of up to 3 letters, and the walk is the reference walk
+    f2 = make_f2_cancelling()
+    normal_form, calls = RewritingGroup.normal_form, []
+    monkeypatch.setattr(RewritingGroup, "normal_form", lambda self, word: calls.append(word) or normal_form(self, word))
+    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+    calls.clear()
+    t = ball_walk(pair, 6)
+    assert len(t.vertices) == 1 + 4 * (3 ** 6 - 1) // 2 and len(calls) <= 5 * 4
+    monkeypatch.undo()
+    assert_walks_as_the_reference(pair, 4)
 
 
 def slot_outcomes(group, x):

@@ -353,14 +353,15 @@ def test_cli_closed_stdout_exits_quietly(tmp_path):
     path = tmp_path / "f2.json"
     path.write_text(json.dumps(spec))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.Popen(
+    # the with block closes the stderr pipe too
+    with subprocess.Popen(
         [sys.executable, "-m", "endlab.cli", "cut", str(path), "--R", "9"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert stderr == b""
 
 
