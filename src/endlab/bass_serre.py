@@ -34,18 +34,20 @@ folds multiply over a raw word, and vertex_label is the least product
 with an element_at.
 
 PiOne.coset_products, the one routine for every coset row of
-cayley_abels.ball_walk, works out which products of a row can be least
-from their lengths |a| + |b| - 2j, j the pinch count multiply cancels,
-which lead the sort key.  It reads the lengths off the products, once
-per junction suffix (its docstring gives the argument), so multiply is
-the one walk of a junction; and it leaves out the labels past the
-ceiling ball_walk gives the outer sphere.  Over trivial edge groups the
-normal form is a free product's, with no carry across an edge, so x.b
-differs from x only in a bounded tail: a row forms products only where
-it first meets its junction suffix, and every later row with that suffix
-slices its labels from them, as the finite-state multiplier of an
-automatic structure does (Epstein et al., Word Processing in Groups,
-1992).
+cayley_abels.ball_walk, forms each label by one routine, least: x.b for
+the least member b of a coset, and the other members only when the
+junction can reach past the head they share, read off the length
+|a| + |b| - 2j of that product, j the pinch count multiply cancels, which
+leads the sort key.  The first row with a junction suffix keeps one
+record per slot, its growth and its tail, read off the labels it forms,
+so multiply is the one walk of a junction; and a later row leaves out
+the labels that the recorded growth takes past the ceiling ball_walk
+gives the outer sphere, before forming them.  Over trivial edge groups
+the normal form is a free product's, with no carry across an edge, so
+x.b differs from x only in a bounded tail: every later row with that
+suffix slices its labels from the record, as the finite-state multiplier
+of an automatic structure does (Epstein et al., Word Processing in
+Groups, 1992).
 
 The universal covering tree, PiOne.covering_tree, is such a coset space:
 a vertex, a coset of a vertex group, is labelled by its least normal
@@ -405,42 +407,36 @@ class PiOne:
         gets c, the number of leading group elements and edge letters that
         every member of B shares.  A product x.b has |x| + |b| - 2j edge
         letters, j the pinch count multiply cancels at the junction, and the
-        sort key leads with that length.  A slot's plan is its least growth
-        |x.b| - |x| and the members that reach it, and it is read off the
-        products: the slot forms x.B[0] first.  When its growth exceeds
-        |B[0]| - 2c, that is j < c, the junction reads the same letters and
-        stops at the same j for every member b, so every x.b is one pushed
-        head followed by b's own tail: the products order as B does, and
-        x.B[0] is the least by uniqueness of normal forms (Serre, Trees,
-        I.5).  Otherwise the slot forms x.b for every member, and its label
-        is the least of them.
+        sort key leads with that length.  One routine, least, forms each
+        slot's label: it forms x.B[0] first.  When its growth |x.B[0]| - |x|
+        exceeds |B[0]| - 2c, that is j < c, the junction reads the same
+        letters and stops at the same j for every member b, so every x.b is
+        one pushed head followed by b's own tail: the products order as B
+        does, and x.B[0] is the least by uniqueness of normal forms (Serre,
+        Trees, I.5).  Otherwise least forms x.b for every member and takes
+        the least of them.
 
         The junction loop reads at most the last M edge letters of x, M the
-        most edge letters of any member, and the last M group elements: the
-        element it merges at the last pinch is never read.  So a slot's plan
-        depends only on that suffix of x.  The map works out a row's plans
-        once per suffix and keeps them in a dict of its own, which lives as
-        long as the map.  The row that works out a plan returns the labels
-        it formed for it; a later row with the same suffix forms only the
-        products of least length: one is the label as it stands, and ties
-        take the least of the tied products.  Each slot forms its own
-        product.
+        most edge letters of any member, and the last M group elements, so
+        with keep = max(0, |x| - M) the growth of each slot depends only on
+        x's tail past keep: its last M edge letters and last M + 1 group
+        elements.  That tail is the key, and the first row with a key keeps
+        one record per slot, read off the label it forms: its growth and its
+        tail past keep.  The records live in a dict of the map's own, as
+        long as the map.
 
         When every edge group is trivial, each carry is trivial and multiply
-        keeps x.gs[:i] and x.es[:i], i >= keep = max(0, |x| - M), so x.b is
-        x's head up to keep followed by a tail that depends only on x's tail
-        past keep and on b.  That tail of x, the last M edge letters and the
-        last M + 1 group elements, is the key: the element merged at the
-        last pinch is now read, and the last group element is read even when
-        M = 0.  Products with one head order as their tails do, so the first
-        row with a key keeps each slot's move, the tail of the label it
-        forms, and a later row forms its label as its own head up to keep
-        and that tail, with no product.  Over a nontrivial edge group a
-        carry can run through the whole word, and the rows take the plans.
+        keeps x.gs[:i] and x.es[:i], i >= keep, so x.b is x's head up to keep
+        followed by a tail that depends only on the key and on b.  Products
+        with one head order as their tails do, so a later row forms its
+        labels as its own head up to keep and each record's tail, with no
+        product.  Over a nontrivial edge group a carry can run through the
+        whole word, and a later row forms its labels by least.
 
         The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
         cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
-        slot whose least length is above ceiling[0].
+        slot whose growth takes it past ceiling[0] edge letters; a later row
+        reads that growth off the record and forms nothing for the slot.
         """
         multiply, sort_key = self.multiply, self.sort_key
         slots = []
@@ -451,54 +447,40 @@ class PiOne:
                 c += 1
             slots.append((B, c))
         M = max((len(b.es) for B, _ in slots for b in B), default=0)
-        plans = {}
-        # over trivial edge groups each slot's per-suffix record is a move
+        records = {}
+        # over trivial edge groups a later row slices its labels from the records
         moves = all(len(eg) == 1 for eg in self.gog.egroups.values())
 
-        def plan(x):
-            """The row's plans and the labels formed to work them out."""
-            n, out, labels = len(x.es), [], []
-            for B, c in slots:
-                p = multiply(x, B[0])
-                if len(p.es) - n > len(B[0].es) - 2 * c:
-                    out.append((len(p.es) - n, B[:1]))
-                    labels.append(p)
+        def least(x, record=None, room=None):
+            """The least x.b of each slot, less each whose recorded growth
+            passes room."""
+            n, out = len(x.es), []
+            for k, (B, c) in enumerate(slots):
+                if room is not None and record[k][0] > room:
                     continue
-                products = [p, *(multiply(x, b) for b in B[1:])]
-                p = min(products, key=sort_key)
-                out.append((len(p.es) - n, [b for b, q in zip(B, products) if len(q.es) == len(p.es)]))
-                labels.append(p)
-            return out, labels
+                p = multiply(x, B[0])
+                if len(p.es) - n <= len(B[0].es) - 2 * c:
+                    p = min([p, *(multiply(x, b) for b in B[1:])], key=sort_key)
+                out.append(p)
+            return out
 
         def row(x, ceiling=None):
             room = None if ceiling is None else ceiling[0] - len(x.es)
             keep = max(0, len(x.es) - M)
-            if moves:
-                # x's tail past keep is the key, and each slot's move replaces it
-                key = (x.es[keep:], x.gs[keep:])
-            else:
-                key = (x.es[-M:], x.gs[-M:]) if M else ()
-            slot_plans = plans.get(key)
-            if slot_plans is None:
-                out, labels = plan(x)
-                plans[key] = [(least, p.gs[keep:], p.es[keep:]) for (least, _), p in zip(out, labels)] if moves else out
-                return [p for (least, _), p in zip(out, labels) if room is None or least <= room]
+            key = (x.es[keep:], x.gs[keep:])
+            record = records.get(key)
+            if record is None:
+                labels = least(x)
+                records[key] = [(len(p.es) - len(x.es), p.gs[keep:], p.es[keep:]) for p in labels]
+                return [p for p in labels if ceiling is None or len(p.es) <= ceiling[0]]
             if moves:
                 gs, es = x.gs[:keep], x.es[:keep]
                 return [
                     PiOneElement(self, gs + tail_gs, es + tail_es, x.start)
-                    for least, tail_gs, tail_es in slot_plans
-                    if room is None or least <= room
+                    for growth, tail_gs, tail_es in record
+                    if room is None or growth <= room
                 ]
-            out = []
-            for least, tied in slot_plans:
-                if room is not None and least > room:
-                    continue
-                if len(tied) == 1:
-                    out.append(multiply(x, tied[0]))
-                else:
-                    out.append(min([multiply(x, b) for b in tied], key=sort_key))
-            return out
+            return least(x, record, room)
 
         return row
 

@@ -76,6 +76,12 @@ def cmd_ends(args):
 def cmd_cut(args):
     _, pair = _spec_backend_pairs(args.spec, args.pair)
     t = cayley_abels.build(pair, args.R, cap=args.cap)
+    # find_cut probes only radii MARGIN spheres inside the ball; an exhausted
+    # ball has no cut at any radius
+    if not t.exhausted and args.R <= ends_cuts.MARGIN:
+        raise ValueError(
+            f"cut probes only inside the margin of {ends_cuts.MARGIN} spheres, so it needs --R of at least {ends_cuts.MARGIN + 1}, got {args.R}"
+        )
     cut = ends_cuts.find_cut(t)
     _emit({"pair": pair.name, "cut": cut.to_json() if cut else None})
     return 0
@@ -147,28 +153,29 @@ def cmd_verify(args):
 
 
 def build_parser():
+    scales = theorem_lab.Scales
     p = argparse.ArgumentParser(prog="endlab")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ends", help="classify the ends of a group spec")
     sp.add_argument("spec")
     sp.add_argument("--pair", type=int, default=0)
-    sp.add_argument("--rmax", type=int, default=3)
-    sp.add_argument("--R", type=int, default=12)
+    sp.add_argument("--rmax", type=int, default=scales.r_max)
+    sp.add_argument("--R", type=int, default=scales.radius)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_ends)
 
     sp = sub.add_parser("cut", help="extract a cut from the coset graph")
     sp.add_argument("spec")
     sp.add_argument("--pair", type=int, default=0)
-    sp.add_argument("--R", type=int, default=12)
+    sp.add_argument("--R", type=int, default=scales.radius)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_cut)
 
     sp = sub.add_parser("witness", help="build and check a splitting witness")
     sp.add_argument("spec")
     sp.add_argument("--edge", type=int, required=True)
-    sp.add_argument("--probe", type=int, default=8)
+    sp.add_argument("--probe", type=int, default=scales.probe_radius)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_witness)
 

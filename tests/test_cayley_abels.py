@@ -23,6 +23,7 @@ from endlab.errors import BudgetExceeded, InternalInconsistency
 
 from endlab.group_backends import DEFAULT_CAP, FiniteGroup, RewritingGroup
 from endlab.serre_graphs import SerreGraph
+from endlab.theorem_lab import default_catalog, run_catalog
 
 from helpers import ball_enumerate, graph_json, is_tree, recorded_slot_tables, rewired_slot_tables
 from test_bass_serre import FUZZ_CASES, NORMALIZER_CASES, affine_value, c2c3, dinf, mixed_gog, tree_rows_off_reference
@@ -440,18 +441,31 @@ def c2c3_vertex_pair():
 
 def test_c2c3_vertex_pair_build_makes_one_product_per_shared_head_slot(monkeypatch):
     # the full minimum over each s.K takes |S|.|K| = 9 products per coset,
-    # 27,639 in all, and the plan of each junction suffix alone, one product
-    # per slot that shares its head with every label and the least-length
-    # members of the third, 7,188.  Over the trivial edge groups of C2*C3 a
-    # row forms products only where it first meets its junction suffix, and
-    # every later row slices its labels from them: 70, and the 6 members
-    # s.k, k != 1, of the cosets s.K, 76 in all
+    # 27,639 in all, and least on every row, one product per slot whose
+    # junction stops inside the head its coset shares and every member of
+    # the third, 13,308.  Over the trivial edge groups of C2*C3 a row forms
+    # products only where it first meets its junction suffix, and every
+    # later row slices its labels from them: 70, and the 6 members s.k,
+    # k != 1, of the cosets s.K, 76 in all
     pair = c2c3_vertex_pair()
     calls = []
     counted_multiply(monkeypatch, pair.backend, calls)
     t = build(pair, 10)
     assert len(t.vertices) == 3070
     assert len(calls) <= 76
+
+
+def test_c4c2c4_catalog_row_makes_at_most_921_products(monkeypatch):
+    # the catalog's one graph of groups over a nontrivial edge group, so its
+    # later rows form their labels again: its verify row, equivalence and
+    # resolution evidence at the default scales, on a fresh backend.  A later
+    # row reads the record of the first row with its junction suffix, the
+    # last M edge letters and M + 1 group elements of its label
+    entry = next(e for e in default_catalog() if e.name == "c4_c2_c4_gog")
+    calls = []
+    counted_multiply(monkeypatch, entry.backend(), calls)
+    assert run_catalog([entry]).all_consistent
+    assert len(calls) <= 921
 
 
 def rose_pair():
@@ -476,14 +490,14 @@ def mixed_pair():
     pytest.param(mixed_pair, 5, 2410, id="mixed-5-2410"),
 ])
 def test_c2c3_vertex_pair_build_counts_pinches_once_per_junction_key(monkeypatch, pair_of, radius, cosets):
-    # a row's plans depend only on a suffix of its label, and the row that
-    # works out a plan reads the pinches off the products it forms, every
-    # member of the slots it compares.  Over the C2 edge groups of mixed_gog
-    # a later row forms its products of least length, and the 21,050
+    # a row's growths depend only on a suffix of its label, and the first row
+    # with that suffix records them off the labels it forms.  Over the C2 edge
+    # groups of mixed_gog a later row forms its labels again and forms nothing
+    # for a slot whose recorded growth takes it past the ceiling: the 21,050
     # products are the rows' own.  Over the trivial edge groups of C2*C3 and
-    # of the rose a later row forms none, as it slices its labels from those
-    # of the first row of its suffix: C2*C3 forms 76 products at either
-    # radius, and the rose 20, where its rows hold 78,728 labels
+    # of the rose a later row forms none, as it slices its labels from the
+    # record: C2*C3 forms 76 products at either radius, and the rose 20, where
+    # its rows hold 78,728 labels
     pair = pair_of()
     calls, labels = [], []
     counted_multiply(monkeypatch, pair.backend, calls)
@@ -505,9 +519,9 @@ def test_c2c3_tree_outer_sphere_forms_only_the_step_back(monkeypatch):
     # groups of C2*C3 a row forms products only where it first meets its
     # junction suffix, the last edge letter and the last two group elements:
     # the base 2, one per child step; e0 and u:1.e0, at w, 4 each, the 2
-    # tied members of their step back and one per child step; and
-    # e0.w:1.e1 and e0.w:2.e1, at u, 4 each, the 3 tied members of their
-    # step back and the child step.  Every other label is a slice move, so
+    # members of their step back and one per child step; and e0.w:1.e1 and
+    # e0.w:2.e1, at u, 4 each, the 3 members of their step back and the
+    # child step.  Every other label is a slice move, so
     # the 256 outer vertices, at the u end of their step back to a w vertex,
     # form nothing and get that step alone
     pi, products, labelled, rows = c2c3(), [], [], {}
@@ -632,11 +646,11 @@ def test_head_blind_tree_rows_fail_the_reference(monkeypatch):
 
 
 def plan_misses_off_warm(warm, fresh, labels, sort_key):
-    """The (label, ceiling) pairs on which the row of a fresh row map, which
-    works out the plan of the label's suffix, differs from the row of the
-    map warm, which has worked out the plans of every label already.  Each
-    label is read with no ceiling, under its own key and under the largest
-    key of the labels."""
+    """The (label, ceiling) pairs on which the row of a fresh row map, whose
+    row is the first with the label's suffix and records it, differs from
+    the row of the map warm, which holds the record of every label's suffix
+    already.  Each label is read with no ceiling, under its own key and
+    under the largest key of the labels."""
     for x in labels:
         warm(x)
     top = max(map(sort_key, labels))
