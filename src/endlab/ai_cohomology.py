@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .bass_serre import Certificate, HalfTreeSplitting
 from .cayley_abels import GeneratingPair, Subgroup, build, coset_canonical
-from .ends_cuts import MARGIN, coboundary, escaping_components
-from .group_backends import DEFAULT_CAP
+from .ends_cuts import MARGIN, Scales, coboundary, escaping_components
 
 
 class AIWitness:
@@ -69,7 +68,7 @@ class AIWitness:
         )
 
 
-def witness_from_splitting(pi, geom_edge, probe_radius=8, cap=DEFAULT_CAP):
+def witness_from_splitting(pi, geom_edge, probe_radius=Scales.probe_radius, cap=Scales.cap):
     """Half-tree witness for a nontrivial splitting edge.
 
     B consists of the cosets gK whose inverse translates the lifted edge

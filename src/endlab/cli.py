@@ -142,14 +142,10 @@ def cmd_verify(args):
         entries = theorem_lab.default_catalog()
     else:
         entries = theorem_lab.catalog_from_json(_load(args.catalog))
-    scales = theorem_lab.Scales(cap=args.cap)
-    if args.rmax is not None:
-        scales.r_max = args.rmax
-    if args.R is not None:
-        scales.radius = args.R
+    scales = theorem_lab.Scales(r_max=args.rmax, radius=args.R, cap=args.cap)
     report = theorem_lab.run_catalog(entries, scales)
-    _emit(report.to_json())
-    return report.exit_code()
+    _emit(report)
+    return report["exit_code"]
 
 
 def build_parser():
@@ -193,8 +189,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run the catalog equivalence suite")
     sp.add_argument("catalog", nargs="?")
     sp.add_argument("--default", action="store_true")
-    sp.add_argument("--rmax", type=int)
-    sp.add_argument("--R", type=int)
+    sp.add_argument("--rmax", type=int, default=scales.r_max)
+    sp.add_argument("--R", type=int, default=scales.radius)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_verify)
     return p

@@ -35,6 +35,17 @@ MARGIN = 4
 
 
 @dataclass
+class Scales:
+    """The scales of a run, and the one source of their defaults: ends probes
+    up to r_max in a ball of this radius, the coset cap, the witness probe."""
+
+    r_max: int = 3
+    radius: int = 12
+    cap: int = DEFAULT_CAP
+    probe_radius: int = 8
+
+
+@dataclass
 class EndsEstimate:
     """Escaping-component counts per probe radius plus the scaled verdict."""
 
@@ -89,7 +100,7 @@ def check_scales(r_max, radius):
         raise ValueError(f"need radius > r_max + margin, got {radius} <= {r_max} + {MARGIN}")
 
 
-def classify_ends(pair, r_max=3, radius=12, cap=DEFAULT_CAP):
+def classify_ends(pair, r_max=Scales.r_max, radius=Scales.radius, cap=Scales.cap):
     """Probe the coset graph with balls of radius 0..r_max.
 
     The verdict is ZeroEnds when the whole graph was exhausted below the

@@ -9,7 +9,8 @@ package, so a new built-in entry is data there.  The harness runs three
 measurements per entry -- ends classification from the coset graph,
 splitting classification of the graph of groups, and the witness chain
 (almost invariance, nonvanishing class, induced cut) -- and flags any
-disagreement with the expectations or between the measurements.
+disagreement with the expectations or between the measurements.  Each row
+and the whole report are built as the JSON objects `endlab verify` prints.
 
 Positive verdicts (two or more escaping components, a passing witness) are
 lower bounds, given that the escaping components are infinite; negative
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ai_cohomology, bass_serre, cayley_abels, ends_cuts
 from .bass_serre import Certificate, GraphOfFiniteGroups, PiOne
+from .ends_cuts import Scales
 from .errors import BudgetExceeded, expect, one_of, required
-from .group_backends import DEFAULT_CAP, RewritingGroup
+from .group_backends import RewritingGroup
 
 
 # the truncated tree resolution is checked exact at radii 1..RESOLUTION_RADIUS
@@ -38,14 +40,6 @@ RESOLUTION_RADIUS = 4
 # SplittingReport.overall for a one-edge base graph or none
 ENDS_CLASSES = ("0", "1?", "2", ">=3")
 SPLITTING_CLASSES = ("no_edge", "trivial", "nontrivial_s1", "nontrivial_s2")
-
-
-@dataclass
-class Scales:
-    r_max: int = 3
-    radius: int = 12
-    cap: int = DEFAULT_CAP
-    probe_radius: int = 8
 
 
 @dataclass
@@ -86,10 +80,7 @@ class CatalogEntry:
         """scales with the entry's own r_max and radius in place; a pair
         classify_ends refuses raises ValueError naming the entry, and the
         entry's field at fault where it sets one."""
-        merged = Scales(**vars(scales))
-        for key in ("r_max", "radius"):
-            if key in self.scales:
-                setattr(merged, key, self.scales[key])
+        merged = replace(scales, **{k: self.scales[k] for k in ("r_max", "radius") if k in self.scales})
         try:
             ends_cuts.check_scales(merged.r_max, merged.radius)
         except ValueError as exc:
@@ -256,26 +247,6 @@ def default_catalog():
 # -- the equivalence harness ----------------------------------------------
 
 
-@dataclass
-class EquivalenceVerdict:
-    entry: str
-    ends: list
-    splitting: str | None
-    witness: dict | None
-    consistent: bool
-    details: dict
-
-    def to_json(self):
-        return {
-            "entry": self.entry,
-            "ends": self.ends,
-            "splitting": self.splitting,
-            "witness": self.witness,
-            "consistent": self.consistent,
-            "details": self.details,
-        }
-
-
 def run_witness_chain(backend, edge, probe_radius, cap):
     """Witness, almost-invariance check, class certificate, induced cut.
 
@@ -301,7 +272,10 @@ def run_witness_chain(backend, edge, probe_radius, cap):
 
 
 def verify_equivalence(entry, scales=None):
-    """Measure ends, splitting and witness chain; flag inconsistencies."""
+    """Measure ends, splitting and witness chain; flag inconsistencies.
+
+    Returns the "equivalence" object of the entry's catalog row.
+    """
     scales = entry.effective_scales(scales or Scales())
     backend = entry.backend()
     ends = []
@@ -343,14 +317,14 @@ def verify_equivalence(entry, scales=None):
         problems.append(f"witness chain {'passed' if witness_ok else 'absent or failed'}, expected {entry.witness_expected}")
     if witness_ok and measured not in ("2", ">=3"):
         problems.append("witness produced a cut but the ends probe saw at most one end")
-    return EquivalenceVerdict(
-        entry=entry.name,
-        ends=ends,
-        splitting=splitting,
-        witness=witness,
-        consistent=not problems,
-        details={"problems": problems, "provenance": entry.provenance},
-    )
+    return {
+        "entry": entry.name,
+        "ends": ends,
+        "splitting": splitting,
+        "witness": witness,
+        "consistent": not problems,
+        "details": {"problems": problems, "provenance": entry.provenance},
+    }
 
 
 def verify_resolution_evidence(entry, scales=None):
@@ -377,29 +351,12 @@ def verify_resolution_evidence(entry, scales=None):
     )
 
 
-@dataclass
-class SuiteReport:
-    results: list
-    all_consistent: bool
-    budget_hit: bool
-
-    def exit_code(self):
-        if not self.all_consistent:
-            return 1
-        if self.budget_hit:
-            return 2
-        return 0
-
-    def to_json(self):
-        return {
-            "results": self.results,
-            "all_consistent": self.all_consistent,
-            "budget_hit": self.budget_hit,
-            "exit_code": self.exit_code(),
-        }
-
-
 def run_catalog(entries, scales=None):
+    """Returns the report `endlab verify` prints: one row per entry, in name
+    order, then all_consistent, budget_hit and exit_code -- 1 if any row is
+    inconsistent or fails its resolution evidence, else 2 if any row ran out
+    of budget, else 0.  Each part of a row counts once formed, so a budget
+    hit after it cannot undo an inconsistency."""
     scales = scales or Scales()
     results = []
     all_ok = True
@@ -407,17 +364,18 @@ def run_catalog(entries, scales=None):
     for entry in sorted(entries, key=lambda e: e.name):
         row = {"entry": entry.name}
         try:
-            verdict = verify_equivalence(entry, scales)
-            row["equivalence"] = verdict.to_json()
+            row["equivalence"] = verdict = verify_equivalence(entry, scales)
+            all_ok = all_ok and verdict["consistent"]
             if isinstance(entry.backend(), PiOne):
-                cert = verify_resolution_evidence(entry, scales)
-                row["resolution_evidence"] = cert.to_json()
-                if not cert.passed:
-                    all_ok = False
-            if not verdict.consistent:
-                all_ok = False
+                row["resolution_evidence"] = cert = verify_resolution_evidence(entry, scales).to_json()
+                all_ok = all_ok and cert["passed"]
         except BudgetExceeded as exc:
             row["budget_exceeded"] = str(exc)
             budget_hit = True
         results.append(row)
-    return SuiteReport(results, all_ok, budget_hit)
+    return {
+        "results": results,
+        "all_consistent": all_ok,
+        "budget_hit": budget_hit,
+        "exit_code": 1 if not all_ok else 2 if budget_hit else 0,
+    }
