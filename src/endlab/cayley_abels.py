@@ -47,17 +47,23 @@ length, and reads each slot's outcome off the backend's slot table,
 which normal_form fills in once per state and letter, one of two: a
 child, the next coset, numbered by its BFS parent and its last letter
 with no label formed and no lookup, or a cancellation, an ancestor of the
-position.  It counts each sphere before it forms it, pairs each row as it
-forms it, and forms no label: the truncation forms the labels, and their
-index, only when something reads them, and the probes read positions
-only.  Every other pair and the covering tree sort each sphere.
+position.  Such a ball is a tree, its BFS trie: each child pairs with its
+parent, 2(N - 1) half-edges for N cosets, and the rows must hold exactly
+these, so each row is its children in slot order and, past the base,
+its parent once, at its state's one cancellation, of one letter.
+ball_walk checks that per state, counts each sphere before it forms it,
+forms it by bulk extends over its frontier's states, and forms no row, no
+edge and no label: the truncation forms them, and the labels' index, only
+when something reads them, and the probes read each component of a ball
+minus a smaller one as a subtree, one range of positions per sphere (see
+ends_cuts).  Every other pair and the covering tree sort each sphere.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .group_backends import DEFAULT_CAP, RewritingGroup
@@ -216,21 +222,23 @@ class Truncation:
     neighbours of vertices[i] inside the ball, and oriented edge e runs
     from origin[e] to origin[e ^ 1].
 
-    The label walk passes index.  The acceptor walk passes trie instead:
-    the BFS parent of each position and the index in S of its last letter.
-    vertices are formed from it, label j being label parent[j] followed by
-    j's letter, and then index, each the first time it is read: the probes
-    read positions only.
+    The label walk passes index, rows and origin.  The acceptor walk passes
+    trie instead: the BFS parent of each position, the index in S of its
+    last letter, its acceptor state, and the shape of each state's row, its
+    number of children and the slot of its parent.  The ball is then a tree
+    (see ball_walk), and vertices, index, rows and origin are formed from
+    the trie, each the first time it is read: label j is label parent[j]
+    followed by j's letter, edge 2(j - 1) runs from parent[j] to j, and a
+    row lists its children, numbered together, with its parent at its
+    state's slot.  The probes read parent and starts only.
     """
 
     def __init__(self, space, index, starts, rows, origin, radius, exhausted, trie=None):
         self.space = space
-        if index is not None:
-            self.index = index
         self.trie = trie
+        if trie is None:
+            self.index, self.rows, self.origin = index, rows, origin
         self.starts = starts
-        self.rows = rows
-        self.origin = origin
         self.radius = radius
         self.exhausted = exhausted
 
@@ -238,7 +246,7 @@ class Truncation:
     def vertices(self):
         if self.trie is None:
             return tuple(self.index)
-        parent, letters = self.trie
+        parent, letters = self.trie[:2]
         S = self.space.S
         # a parent lies in the sphere before its child's, so each sphere is one pass
         labels = [self.space.base]
@@ -246,6 +254,32 @@ class Truncation:
             m = len(labels)
             labels += [labels[p] + S[c] for p, c in zip(parent[m:end], letters[m:end])]
         return tuple(labels)
+
+    @functools.cached_property
+    def rows(self):
+        # read only for a ball of the acceptor walk: each position's children
+        # follow those of the positions before it; an outer row, past inner,
+        # holds no child
+        parent, _, states, shape = self.trie
+        inner = self.starts[self.radius]
+        rows, j = [], 1
+        for i, q in enumerate(states):
+            width, up = shape[q] if i < inner else (0, 0)
+            row = list(range(j, j + width))
+            if i:
+                row.insert(up, parent[i])
+            rows.append(row)
+            j += width
+        return rows
+
+    @functools.cached_property
+    def origin(self):
+        # read only for a ball of the acceptor walk: child j's edge is 2(j - 1)
+        parent = self.trie[0]
+        origin = [0] * (2 * len(parent) - 2)
+        origin[::2] = parent[1:]
+        origin[1::2] = range(1, len(parent))
+        return origin
 
     @functools.cached_property
     def index(self):
@@ -295,31 +329,40 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     A space that gives an acceptor, a slot table (see GeneratingPair and
     RewritingGroup.slot_table), is walked along it instead, with each
     sphere taken as found.  The frontier is the acceptor state of each of
-    its positions, one array item, and each row is read off the slots of
-    its state, each a child or a cancellation.  A child x + c takes the
-    next position and passes its state on, recorded by its parent x and
-    the code of c, its index in S, with no label formed and no lookup:
-    normal forms are prefix-closed, so these name the coset.  A
-    cancellation of k letters is x's k-th ancestor.  The outer pass reads
-    only the cancellations.  Each row is paired as it is formed, its upward
-    targets being its children in slot order, and checked as strictly as
-    the label walk's pairs are: a child's row lists its parent once, every
-    position has a row, and the half-edges paired number the row entries.
+    its positions, one array item.  Each slot of a state is a child or a
+    cancellation.  A child x + c takes the next position and passes its
+    state on, recorded by its parent x and the code of c, its index in S,
+    with no label formed and no lookup: normal forms are prefix-closed, so
+    these name the coset.  A cancellation of k letters is x's k-th
+    ancestor.  Each sphere is formed whole, by bulk extends over the child
+    slots of its frontier's states, with no loop per slot.
+
+    Such a ball is a tree, its BFS trie, so no row is formed.  A row lists
+    its children and the ancestors its cancellations reach, so the edges
+    are those of each child and its parent, 2(N - 1) half-edges for N
+    positions.  The pairing checks ask that these number the row entries
+    and that each row past the base list its parent once: the children
+    and the parents fill the 2(N - 1) entries, which leaves no room for
+    another.  So each row is its children in slot order and, past the
+    base, its parent, at the one cancellation of its state, which is of
+    one letter, and the base's state has none.  The walk checks just that
+    per state, for the states of each pass's frontier: all slots in an
+    inner pass, and the outer slots, which form no child, in the outer
+    pass.  The truncation forms the rows and the edges from the trie when
+    they are read.
 
     Raises BudgetExceeded at the first label past the element cap, and
-    InternalInconsistency when the rows do not pair up, or when the
-    acceptor walk names two cosets alike.  The acceptor walk counts each
-    sphere, its frontier's child slots, and refuses one past the cap before
-    it forms a coset of it.  A radius past the cap is refused before the
-    walk: a ball not closed by radius cap already holds more than cap
-    cosets.
+    InternalInconsistency when the rows do not pair up, when a state's
+    slots leave the acceptor ball no tree, or when the acceptor walk names
+    two cosets alike.  The acceptor walk counts each sphere, its frontier's
+    child slots, and refuses one past the cap before it forms a coset of
+    it.  A radius past the cap is refused before the walk: a ball not
+    closed by radius cap already holds more than cap cosets.
     """
     if radius > cap:
         raise BudgetExceeded(f"radius {radius} is past the cap of {cap} cosets")
     acceptor = getattr(space, "acceptor", None)
     starts = [0, 1]
-    rows = []
-    origin = []
     balanced = True
     if acceptor is None:
         sort_key, neighbours = space.sort_key, space.neighbours
@@ -329,22 +372,36 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         get = index.get
         ceiling = sort_key(space.base)
         frontier = [space.base]
+        rows = []
+        origin = []
     else:
-        # the frontier is the acceptor state of each of its positions, the
-        # base's the start state
-        code = typecode(len(acceptor))
-        frontier = array(code, [0])
-        # a state's child slots, those that form an x + c, are the slots
-        # its outer slots leave out
-        children = [len(every) - len(outer) for outer, every in acceptor]
-        # the BFS parent of each position and the code of its last letter,
-        # filled as children are found; the base is its own parent
+        # each state's slot lists, read once: the letters and the states of its
+        # child slots, those that form an x + c, as the bytes of an array each;
+        # the k of its other slots, and of its outer slots; and its row's
+        # shape, the number of its children and the slot of its cancellation,
+        # where the row lists the parent
+        code, letter_code = typecode(len(acceptor)), typecode(len(acceptor[0][1]))
+        child_letters, child_states, inner_ks, outer_ks, shape = [], [], [], [], []
+        for outer, every in acceptor:
+            every = tuple(every)
+            children = [(c, p) for c, k, p in every if k == -1]
+            child_letters.append(array(letter_code, [c for c, _ in children]).tobytes())
+            child_states.append(array(code, [p for _, p in children]).tobytes())
+            ks = [k for _, k, _ in every]
+            inner_ks.append(tuple(k for k in ks if k != -1))
+            outer_ks.append(tuple(k for _, k, _ in outer))
+            shape.append((len(children), ks.index(1) if 1 in ks else None))
+        width = [w for w, _ in shape]
+        # the BFS parent of each position, the code of its last letter and its
+        # state, one sphere at a time; the base is its own parent and the
+        # frontier the states of the last sphere
         parent = [0]
-        letters = array(typecode(len(acceptor[0][1])), [0])
+        letters = array(letter_code, [0])
+        states = frontier = array(code, [0])
     for d in range(1, radius + 2):
         outer_pass = d > radius
-        first = len(rows)
         if acceptor is None:
+            first = len(rows)
             bound = ceiling if outer_pass else None
             n = len(index)
             for x in frontier:
@@ -359,37 +416,8 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                             raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
                     row.append(j)
                 rows.append(row)
-        else:
-            # sphere d is the child slots of its frontier's states, counted
-            # before any is formed
-            if not outer_pass and len(parent) + sum(map(children.__getitem__, frontier)) > cap:
-                raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
-            # the outer sphere reads only the slots that form no x + c
-            by_state = [outer if outer_pass else every for outer, every in acceptor]
-            grown = array(code)
-            for i, q in enumerate(frontier, first):
-                row = []
-                for c, k, p in by_state[q]:
-                    if k == -1:
-                        # x + c is irreducible: the next coset of sphere d
-                        j = len(parent)
-                        parent.append(i)
-                        letters.append(c)
-                        grown.append(p)
-                        origin += (i, j)
-                    else:
-                        # a cancellation of k letters: x's k-th BFS ancestor
-                        j = i
-                        while k:
-                            j = parent[j]
-                            k -= 1
-                    row.append(j)
-                rows.append(row)
-                if i and row.count(parent[i]) != 1:
-                    balanced = False  # a child lists its parent other than once
-        if outer_pass:
-            break
-        if acceptor is None:
+            if outer_pass:
+                break
             frontier = list(islice(index, n, None))
             layer = sorted(frontier, key=sort_key)
             if layer != frontier:
@@ -404,17 +432,36 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 frontier = layer
             if frontier:
                 ceiling = max(ceiling, sort_key(frontier[-1]))
+            starts.append(len(index))
         else:
-            frontier = grown
-        # sphere d holds the positions past those with a row
-        starts.append(len(rows) + len(frontier))
+            # the pass's rows, read per state: the base's lists no parent, and
+            # every other row its parent once, as its one other slot, a
+            # cancellation of one letter; the outer pass reads the outer slots
+            ks, want = (outer_ks if outer_pass else inner_ks), ((1,) if d > 1 else ())
+            if any(ks[q] != want for q in set(frontier)):
+                balanced = False
+            if outer_pass:
+                break
+            # sphere d is the child slots of its frontier's states, counted
+            # before any is formed, and formed in BFS order: each position's
+            # children in slot order, the positions in order
+            n = len(parent)
+            widths = list(map(width.__getitem__, frontier))
+            if n + sum(widths) > cap:
+                raise BudgetExceeded(f"coset enumeration exceeded cap {cap} at radius {d}")
+            parent += chain.from_iterable(map(repeat, range(starts[-2], n), widths))
+            letters.frombytes(b"".join(map(child_letters.__getitem__, frontier)))
+            frontier = array(code, b"".join(map(child_states.__getitem__, frontier)))
+            states += frontier
+            starts.append(len(parent))
         if not frontier:
             break
     starts += [starts[-1]] * (radius + 2 - len(starts))  # spheres past exhaustion are empty
-    # pair the half-edges i -> j (i < j) with the half-edges j -> i, numbered
-    # by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs back; each
-    # target j > i is paired once, at the first of its parallel half-edges
     if acceptor is None:
+        # pair the half-edges i -> j (i < j) with the half-edges j -> i,
+        # numbered by (i, j): edge 2c runs i -> j and its inverse 2c + 1 runs
+        # back; each target j > i is paired once, at the first of its
+        # parallel half-edges
         for i, row in enumerate(rows):
             last = i
             for j in sorted(row):
@@ -424,12 +471,11 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                     if rows[j].count(i) != n:
                         balanced = False
                     origin += (i, j) * n
-    elif len(rows) < len(parent):
-        balanced = False  # an outer slot formed a child, which has no row
-    # with every pair balanced, origin holds each half-edge i -> j (i < j) and
-    # its partner, so a half-edge j -> i that row i does not list back, or a
-    # self-loop, leaves the total short
-    if not balanced or len(origin) != sum(map(len, rows)):
+        # with every pair balanced, origin holds each half-edge i -> j (i < j)
+        # and its partner, so a half-edge j -> i that row i does not list
+        # back, or a self-loop, leaves the total short
+        balanced = balanced and len(origin) == sum(map(len, rows))
+    if not balanced:
         raise InternalInconsistency(
             f"unbalanced edge multiplicities in the radius-{radius} ball of {space!r}: "
             "two rows list each other a different number of times"
@@ -437,7 +483,7 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     # an empty frontier means the whole space lies in the ball
     if acceptor is None:
         return Truncation(space, index, starts, rows, origin, radius, not frontier)
-    return Truncation(space, None, starts, rows, origin, radius, not frontier, (parent, letters))
+    return Truncation(space, None, starts, None, None, radius, not frontier, (parent, letters, states, shape))
 
 
 def build(pair, radius, cap=DEFAULT_CAP):

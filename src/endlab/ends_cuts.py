@@ -12,13 +12,18 @@ statements at scale only.
 Every probe works on BFS positions and looks labels up only for what is
 printed.  escaping_components and coboundary are the one single-probe
 routine, shared by find_cut and the witness cut; classify_ends takes every
-probe radius from one walk (ball_probes).
+probe radius from one walk (ball_probes).  A ball of the acceptor walk is
+a tree, its BFS trie (see cayley_abels.ball_walk), so no walk is needed
+there: the components of B_R minus B_r are the subtrees at the positions
+of sphere r + 1 (Serre, Trees, I.2), and ball_probes and find_cut read
+each off the trie as one range of positions per sphere (subtree).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from . import cayley_abels
 from .group_backends import DEFAULT_CAP
@@ -77,6 +82,32 @@ class EndsEstimate:
         }
 
 
+def subtree(t, p, r):
+    """The positions of the subtree of a trie ball at p, in sphere r + 1, as
+    one range per sphere from r + 1 to the outer one.
+
+    The walk numbers the children of each position together, and the
+    positions of a sphere in the order of their parents, so parent never
+    decreases past the base: the range [lo, hi) of one sphere has below it
+    the positions j >= 1 with lo <= parent[j] < hi, one range again.
+    """
+    parent = t.trie[0]
+    lo, hi = p, p + 1
+    ranges = [range(lo, hi)]
+    for _ in range(t.radius - r - 1):
+        lo, hi = bisect_left(parent, lo, 1), bisect_left(parent, hi, 1)
+        ranges.append(range(lo, hi))
+    return ranges
+
+
+def escaping_subtrees(t, r):
+    """The subtrees of a trie ball at the positions of sphere r + 1 that
+    reach the outer sphere, in order of their roots, each as subtree gives
+    it: the escaping components of B_R minus B_r."""
+    subtrees = (subtree(t, p, r) for p in range(t.starts[r + 1], t.starts[r + 2]))
+    return [ranges for ranges in subtrees if ranges[-1]]
+
+
 def escaping_components(t, removed):
     """The escaping blocks of the truncation minus the positions removed.
 
@@ -130,7 +161,10 @@ def ball_probes(t, r_max):
     to B_R minus B_r gives B_R minus B_{r-1}, by union-find on positions.
     A BFS parent path leads from each block to sphere r_max + 1, and blocks
     are sorted, so a block's positions there are its prefix below starts[r_max + 2].
+    A trie ball counts its escaping subtrees instead, with no walk.
     """
+    if t.trie is not None:
+        return [len(escaping_subtrees(t, r)) for r in range(r_max + 1)]
     s, rows = t.starts, t.rows
     outer, rim = s[t.radius], s[r_max + 2]
     # union-find on the positions below rim; a root carries its block's escape flag
@@ -207,14 +241,21 @@ def find_cut(t):
     which is the order blocks lists them in.  An edge leaving a component
     of B_R minus B_r meets B_r, whose positions come first, so the
     coboundary lies in the edge pairs i -> j with i in B_r, which open the
-    edge table and touch only positions in B_{r+1}.
+    edge table and touch only positions in B_{r+1}.  On a trie ball the
+    components are the escaping subtrees, and those edge pairs are the
+    edges to the children in spheres 1 to r + 1.
     """
-    s, rows = t.starts, t.rows
+    s = t.starts
     for r in range(max(0, t.radius - MARGIN)):
-        escaping = escaping_components(t, range(s[r + 1]))
+        if t.trie is None:
+            escaping = escaping_components(t, range(s[r + 1]))
+        else:
+            escaping = escaping_subtrees(t, r)
         if len(escaping) >= 2:
-            chosen = escaping[0]
-            n = 2 * sum(j > i for i in range(s[r + 1]) for j in rows[i])
+            if t.trie is None:
+                chosen, n = escaping[0], 2 * sum(j > i for i in range(s[r + 1]) for j in t.rows[i])
+            else:
+                chosen, n = list(chain.from_iterable(escaping[0])), 2 * (s[r + 2] - 1)
             return Cut(
                 vertices=tuple(map(t.vertices.__getitem__, chosen)),
                 coboundary=coboundary(t, set(chosen[:bisect_left(chosen, s[r + 2])]), n),

@@ -50,9 +50,9 @@ class ReadSlots(list):
 
 def recorded_slot_tables(monkeypatch, reads):
     """Make each slot table RewritingGroup.slot_table gives record every pass
-    over one of its slot lists in reads: a walk along the acceptor reads the
-    list of each position it scans once, and forms at most one product per
-    slot it reads."""
+    over one of its slot lists in reads: a walk along the acceptor reads each
+    slot list of each state once, before it forms a coset, and forms no
+    product."""
     slot_table = RewritingGroup.slot_table
 
     def recording(self):

@@ -1,11 +1,13 @@
 import functools
 from collections import Counter
+from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endlab import cayley_abels
 from endlab.ai_cohomology import witness_from_splitting
 from endlab.bass_serre import CoveringTree, GraphOfFiniteGroups, PiOne, tree_truncation
 from endlab.cayley_abels import (
@@ -43,6 +45,14 @@ def make_f2_cancelling():
     # cancels, so the pair on a, b has an acceptor; bAaB holds Aa, so it
     # never occurs in an irreducible x + c, and the slot table is F2's
     return RewritingGroup(["a", "b"], {"a": "A", "b": "B"}, [("bAaB", "")], name="F2+bAaB")
+
+
+def make_f128():
+    # F_128 on 256 one-character letters: the free cancellations give the
+    # acceptor 257 states, the empty word and one per letter, past one byte
+    # per position
+    letters = [chr(0x100 + i) for i in range(256)]
+    return RewritingGroup(letters[::2], dict(zip(letters[::2], letters[1::2])), name="F128")
 
 
 # -- canonical coset labels ------------------------------------------------------
@@ -399,7 +409,9 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
     # products are counted where they are made: PiOne forms every product,
     # through coset_products, with multiply; a rewriting backend forms them
     # in its own coset_products, or, for a pair with an acceptor, the walk
-    # forms at most one per slot it reads off the acceptor's slot table
+    # reads each of the two slot lists of each state once, before it forms
+    # any coset, and forms at most one product per slot it reads
+    lists = {"z_rw/pair0": 2 * 3, "f2_rw/pair0": 2 * 5, "dinfty_rw/pair0": 2 * 3}
     for pair in catalog_pairs(catalog):
         backend = pair.backend
         calls = []
@@ -413,12 +425,13 @@ def test_build_labels_each_slot_once(catalog, monkeypatch):
             counted_coset_products(monkeypatch, calls)
         t = build(pair, 4)
         if pair.acceptor is not None:
-            assert len(reads) == len(t.vertices), pair.name
+            assert len(reads) == lists.pop(pair.name) == 2 * len(pair.acceptor), pair.name
             calls = [slot for slots in reads for slot in slots]
         monkeypatch.undo()
         n_s, n_k = len(pair.S), len(pair.K)
         bound = len(t.vertices) * n_s * n_k + n_s * n_k + n_k
         assert 0 < len(calls) <= bound, (pair.name, len(calls), bound)
+    assert lists == {}
 
 
 def counted_multiply(monkeypatch, pi, calls):
@@ -942,18 +955,22 @@ def counted_coset_products(monkeypatch, calls):
 
 
 def test_outer_f2_rows_form_only_the_free_cancellation(monkeypatch):
-    # the walk along the acceptor reads the 4 slots of each of 485 inner
-    # cosets and only the free cancellation of each of 972 outer cosets,
-    # so no outer slot x + c is read, let alone formed; forming every slot
-    # makes 4 per coset, 5,828 in all
+    # the walk along the acceptor reads the 4 slots and the outer slots of
+    # each of F2's 5 states once, 24 slots in all, whatever the radius, and
+    # forms no product: the outer slots of the 4 states past the start are
+    # each the free cancellation, so no outer slot x + c is read, let alone
+    # formed; forming every slot makes 4 per coset, 5,828 in all
     f2 = make_f2()
     reads = []
     recorded_slot_tables(monkeypatch, reads)
-    pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
-    t = build(pair, 6)
+    for radius in (2, 6):
+        reads.clear()
+        pair = GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"])
+        t = build(pair, radius)
+        assert len(reads) == 10 and sum(map(len, reads)) == 24
     assert len(t.vertices) == 1457
-    assert len(reads) == 1457 and sum(map(len, reads)) == 2912
-    assert [k for slots in reads[t.starts[6]:] for _, k, _ in slots] == [1] * 972
+    # each state's slots, then its outer slots
+    assert [k for slots in reads[1::2] for _, k, _ in slots] == [1] * 4
     calls = []
     counted_coset_products(monkeypatch, calls)
     ball_walk(ceiling_blind(pair), 6)
@@ -1212,23 +1229,27 @@ def lazy(space, formed):
 @pytest.mark.parametrize("S", [["a", "b"], ["a", "bb"]], ids=["found_in_order", "sorted"])
 def test_a_walk_past_the_cap_stops_at_the_first_coset_past_it(S, monkeypatch):
     # the reference forms its whole last sphere, 108 or 216 cosets past |B_3|.
-    # The walk along the acceptor, for S = {a, b}, counts sphere 4 off the
-    # states of sphere 3 and refuses it before it reads a row of sphere 3:
-    # it reads the rows of B_2 only, which form B_3.  The label walk, for
-    # S = {a, bb}, forms at most the coset past the cap
+    # The walk along the acceptor, for S = {a, b}, reads the two slot lists
+    # of each of F2's 5 states once, counts sphere 4 off the states of
+    # sphere 3 and refuses it before it forms a child of sphere 3: it forms
+    # the children of B_2 only, which are B_3 less the base.  The label
+    # walk, for S = {a, bb}, forms at most the coset past the cap
     f2 = make_f2()
     pair = GeneratingPair(f2, trivial_subgroup(f2), S)
     below, inner, ball = (len(build(pair, r).vertices) for r in (2, 3, 4))
     for cap in (inner, inner + 1, inner + 2, (inner + ball) // 2, ball - 1):
         message = f"^coset enumeration exceeded cap {cap} at radius 4$"
         if pair.acceptor is not None:
-            reads = []
+            reads, widths = [], []
             recorded_slot_tables(monkeypatch, reads)
+            # the walk forms the children of each position as one repeat of
+            # the position, as many as it has children
+            monkeypatch.setattr(cayley_abels, "repeat", lambda i, w: widths.append(w) or repeat(i, w))
             with pytest.raises(BudgetExceeded, match=message):
                 ball_walk(GeneratingPair(f2, trivial_subgroup(f2), S), 4, cap)
             monkeypatch.undo()
-            assert len(reads) == below
-            assert 1 + sum(k == -1 for slots in reads for _, k, _ in slots) == inner
+            assert len(reads) == 10
+            assert len(widths) == below and 1 + sum(widths) == inner
         else:
             formed = {pair.base}
             with pytest.raises(BudgetExceeded, match=message):
@@ -1310,12 +1331,8 @@ def test_found_in_order_catalog_pairs_walk_as_the_reference(catalog, name):
 
 
 def test_walk_along_an_acceptor_of_more_than_256_states():
-    # F_128 on 256 one-character letters: the free cancellations give the
-    # acceptor 257 states, the empty word and one per letter, past one byte
-    # per frontier position
-    letters = [chr(0x100 + i) for i in range(256)]
-    f128 = RewritingGroup(letters[::2], dict(zip(letters[::2], letters[1::2])), name="F128")
-    pair = GeneratingPair(f128, trivial_subgroup(f128), letters)
+    f128 = make_f128()
+    pair = GeneratingPair(f128, trivial_subgroup(f128), f128.alphabet)
     assert len(pair.acceptor) == 257 and typecode(len(pair.acceptor)) == "H"
     t = ball_walk(pair, 2)
     assert t.starts == [0, 1, 257, 65537] and not t.exhausted
@@ -1436,9 +1453,10 @@ def slot_rewirings(draw):
 @settings(max_examples=300, deadline=None)
 @given(slot_rewirings(), st.integers(1, 5))
 def test_the_acceptor_walk_pairs_a_mutant_table_as_the_pairing_loop(rewiring, radius):
-    # the walk pairs each row as it forms it; on a table with one slot
-    # rewired it raises, or every row has its own and the pairs it forms are
-    # those of the pairing loop it replaced, so its checks are no weaker.  A
+    # the walk checks the slots of each state it scans; on a table with one
+    # slot rewired it raises, or every row has its own and the pairs of the
+    # rows its ball forms are those of the pairing loop, so its checks are
+    # no weaker.  A
     # child slot given a twin's letter names two cosets alike, which the
     # index refuses, or its state is never scanned and the ball is the
     # reference's

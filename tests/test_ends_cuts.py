@@ -17,9 +17,19 @@ from endlab.ends_cuts import (
     escaping_components,
     find_cut,
 )
+from endlab.group_backends import RewritingGroup
 from endlab.serre_graphs import blocks
 
-from test_cayley_abels import distances, make_c6, make_z, multigraph_space
+from test_cayley_abels import (
+    confluent_systems,
+    distances,
+    make_c6,
+    make_f2_cancelling,
+    make_f128,
+    make_z,
+    multigraph_space,
+    reference_walk,
+)
 from test_group_backends import make_f2
 from test_serre_graphs import reference_components
 
@@ -302,6 +312,8 @@ def test_cut_at_probe_radius_one(catalog):
 
 
 def test_classify_ends_walks_the_truncation_once(catalog, monkeypatch):
+    # Z on its whole alphabet walks along the acceptor, and its ball, a
+    # trie, is probed with no walk; C2*C3 and C6 take one blocks walk
     walks = []
     blocks = ends_cuts.blocks
 
@@ -313,7 +325,7 @@ def test_classify_ends_walks_the_truncation_once(catalog, monkeypatch):
     for name in ("z_rw", "c2_c3_gog", "c6_rw"):
         walks.clear()
         classify_ends(catalog[name].pairs()[0], r_max=3, radius=8)
-        assert len(walks) == 1, name
+        assert len(walks) == (0 if name == "z_rw" else 1), name
 
 
 def f2_ball(radius):
@@ -321,12 +333,20 @@ def f2_ball(radius):
     return build(GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"]), radius)
 
 
-def test_probing_an_acceptor_ball_forms_no_label():
+def test_probing_an_acceptor_ball_forms_no_label(monkeypatch):
     # the walk along the acceptor numbers F2's cosets by parent and letter;
-    # the probes read positions, and form no label and no index
+    # the probes read positions, the trie's parents, and form no label, no
+    # index and no row or edge
     t = f2_ball(9)
     assert ball_probes(t, 3) == [4, 12, 36, 108]
     assert "vertices" not in t.__dict__ and "index" not in t.__dict__
+    balls, build = [], ends_cuts.cayley_abels.build
+    monkeypatch.setattr(ends_cuts.cayley_abels, "build", lambda *args, **kw: balls.append(build(*args, **kw)) or balls[-1])
+    f2 = make_f2()
+    est = classify_ends(GeneratingPair(f2, trivial_subgroup(f2), ["a", "b"]), r_max=3, radius=9)
+    assert [c for _, c in est.probes] == [4, 12, 36, 108]
+    (t,) = balls
+    assert not {"rows", "origin", "vertices", "index"} & set(t.__dict__)
 
 
 def test_find_cut_forms_the_labels_of_an_acceptor_ball_once():
@@ -340,6 +360,53 @@ def test_find_cut_forms_the_labels_of_an_acceptor_ball_once():
     assert t.vertices is labels and len(labels) == len(t.rows) == 39365
     assert (len(cut.vertices), cut.vertices[:3], cut.coboundary) == (9841, ("a", "aa", "ab"), (0, 1))
     assert "index" not in t.__dict__
+
+
+# -- probes on a trie ball against the blocks path -----------------------------------
+
+def assert_trie_probes_as_blocks(pair, radius):
+    """ball_probes and find_cut on the trie ball of the acceptor walk, before
+    anything forms its rows, equal the blocks path on the reference walk's
+    ball of label rows, whose rows and origin the trie ball then forms."""
+    t, ref = build(pair, radius), reference_walk(pair, radius)
+    assert t.trie is not None and ref.trie is None
+    assert ball_probes(t, radius - 1) == ball_probes(ref, radius - 1), (pair.backend, radius)
+    assert find_cut(t) == find_cut(ref), (pair.backend, radius)
+    assert "rows" not in t.__dict__
+    assert (t.starts, t.rows, t.origin, t.exhausted) == (ref.starts, ref.rows, ref.origin, ref.exhausted)
+
+
+def whole_alphabet_pair(group):
+    return GeneratingPair(group, trivial_subgroup(group), group.alphabet)
+
+
+ACCEPTOR_PAIRS = {
+    "c2c2c2": (lambda: whole_alphabet_pair(RewritingGroup(["a", "b", "c"], {"a": "a", "b": "b", "c": "c"})), 10),
+    "f2_cancelling": (lambda: whole_alphabet_pair(make_f2_cancelling()), 10),
+    # 257 states, past one byte per position, from sphere 1 on; at R = 2 the
+    # reference walk would form 256 normal forms for each of 65,537 cosets
+    "f128": (lambda: whole_alphabet_pair(make_f128()), 1),
+    # exhausted at sphere 1: no subtree reaches a later sphere
+    "c2": (lambda: whole_alphabet_pair(RewritingGroup(["a"], {"a": "a"})), 10),
+}
+
+
+@pytest.mark.parametrize("name", ["z_rw", "f2_rw", "dinfty_rw", *ACCEPTOR_PAIRS])
+def test_trie_probes_match_the_blocks_path(catalog, name):
+    if name in ACCEPTOR_PAIRS:
+        make, top = ACCEPTOR_PAIRS[name]
+        pair = make()
+    else:
+        pair, top = catalog[name].pairs()[0], 10
+    assert pair.acceptor is not None
+    for radius in range(1, top + 1):
+        assert_trie_probes_as_blocks(pair, radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(confluent_systems(orders=(0, 2)).filter(lambda g: "t" not in g.alphabet), st.integers(1, 7))
+def test_trie_probes_on_free_products_of_z_and_c2_match_the_blocks_path(group, radius):
+    assert_trie_probes_as_blocks(whole_alphabet_pair(group), radius)
 
 
 # -- probes on the coset table against the graph copy and the old scans ----------------
