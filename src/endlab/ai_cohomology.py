@@ -35,10 +35,9 @@ class AIWitness:
     checked on one coset-graph ball.
 
     chi maps a coset representative to 0 or 1 and must be constant on
-    cosets of pair.K.  in_cut, if given, maps a coset label v to the
-    indicator of the induced cut, chi at the coset of v^-1, which
-    cut_from_witness otherwise reads through an inverse and a canonical
-    label per coset.  certificates[i] is a finite list of coset labels
+    cosets of pair.K.  in_cut maps a coset label v to the indicator of the
+    induced cut, chi at the coset of v^-1, which cut_from_witness reads.
+    certificates[i] is a finite list of coset labels
     containing where chi and its translate by pair.S[i] can disagree.
     truncation is the ball of pair that every check reads; one of another
     space raises ValueError.  occupancy counts, per sphere 1..radius, the
@@ -46,7 +45,7 @@ class AIWitness:
     sides meet every one of those spheres.
     """
 
-    def __init__(self, pair, chi, certificates, truncation, kind="custom", details=None, in_cut=None):
+    def __init__(self, pair, chi, in_cut, certificates, truncation, kind="custom", details=None):
         if truncation.space is not pair:
             raise ValueError("the truncation is a ball of another generating pair")
         self.pair = pair
@@ -100,11 +99,11 @@ def witness_from_splitting(pi, geom_edge, probe_radius=Scales.probe_radius, cap=
     return AIWitness(
         pair,
         chi,
+        lambda v: half.side_of_translate(v) > 0,
         certificates,
         build(pair, probe_radius, cap=cap),
         kind="half_tree",
         details={"edge": half.e0, "group": pi.name},
-        in_cut=lambda v: half.side_of_translate(v) > 0,
     )
 
 
@@ -195,17 +194,16 @@ def cut_from_witness(w):
     """Turn a K-invariant witness into a cut of the coset graph.
 
     The cut lies in the witness's ball.  Membership of gK in C_B is the
-    witness's in_cut, or else chi at the inverse coset, which K-invariance
-    makes well defined.
+    witness's in_cut, chi at the inverse coset, which K-invariance makes
+    well defined.
     The oriented coboundary is bounded by the total size of the declared
     difference certificates.  Its interior endpoints are the probe whose
     escaping components are counted; like find_cut's, the probe must stay
     MARGIN spheres inside the truncation boundary, or ValueError names the
     radius it needs.
     """
-    backend, K, t = w.pair.backend, w.pair.K, w.truncation
-    in_cut = w.in_cut or (lambda v: w.chi(coset_canonical(backend, K, backend.inverse(v))))
-    members = [i for i, v in enumerate(t.vertices) if in_cut(v)]
+    t = w.truncation
+    members = [i for i, v in enumerate(t.vertices) if w.in_cut(v)]
     cb = coboundary(t, set(members))
     bound = sum(len(c) for c in w.certificates)
     # the interior endpoints: cb holds both orientations, so the origins suffice

@@ -34,20 +34,14 @@ folds multiply over a raw word, and vertex_label is the least product
 with an element_at.
 
 PiOne.coset_products, the one routine for every coset row of
-cayley_abels.ball_walk, forms each label by one routine, least: x.b for
-the least member b of a coset, and the other members only when the
-junction can reach past the head they share, read off the length
-|a| + |b| - 2j of that product, j the pinch count multiply cancels, which
-leads the sort key.  The first row with a junction suffix keeps one
-record per slot, its growth and its tail, read off the labels it forms,
-so multiply is the one walk of a junction; and a later row leaves out
-the labels that the recorded growth takes past the ceiling ball_walk
-gives the outer sphere, before forming them.  Over trivial edge groups
-the normal form is a free product's, with no carry across an edge, so
-x.b differs from x only in a bounded tail: every later row with that
-suffix slices its labels from the record, as the finite-state multiplier
-of an automatic structure does (Epstein et al., Word Processing in
-Groups, 1992).
+cayley_abels.ball_walk, forms each label as the least of the products
+x.b over its coset, one multiply each, so multiply is the one walk of a
+junction.  Over trivial edge groups the normal form is a free product's,
+with no carry across an edge, so x.b differs from x only in a bounded
+tail: the first row with a junction suffix records the tail of each
+label it forms, and every later row with that suffix slices its labels
+from the record, as the finite-state multiplier of an automatic
+structure does (Epstein et al., Word Processing in Groups, 1992).
 
 The universal covering tree, PiOne.covering_tree, is such a coset space:
 a vertex, a coset of a vertex group, is labelled by its least normal
@@ -401,86 +395,42 @@ class PiOne:
         """The map x -> [the least x.b over b in C, for C in cosets], for
         normal words x and cosets C of a finite subgroup, each the list of
         its members as normal words.  It gives every coset row of a PiOne
-        pair, K = 1 included, and of the covering tree.
+        pair, K = 1 included, and of the covering tree: the neighbours(x)
+        of cayley_abels.ball_walk.
 
-        Each coset is sorted once, as the sort-ordered normal words B, and
-        gets c, the number of leading group elements and edge letters that
-        every member of B shares.  A product x.b has |x| + |b| - 2j edge
-        letters, j the pinch count multiply cancels at the junction, and the
-        sort key leads with that length.  One routine, least, forms each
-        slot's label: it forms x.B[0] first.  When its growth |x.B[0]| - |x|
-        exceeds |B[0]| - 2c, that is j < c, the junction reads the same
-        letters and stops at the same j for every member b, so every x.b is
-        one pushed head followed by b's own tail: the products order as B
-        does, and x.B[0] is the least by uniqueness of normal forms (Serre,
-        Trees, I.5).  Otherwise least forms x.b for every member and takes
-        the least of them.
-
-        The junction loop reads at most the last M edge letters of x, M the
-        most edge letters of any member, and the last M group elements, so
-        with keep = max(0, |x| - M) the growth of each slot depends only on
-        x's tail past keep: its last M edge letters and last M + 1 group
-        elements.  That tail is the key, and the first row with a key keeps
-        one record per slot, read off the label it forms: its growth and its
-        tail past keep.  The records live in a dict of the map's own, as
-        long as the map.
-
-        When every edge group is trivial, each carry is trivial and multiply
-        keeps x.gs[:i] and x.es[:i], i >= keep, so x.b is x's head up to keep
-        followed by a tail that depends only on the key and on b.  Products
-        with one head order as their tails do, so a later row forms its
-        labels as its own head up to keep and each record's tail, with no
-        product.  Over a nontrivial edge group a carry can run through the
-        whole word, and a later row forms its labels by least.
-
-        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
-        cayley_abels.ball_walk.  Given a ceiling, the row leaves out each
-        slot whose growth takes it past ceiling[0] edge letters; a later row
-        reads that growth off the record and forms nothing for the slot.
+        By uniqueness of normal forms (Serre, Trees, I.5) the label of x.C
+        is the least of its products x.b, and a row forms each of them, one
+        multiply per member, except over trivial edge groups.  There each
+        carry is trivial, and the junction loop reads at most the last M
+        edge letters of x, M the most edge letters of any member.  So with
+        keep = max(0, |x| - M) multiply keeps x.gs[:i] and x.es[:i],
+        i >= keep, and x.b is x's head up to keep followed by a tail that
+        depends only on b and on x's tail past keep: its last M edge
+        letters and last M + 1 group elements, the key.  Products with one
+        head order as their tails do, so the first row with a key records
+        the tail past keep of each label it forms, in a dict of the map's
+        own, as long as the map; and every later row with that key forms
+        its labels as its own head up to keep and each recorded tail, with
+        no product.  Over a nontrivial edge group a carry can run through
+        the whole word, so every row forms its products.
         """
         multiply, sort_key = self.multiply, self.sort_key
-        slots = []
-        for members in cosets:
-            B = sorted(members, key=sort_key)
-            b0, c = B[0], 0
-            while all(len(b.es) > c and b.gs[c] == b0.gs[c] and b.es[c] == b0.es[c] for b in B):
-                c += 1
-            slots.append((B, c))
-        M = max((len(b.es) for B, _ in slots for b in B), default=0)
-        records = {}
+        M = max((len(b.es) for members in cosets for b in members), default=0)
         # over trivial edge groups a later row slices its labels from the records
-        moves = all(len(eg) == 1 for eg in self.gog.egroups.values())
+        records = {} if all(len(eg) == 1 for eg in self.gog.egroups.values()) else None
 
-        def least(x, record=None, room=None):
-            """The least x.b of each slot, less each whose recorded growth
-            passes room."""
-            n, out = len(x.es), []
-            for k, (B, c) in enumerate(slots):
-                if room is not None and record[k][0] > room:
-                    continue
-                p = multiply(x, B[0])
-                if len(p.es) - n <= len(B[0].es) - 2 * c:
-                    p = min([p, *(multiply(x, b) for b in B[1:])], key=sort_key)
-                out.append(p)
-            return out
-
-        def row(x, ceiling=None):
-            room = None if ceiling is None else ceiling[0] - len(x.es)
+        def row(x):
             keep = max(0, len(x.es) - M)
-            key = (x.es[keep:], x.gs[keep:])
-            record = records.get(key)
-            if record is None:
-                labels = least(x)
-                records[key] = [(len(p.es) - len(x.es), p.gs[keep:], p.es[keep:]) for p in labels]
-                return [p for p in labels if ceiling is None or len(p.es) <= ceiling[0]]
-            if moves:
-                gs, es = x.gs[:keep], x.es[:keep]
-                return [
-                    PiOneElement(self, gs + tail_gs, es + tail_es, x.start)
-                    for growth, tail_gs, tail_es in record
-                    if room is None or growth <= room
-                ]
-            return least(x, record, room)
+            if records is not None:
+                key = (x.es[keep:], x.gs[keep:])
+                record = records.get(key)
+                if record is not None:
+                    gs, es = x.gs[:keep], x.es[:keep]
+                    return [PiOneElement(self, gs + tail_gs, es + tail_es, x.start) for tail_gs, tail_es in record]
+            labels = [min([multiply(x, b) for b in members], key=sort_key) for members in cosets]
+            if records is not None:
+                records[key] = [(p.gs[keep:], p.es[keep:]) for p in labels]
+            return labels
 
         return row
 
@@ -605,9 +555,9 @@ class CoveringTree:
                 cosets[v].append([pi.multiply(PiOneElement(pi, (h, u), (e,), v), one) for u in range(len(H))])
         self._rows = {v: pi.coset_products(c) for v, c in cosets.items()}
 
-    def neighbours(self, m, ceiling=None):
-        """The neighbours(x, ceiling) of ball_walk, by the row map of m's end."""
-        return self._rows[self.pi.morph_end(m)](m, ceiling)
+    def neighbours(self, m):
+        """The neighbours(x) of ball_walk, by the row map of m's end."""
+        return self._rows[self.pi.morph_end(m)](m)
 
     def __repr__(self):
         return f"CoveringTree({self.pi.name})"

@@ -15,18 +15,16 @@ interior vertex has exactly |S| outgoing edges.
 The label of x.s.K is the least of the |K| products x.b, b in the coset
 s.K.  Both backends form their rows with one method, coset_products,
 given the members of each coset: a rewriting backend takes K trivial, and
-PiOne needs most products only by their length (its docstring gives the
-argument, from Serre's normal form, Trees, I.5).
+PiOne forms every product, or over trivial edge groups slices a label
+from those of an earlier row with the same junction suffix (its
+docstring gives the argument, from Serre's normal form, Trees, I.5).
 
 One BFS over labels, ball_walk, truncates any coset space that gives a
-base label, a label order, neighbours(x, ceiling=None), the labels of x's
-neighbours, and maybe an acceptor: GeneratingPair is one such space, and
-the covering tree of bass_serre, whose rows are coset_products maps too,
-is the other.  Given a ceiling, a sort key no less than x's, neighbours
-may leave out any label whose key it knows exceeds it, as PiOne leaves out
-the products longer than the ceiling; ball_walk passes the largest key in
-the ball for the outer sphere only, whose targets past the ball it drops
-anyway.  A truncation is its coset table, each fact stored once: the
+base label, a label order, neighbours(x), the labels of x's neighbours,
+and maybe an acceptor: GeneratingPair is one such space, and the covering
+tree of bass_serre, whose rows are coset_products maps too, is the other.
+The outer sphere's rows keep the labels found in the ball and drop the
+rest.  A truncation is its coset table, each fact stored once: the
 cosets in BFS order, where each sphere starts in it, each coset's row of
 targets inside the ball, and an origin per oriented edge, edge e having
 inverse e ^ 1.
@@ -314,17 +312,14 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     """BFS a coset space out to the given radius, as a one-pass coset table.
 
     The space gives a base label, a label order sort_key and
-    neighbours(x, ceiling=None), one label per oriented edge at x.  Each
+    neighbours(x), one label per oriented edge at x.  Each
     sphere is one pass over the sphere before it, and the outer sphere is
     the last pass.  A pass looks each label it forms up in index once: a
     new label takes the next position there and the row holds the position
     at once.  A sphere whose labels were not found in label order is then
     renumbered: its labels go back into index sorted, and the row entries
     that point into it follow them.  The outer pass admits no label, so its
-    targets past the ball are dropped, and it alone passes a ceiling, the
-    largest key in the ball, the last of a sphere or the base's: neighbours
-    may leave out any label whose key it knows exceeds it, as such a label
-    lies outside the ball.
+    targets past the ball, the labels not in index, are dropped.
 
     A space that gives an acceptor, a slot table (see GeneratingPair and
     RewritingGroup.slot_table), is walked along it instead, with each
@@ -346,10 +341,9 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
     another.  So each row is its children in slot order and, past the
     base, its parent, at the one cancellation of its state, which is of
     one letter, and the base's state has none.  The walk checks just that
-    per state, for the states of each pass's frontier: all slots in an
-    inner pass, and the outer slots, which form no child, in the outer
-    pass.  The truncation forms the rows and the edges from the trie when
-    they are read.
+    per state, for the states of each pass's frontier, the outer pass
+    included.  The truncation forms the rows and the edges from the trie
+    when they are read.
 
     Raises BudgetExceeded at the first label past the element cap, and
     InternalInconsistency when the rows do not pair up, when a state's
@@ -370,26 +364,24 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         # spheres 0..d-1 and the part of sphere d found so far, in the found order
         index = {space.base: 0}
         get = index.get
-        ceiling = sort_key(space.base)
         frontier = [space.base]
         rows = []
         origin = []
     else:
-        # each state's slot lists, read once: the letters and the states of its
+        # each state's slot list, read once: the letters and the states of its
         # child slots, those that form an x + c, as the bytes of an array each;
-        # the k of its other slots, and of its outer slots; and its row's
-        # shape, the number of its children and the slot of its cancellation,
-        # where the row lists the parent
-        code, letter_code = typecode(len(acceptor)), typecode(len(acceptor[0][1]))
-        child_letters, child_states, inner_ks, outer_ks, shape = [], [], [], [], []
-        for outer, every in acceptor:
-            every = tuple(every)
-            children = [(c, p) for c, k, p in every if k == -1]
+        # the k of its other slots; and its row's shape, the number of its
+        # children and the slot of its cancellation, where the row lists the
+        # parent
+        code, letter_code = typecode(len(acceptor)), typecode(len(acceptor[0]))
+        child_letters, child_states, cancel_ks, shape = [], [], [], []
+        for slots in acceptor:
+            slots = tuple(slots)
+            children = [(c, p) for c, k, p in slots if k == -1]
             child_letters.append(array(letter_code, [c for c, _ in children]).tobytes())
             child_states.append(array(code, [p for _, p in children]).tobytes())
-            ks = [k for _, k, _ in every]
-            inner_ks.append(tuple(k for k in ks if k != -1))
-            outer_ks.append(tuple(k for _, k, _ in outer))
+            ks = [k for _, k, _ in slots]
+            cancel_ks.append(tuple(k for k in ks if k != -1))
             shape.append((len(children), ks.index(1) if 1 in ks else None))
         width = [w for w, _ in shape]
         # the BFS parent of each position, the code of its last letter and its
@@ -402,14 +394,13 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
         outer_pass = d > radius
         if acceptor is None:
             first = len(rows)
-            bound = ceiling if outer_pass else None
             n = len(index)
             for x in frontier:
                 row = []
-                for y in neighbours(x, bound):
+                for y in neighbours(x):
                     j = get(y)
                     if j is None:
-                        if bound is not None:
+                        if outer_pass:
                             continue  # the outer sphere's target past the ball
                         j = index[y] = len(index)
                         if j >= cap:
@@ -430,15 +421,13 @@ def ball_walk(space, radius, cap=DEFAULT_CAP):
                 for i in range(first, len(rows)):
                     rows[i] = [j if j < n else moved[j - n] for j in rows[i]]
                 frontier = layer
-            if frontier:
-                ceiling = max(ceiling, sort_key(frontier[-1]))
             starts.append(len(index))
         else:
             # the pass's rows, read per state: the base's lists no parent, and
             # every other row its parent once, as its one other slot, a
-            # cancellation of one letter; the outer pass reads the outer slots
-            ks, want = (outer_ks if outer_pass else inner_ks), ((1,) if d > 1 else ())
-            if any(ks[q] != want for q in set(frontier)):
+            # cancellation of one letter
+            want = (1,) if d > 1 else ()
+            if any(cancel_ks[q] != want for q in set(frontier)):
                 balanced = False
             if outer_pass:
                 break

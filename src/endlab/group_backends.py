@@ -30,8 +30,8 @@ RewritingGroup, like bass_serre.PiOne, exposes the small backend protocol
 the coset machinery needs: identity(), multiply(a, b), inverse(a),
 sort_key(a) and one row method, coset_products(cosets), which takes the
 members of each coset (one each here, as K = 1) and gives a map from a
-label and an optional ceiling to its row (see cayley_abels.ball_walk);
-here the row is one normal_form(x + g) per slot, whatever the ceiling.
+label to its row (see cayley_abels.ball_walk); here the row is one
+normal_form(x + g) per slot.
 """
 
 from __future__ import annotations
@@ -210,10 +210,9 @@ class RewritingGroup:
         With M the length of the longest left-hand side that holds no other
         one as a factor, the state of x is its last M - 1 letters, so the
         states are the irreducible words of fewer than M letters, numbered
-        in BFS order from the empty word.  table[q] is the pair (outer,
-        slots) for x in state q: slots has one slot (code, k, p) per letter
-        c, code its index in the alphabet, in alphabet order, and outer
-        those that form no x + c.
+        in BFS order from the empty word.  table[q] is the slot list of x in
+        state q, one slot (code, k, p) per letter c, code its index in the
+        alphabet, in alphabet order.
 
         As x is irreducible, a left-hand side occurs in x + c only if it
         ends at c.  One that holds another never does: the other would end
@@ -245,7 +244,7 @@ class RewritingGroup:
                     slots.append((code, -1, state[t]))
                 else:
                     slots.append((code, len(w) - len(y), None))
-            table.append(([s for s in slots if s[1] != -1], slots))
+            table.append(slots)
         return table
 
     def coset_products(self, cosets):
@@ -253,17 +252,14 @@ class RewritingGroup:
         with K = 1; a coset of more members, or a word g with a letter not
         in the alphabet, raises ValueError.
 
-        The map is x, ceiling=None -> row, the neighbours(x, ceiling) of
-        cayley_abels.ball_walk, which allows a row to leave out labels past
-        the ceiling; this one forms every slot, as the walk drops the outer
-        sphere's targets past the ball itself.
+        The map is x -> row, the neighbours(x) of cayley_abels.ball_walk.
         """
         if any(len(c) != 1 for c in cosets):
             raise ValueError(f"{self!r}: a rewriting backend forms coset rows for K = 1 only")
         gens = [c[0] for c in cosets]
         for g in gens:
             self._check_letters(g)
-        return lambda x, ceiling=None: [self.normal_form(x + g) for g in gens]
+        return lambda x: [self.normal_form(x + g) for g in gens]
 
     def inverse(self, word):
         self._check_letters(word)

@@ -50,26 +50,24 @@ class ReadSlots(list):
 
 def recorded_slot_tables(monkeypatch, reads):
     """Make each slot table RewritingGroup.slot_table gives record every pass
-    over one of its slot lists in reads: a walk along the acceptor reads each
+    over one of its slot lists in reads: a walk along the acceptor reads the
     slot list of each state once, before it forms a coset, and forms no
     product."""
     slot_table = RewritingGroup.slot_table
 
     def recording(self):
-        return [[ReadSlots(slots, reads) for slots in pair] for pair in slot_table(self)]
+        return [ReadSlots(slots, reads) for slots in slot_table(self)]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", recording)
 
 
 def rewired_slot_tables(monkeypatch, rewire):
-    """Make RewritingGroup.slot_table give rewire(q, r, slot) in place of each
-    slot (code, k, p) in list r of state q: r is 0 for the outer slots, 1 for
-    all of them."""
+    """Make RewritingGroup.slot_table give rewire(q, slot) in place of each
+    slot (code, k, p) of state q."""
     slot_table = RewritingGroup.slot_table
 
     def rewired(self):
-        table = slot_table(self)
-        return [[[rewire(q, r, s) for s in slots] for r, slots in enumerate(pair)] for q, pair in enumerate(table)]
+        return [[rewire(q, s) for s in slots] for q, slots in enumerate(slot_table(self))]
 
     monkeypatch.setattr(RewritingGroup, "slot_table", rewired)
 

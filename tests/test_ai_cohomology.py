@@ -29,6 +29,18 @@ def witnesses():
     return out
 
 
+def chi_at_the_inverse_coset(pair, chi):
+    """The cut indicator v -> chi at the coset of v^-1, which K-invariance
+    makes well defined: the reference a witness's in_cut is checked
+    against, and the in_cut of the custom witnesses here."""
+    backend, K = pair.backend, pair.K
+    return lambda v: chi(coset_canonical(backend, K, backend.inverse(v)))
+
+
+def custom_witness(pair, chi, certificates, truncation):
+    return AIWitness(pair, chi, chi_at_the_inverse_coset(pair, chi), certificates, truncation)
+
+
 # -- witnesses from splittings ---------------------------------------------------
 
 def test_z_hnn_witness_is_a_half_line(witnesses):
@@ -121,7 +133,7 @@ def test_a_set_that_k_moves_fails_k_invariance():
     pair = GeneratingPair(pi, K, [pi.vertex_inclusion("u", 1)])
     t = build(pair, 4)
     v = t.sphere_labels(1)[0]
-    w = AIWitness(pair, lambda rep: int(rep == v), [() for _ in pair.S], t)
+    w = custom_witness(pair, lambda rep: int(rep == v), [() for _ in pair.S], t)
     failures = check_almost_invariance(w).details["failures"]
     assert [f["k"] for f in failures if f["kind"] == "k_invariance"] == [str(k) for k in K.elements[1:]]
 
@@ -137,7 +149,7 @@ def test_single_coset_set_is_almost_invariant_but_improper():
         return 1 if rep == base else 0
 
     certs = [(base, coset_canonical(pi, K, s)) for s in pair.S]
-    w = AIWitness(pair, chi, certs, build(pair, 8))
+    w = custom_witness(pair, chi, certs, build(pair, 8))
     assert check_almost_invariance(w).passed
     with pytest.raises(ValueError, match="improper"):
         dh1_nonvanishing_certificate(w)
@@ -149,7 +161,7 @@ def test_parity_set_is_not_almost_invariant(catalog):
     def chi(word):
         return len(word) % 2
 
-    w = AIWitness(pair, chi, [() for _ in pair.S], build(pair, 6))
+    w = custom_witness(pair, chi, [() for _ in pair.S], build(pair, 6))
     cert = check_almost_invariance(w)
     assert not cert.passed
     kinds = {f["kind"] for f in cert.details["failures"]}
@@ -158,7 +170,7 @@ def test_parity_set_is_not_almost_invariant(catalog):
 
 def test_cofinite_set_is_improper(witnesses):
     pi, w0, t = witnesses["z_hnn"]
-    w = AIWitness(w0.pair, lambda rep: 1, [() for _ in w0.pair.S], t)
+    w = custom_witness(w0.pair, lambda rep: 1, [() for _ in w0.pair.S], t)
     assert check_almost_invariance(w).passed
     with pytest.raises(ValueError, match="improper"):
         dh1_nonvanishing_certificate(w)
@@ -197,14 +209,12 @@ def test_cut_bound_via_certificates(witnesses):
 def test_splitting_cut_indicator_is_chi_at_the_inverse_coset(witnesses):
     # a half-tree witness reads the cut off each label, with no inverse; the
     # edge group fixes the lifted edge, so that is chi at the inverse coset,
-    # which a witness with no in_cut reads, K of order 2 on C4*C4/C2 included
+    # which a custom witness reads, K of order 2 on C4*C4/C2 included
     assert {len(w.pair.K) for _, w, _ in witnesses.values()} == {1, 2}
     for name, (pi, w, t) in witnesses.items():
-        K = w.pair.K
-        want = [w.chi(coset_canonical(pi, K, pi.inverse(v))) for v in t.vertices]
+        want = list(map(chi_at_the_inverse_coset(w.pair, w.chi), t.vertices))
         assert [w.in_cut(v) for v in t.vertices] == want and set(want) == {0, 1}, name
-        generic = AIWitness(w.pair, w.chi, w.certificates, t)
-        assert generic.in_cut is None
+        generic = custom_witness(w.pair, w.chi, w.certificates, t)
         assert cut_from_witness(generic) == cut_from_witness(w), name
 
 
@@ -216,7 +226,7 @@ def test_round_trip_witness_to_two_escaping_components(witnesses):
 
 def test_empty_witness_gives_empty_cut(witnesses):
     _, w0, t = witnesses["z_hnn"]
-    w = AIWitness(w0.pair, lambda rep: 0, [() for _ in w0.pair.S], t)
+    w = custom_witness(w0.pair, lambda rep: 0, [() for _ in w0.pair.S], t)
     cut = cut_from_witness(w)
     assert cut.vertices == () and cut.coboundary == ()
     assert cut.escaping_components == 0
@@ -228,7 +238,7 @@ def test_cut_requires_matching_pair(witnesses):
     _, _, t_other = witnesses["dinf"]
     for t in (t_other, build(GeneratingPair(w.pair.backend, w.pair.K, w.pair.S), 8)):
         with pytest.raises(ValueError, match="another generating pair"):
-            AIWitness(w.pair, w.chi, w.certificates, t)
+            AIWitness(w.pair, w.chi, w.in_cut, w.certificates, t)
 
 
 def test_dh1_reads_the_occupancy_the_witness_recorded(witnesses):

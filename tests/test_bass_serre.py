@@ -469,7 +469,7 @@ def test_tree_truncation_respects_cap():
 def test_unpaired_tree_rows_name_the_covering_tree(monkeypatch):
     pi = c2c3()
 
-    def raw_neighbours(self, m, ceiling=None):
+    def raw_neighbours(self, m):
         # appends the edge letter raw, so a neighbour that steps back along
         # the last letter keeps its pinch and is labelled as a vertex of its own
         pi = self.pi
@@ -583,15 +583,11 @@ def tree_steps(pi, v):
     ]
 
 
-def reference_tree_row(pi, m, ceiling=None):
+def reference_tree_row(pi, m):
     """CoveringTree.neighbours before its rows came from coset_products,
     kept as the reference: each step (h, e) appends h raw with append_mul,
-    crosses e with multiply and labels the child with vertex_label; given a
-    ceiling, it leaves out each child with more than ceiling[0] edge
-    letters."""
+    crosses e with multiply and labels the child with vertex_label."""
     steps = [(append_mul(pi, m, h), pi._letter[e]) for h, e in tree_steps(pi, pi.morph_end(m))]
-    if ceiling is not None:
-        steps = [(a, b) for a, b in steps if len(pi.multiply(a, b).es) <= ceiling[0]]
     return [pi.vertex_label(pi.multiply(a, b)) for a, b in steps]
 
 
@@ -1030,11 +1026,10 @@ def test_tree_truncation_matches_reference():
 
 
 def tree_rows_off_reference(pi, radius):
-    """The (label, ceiling) pairs on which the rows of a fresh CoveringTree
+    """The labels whose rows of a fresh CoveringTree, read in BFS order,
     differ from reference_tree_row.  The labels are those of the radius-R
     ball of the reference rows, or of the largest smaller ball within
-    TREE_CAP.  Each is read without a ceiling, under the ceiling ball_walk
-    passes when its sphere is the outer one, and under the whole ball's."""
+    TREE_CAP."""
     reference = SimpleNamespace(
         base=reference_vertex_label(pi, pi.identity()),
         sort_key=pi.sort_key,
@@ -1047,15 +1042,7 @@ def tree_rows_off_reference(pi, radius):
         except BudgetExceeded:
             pass
     tree = CoveringTree(pi)
-    # the largest key in the ball up to each position, in BFS order
-    running = list(itertools.accumulate(map(pi.sort_key, t.vertices), max))
-    off = []
-    for d in range(t.radius + 1):
-        for m in t.sphere_labels(d):
-            for ceiling in (None, running[t.starts[d] - 1 if d else 0], running[-1]):
-                if tree.neighbours(m, ceiling) != reference_tree_row(pi, m, ceiling):
-                    off.append((m, ceiling))
-    return off
+    return [m for m in t.vertices if tree.neighbours(m) != reference_tree_row(pi, m)]
 
 
 def test_tree_rows_match_the_reference():

@@ -287,6 +287,17 @@ def test_cli_verify_of_the_packaged_file_prints_the_default_bytes(capsys):
     assert hashlib.sha256(by_file.encode()).hexdigest() == want["sha256"]
 
 
+def test_cli_verify_default_makes_1927_products(capsys, monkeypatch):
+    # every pi1 product of one verify --default pass, on fresh backends: the
+    # first row of each junction suffix over trivial edge groups, and every
+    # row over c4_c2_c4_gog's C2 edge group, form one per coset member
+    multiply, calls = PiOne.multiply, []
+    monkeypatch.setattr(PiOne, "multiply", lambda self, a, b: calls.append(b) or multiply(self, a, b))
+    assert cli.main(["verify", "--default"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_consistent"]
+    assert len(calls) == 1927
+
+
 def test_default_catalog_reads_its_file_without_importlib_resources(catalog):
     # -S keeps site's own imports out; the package's loader reads catalog.json
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -839,23 +850,22 @@ def cli_cut_on_z(tmp_path, capsys, radius):
     return out["message"]
 
 
-@pytest.mark.parametrize("radius, part, k", [
-    # list 1, all slots, read by the inner rows: each cancellation a^n.A and
-    # A^n.a is read as one of 0 letters, so the row of the inner coset a
-    # lists a, a self-loop
-    (3, 1, 0),
-    # list 0, the outer slots, read by the outer rows only: the outer coset
-    # aa lists aa, at radius 2
-    (2, 0, 0),
-    # list 1 again, each cancellation read as one of 2 letters: the walk of
-    # two ancestors goes past the parent, so the inner coset aa lists the
-    # base where it should list a
-    (3, 1, 2),
+@pytest.mark.parametrize("radius, k", [
+    # each cancellation a^n.A and A^n.a read as one of 0 letters, so the row
+    # of the inner coset a lists a, a self-loop
+    (3, 0),
+    # the same at radius 1, where the outer rows alone, of a and A, hold a
+    # cancellation: the outer coset a lists a
+    (1, 0),
+    # each cancellation read as one of 2 letters: the walk of two ancestors
+    # goes past the parent, so the inner coset aa lists the base where it
+    # should list a
+    (3, 2),
 ], ids=["inner", "outer", "inner_past_parent"])
-def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, part, k):
+def test_cli_corrupted_row_reports_internal_inconsistency(tmp_path, capsys, monkeypatch, radius, k):
     # Z on its whole alphabet walks along the acceptor, so the corruption is
-    # a slot outcome in one of the two slot lists of its slot table
-    rewired_slot_tables(monkeypatch, lambda q, r, s: (s[0], k, s[2]) if r == part and s[1] == 1 else s)
+    # a slot outcome in its slot table
+    rewired_slot_tables(monkeypatch, lambda q, s: (s[0], k, s[2]) if s[1] == 1 else s)
     message = cli_cut_on_z(tmp_path, capsys, radius)
     assert message.startswith("unbalanced edge multiplicities")
 
